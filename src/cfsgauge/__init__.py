@@ -9,10 +9,10 @@ forms for the massless closed chain, and verification that the distinguished
 gauge cancels local phase transformations.
 """
 
-from .correlation import (ImageSplit, SpinSpace, closed_chain, hermitize,
-                          kernel, kernel_krein_adjoint, local_correlation,
-                          reconstruct, spin_space, split_by_image,
-                          wave_evaluation)
+from .correlation import (ImageSplit, SpinSpace, as_split, closed_chain,
+                          hermitize, kernel, kernel_krein_adjoint,
+                          local_correlation, reconstruct, spin_space,
+                          split_by_image, wave_evaluation)
 from .closed_chain import (DualRouteResult, ExpansionReport, VectorKernel,
                            chain_eigenvalues, chain_from_vectors,
                            closed_form_inv_sqrt_kernel, dual_route_inv_sqrt,
@@ -42,8 +42,9 @@ from .perturbation import (BasisWaves, GaugeFunction, apply_local_phase,
                            perturbed_correlation, perturbed_symmetric_gauge)
 from .wave_charts import (CoincidenceReport, GaugeMap, WaveChartPoint,
                           build_gauge, charts_coincide_check,
-                          connecting_unitary, gauge_orbit_witness,
-                          gaussian_wave_map, identity_point, realize,
-                          symmetric_wave_chart, symmetrize)
+                          condition_residual_bound, connecting_unitary,
+                          gauge_orbit_witness, gaussian_wave_map,
+                          identity_point, realize, symmetric_wave_chart,
+                          symmetrize)
 
 __version__ = "0.1.0"

@@ -21,6 +21,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -78,15 +79,26 @@ class ExperimentConfig:
     tasks: tuple
 
 
+def _finite_number(value) -> bool:
+    """Whether a JSON value is a finite int or float; booleans are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _require(mapping, key, kind, field):
     if key not in mapping:
         raise ConfigError("missing required value", field=field)
     value = mapping[key]
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+    if kind is float and _finite_number(value):
         return float(value)
     if kind is int and isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise ConfigError(f"expected {kind.__name__}", field=field)
+    expected = "finite number" if kind is float else kind.__name__
+    raise ConfigError(f"expected {expected}", field=field)
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -123,8 +135,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     for key, value in overrides.items():
         if key not in DEFAULT_TOLERANCES:
             raise ConfigError("unknown tolerance", field=f"tolerances.{key}")
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
-            raise ConfigError("must be positive", field=f"tolerances.{key}")
+        if not _finite_number(value) or value <= 0:
+            raise ConfigError("must be positive and finite",
+                              field=f"tolerances.{key}")
         tolerances[key] = float(value)
 
     tasks = raw.get("tasks", list(KNOWN_TASKS))
@@ -143,7 +156,7 @@ def _parse_points(raw, box: DiracBoxConfig):
         points = []
         for i, item in enumerate(raw):
             if (not isinstance(item, list) or len(item) != 4
-                    or not all(isinstance(c, (int, float)) for c in item)):
+                    or not all(_finite_number(c) for c in item)):
                 raise ConfigError("expected [t, x1, x2, x3]",
                                   field=f"points[{i}]")
             points.append(box.point(float(item[0]), tuple(map(float, item[1:]))))
@@ -153,7 +166,7 @@ def _parse_points(raw, box: DiracBoxConfig):
         nx = _require(raw, "nx", int, "points.nx")
         t_range = raw.get("t_range", [0.0, 0.0])
         if (not isinstance(t_range, list) or len(t_range) != 2
-                or not all(isinstance(c, (int, float)) for c in t_range)):
+                or not all(_finite_number(c) for c in t_range)):
             raise ConfigError("expected [t_min, t_max]", field="points.t_range")
         if nt < 1 or nx < 1:
             raise ConfigError("grid sizes must be >= 1", field="points")
@@ -541,8 +554,10 @@ TASK_RUNNERS = {
 def run_experiment(config: ExperimentConfig, out_dir, parallel: bool = False):
     """Execute the configured tasks; write report.json and kernels.csv.
 
-    Returns the process exit code: 0 when every assertion passed and no task
-    failed, 1 otherwise.
+    The kernel rows are computed before anything is written; if that fails,
+    the failure is recorded under ``task_errors["kernels"]`` and no
+    kernels.csv is written.  Returns the process exit code: 0 when every
+    assertion passed and nothing failed, 1 otherwise.
     """
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
@@ -554,6 +569,11 @@ def run_experiment(config: ExperimentConfig, out_dir, parallel: bool = False):
             entries.extend(TASK_RUNNERS[task](config, parallel))
         except CfsGaugeError as exc:
             task_errors[task] = str(exc)
+    try:
+        kernel_blocks = _kernel_rows(config, parallel)
+    except CfsGaugeError as exc:
+        kernel_blocks = None
+        task_errors["kernels"] = str(exc)
 
     all_passed = (not task_errors) and all(e["passed"] for e in entries)
     report = {
@@ -574,14 +594,19 @@ def run_experiment(config: ExperimentConfig, out_dir, parallel: bool = False):
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
-    _write_kernel_csv(config, out_path / "kernels.csv", parallel)
+    kernels_file = out_path / "kernels.csv"
+    if kernel_blocks is None:
+        kernels_file.unlink(missing_ok=True)
+    else:
+        _write_kernel_csv(kernels_file, kernel_blocks)
     return 0 if all_passed else 1
 
 
-def _write_kernel_csv(config: ExperimentConfig, path, parallel: bool):
+def _kernel_rows(config: ExperimentConfig, parallel: bool):
+    """CSV rows of the kernel from the first point to every point."""
     base = config.points[0]
 
-    def kernel_rows(point):
+    def point_rows(point):
         k = kernel_mode_sum(config.box, base, point)
         rows = []
         for row in range(4):
@@ -591,7 +616,10 @@ def _write_kernel_csv(config: ExperimentConfig, path, parallel: bool):
                              float(value.real), float(value.imag)])
         return rows
 
-    blocks = _map(kernel_rows, list(config.points), parallel)
+    return _map(point_rows, list(config.points), parallel)
+
+
+def _write_kernel_csv(path, blocks):
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["t", "x1", "x2", "x3", "row", "col", "re", "im"])

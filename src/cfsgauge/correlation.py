@@ -15,12 +15,14 @@ bases recorded on the SpinSpace object.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NotRegular
-from .krein import KreinSpace, opnorm
+from .krein import KreinSpace
 
 #: relative threshold separating genuine eigenvalues from numerical zeros
 TOL_RANK_FACTOR = 1e-8
@@ -48,14 +50,14 @@ class ImageSplit:
     """Orthonormal splitting of the ambient space along the image of x.
 
     ``basis`` holds eigenvectors of the p+q nonzero eigenvalues (descending
-    eigenvalue order, phases fixed deterministically), ``complement`` the
-    remaining eigenvectors, and ``restricted`` the compression of x onto its
-    image, basis^dag x basis.
+    eigenvalue order, phases fixed deterministically) and ``restricted`` the
+    compression of x onto its image, basis^dag x basis.  ``complement`` is an
+    orthonormal basis of the orthogonal complement of the image, built on
+    first use.
     """
 
     operator: np.ndarray
     basis: np.ndarray
-    complement: np.ndarray
     restricted: np.ndarray
     signature: tuple[int, int]
 
@@ -67,34 +69,123 @@ class ImageSplit:
     def rank(self) -> int:
         return self.basis.shape[1]
 
+    @cached_property
+    def complement(self) -> np.ndarray:
+        """The last f - r columns of a complete QR factorization of basis."""
+        full, _ = np.linalg.qr(self.basis, mode="complete")
+        return full[:, self.rank:]
+
+
+def _range_basis(x: np.ndarray, r: int):
+    """Orthonormal f x r basis Q of the dominant column space of x.
+
+    r steps of Gram-Schmidt with column pivoting: each step takes the column
+    of largest remaining norm, orthogonalizes it twice against the basis so
+    far and downdates the column norms.  Returns (Q, Q^dag x), or None when a
+    pivot column has nothing left (x has rank below r, or is not finite).
+    """
+    f = x.shape[0]
+    frame = np.zeros((f, r), dtype=complex)
+    rows = np.zeros((r, f), dtype=complex)
+    norms2 = np.einsum("ij,ij->j", x.conj(), x).real
+    for k in range(r):
+        v = x[:, int(np.argmax(norms2))].copy()
+        for _ in range(2):
+            v -= frame[:, :k] @ (frame[:, :k].conj().T @ v)
+        length = np.linalg.norm(v)
+        if not length > 0.0:
+            return None
+        frame[:, k] = v / length
+        rows[k] = frame[:, k].conj() @ x
+        norms2 -= np.abs(rows[k]) ** 2
+    return frame, rows
+
+
+def _split_from_range(x: np.ndarray, p: int, q: int, tol_rank: float | None):
+    """Split x from a rank-(p+q) range basis, or None if not certified.
+
+    With Q from ``_range_basis`` and B = Q^dag x Q, the residual
+    rho = ||x - Q B Q^dag||_F bounds how far every eigenvalue of x lies from
+    the spectrum of Q B Q^dag (eig(B) and f - r zeros).  If rho is below the
+    rank threshold and every |eig(B)| exceeds threshold + rho, then x has
+    exactly r eigenvalues above the threshold in magnitude, with the signs of
+    eig(B), and the dense route would reach the same verdict.  Without a
+    given ``tol_rank`` the threshold scales with ||x||, known from max|eig(B)|
+    only to within rho, so both bounds take the unfavorable end.
+    """
+    found = _range_basis(x, p + q)
+    if found is None:
+        return None
+    frame, rows = found
+    b = rows @ frame
+    vals, vecs = np.linalg.eigh(hermitize(b))
+    # x - Q B Q^dag = (1 - P) x + Q (Q^dag x)(1 - P), orthogonal in Frobenius
+    rho = math.hypot(np.linalg.norm(x - frame @ rows),
+                     np.linalg.norm(rows - b @ frame.conj().T))
+    scale = float(np.max(np.abs(vals)))
+    if tol_rank is None:
+        tol_rank = TOL_RANK_FACTOR * max(scale, 1e-300)
+        tol_low = TOL_RANK_FACTOR * max(scale - rho, 1e-300)
+        tol_high = TOL_RANK_FACTOR * max(scale + rho, 1e-300)
+    else:
+        tol_low = tol_high = tol_rank
+    if not (rho < tol_low and np.min(np.abs(vals)) > tol_high + rho):
+        return None
+    _check_signature(vals, p, q, tol_rank)
+    basis = _fix_column_phases(frame @ vecs[:, ::-1])
+    coeffs = frame.conj().T @ basis
+    return ImageSplit(operator=x, basis=basis,
+                      restricted=hermitize(coeffs.conj().T @ b @ coeffs),
+                      signature=(p, q))
+
+
+def _split_dense(x: np.ndarray, p: int, q: int, tol_rank: float | None):
+    """Split x by a full f x f eigendecomposition."""
+    vals, vecs = np.linalg.eigh(hermitize(x))
+    if tol_rank is None:
+        tol_rank = TOL_RANK_FACTOR * max(float(np.max(np.abs(vals))), 1e-300)
+    keep = np.abs(vals) > tol_rank
+    _check_signature(vals[keep], p, q, tol_rank)
+    basis = _fix_column_phases(vecs[:, keep][:, ::-1])
+    return ImageSplit(operator=x, basis=basis,
+                      restricted=hermitize(basis.conj().T @ x @ basis),
+                      signature=(p, q))
+
+
+def _check_signature(kept: np.ndarray, p: int, q: int, tol_rank: float):
+    found = (int(np.sum(kept > 0.0)), int(np.sum(kept < 0.0)))
+    if found != (p, q):
+        raise NotRegular(
+            f"expected signature ({p}, {q}), found {found} at threshold "
+            f"{tol_rank:.3g}"
+        )
+
 
 def split_by_image(x: np.ndarray, p: int, q: int,
                    tol_rank: float | None = None) -> ImageSplit:
     """Eigen-split a Hermitian operator of expected signature (p, q).
 
     Raises NotRegular when the counts of eigenvalues above +tol / below -tol
-    differ from (p, q) or some discarded eigenvalue exceeds the threshold.
+    differ from (p, q); every other eigenvalue is discarded as numerically
+    zero.  The default threshold is ``TOL_RANK_FACTOR`` times ||x||.  The
+    image comes from an f x (p+q) range basis at O(f^2 (p+q)) cost; a full
+    eigendecomposition runs only when its residual certificate cannot decide.
     """
     x = np.asarray(x, dtype=complex)
-    scale = opnorm(x)
-    if tol_rank is None:
-        tol_rank = TOL_RANK_FACTOR * max(scale, 1e-300)
-    vals, vecs = np.linalg.eigh(hermitize(x))
-    pos = vals > tol_rank
-    neg = vals < -tol_rank
-    if int(pos.sum()) != p or int(neg.sum()) != q:
-        raise NotRegular(
-            f"expected signature ({p}, {q}), found "
-            f"({int(pos.sum())}, {int(neg.sum())}) at threshold {tol_rank:.3g}"
-        )
-    keep = pos | neg
-    rest = vals[keep]
-    order = np.argsort(rest)[::-1]
-    basis = _fix_column_phases(vecs[:, keep][:, order])
-    complement = _fix_column_phases(vecs[:, ~keep])
-    restricted = hermitize(basis.conj().T @ x @ basis)
-    return ImageSplit(operator=x, basis=basis, complement=complement,
-                      restricted=restricted, signature=(p, q))
+    split = None
+    if 0 < p + q <= x.shape[0]:
+        split = _split_from_range(x, p, q, tol_rank)
+    return split if split is not None else _split_dense(x, p, q, tol_rank)
+
+
+def as_split(x, p: int, q: int, tol_rank: float | None = None) -> ImageSplit:
+    """The image split of an operator, or the given split itself."""
+    if isinstance(x, ImageSplit):
+        if x.signature != (p, q):
+            raise NotRegular(f"expected signature ({p}, {q}), found "
+                             f"{tuple(x.signature)}")
+        return x
+    return split_by_image(x, p, q, tol_rank=tol_rank)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,14 +224,14 @@ class SpinSpace:
         return self.split.ambient_dim
 
 
-def spin_space(x: np.ndarray, n: int,
-               tol_rank: float | None = None) -> SpinSpace:
+def spin_space(x, n: int, tol_rank: float | None = None) -> SpinSpace:
     """Construct the spin space of a regular correlation operator.
 
-    Raises NotRegular unless x has exactly n eigenvalues above +tol and n
-    below -tol, the rest being numerically zero.
+    ``x`` is the operator or its image split.  Raises NotRegular unless x
+    has exactly n eigenvalues above +tol and n below -tol, the rest being
+    numerically zero.
     """
-    split = split_by_image(x, n, n, tol_rank=tol_rank)
+    split = as_split(x, n, n, tol_rank=tol_rank)
     gram = -split.restricted
     return SpinSpace(
         split=split,

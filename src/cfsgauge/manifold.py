@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import ImageSplit, hermitize, split_by_image
+from .correlation import ImageSplit, as_split, hermitize
 from .errors import InvalidSignature, SignatureLost, TooFarFromBase
 
 #: smallest singular value of the image-overlap block accepted by chart_inverse
@@ -76,17 +76,17 @@ def chart_forward(coords: ChartCoordinates) -> np.ndarray:
     return hermitize(m)
 
 
-def chart_inverse(y: np.ndarray, split: ImageSplit,
+def chart_inverse(y, split: ImageSplit,
                   tol_rank: float | None = None) -> ChartCoordinates:
     """Read off chart coordinates of an operator near the base point.
 
-    Diagonalizes y and expresses its eigenspace in the (image, complement)
-    block basis of the base point; the image-overlap block must be safely
-    invertible (smallest singular value >= MIN_OVERLAP_SV), otherwise
-    TooFarFromBase is raised.
+    ``y`` is the operator or its image split.  Its image is expressed in the
+    (image, complement) block basis of the base point; the image-overlap
+    block must be safely invertible (smallest singular value >=
+    MIN_OVERLAP_SV), otherwise TooFarFromBase is raised.
     """
     p, q = split.signature
-    split_y = split_by_image(y, p, q, tol_rank=tol_rank)
+    split_y = as_split(y, p, q, tol_rank=tol_rank)
     overlap_img = split.basis.conj().T @ split_y.basis
     overlap_comp = split.complement.conj().T @ split_y.basis
     smallest = np.linalg.svd(overlap_img, compute_uv=False)[-1]

@@ -21,13 +21,14 @@ up to a single global unitary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import krein as _krein
-from .correlation import (SpinSpace, hermitize, kernel, spin_space,
-                          wave_evaluation)
+from .correlation import (ImageSplit, SpinSpace, as_split, hermitize,
+                          kernel, spin_space, wave_evaluation)
 from .errors import (NotInvertible, OutOfChartDomain, OutOfConvergenceRadius,
                      TooFarFromBase)
 from .krein import opnorm
@@ -144,23 +145,25 @@ def connecting_unitary(base: SpinSpace, sp_y: SpinSpace) -> np.ndarray:
     return result.inv_sqrt @ inv_x @ p_xy
 
 
-def symmetric_wave_chart(y: np.ndarray, base: SpinSpace) -> WaveChartPoint:
+def symmetric_wave_chart(y, base: SpinSpace) -> WaveChartPoint:
     """Wave coordinates of y in the symmetric wave chart around the base.
 
-    The on-image component comes out symmetric with respect to the spin inner
-    product, and realizing the result returns y.  Raises OutOfChartDomain
-    when y leaves the shared domain of the two wave-chart constructions
-    (image overlap too small, chart coordinate too large, or square root out
-    of its convergence radius).
+    ``y`` is the operator or its image split.  The on-image component comes
+    out symmetric with respect to the spin inner product, and realizing the
+    result returns y.  Raises OutOfChartDomain when y leaves the shared
+    domain of the two wave-chart constructions (image overlap too small,
+    chart coordinate too large, or square root out of its convergence
+    radius).
     """
+    split_y = as_split(y, base.n, base.n)
     try:
-        coords = chart_inverse(y, base.split)
+        coords = chart_inverse(split_y, base.split)
     except TooFarFromBase as exc:
         raise OutOfChartDomain(str(exc)) from exc
     inv_x = np.linalg.inv(base.restriction)
     if opnorm(inv_x @ coords.a) > CHART_DOMAIN_RADIUS:
         raise OutOfChartDomain("chart coordinate exceeds the shared domain radius")
-    sp_y = spin_space(y, base.n)
+    sp_y = spin_space(split_y, base.n)
     u_conn = connecting_unitary(base, sp_y)
     full = u_conn @ wave_evaluation(sp_y)
     return WaveChartPoint.from_full(full, base)
@@ -200,8 +203,9 @@ def charts_coincide_check(base: SpinSpace, sample_points) -> CoincidenceReport:
     """
     deviations = []
     for y in sample_points:
-        via_polar = symmetric_wave_chart(y, base)
-        via_chart = gaussian_wave_map(chart_inverse(y, base.split), base)
+        split_y = as_split(y, base.n, base.n)
+        via_polar = symmetric_wave_chart(split_y, base)
+        via_chart = gaussian_wave_map(chart_inverse(split_y, base.split), base)
         deviations.append(opnorm(via_polar.full_matrix()
                                  - via_chart.full_matrix()))
     return CoincidenceReport(max_deviation=float(max(deviations)),
@@ -247,15 +251,39 @@ def build_gauge(base: SpinSpace, points, unitary: np.ndarray | None = None,
     if opnorm(pullback - base.spin_gram) > 1e-9 * max(1.0, opnorm(base.spin_gram)):
         raise ValueError("unitary is not an isometry onto the target inner product")
 
+    operators = []
     values = []
     residuals = []
     for y in points:
-        value = unitary @ symmetric_wave_chart(y, base).full_matrix()
+        split_y = as_split(y, base.n, base.n)
+        value = unitary @ symmetric_wave_chart(split_y, base).full_matrix()
+        operators.append(split_y.operator)
         values.append(value)
-        residuals.append(opnorm(y + value.conj().T @ target_gram @ value))
-    return GaugeMap(points=tuple(np.asarray(y, dtype=complex) for y in points),
+        residuals.append(condition_residual_bound(split_y, value, target_gram))
+    return GaugeMap(points=tuple(operators),
                     values=tuple(values),
                     target_gram=target_gram,
                     unitary=unitary,
                     base=base,
-                    condition_residuals=tuple(float(r) for r in residuals))
+                    condition_residuals=tuple(residuals))
+
+
+def condition_residual_bound(split_y: ImageSplit, value: np.ndarray,
+                             gram: np.ndarray) -> float:
+    """Upper bound on ||y + value^dag gram value|| at O(f^2 r) cost.
+
+    The residual R = y + value^dag gram value lives, up to rounding and the
+    discarded spectrum of y, on the span of the image of y and the range of
+    value^dag.  With Z an orthonormal basis of that span and P = Z Z^dag,
+    R = P R P + (R - P R P), so ||R|| <= ||Z^dag R Z|| + ||R - P R P||_F.
+    The last norm splits into ||(1 - P) R||_F and ||Z^dag R (1 - P)||_F,
+    both computed directly rather than by subtracting squared norms.
+    """
+    value_h = value.conj().T
+    residual = split_y.operator + value_h @ gram @ value
+    z, _ = np.linalg.qr(np.hstack([split_y.basis, value_h]))
+    z_residual = z.conj().T @ residual
+    core = z_residual @ z
+    outside = math.hypot(np.linalg.norm(residual - z @ z_residual),
+                         np.linalg.norm(z_residual - core @ z.conj().T))
+    return opnorm(core) + outside

@@ -3,6 +3,7 @@
 import itertools
 
 import numpy as np
+import pytest
 
 
 def multiset_distance(a, b) -> float:
@@ -19,3 +20,27 @@ def multiset_distance(a, b) -> float:
         d = np.max(np.abs(a - b[list(perm)]))
         best = min(best, d)
     return float(best)
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Shapes of every eigh / eigvalsh / svd input while the test runs.
+
+    The functions are replaced both on ``numpy.linalg`` and inside its
+    implementation module, so the SVD behind ``numpy.linalg.norm(a, 2)`` is
+    recorded too.  Tests clear the list to start counting at a later point.
+    """
+    shapes = []
+    modules = [np.linalg]
+    if hasattr(np.linalg, "_linalg"):
+        modules.append(np.linalg._linalg)
+    for name in ("eigh", "eigvalsh", "svd"):
+        original = getattr(np.linalg, name)
+
+        def recorded(a, *args, _original=original, **kwargs):
+            shapes.append(tuple(np.shape(a)[-2:]))
+            return _original(a, *args, **kwargs)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, recorded)
+    return shapes

@@ -65,6 +65,49 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(raw)
 
+    @pytest.mark.parametrize("key", ["L", "eps", "m"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_nonfinite_box_value_rejected(self, key, value):
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        raw["box"][key] = value
+        with pytest.raises(ConfigError) as info:
+            parse_config(raw)
+        assert info.value.field == f"box.{key}"
+
+    def test_boolean_box_value_rejected(self):
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        raw["box"]["m"] = False
+        with pytest.raises(ConfigError) as info:
+            parse_config(raw)
+        assert info.value.field == "box.m"
+
+    @pytest.mark.parametrize("point", [[True, 0, 0, 0], [0.0, 0.0, False, 0.0],
+                                       [0.0, math.nan, 0.0, 0.0],
+                                       [math.inf, 0.0, 0.0, 0.0]])
+    def test_boolean_or_nonfinite_point_rejected(self, point):
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        raw["points"] = [[0.0, 0.0, 0.0, 0.0], point]
+        with pytest.raises(ConfigError) as info:
+            parse_config(raw)
+        assert info.value.field == "points[1]"
+
+    @pytest.mark.parametrize("t_range", [[True, 1.0], [0.0, math.nan],
+                                         [0.0, math.inf]])
+    def test_boolean_or_nonfinite_t_range_rejected(self, t_range):
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        raw["points"] = {"nt": 2, "nx": 1, "t_range": t_range}
+        with pytest.raises(ConfigError) as info:
+            parse_config(raw)
+        assert info.value.field == "points.t_range"
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_nonfinite_tolerance_rejected(self, value):
+        raw = dict(BASE_CONFIG)
+        raw["tolerances"] = {"coincidence": value}
+        with pytest.raises(ConfigError) as info:
+            parse_config(raw)
+        assert info.value.field == "tolerances.coincidence"
+
     def test_tolerance_override_applies(self):
         raw = dict(BASE_CONFIG)
         raw["tolerances"] = {"coincidence": 1e-6}
@@ -141,6 +184,24 @@ class TestRunReports:
         assert report["all_passed"] is False
 
 
+    def test_kernel_failure_recorded_without_csv(self, tmp_path):
+        # no lattice momentum lies below the cutoff, so every kernel mode sum
+        # raises EmptyCutoff; the run still writes a complete report
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        raw["box"] = {"L": 0.5, "eps": 0.4, "m": 0.0}
+        raw["tasks"] = ["spectral"]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "kernels.csv").write_text("stale\n")
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert set(report["task_errors"]) == {"kernels"}
+        assert report["all_passed"] is False
+        assert not (out / "kernels.csv").exists()
+
+
 class TestExitCodes:
     def test_invalid_config_exits_2(self, tmp_path):
         raw = json.loads(json.dumps(BASE_CONFIG))
@@ -148,6 +209,15 @@ class TestExitCodes:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(raw))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+
+    def test_infinite_box_length_exits_2(self, tmp_path, capsys):
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        raw["box"]["L"] = math.inf
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(raw))   # written as the token Infinity
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "box.L" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json"),

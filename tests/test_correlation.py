@@ -1,12 +1,15 @@
 """Correlation operators, spin spaces, kernels and the closed chain."""
 
+import math
+
 import numpy as np
 import pytest
 from conftest import multiset_distance
 
 from cfsgauge.correlation import (closed_chain, kernel, kernel_krein_adjoint,
                                   local_correlation, reconstruct, spin_space,
-                                  wave_evaluation)
+                                  split_by_image, wave_evaluation)
+from cfsgauge.dirac_box import DiracBoxConfig, build_correlation_map
 from cfsgauge.errors import NotRegular
 from cfsgauge.krein import opnorm
 from cfsgauge.randoms import (random_complex, random_correlation,
@@ -72,6 +75,103 @@ class TestSpinSpace:
                                    atol=1e-12)
         np.testing.assert_allclose(sp.complement.conj().T @ sp.basis,
                                    np.zeros((5, 4)), atol=1e-12)
+
+
+def dense_split(x, p, q):
+    """Reference split by a full eigendecomposition.
+
+    Returns the image projector and the ascending kept spectrum, or None
+    when the eigenvalue counts at threshold 1e-8 ||x|| differ from (p, q).
+    """
+    vals, vecs = np.linalg.eigh(0.5 * (x + x.conj().T))
+    tol = 1e-8 * max(float(np.max(np.abs(vals))), 1e-300)
+    if (int(np.sum(vals > tol)), int(np.sum(vals < -tol))) != (p, q):
+        return None
+    keep = np.abs(vals) > tol
+    basis = vecs[:, keep]
+    return basis @ basis.conj().T, vals[keep]
+
+
+def assert_matches_dense(x, p, q):
+    """split_by_image reaches the dense verdict, projector and spectrum."""
+    reference = dense_split(x, p, q)
+    if reference is None:
+        with pytest.raises(NotRegular):
+            split_by_image(x, p, q)
+        return
+    projector, spectrum = reference
+    split = split_by_image(x, p, q)
+    np.testing.assert_allclose(split.basis @ split.basis.conj().T, projector,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.linalg.eigvalsh(split.restricted), spectrum,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(split.basis.conj().T @ split.basis,
+                               np.eye(p + q), rtol=0, atol=1e-12)
+    f = x.shape[0]
+    np.testing.assert_allclose(split.complement.conj().T @ split.complement,
+                               np.eye(f - p - q), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(split.complement.conj().T @ split.basis,
+                               np.zeros((f - p - q, p + q)), rtol=0,
+                               atol=1e-12)
+
+
+class TestSplitParity:
+    @pytest.mark.parametrize("m", [0.0, 0.3])
+    def test_box_operators_use_range_basis(self, m, decompositions):
+        # f = 160 modes at m = 0, 162 at m = 0.3 (the zero mode is added)
+        cfg = DiracBoxConfig(L=math.pi, eps=0.4, m=m)
+        points = [cfg.point(0.0, (0.0, 0.0, 0.0)),
+                  cfg.point(0.2, (0.4, -0.8, 1.1)),
+                  cfg.point(-1.3, (2.9, 0.05, -3.0))]
+        operators = build_correlation_map(cfg, points)
+        assert operators[0].shape[0] == (160 if m == 0.0 else 162)
+        for x in operators:
+            decompositions.clear()
+            split = split_by_image(x, 2, 2)
+            assert all(min(shape) <= 4 for shape in decompositions)
+            assert split.signature == (2, 2)
+            assert_matches_dense(x, 2, 2)
+
+    @pytest.mark.parametrize("f", [4, 5, 6, 8, 10, 12])
+    def test_random_operators(self, f):
+        rng = np.random.default_rng(100 + f)
+        for _ in range(30):
+            for n in (1, 2):
+                if 2 * n > f:
+                    continue
+                x = random_correlation(rng, f, n)
+                for p, q in ((1, 1), (2, 2), (2, 1)):
+                    if p + q <= f:
+                        assert_matches_dense(x, p, q)
+
+    @pytest.mark.parametrize("f", [4, 7, 12])
+    def test_random_full_rank_rejected(self, f):
+        rng = np.random.default_rng(200 + f)
+        for _ in range(10):
+            a = random_complex(rng, f, f)
+            assert_matches_dense(a + a.conj().T, 2, 2)
+
+    def test_small_discarded_eigenvalue_certified(self, decompositions):
+        x = diag_operator([1.0, -1.0, 0.5, -0.5, 5e-9], 6)
+        split = split_by_image(x, 2, 2)
+        assert (6, 6) not in decompositions
+        assert split.signature == (2, 2)
+        assert_matches_dense(x, 2, 2)
+
+    def test_near_threshold_takes_dense_route(self, decompositions):
+        # kept 1.5e-8 and discarded 0.8e-8 both lie within the certificate's
+        # margin of the threshold 1e-8, so only the dense route decides
+        x = diag_operator([1.0, -1.0, -0.5, 1.5e-8, 0.8e-8], 6)
+        split = split_by_image(x, 2, 2)
+        assert (6, 6) in decompositions
+        assert split.signature == (2, 2)
+        assert_matches_dense(x, 2, 2)
+
+    def test_certified_wrong_signature_rejected(self, decompositions):
+        x = diag_operator([1.0, 0.5, -1.0, 2.0], 6)
+        with pytest.raises(NotRegular, match=r"found \(3, 1\)"):
+            split_by_image(x, 2, 2)
+        assert (6, 6) not in decompositions
 
 
 class TestWaveEvaluation:

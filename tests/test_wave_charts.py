@@ -1,16 +1,21 @@
 """Wave charts, the realization map, gauge orbits and gauge construction."""
 
+import math
+
 import numpy as np
 import pytest
 
-from cfsgauge.correlation import spin_space
+from cfsgauge import correlation
+from cfsgauge.correlation import spin_space, split_by_image
+from cfsgauge.dirac_box import DiracBoxConfig, build_correlation_map
 from cfsgauge.errors import NotInvertible, OutOfChartDomain
 from cfsgauge.krein import opnorm
 from cfsgauge.manifold import ChartCoordinates, chart_forward
 from cfsgauge.randoms import (random_chart_coords, random_complex,
                               random_correlation, random_krein_unitary)
 from cfsgauge.wave_charts import (WaveChartPoint, build_gauge,
-                                  charts_coincide_check, connecting_unitary,
+                                  charts_coincide_check,
+                                  condition_residual_bound, connecting_unitary,
                                   gauge_orbit_witness, gaussian_wave_map,
                                   identity_point, realize,
                                   symmetric_wave_chart, symmetrize)
@@ -287,3 +292,83 @@ class TestBuildGauge:
         base = spin_space(random_correlation(rng, 8, 2), 2)
         with pytest.raises(ValueError):
             build_gauge(base, [base.operator], unitary=2.0 * np.eye(4))
+
+
+class TestBoxGauge:
+    """The gauge over box points at f = 160, with no dense work per point."""
+
+    @pytest.fixture(scope="class")
+    def box(self):
+        cfg = DiracBoxConfig(L=math.pi, eps=0.4, m=0.0)
+        points = [cfg.point(0.0, (0.0, 0.0, 0.0)),
+                  cfg.point(0.1, (0.1, -0.05, 0.0)),
+                  cfg.point(-0.05, (0.0, 0.12, 0.08))]
+        operators = build_correlation_map(cfg, points)
+        return spin_space(operators[0], 2), operators[1:]
+
+    def test_no_dense_decomposition_per_point(self, box, decompositions):
+        base, ys = box
+        decompositions.clear()
+        gauge = build_gauge(base, ys)
+        report = charts_coincide_check(base, ys)
+        assert decompositions
+        # every eigh / svd input is at most (2 rank) wide: no f x f work
+        assert max(min(shape) for shape in decompositions) <= 8
+        assert max(gauge.condition_residuals) <= 1e-9
+        assert report.max_deviation <= 1e-8
+
+    def test_each_point_split_once(self, box, monkeypatch):
+        base, ys = box
+        calls = []
+
+        def counted(x, p, q, tol_rank=None):
+            calls.append(x.shape)
+            return split_by_image(x, p, q, tol_rank=tol_rank)
+
+        monkeypatch.setattr(correlation, "split_by_image", counted)
+        build_gauge(base, ys)
+        assert len(calls) == len(ys)
+        calls.clear()
+        charts_coincide_check(base, ys)
+        assert len(calls) == len(ys)
+
+    def test_residual_bound_covers_dense_norm(self, box):
+        base, ys = box
+        gauge = build_gauge(base, ys)
+        for y, value, bound in zip(gauge.points, gauge.values,
+                                   gauge.condition_residuals):
+            dense = opnorm(y + value.conj().T @ gauge.target_gram @ value)
+            assert dense <= bound * (1.0 + 1e-12)
+
+
+class TestConditionResidualBound:
+    def test_bounds_dense_norm(self):
+        # y carries a small full-rank part that the split discards, so the
+        # residual has components outside the span of basis_y and value^dag
+        rng = np.random.default_rng(30)
+        for f in (6, 9, 12):
+            for _ in range(20):
+                x = random_correlation(rng, f, 2)
+                base = spin_space(x, 2)
+                h = random_complex(rng, f, f)
+                y = x + 1e-10 * opnorm(x) * (h + h.conj().T) / opnorm(h)
+                split_y = split_by_image(y, 2, 2)
+                for value in (symmetric_wave_chart(split_y, base).full_matrix(),
+                              random_complex(rng, 4, f)):
+                    dense = opnorm(y + value.conj().T @ base.spin_gram @ value)
+                    bound = condition_residual_bound(split_y, value,
+                                                     base.spin_gram)
+                    assert dense <= bound * (1.0 + 1e-12)
+
+    def test_tight_when_residual_lies_in_the_span(self):
+        rng = np.random.default_rng(31)
+        base = spin_space(random_correlation(rng, 10, 2), 2)
+        y = nearby_operator(rng, base)
+        split_y = split_by_image(y, 2, 2)
+        value = symmetric_wave_chart(split_y, base).full_matrix()
+        h = random_complex(rng, 4, 4)
+        shift = split_y.basis @ (h + h.conj().T) @ split_y.basis.conj().T
+        shifted = split_by_image(y + shift, 2, 2)
+        dense = opnorm(shifted.operator + value.conj().T @ base.spin_gram @ value)
+        bound = condition_residual_bound(shifted, value, base.spin_gram)
+        assert dense <= bound <= dense + 1e-12
