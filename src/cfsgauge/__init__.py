@@ -21,15 +21,15 @@ from .closed_chain import (DualRouteResult, ExpansionReport, VectorKernel,
 from .dirac_box import (DiracBoxConfig, MomentumMode, SpacetimePoint,
                         build_correlation_map, chi_spinors,
                         evaluation_isometry, gamma_matrices,
-                        kernel_braket_sum, kernel_mode_sum, mode_overlap,
-                        momentum_modes, momentum_points, plane_wave,
-                        sea_spinors, slash, wave_value_matrix)
+                        kernel_braket_sum, kernel_mode_sum, mode_count,
+                        mode_overlap, momentum_modes, momentum_points,
+                        plane_wave, sea_spinors, slash, wave_value_matrix)
 from .errors import (BranchCut, CfsGaugeError, ConfigError, DegenerateChain,
                      EmptyCutoff, InvalidSignature, MasslessNormalization,
                      NotDiagonalKernel, NotInvertible, NotRegular,
                      NotSymmetric, OutOfChartDomain, OutOfConvergenceRadius,
                      SignatureLost, SingularGram, TaskError, TooFarFromBase,
-                     TooFewModes)
+                     TooFewModes, TooManyModes)
 from .krein import (KreinSpace, SqrtResult, binomial_sqrt_series, opnorm,
                     polar_decompose, sqrt_near_identity)
 from .manifold import (ChartCoordinates, GaussianReport, chart_forward,

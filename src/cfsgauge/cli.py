@@ -23,8 +23,7 @@ import itertools
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +36,8 @@ from . import randoms as rnd
 from . import wave_charts as wc
 from .correlation import spin_space
 from .dirac_box import (DiracBoxConfig, kernel_braket_sum,
-                        kernel_mode_sum, momentum_modes, wave_value_matrix)
-from .errors import CfsGaugeError, ConfigError, TaskError
+                        kernel_mode_sum, mode_count, wave_value_matrix)
+from .errors import CfsGaugeError, ConfigError, TaskError, TooManyModes
 from .krein import KreinSpace, opnorm
 
 KNOWN_TASKS = ("charts", "gauge", "spectral", "perturb", "dim-count")
@@ -117,7 +116,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("must be positive", field="box.eps")
     if m < 0.0:
         raise ConfigError("must be nonnegative", field="box.m")
-    box = DiracBoxConfig(L=L, eps=eps, m=m)
+    try:
+        box = DiracBoxConfig(L=L, eps=eps, m=m)
+    except TooManyModes as exc:
+        raise ConfigError(str(exc), field="box.eps") from exc
 
     points_raw = raw.get("points", {"nt": 1, "nx": 2, "t_range": [0.0, 0.0]})
     points = _parse_points(points_raw, box)
@@ -172,15 +174,8 @@ def _parse_points(raw, box: DiracBoxConfig):
             raise ConfigError("grid sizes must be >= 1", field="points")
         times = np.linspace(float(t_range[0]), float(t_range[1]), nt)
         axis = np.linspace(-box.L, box.L, nx, endpoint=False)
-        points = []
-        for t in times:
-            for x1 in axis:
-                for x2 in axis:
-                    for x3 in axis:
-                        points.append(box.point(float(t), (float(x1),
-                                                           float(x2),
-                                                           float(x3))))
-        return points
+        return [box.point(float(t), (float(x1), float(x2), float(x3)))
+                for t, x1, x2, x3 in itertools.product(times, axis, axis, axis)]
     raise ConfigError("expected list of points or grid spec", field="points")
 
 
@@ -208,21 +203,13 @@ def _interval_excess(value, low, high) -> float:
     return float(max(0.0, low - value, value - high))
 
 
-def _map(fn, items, parallel: bool):
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 # ---------------------------------------------------------------------------
 # tasks
 
 
-def task_dim_count(config: ExperimentConfig, parallel: bool):
+def task_dim_count(config: ExperimentConfig):
     box = config.box
-    modes = momentum_modes(box)
-    f = len(modes)
+    f = mode_count(box)
     predicted = 8.0 / (3.0 * np.pi ** 2) * (box.L / box.eps) ** 3
     entries = [
         _entry("dim-count", "f", "sea-mode-count", f, None),
@@ -237,7 +224,7 @@ def task_dim_count(config: ExperimentConfig, parallel: bool):
     return entries
 
 
-def task_charts(config: ExperimentConfig, parallel: bool):
+def task_charts(config: ExperimentConfig):
     tol = config.tolerances
     rng = np.random.default_rng(config.seed)
     entries = []
@@ -284,7 +271,7 @@ def task_charts(config: ExperimentConfig, parallel: bool):
     return entries
 
 
-def task_gauge(config: ExperimentConfig, parallel: bool):
+def task_gauge(config: ExperimentConfig):
     tol = config.tolerances
     rng = np.random.default_rng(config.seed + 1)
     entries = []
@@ -364,7 +351,7 @@ def task_gauge(config: ExperimentConfig, parallel: bool):
     return entries
 
 
-def task_spectral(config: ExperimentConfig, parallel: bool):
+def task_spectral(config: ExperimentConfig):
     tol = config.tolerances
     rng = np.random.default_rng(config.seed + 2)
     entries = []
@@ -448,7 +435,7 @@ def _right_half_plane_sample(rng):
             return vk
 
 
-def task_perturb(config: ExperimentConfig, parallel: bool):
+def task_perturb(config: ExperimentConfig):
     tol = config.tolerances
     box = config.box
     rng = np.random.default_rng(config.seed + 3)
@@ -525,13 +512,12 @@ def task_perturb(config: ExperimentConfig, parallel: bool):
     grid = [box.point(0.1, (float(a), float(b), float(c)))
             for a in axis for b in axis for c in axis]
 
-    def mixed_residual(point):
+    worst_mixed = 0.0
+    for point in grid:
         w = wave_value_matrix(box, point)
         wt = pt.apply_local_phase(w, lam, point)
         expected = np.exp(-1j * lam(point)) * pt.diagonal_kernel(w)
-        return opnorm(pt.mixed_kernel(w, wt) - expected)
-
-    worst_mixed = max(_map(mixed_residual, grid, parallel))
+        worst_mixed = max(worst_mixed, opnorm(pt.mixed_kernel(w, wt) - expected))
     entries.append(_entry("perturb", "mixed-kernel-phase-law",
                           "mixed-kernel-phase-law", worst_mixed,
                           tol["mixed_kernel_law"]))
@@ -551,7 +537,7 @@ TASK_RUNNERS = {
 # outputs
 
 
-def run_experiment(config: ExperimentConfig, out_dir, parallel: bool = False):
+def run_experiment(config: ExperimentConfig, out_dir):
     """Execute the configured tasks; write report.json and kernels.csv.
 
     The kernel rows are computed before anything is written; if that fails,
@@ -566,11 +552,11 @@ def run_experiment(config: ExperimentConfig, out_dir, parallel: bool = False):
     task_errors = {}
     for task in config.tasks:
         try:
-            entries.extend(TASK_RUNNERS[task](config, parallel))
+            entries.extend(TASK_RUNNERS[task](config))
         except CfsGaugeError as exc:
             task_errors[task] = str(exc)
     try:
-        kernel_blocks = _kernel_rows(config, parallel)
+        kernel_blocks = _kernel_rows(config)
     except CfsGaugeError as exc:
         kernel_blocks = None
         task_errors["kernels"] = str(exc)
@@ -602,21 +588,15 @@ def run_experiment(config: ExperimentConfig, out_dir, parallel: bool = False):
     return 0 if all_passed else 1
 
 
-def _kernel_rows(config: ExperimentConfig, parallel: bool):
+def _kernel_rows(config: ExperimentConfig):
     """CSV rows of the kernel from the first point to every point."""
-    base = config.points[0]
-
-    def point_rows(point):
-        k = kernel_mode_sum(config.box, base, point)
-        rows = []
-        for row in range(4):
-            for col in range(4):
-                value = k[row, col]
-                rows.append([point.t, *point.x_vec, row, col,
-                             float(value.real), float(value.imag)])
-        return rows
-
-    return _map(point_rows, list(config.points), parallel)
+    blocks = []
+    for point in config.points:
+        k = kernel_mode_sum(config.box, config.points[0], point)
+        blocks.append([[point.t, *point.x_vec, row, col,
+                        float(k[row, col].real), float(k[row, col].imag)]
+                       for row in range(4) for col in range(4)])
+    return blocks
 
 
 def _write_kernel_csv(path, blocks):
@@ -641,8 +621,6 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="run the tasks of a JSON config")
     run_p.add_argument("config", help="path to the experiment config")
     run_p.add_argument("--out", default=".", help="output directory")
-    run_p.add_argument("--parallel", action="store_true",
-                       help="parallelize per-point work inside tasks")
     run_p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
 
@@ -669,7 +647,7 @@ def main(argv=None) -> int:
     if args.command == "modes":
         try:
             box = DiracBoxConfig(L=args.L, eps=args.eps, m=args.m)
-            print(len(momentum_modes(box)))
+            print(mode_count(box))
         except (CfsGaugeError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -678,14 +656,11 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         if args.seed is not None:
-            config = ExperimentConfig(box=config.box, points=config.points,
-                                      seed=args.seed,
-                                      tolerances=config.tolerances,
-                                      tasks=config.tasks)
+            config = replace(config, seed=args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return run_experiment(config, args.out, parallel=args.parallel)
+    return run_experiment(config, args.out)
 
 
 if __name__ == "__main__":

@@ -29,20 +29,16 @@ TOL_RANK_FACTOR = 1e-8
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Project onto the Hermitian part, removing roundoff asymmetry."""
-    return 0.5 * (a + a.conj().T)
+    """Project onto the Hermitian part (of each stacked matrix)."""
+    return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
 
 
 def _fix_column_phases(v: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude entry is real positive."""
-    v = v.copy()
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        k = int(np.argmax(np.abs(col)))
-        pivot = col[k]
-        if abs(pivot) > 0.0:
-            v[:, j] = col * (abs(pivot) / pivot)
-    return v
+    rows = np.argmax(np.abs(v), axis=-2)[..., None, :]
+    pivot = np.take_along_axis(v, rows, axis=-2)
+    size = np.hypot(pivot.real, pivot.imag)   # rounds as scalar abs() does
+    return v * np.where(size > 0.0, size / np.where(size > 0.0, pivot, 1), 1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,14 +14,15 @@ four-momentum is k = (-omega, k_vec) with omega = sqrt(|k_vec|^2 + m^2).
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .correlation import _fix_column_phases, hermitize, local_correlation
-from .errors import EmptyCutoff, MasslessNormalization, TooFewModes
+from .errors import (EmptyCutoff, MasslessNormalization, TooFewModes,
+                     TooManyModes)
 
 _SIGMA = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -53,10 +54,10 @@ def gamma_matrices():
 
 
 def slash(v) -> np.ndarray:
-    """Contraction v_mu gamma^mu = v^0 gamma^0 - v . gamma_spatial."""
-    v = np.asarray(v)
-    return (v[0] * GAMMA[0] - v[1] * GAMMA[1]
-            - v[2] * GAMMA[2] - v[3] * GAMMA[3])
+    """Contraction v_mu gamma^mu = v^0 gamma^0 - v . gamma_spatial (stackable)."""
+    v = np.asarray(v)[..., None, None]
+    return (v[..., 0, :, :] * GAMMA[0] - v[..., 1, :, :] * GAMMA[1]
+            - v[..., 2, :, :] * GAMMA[2] - v[..., 3, :, :] * GAMMA[3])
 
 
 def minkowski_dot(a, b) -> float:
@@ -66,21 +67,29 @@ def minkowski_dot(a, b) -> float:
     return float(a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3])
 
 
+#: cap on 2 (2 nmax + 1)^3, the lattice cube's bound on the mode count
+MAX_MODES = 1 << 20  # nmax <= 39, f up to ~5e5
+
+
 @dataclass(frozen=True)
 class DiracBoxConfig:
-    """Box half-length L, energy cutoff scale eps, and mass m (hbar = c = 1)."""
+    """Box half-length L, energy cutoff scale eps, and mass m (hbar = c = 1).
+
+    Raises TooManyModes when the lattice may hold over MAX_MODES modes.
+    """
 
     L: float
     eps: float
     m: float
 
     def __post_init__(self):
-        if not (self.L > 0.0):
-            raise ValueError("box half-length L must be positive")
+        if not (0.0 < self.L < math.inf):
+            raise ValueError("box half-length L must be positive and finite")
         if not (self.eps > 0.0):
             raise ValueError("cutoff scale eps must be positive")
-        if self.m < 0.0:
+        if not (self.m >= 0.0):
             raise ValueError("mass m must be nonnegative")
+        _lattice_extent(self)
 
     def point(self, t: float, x_vec) -> "SpacetimePoint":
         """A spacetime point with spatial components reduced into [-L, L)."""
@@ -120,6 +129,55 @@ class MomentumMode:
         return (-self.omega,) + self.k_vec
 
 
+def _lattice_extent(cfg: DiracBoxConfig) -> tuple[float, float, int]:
+    """Step pi/L, squared cutoff and nmax; TooManyModes past MAX_MODES."""
+    step = math.pi / cfg.L
+    cutoff_sq = 1.0 / max(cfg.eps ** 2, 1e-300) - cfg.m ** 2  # no 1 / 0
+    nmax = math.floor(min(math.sqrt(max(cutoff_sq, 0.0)) / step, MAX_MODES))
+    if 2 * (2 * nmax + 1) ** 3 > MAX_MODES:
+        raise TooManyModes(f"a lattice with |n_i| <= {nmax} may hold more "
+                           f"than MAX_MODES = {MAX_MODES} modes")
+    return step, cutoff_sq, nmax
+
+
+@functools.lru_cache(maxsize=8)
+def _sea_table(cfg: DiracBoxConfig) -> tuple[np.ndarray, ...]:
+    """Enumerate the lattice and solve every spinor, once per config.
+
+    Returns read-only arrays ``(n, k, omega, spin)``: the momenta in N rows,
+    in ``momentum_modes`` order, and 4 x 2N spinors whose column 2 i + a - 1
+    is the wave value of mode (i, a) at the origin.
+    """
+    step, cutoff_sq, nmax = _lattice_extent(cfg)
+    if cutoff_sq <= 0.0:
+        raise EmptyCutoff("energy cutoff lies below the mass gap")
+    n = np.indices((2 * nmax + 1,) * 3).reshape(3, -1).T - nmax
+    n_sq = np.sum(n * n, axis=1)
+    keep = ((step * step) * n_sq < cutoff_sq) & ((n_sq > 0) | (cfg.m != 0.0))
+    if not keep.any():
+        raise EmptyCutoff("no lattice momentum lies below the energy cutoff")
+    # the cube runs in (n1, n2, n3) order, so sort stably by |n|^2 only
+    order = np.argsort(n_sq[keep], kind="stable")
+    n, n_sq = n[keep][order], n_sq[keep][order]
+    k = step * n
+    omega = np.sqrt((step * step) * n_sq + cfg.m ** 2)
+    if cfg.m > 0.0:
+        chi = _chi_table(k, omega, cfg.m)
+        scale = np.sqrt(cfg.m / (math.pi * omega)) / (4.0 * cfg.L ** 1.5)
+    else:
+        chi = _sea_spinor_table(k, omega, cfg.m)
+        scale = np.ones_like(omega) / math.sqrt(2.0 * math.pi * (2.0 * cfg.L) ** 3)
+    spin = (scale[:, None, None] * chi).transpose(1, 0, 2).reshape(4, -1)
+    for array in (n, k, omega, spin):
+        array.setflags(write=False)
+    return n, k, omega, spin
+
+
+def mode_count(cfg: DiracBoxConfig) -> int:
+    """Number f of sea modes below the cutoff, from the cached table."""
+    return 2 * len(_sea_table(cfg)[2])
+
+
 def momentum_modes(cfg: DiracBoxConfig) -> list[MomentumMode]:
     """All sea modes below the cutoff, in deterministic order.
 
@@ -128,35 +186,44 @@ def momentum_modes(cfg: DiracBoxConfig) -> list[MomentumMode]:
     excluded.  Ordering is lexicographic in (|k|^2, k1, k2, k3, a).  Raises
     EmptyCutoff when no mode satisfies the bound.
     """
-    step = math.pi / cfg.L
-    cutoff_sq = 1.0 / cfg.eps ** 2 - cfg.m ** 2
-    if cutoff_sq <= 0.0:
-        raise EmptyCutoff("energy cutoff lies below the mass gap")
-    nmax = int(math.floor(math.sqrt(cutoff_sq) / step))
-    entries = []
-    for n in itertools.product(range(-nmax, nmax + 1), repeat=3):
-        n_sq = n[0] * n[0] + n[1] * n[1] + n[2] * n[2]
-        if cfg.m == 0.0 and n_sq == 0:
-            continue
-        k_sq = (step * step) * n_sq
-        if k_sq >= cutoff_sq:
-            continue
-        entries.append((n_sq, n))
-    if not entries:
-        raise EmptyCutoff("no lattice momentum lies below the energy cutoff")
-    entries.sort()
-    modes = []
-    for n_sq, n in entries:
-        k_vec = tuple(step * c for c in n)
-        omega = math.sqrt((step * step) * n_sq + cfg.m ** 2)
-        for a in (1, 2):
-            modes.append(MomentumMode(n_vec=n, k_vec=k_vec, omega=omega, a=a))
-    return modes
+    n, k, omega, _ = _sea_table(cfg)
+    return [MomentumMode(n_vec=tuple(n_i), k_vec=tuple(k_i), omega=w, a=a)
+            for n_i, k_i, w in zip(n.tolist(), k.tolist(), omega.tolist())
+            for a in (1, 2)]
 
 
 def momentum_points(cfg: DiracBoxConfig) -> list[MomentumMode]:
     """One representative mode (a = 1) per occupied lattice momentum."""
-    return [mode for mode in momentum_modes(cfg) if mode.a == 1]
+    return momentum_modes(cfg)[::2]
+
+
+def _chi_table(k: np.ndarray, omega: np.ndarray, m: float) -> np.ndarray:
+    """``chi_spinors`` for N stacked momenta at once, N x 4 x 2."""
+    if m <= 0.0:
+        raise MasslessNormalization("spin normalization of the sea spinors "
+                                    "degenerates at m = 0")
+    seed = slash(np.column_stack([-omega, k])) + m * np.eye(4)
+
+    def spin_inner(u, v):
+        return np.sum(u.conj() * np.diag(SPINOR_GRAM) * v, -1, keepdims=True)
+
+    first, second = seed[:, :, 2], seed[:, :, 3]
+    first = first / np.sqrt(-spin_inner(first, first).real)
+    # <first | first> = -1, so the projection coefficient flips sign
+    second = second + first * spin_inner(first, second)
+    second = second / np.sqrt(-spin_inner(second, second).real)
+    return np.stack([first, second], axis=-1)
+
+
+def _sea_spinor_table(k: np.ndarray, omega: np.ndarray, m: float) -> np.ndarray:
+    """``sea_spinors`` for N stacked momenta, one batched eigh, N x 4 x 2."""
+    k = k[..., None, None]
+    hamiltonian = GAMMA[0] @ (k[:, 0] * GAMMA[1] + k[:, 1] * GAMMA[2]
+                              + k[:, 2] * GAMMA[3]) + m * GAMMA[0]
+    vals, vecs = np.linalg.eigh(hermitize(hamiltonian))
+    if not np.all(np.abs(vals[:, :2].T + omega) <= 1e-10 * (1.0 + omega)):
+        raise ValueError("momentum-space Hamiltonian has unexpected spectrum")
+    return _fix_column_phases(vecs[..., :2])
 
 
 def chi_spinors(mode: MomentumMode, m: float) -> np.ndarray:
@@ -167,25 +234,7 @@ def chi_spinors(mode: MomentumMode, m: float) -> np.ndarray:
     Built by applying kslash + m to the constant spinors e_3, e_4 and
     orthonormalizing in the spin inner product; deterministic in k.
     """
-    if m <= 0.0:
-        raise MasslessNormalization(
-            "spin normalization of the sea spinors degenerates at m = 0"
-        )
-    kslash = slash(mode.four_momentum)
-    seed = kslash + m * np.eye(4)
-    raw = [seed[:, 2].copy(), seed[:, 3].copy()]
-
-    def spin_inner(u, v):
-        return complex(np.vdot(u, SPINOR_GRAM @ v))
-
-    chis = []
-    for vec in raw:
-        for prev in chis:
-            # <prev | prev> = -1, so the projection coefficient flips sign
-            vec = vec + prev * spin_inner(prev, vec)
-        norm_sq = -spin_inner(vec, vec).real
-        chis.append(vec / math.sqrt(norm_sq))
-    return np.column_stack(chis)
+    return _chi_table(np.array([mode.k_vec]), np.array([mode.omega]), m)[0]
 
 
 def sea_spinors(mode: MomentumMode, m: float) -> np.ndarray:
@@ -196,13 +245,8 @@ def sea_spinors(mode: MomentumMode, m: float) -> np.ndarray:
     Dirac Hamiltonian with eigenvalue -omega), which stays well defined in
     the massless case where the spin normalization degenerates.
     """
-    k = mode.k_vec
-    hamiltonian = GAMMA[0] @ (k[0] * GAMMA[1] + k[1] * GAMMA[2]
-                              + k[2] * GAMMA[3]) + m * GAMMA[0]
-    vals, vecs = np.linalg.eigh(hermitize(hamiltonian))
-    if not np.all(np.abs(vals[:2] + mode.omega) <= 1e-10 * (1.0 + mode.omega)):
-        raise ValueError("momentum-space Hamiltonian has unexpected spectrum")
-    return _fix_column_phases(vecs[:, :2])
+    return _sea_spinor_table(np.array([mode.k_vec]), np.array([mode.omega]),
+                             m)[0]
 
 
 def plane_wave(mode: MomentumMode, point: SpacetimePoint,
@@ -214,14 +258,13 @@ def plane_wave(mode: MomentumMode, point: SpacetimePoint,
     """
     chi = chi_spinors(mode, cfg.m)[:, mode.a - 1]
     c = math.sqrt(cfg.m / (math.pi * mode.omega)) / (4.0 * cfg.L ** 1.5)
-    phase = _wave_phase(mode, point)
-    return c * phase * chi
+    return c * _phases(np.asarray(mode.k_vec), mode.omega, point) * chi
 
 
-def _wave_phase(mode: MomentumMode, point: SpacetimePoint) -> complex:
-    kx = (-mode.omega * point.t
-          - sum(kc * xc for kc, xc in zip(mode.k_vec, point.x_vec)))
-    return complex(np.exp(-1j * kx))
+def _phases(k: np.ndarray, omega, point: SpacetimePoint) -> np.ndarray:
+    """exp(-i k x) with k x = -omega t - k_vec . x_vec, per momentum."""
+    kx = -omega * point.t - sum(k[..., i] * c for i, c in enumerate(point.x_vec))
+    return np.exp(-1j * kx)
 
 
 def wave_value_matrix(cfg: DiracBoxConfig, point: SpacetimePoint) -> np.ndarray:
@@ -232,24 +275,9 @@ def wave_value_matrix(cfg: DiracBoxConfig, point: SpacetimePoint) -> np.ndarray:
     sea basis is used (same span per momentum, orthonormal in the solution
     scalar product), keeping the ensemble well defined.
     """
-    modes = momentum_modes(cfg)
-    columns = []
-    cached_n = None
-    cached_spinors = None
-    for mode in modes:
-        if mode.n_vec != cached_n:
-            cached_n = mode.n_vec
-            if cfg.m > 0.0:
-                chi = chi_spinors(mode, cfg.m)
-                c = (math.sqrt(cfg.m / (math.pi * mode.omega))
-                     / (4.0 * cfg.L ** 1.5))
-            else:
-                chi = sea_spinors(mode, cfg.m)
-                c = 1.0 / math.sqrt(2.0 * math.pi * (2.0 * cfg.L) ** 3)
-            cached_spinors = c * chi
-        phase = _wave_phase(mode, point)
-        columns.append(phase * cached_spinors[:, mode.a - 1])
-    return np.column_stack(columns)
+    _, k, omega, spin = _sea_table(cfg)
+    # phase first: numpy's complex product rounds differently per operand order
+    return np.repeat(_phases(k, omega, point), 2) * spin
 
 
 def build_correlation_map(cfg: DiracBoxConfig, points) -> list[np.ndarray]:
@@ -259,9 +287,9 @@ def build_correlation_map(cfg: DiracBoxConfig, points) -> list[np.ndarray]:
     every F(x) is Hermitian of rank 4 and signature (2, 2) once at least two
     momenta are occupied.  Raises TooFewModes when dim H < 4.
     """
-    modes = momentum_modes(cfg)
-    if len(modes) < 4:
-        raise TooFewModes(f"ensemble has only {len(modes)} modes, need >= 4")
+    f = mode_count(cfg)
+    if f < 4:
+        raise TooFewModes(f"ensemble has only {f} modes, need >= 4")
     return [local_correlation(wave_value_matrix(cfg, p), SPINOR_GRAM)
             for p in points]
 
@@ -272,25 +300,21 @@ def kernel_mode_sum(cfg: DiracBoxConfig, x: SpacetimePoint,
 
     (2L)^{-3} sum_k (4 pi omega)^{-1} exp(-i k (x - y)) (kslash + m) over the
     occupied lattice momenta, with k = (-omega, k_vec).  Agrees with the
-    bra/ket sum over the basis waves.
+    bra/ket sum over the basis waves.  Linear in kslash, so it takes three
+    contractions of the weights c_k: with omega, with k_vec, and their sum.
     """
-    total = np.zeros((4, 4), dtype=complex)
-    dt = x.t - y.t
-    dx = tuple(xc - yc for xc, yc in zip(x.x_vec, y.x_vec))
-    for mode in momentum_points(cfg):
-        kx = -mode.omega * dt - sum(kc * dc for kc, dc in zip(mode.k_vec, dx))
-        phase = np.exp(-1j * kx)
-        total += (phase / (4.0 * math.pi * mode.omega)) * (
-            slash(mode.four_momentum) + cfg.m * np.eye(4)
-        )
+    _, k, omega, _ = _sea_table(cfg)
+    diff = SpacetimePoint(t=x.t - y.t, x_vec=tuple(np.subtract(x.x_vec, y.x_vec)))
+    c = _phases(k, omega, diff) / (4.0 * math.pi * omega)
+    total = (slash(np.concatenate([[-(c @ omega)], c @ k]))
+             + cfg.m * np.sum(c) * np.eye(4))
     return total / (2.0 * cfg.L) ** 3
 
 
 def kernel_braket_sum(cfg: DiracBoxConfig, x: SpacetimePoint,
                       y: SpacetimePoint) -> np.ndarray:
     """Two-point kernel as -sum over basis waves |psi(x)><psi(y)|."""
-    wx = wave_value_matrix(cfg, x)
-    wy = wave_value_matrix(cfg, y)
+    wx, wy = wave_value_matrix(cfg, x), wave_value_matrix(cfg, y)
     return -(wx @ wy.conj().T @ SPINOR_GRAM)
 
 
@@ -304,13 +328,10 @@ def mode_overlap(cfg: DiracBoxConfig, mode_i: MomentumMode,
     """
     if mode_i.n_vec != mode_j.n_vec:
         return 0.0 + 0.0j
-    origin = SpacetimePoint(t=0.0, x_vec=(0.0, 0.0, 0.0))
-    w = wave_value_matrix(cfg, origin)
-    modes = momentum_modes(cfg)
-    i = modes.index(mode_i)
-    j = modes.index(mode_j)
+    modes, spin = momentum_modes(cfg), _sea_table(cfg)[3]
+    i, j = modes.index(mode_i), modes.index(mode_j)
     volume = (2.0 * cfg.L) ** 3
-    return complex(2.0 * math.pi * volume * np.vdot(w[:, i], w[:, j]))
+    return complex(2.0 * math.pi * volume * np.vdot(spin[:, i], spin[:, j]))
 
 
 def evaluation_isometry(cfg: DiracBoxConfig, point: SpacetimePoint,

@@ -53,6 +53,10 @@ class TooFewModes(CfsGaugeError):
     """The mode ensemble is too small to produce regular points."""
 
 
+class TooManyModes(CfsGaugeError):
+    """The energy cutoff admits more sea modes than the configured bound."""
+
+
 class DegenerateChain(CfsGaugeError):
     """Closed chain has coinciding eigenvalues; projectors are undefined."""
 

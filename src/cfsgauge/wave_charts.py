@@ -155,7 +155,11 @@ def symmetric_wave_chart(y, base: SpinSpace) -> WaveChartPoint:
     chart coordinate too large, or square root out of its convergence
     radius).
     """
-    split_y = as_split(y, base.n, base.n)
+    return _symmetric_chart(as_split(y, base.n, base.n), base)[0]
+
+
+def _symmetric_chart(split_y: ImageSplit, base: SpinSpace):
+    """``symmetric_wave_chart`` and the chart coordinates it went through."""
     try:
         coords = chart_inverse(split_y, base.split)
     except TooFarFromBase as exc:
@@ -166,7 +170,7 @@ def symmetric_wave_chart(y, base: SpinSpace) -> WaveChartPoint:
     sp_y = spin_space(split_y, base.n)
     u_conn = connecting_unitary(base, sp_y)
     full = u_conn @ wave_evaluation(sp_y)
-    return WaveChartPoint.from_full(full, base)
+    return WaveChartPoint.from_full(full, base), coords
 
 
 def gaussian_wave_map(coords: ChartCoordinates, base: SpinSpace) -> WaveChartPoint:
@@ -203,9 +207,8 @@ def charts_coincide_check(base: SpinSpace, sample_points) -> CoincidenceReport:
     """
     deviations = []
     for y in sample_points:
-        split_y = as_split(y, base.n, base.n)
-        via_polar = symmetric_wave_chart(split_y, base)
-        via_chart = gaussian_wave_map(chart_inverse(split_y, base.split), base)
+        via_polar, coords = _symmetric_chart(as_split(y, base.n, base.n), base)
+        via_chart = gaussian_wave_map(coords, base)
         deviations.append(opnorm(via_polar.full_matrix()
                                  - via_chart.full_matrix()))
     return CoincidenceReport(max_deviation=float(max(deviations)),

@@ -4,11 +4,13 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
 from cfsgauge.cli import (DEFAULT_TOLERANCES, load_config, main,
                           parse_config, run_experiment)
+from cfsgauge.dirac_box import mode_count
 from cfsgauge.errors import ConfigError
 
 BASE_CONFIG = {
@@ -108,6 +110,19 @@ class TestConfigParsing:
             parse_config(raw)
         assert info.value.field == "tolerances.coincidence"
 
+    def test_box_beyond_mode_bound_rejected(self):
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        raw["box"] = {"L": 3.14, "eps": 0.002, "m": 0.0}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(raw)
+        assert exc.value.field == "box.eps"
+
+    def test_largest_sweep_box_allowed(self):
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        raw["box"]["eps"] = 0.08
+        config = parse_config(raw)
+        assert mode_count(config.box) == 16432
+
     def test_tolerance_override_applies(self):
         raw = dict(BASE_CONFIG)
         raw["tolerances"] = {"coincidence": 1e-6}
@@ -147,13 +162,13 @@ class TestRunReports:
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes())
 
-    def test_parallel_matches_serial(self, tmp_path):
+    def test_parallel_flag_rejected(self, tmp_path):
         path = write_config(tmp_path, {"tasks": ["perturb"]})
-        main(["run", str(path), "--out", str(tmp_path / "serial")])
-        main(["run", str(path), "--out", str(tmp_path / "parallel"),
-              "--parallel"])
-        assert ((tmp_path / "serial" / "report.json").read_bytes()
-                == (tmp_path / "parallel" / "report.json").read_bytes())
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(path), "--out", str(tmp_path / "out"),
+                  "--parallel"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_seed_override_changes_report(self, tmp_path):
         path = write_config(tmp_path, {"tasks": ["charts"]})
@@ -232,6 +247,12 @@ class TestExitCodes:
         assert main(["modes", str(math.pi), "0.4", "1.0"]) == 0
         assert capsys.readouterr().out.strip() == "114"
         assert main(["modes", str(math.pi), "2.0", "1.0"]) == 2
+
+    def test_modes_beyond_bound_exit_2_quickly(self, capsys):
+        start = time.perf_counter()
+        assert main(["modes", "3.14", "0.002", "0"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "MAX_MODES" in capsys.readouterr().err
 
     def test_console_script_installed(self):
         result = subprocess.run([sys.executable, "-m", "cfsgauge.cli",

@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 
 from cfsgauge.correlation import kernel, spin_space
-from cfsgauge.dirac_box import (ETA, GAMMA, SPINOR_GRAM, DiracBoxConfig,
-                                SpacetimePoint, build_correlation_map,
-                                chi_spinors, evaluation_isometry,
-                                gamma_matrices, kernel_braket_sum,
-                                kernel_mode_sum, mode_overlap, momentum_modes,
+from cfsgauge.dirac_box import (ETA, GAMMA, MAX_MODES, SPINOR_GRAM,
+                                DiracBoxConfig, SpacetimePoint, _sea_table,
+                                build_correlation_map, chi_spinors,
+                                evaluation_isometry, gamma_matrices,
+                                kernel_braket_sum, kernel_mode_sum,
+                                mode_count, mode_overlap, momentum_modes,
                                 momentum_points, plane_wave, sea_spinors,
                                 slash, wave_value_matrix)
-from cfsgauge.errors import EmptyCutoff, MasslessNormalization, TooFewModes
+from cfsgauge.errors import (EmptyCutoff, MasslessNormalization, TooFewModes,
+                             TooManyModes)
 from cfsgauge.krein import opnorm
 
 CFG = DiracBoxConfig(L=math.pi, eps=1.0 / 2.5, m=1.0)
@@ -314,3 +316,157 @@ class TestSpinSpinorIdentification:
         abstract = kernel(sp_x, sp_y)
         aligned = e_x @ abstract @ np.linalg.inv(e_y)
         assert opnorm(aligned - kernel_mode_sum(cfg, x, y)) <= 1e-8
+
+
+# f = 160 and f = 162 (the zero mode joins once m > 0)
+PARITY_CONFIGS = (DiracBoxConfig(L=math.pi, eps=0.4, m=0.0),
+                  DiracBoxConfig(L=math.pi, eps=0.4, m=0.3))
+PARITY_POINTS = (SpacetimePoint(t=0.0, x_vec=(0.0, 0.0, 0.0)),
+                 SpacetimePoint(t=0.37, x_vec=(0.5, -1.2, 2.9)),
+                 SpacetimePoint(t=-1.4, x_vec=(-3.0, 0.25, -0.6)))
+
+
+def reference_modes(cfg):
+    """(n, k, omega, a) per mode from a per-momentum triple loop."""
+    step = math.pi / cfg.L
+    cutoff_sq = 1.0 / cfg.eps ** 2 - cfg.m ** 2
+    nmax = int(math.floor(math.sqrt(cutoff_sq) / step))
+    entries = []
+    for n in itertools.product(range(-nmax, nmax + 1), repeat=3):
+        n_sq = n[0] * n[0] + n[1] * n[1] + n[2] * n[2]
+        if (cfg.m == 0.0 and n_sq == 0) or (step * step) * n_sq >= cutoff_sq:
+            continue
+        entries.append((n_sq, n))
+    entries.sort()
+    return [(n, tuple(step * c for c in n),
+             math.sqrt((step * step) * n_sq + cfg.m ** 2), a)
+            for n_sq, n in entries for a in (1, 2)]
+
+
+def reference_spinors(k_vec, omega, m):
+    """Normalized sea spinors of one momentum, solved on their own (4 x 2)."""
+    if m > 0.0:
+        seed = slash((-omega,) + tuple(k_vec)) + m * np.eye(4)
+        chis = []
+        for vec in (seed[:, 2], seed[:, 3]):
+            for prev in chis:
+                vec = vec + prev * np.vdot(prev, SPINOR_GRAM @ vec)
+            chis.append(vec / math.sqrt(-np.vdot(vec, SPINOR_GRAM @ vec).real))
+        return np.column_stack(chis)
+    hamiltonian = GAMMA[0] @ (k_vec[0] * GAMMA[1] + k_vec[1] * GAMMA[2]
+                              + k_vec[2] * GAMMA[3])
+    vals, vecs = np.linalg.eigh(0.5 * (hamiltonian + hamiltonian.conj().T))
+    np.testing.assert_allclose(vals[:2], -omega, atol=1e-12)
+    columns = []
+    for col in vecs[:, :2].T:
+        pivot = col[np.argmax(np.abs(col))]
+        columns.append(col * abs(pivot) / pivot)
+    return np.column_stack(columns)
+
+
+def reference_scale(cfg, omega):
+    if cfg.m > 0.0:
+        return math.sqrt(cfg.m / (math.pi * omega)) / (4.0 * cfg.L ** 1.5)
+    return 1.0 / math.sqrt(2.0 * math.pi * (2.0 * cfg.L) ** 3)
+
+
+def reference_waves(cfg, point):
+    """Wave values mode by mode, one spinor solve and phase per mode."""
+    columns = []
+    for n, k, omega, a in reference_modes(cfg):
+        kx = -omega * point.t - sum(kc * xc for kc, xc in zip(k, point.x_vec))
+        spinor = reference_spinors(k, omega, cfg.m)[:, a - 1]
+        columns.append(np.exp(-1j * kx) * reference_scale(cfg, omega) * spinor)
+    return np.column_stack(columns)
+
+
+def reference_kernel(cfg, x, y):
+    """The mode sum as one 4 x 4 term per momentum."""
+    total = np.zeros((4, 4), dtype=complex)
+    for n, k, omega, a in reference_modes(cfg)[::2]:
+        kx = (-omega * (x.t - y.t)
+              - sum(kc * (xc - yc) for kc, xc, yc in zip(k, x.x_vec, y.x_vec)))
+        total += (np.exp(-1j * kx) / (4.0 * math.pi * omega)
+                  * (slash((-omega,) + k) + cfg.m * np.eye(4)))
+    return total / (2.0 * cfg.L) ** 3
+
+
+def relative_error(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("cfg", PARITY_CONFIGS, ids=("m0", "m0.3"))
+class TestSeaTableParity:
+    """The per-config sea table against per-mode loops written out here."""
+
+    def test_modes_match_triple_loop(self, cfg):
+        modes = momentum_modes(cfg)
+        assert [(m.n_vec, m.k_vec, m.omega, m.a) for m in modes] \
+            == reference_modes(cfg)
+        assert mode_count(cfg) == len(modes) == (160 if cfg.m == 0 else 162)
+        assert momentum_points(cfg) == [m for m in modes if m.a == 1]
+
+    def test_table_spinors_match_per_mode_spinors(self, cfg):
+        spin = _sea_table(cfg)[3]
+        for i, mode in enumerate(momentum_points(cfg)):
+            reference = reference_spinors(mode.k_vec, mode.omega, cfg.m)
+            per_mode = (chi_spinors(mode, cfg.m) if cfg.m > 0.0
+                        else sea_spinors(mode, cfg.m))
+            np.testing.assert_allclose(per_mode, reference, rtol=0,
+                                       atol=1e-14)
+            np.testing.assert_allclose(
+                spin[:, 2 * i:2 * i + 2],
+                reference_scale(cfg, mode.omega) * per_mode, rtol=0,
+                atol=1e-14 * reference_scale(cfg, mode.omega))
+
+    def test_wave_values_match_per_mode_loop(self, cfg):
+        for point in PARITY_POINTS:
+            assert relative_error(wave_value_matrix(cfg, point),
+                                  reference_waves(cfg, point)) <= 1e-14
+
+    def test_mode_sum_matches_per_mode_loop(self, cfg):
+        for x in PARITY_POINTS:
+            for y in PARITY_POINTS:
+                assert relative_error(kernel_mode_sum(cfg, x, y),
+                                      reference_kernel(cfg, x, y)) <= 1e-14
+
+
+class TestSeaTableCache:
+    def test_second_config_use_solves_no_spinor(self, decompositions):
+        cfg = PARITY_CONFIGS[0]
+        _sea_table.cache_clear()
+        wave_value_matrix(cfg, PARITY_POINTS[1])
+        assert decompositions == [(4, 4)]   # one batched eigh, 4 x 4 each
+        decompositions.clear()
+        wave_value_matrix(cfg, PARITY_POINTS[2])
+        kernel_mode_sum(cfg, PARITY_POINTS[1], PARITY_POINTS[2])
+        build_correlation_map(cfg, PARITY_POINTS[:1])
+        momentum_modes(cfg)
+        assert decompositions == []
+
+    def test_cached_arrays_are_read_only(self):
+        table = _sea_table(PARITY_CONFIGS[1])
+        for array in table:
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            table[3][0, 0] = 0.0
+        # callers get fresh arrays they may change
+        waves = wave_value_matrix(PARITY_CONFIGS[1], PARITY_POINTS[0])
+        waves[0, 0] = 0.0
+
+
+class TestModeBound:
+    @pytest.mark.parametrize("eps", (0.002, 1e-200))
+    def test_large_lattice_rejected_before_enumeration(self, eps):
+        with pytest.raises(TooManyModes):
+            DiracBoxConfig(L=3.14, eps=eps, m=0.0)
+
+    def test_bound_counts_the_lattice_cube(self):
+        # nmax = 39 gives 2 * 79^3 <= MAX_MODES < 2 * 81^3 (nmax = 40)
+        assert 2 * 79 ** 3 <= MAX_MODES < 2 * 81 ** 3
+        DiracBoxConfig(L=math.pi, eps=1.0 / 39.5, m=0.0)
+        with pytest.raises(TooManyModes):
+            DiracBoxConfig(L=math.pi, eps=1.0 / 40.5, m=0.0)
+
+    def test_largest_sweep_point_allowed(self):
+        assert mode_count(DiracBoxConfig(L=math.pi, eps=0.08, m=0.0)) == 16432

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from cfsgauge import correlation
+from cfsgauge import correlation, wave_charts
 from cfsgauge.correlation import spin_space, split_by_image
 from cfsgauge.dirac_box import DiracBoxConfig, build_correlation_map
 from cfsgauge.errors import NotInvertible, OutOfChartDomain
 from cfsgauge.krein import opnorm
-from cfsgauge.manifold import ChartCoordinates, chart_forward
+from cfsgauge.manifold import ChartCoordinates, chart_forward, chart_inverse
 from cfsgauge.randoms import (random_chart_coords, random_complex,
                               random_correlation, random_krein_unitary)
 from cfsgauge.wave_charts import (WaveChartPoint, build_gauge,
@@ -329,6 +329,18 @@ class TestBoxGauge:
         build_gauge(base, ys)
         assert len(calls) == len(ys)
         calls.clear()
+        charts_coincide_check(base, ys)
+        assert len(calls) == len(ys)
+
+    def test_coincidence_inverts_each_chart_once(self, box, monkeypatch):
+        base, ys = box
+        calls = []
+
+        def counted(y, base_split):
+            calls.append(y)
+            return chart_inverse(y, base_split)
+
+        monkeypatch.setattr(wave_charts, "chart_inverse", counted)
         charts_coincide_check(base, ys)
         assert len(calls) == len(ys)
 
