@@ -31,7 +31,7 @@ from .errors import (BranchCut, CfsGaugeError, ConfigError, DegenerateChain,
                      SignatureLost, SingularGram, TaskError, TooFarFromBase,
                      TooFewModes, TooManyModes)
 from .krein import (KreinSpace, SqrtResult, binomial_sqrt_series, opnorm,
-                    polar_decompose, sqrt_near_identity)
+                    polar, polar_decompose, sqrt_near_identity)
 from .manifold import (ChartCoordinates, GaussianReport, chart_forward,
                        chart_inverse, chart_jacobian_rank, chart_metric,
                        gaussian_check, hs_distance, manifold_dim,

@@ -23,6 +23,7 @@ import itertools
 import json
 import math
 import sys
+import traceback
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -39,6 +40,9 @@ from .dirac_box import (DiracBoxConfig, kernel_braket_sum,
                         kernel_mode_sum, mode_count, wave_value_matrix)
 from .errors import CfsGaugeError, ConfigError, TaskError, TooManyModes
 from .krein import KreinSpace, opnorm
+
+#: cap on the nt * nx^3 points of a grid spec, checked before expanding it
+MAX_GRID_POINTS = 1 << 16
 
 KNOWN_TASKS = ("charts", "gauge", "spectral", "perturb", "dim-count")
 
@@ -172,6 +176,8 @@ def _parse_points(raw, box: DiracBoxConfig):
             raise ConfigError("expected [t_min, t_max]", field="points.t_range")
         if nt < 1 or nx < 1:
             raise ConfigError("grid sizes must be >= 1", field="points")
+        if nt * nx ** 3 > MAX_GRID_POINTS:
+            raise ConfigError("more than MAX_GRID_POINTS points", field="points")
         times = np.linspace(float(t_range[0]), float(t_range[1]), nt)
         axis = np.linspace(-box.L, box.L, nx, endpoint=False)
         return [box.point(float(t), (float(x1), float(x2), float(x3)))
@@ -291,10 +297,9 @@ def task_gauge(config: ExperimentConfig):
                 u.conj().T @ space.gram @ u - space.gram))
             worst_symmetric = max(worst_symmetric,
                                   opnorm(s - space.adjoint(s)))
-            b = space.adjoint(a) @ a
-            res = kr.sqrt_near_identity(b, space)
-            series = kr.binomial_sqrt_series(b - np.eye(dim), 0.5)
-            worst_series = max(worst_series, opnorm(res.sqrt - series))
+            series = kr.binomial_sqrt_series(
+                space.adjoint(a) @ a - np.eye(dim), 0.5)
+            worst_series = max(worst_series, opnorm(s - series))
     entries.append(_entry("gauge", "polar-residual",
                           "unique-polar-decomposition", worst_polar,
                           tol["polar_residual"]))
@@ -453,15 +458,13 @@ def task_perturb(config: ExperimentConfig):
                           "kernel-mode-sum-vs-braket", worst_kernel,
                           tol["kernel_consistency"]))
 
+    waves = wave_value_matrix(box, x)
     try:
-        waves = wave_value_matrix(box, x)
-        alpha = pt.kernel_time_coefficient(pt.diagonal_kernel(waves))
+        reference = pt.perturbed_symmetric_gauge(waves, waves)
     except CfsGaugeError as exc:
         raise TaskError(
             f"perturb task needs a (nearly) massless ensemble: {exc}"
         ) from exc
-
-    reference = pt.perturbed_symmetric_gauge(waves, waves)
     worst_cancel = 0.0
     for _ in range(50):
         lam = rnd.random_gauge_function(rng, box.L)
@@ -473,30 +476,22 @@ def task_perturb(config: ExperimentConfig):
                           tol["phase_cancellation"]))
 
     waves_y = wave_value_matrix(box, y)
-    p_xy = -(waves @ waves_y.conj().T @ pt.SPINOR_GRAM)
-    p_yx = -(waves_y @ waves.conj().T @ pt.SPINOR_GRAM)
-    chain = p_xy @ p_yx
-
-    def gauge_at_y(pxy, wy_val):
-        normalized = (pxy @ (pt.SPINOR_GRAM @ pxy.conj().T
-                             @ pt.SPINOR_GRAM)) / (alpha * alpha)
-        inv_sqrt = kr.sqrt_near_identity(
-            normalized, pt.SPINOR_KREIN).inv_sqrt / abs(alpha)
-        return pt.SPINOR_GRAM @ inv_sqrt @ pxy @ wy_val
-
-    reference_y = gauge_at_y(p_xy, waves_y)
+    p_xy = pt.mixed_kernel(waves, waves_y)
+    chain = p_xy @ pt.mixed_kernel(waves_y, waves)
+    reference_y = pt.perturbed_symmetric_gauge(waves, waves_y)
     worst_phase = worst_chain = worst_value = 0.0
     for _ in range(10):
         lam = rnd.random_gauge_function(rng, box.L).shifted_to_vanish_at(x)
         wx_t = pt.apply_local_phase(waves, lam, x)
         wy_t = pt.apply_local_phase(waves_y, lam, y)
-        p_xy_t = -(wx_t @ wy_t.conj().T @ pt.SPINOR_GRAM)
-        p_yx_t = -(wy_t @ wx_t.conj().T @ pt.SPINOR_GRAM)
+        p_xy_t = pt.mixed_kernel(wx_t, wy_t)
+        p_yx_t = pt.mixed_kernel(wy_t, wx_t)
         phase = np.exp(1j * (lam(x) - lam(y)))
         worst_phase = max(worst_phase, opnorm(p_xy_t - phase * p_xy))
         worst_chain = max(worst_chain, opnorm(p_xy_t @ p_yx_t - chain))
         worst_value = max(worst_value,
-                          opnorm(gauge_at_y(p_xy_t, wy_t) - reference_y))
+                          opnorm(pt.perturbed_symmetric_gauge(wx_t, wy_t)
+                                 - reference_y))
     entries.append(_entry("perturb", "kernel-phase-law",
                           "kernel-phase-transformation", worst_phase,
                           tol["kernel_phase_law"]))
@@ -540,9 +535,11 @@ TASK_RUNNERS = {
 def run_experiment(config: ExperimentConfig, out_dir):
     """Execute the configured tasks; write report.json and kernels.csv.
 
-    The kernel rows are computed before anything is written; if that fails,
-    the failure is recorded under ``task_errors["kernels"]`` and no
-    kernels.csv is written.  Returns the process exit code: 0 when every
+    Any exception from a task or from the kernel rows is recorded, with its
+    type, under ``task_errors[task]`` or ``task_errors["kernels"]``; one that
+    is not a CfsGaugeError also prints its traceback to stderr.  The kernel
+    rows are computed before anything is written, so their failure leaves no
+    kernels.csv.  Returns the process exit code: 0 when every
     assertion passed and nothing failed, 1 otherwise.
     """
     out_path = Path(out_dir)
@@ -550,16 +547,19 @@ def run_experiment(config: ExperimentConfig, out_dir):
 
     entries = []
     task_errors = {}
-    for task in config.tasks:
+
+    def attempt(name, step):
         try:
-            entries.extend(TASK_RUNNERS[task](config))
-        except CfsGaugeError as exc:
-            task_errors[task] = str(exc)
-    try:
-        kernel_blocks = _kernel_rows(config)
-    except CfsGaugeError as exc:
-        kernel_blocks = None
-        task_errors["kernels"] = str(exc)
+            return step(config)
+        except Exception as exc:
+            task_errors[name] = f"{type(exc).__name__}: {exc}"
+            if not isinstance(exc, CfsGaugeError):  # a fault, not a verdict
+                traceback.print_exc()
+            return None
+
+    for task in config.tasks:
+        entries.extend(attempt(task, TASK_RUNNERS[task]) or [])
+    kernel_blocks = attempt("kernels", _kernel_rows)
 
     all_passed = (not task_errors) and all(e["passed"] for e in entries)
     report = {

@@ -132,7 +132,10 @@ class MomentumMode:
 def _lattice_extent(cfg: DiracBoxConfig) -> tuple[float, float, int]:
     """Step pi/L, squared cutoff and nmax; TooManyModes past MAX_MODES."""
     step = math.pi / cfg.L
-    cutoff_sq = 1.0 / max(cfg.eps ** 2, 1e-300) - cfg.m ** 2  # no 1 / 0
+    try:
+        cutoff_sq = 1.0 / max(cfg.eps ** 2, 1e-300) - cfg.m ** 2  # no 1 / 0
+    except OverflowError:  # eps or m past 1e154: an empty cutoff
+        cutoff_sq = 0.0
     nmax = math.floor(min(math.sqrt(max(cutoff_sq, 0.0)) / step, MAX_MODES))
     if 2 * (2 * nmax + 1) ** 3 > MAX_MODES:
         raise TooManyModes(f"a lattice with |n_i| <= {nmax} may hold more "

@@ -64,10 +64,10 @@ class KreinSpace:
         scale = opnorm(g)
         if opnorm(g - g.conj().T) > TOL * max(1.0, scale):
             raise ValueError("gram must be Hermitian")
-        sv = np.linalg.svd(g, compute_uv=False)
-        if sv[-1] <= SINGULAR_FACTOR * scale:
-            raise SingularGram("gram matrix is singular to working precision")
+        # for Hermitian g the singular values are the moduli of the eigenvalues
         eigs = np.linalg.eigvalsh(g)
+        if np.min(np.abs(eigs)) <= SINGULAR_FACTOR * scale:
+            raise SingularGram("gram matrix is singular to working precision")
         p = int(np.sum(eigs > 0.0))
         q = int(np.sum(eigs < 0.0))
         if (p, q) != tuple(self.signature):
@@ -124,40 +124,35 @@ class SqrtResult(NamedTuple):
     method: str
 
 
-def binomial_sqrt_series(delta: np.ndarray, exponent: float,
-                         max_terms: int = SERIES_MAX_TERMS,
-                         term_tol: float = SERIES_TERM_TOL) -> np.ndarray:
+def binomial_sqrt_series(delta: np.ndarray, exponent: float) -> np.ndarray:
     """Evaluate (1 + delta)**exponent by its binomial series.
 
     ``exponent`` is +0.5 or -0.5.  The series is truncated once the operator
-    norm of a term drops below ``term_tol`` or after ``max_terms`` terms; it
-    converges absolutely for ||delta|| < 1.
+    norm of a term drops below SERIES_TERM_TOL or after SERIES_MAX_TERMS
+    terms; it converges absolutely for ||delta|| < 1.
     """
     delta = np.asarray(delta, dtype=complex)
     dim = delta.shape[0]
     total = np.eye(dim, dtype=complex)
     power = np.eye(dim, dtype=complex)
     coeff = 1.0
-    for n in range(1, max_terms + 1):
+    for n in range(1, SERIES_MAX_TERMS + 1):
         coeff *= (exponent - (n - 1)) / n
         power = power @ delta
         term = coeff * power
         total += term
-        if opnorm(term) < term_tol:
+        if opnorm(term) < SERIES_TERM_TOL:
             break
     return total
 
 
-def sqrt_near_identity(b: np.ndarray, space: KreinSpace,
-                       radius: float = RADIUS_SERIES,
-                       tol_sqrt: float = TOL_SQRT,
-                       tol_symm: float = TOL) -> SqrtResult:
+def sqrt_near_identity(b: np.ndarray, space: KreinSpace) -> SqrtResult:
     """Square root and inverse square root of a symmetric operator near 1.
 
     Requires ``b`` to be symmetric with respect to the space's inner product
-    and within ``radius`` of the identity in operator norm.  The primary route
-    diagonalizes ``b`` and applies the principal scalar square root; if the
-    eigendecomposition does not reproduce ``b`` to ``tol_sqrt`` (e.g. for a
+    and within RADIUS_SERIES of the identity in operator norm.  The primary
+    route diagonalizes ``b`` and applies the principal scalar square root; if
+    the eigendecomposition does not reproduce ``b`` to TOL_SQRT (e.g. for a
     defective matrix), the binomial series is used instead and the result is
     flagged as series-only.
     """
@@ -165,15 +160,15 @@ def sqrt_near_identity(b: np.ndarray, space: KreinSpace,
     dim = b.shape[0]
     delta = b - np.eye(dim)
     dist = opnorm(delta)
-    if dist >= radius:
+    if dist >= RADIUS_SERIES:
         raise OutOfConvergenceRadius(
-            f"||B - 1|| = {dist:.3g} >= allowed radius {radius:.3g}"
+            f"||B - 1|| = {dist:.3g} >= allowed radius {RADIUS_SERIES:.3g}"
         )
     asym = opnorm(b - space.adjoint(b))
-    if asym > tol_symm * max(1.0, opnorm(b)):
+    if asym > TOL * max(1.0, opnorm(b)):
         raise NotSymmetric(f"||B - B*|| = {asym:.3g} exceeds tolerance")
 
-    result = _sqrt_by_eig(b, delta, tol_sqrt)
+    result = _sqrt_by_eig(b)
     if result is not None:
         return result
     sq = binomial_sqrt_series(delta, 0.5)
@@ -181,7 +176,7 @@ def sqrt_near_identity(b: np.ndarray, space: KreinSpace,
     return SqrtResult(sqrt=sq, inv_sqrt=inv, method="series")
 
 
-def _sqrt_by_eig(b: np.ndarray, delta: np.ndarray, tol_sqrt: float):
+def _sqrt_by_eig(b: np.ndarray):
     """Principal square root via eigendecomposition; None if unreliable."""
     dim = b.shape[0]
     try:
@@ -194,27 +189,35 @@ def _sqrt_by_eig(b: np.ndarray, delta: np.ndarray, tol_sqrt: float):
     sq = (vecs * np.sqrt(vals)) @ vecs_inv
     inv = (vecs * (1.0 / np.sqrt(vals))) @ vecs_inv
     scale = max(1.0, opnorm(b))
-    if opnorm(sq @ sq - b) > tol_sqrt * scale:
+    if opnorm(sq @ sq - b) > TOL_SQRT * scale:
         return None
-    if opnorm(sq @ inv - np.eye(dim)) > tol_sqrt * scale:
+    if opnorm(sq @ inv - np.eye(dim)) > TOL_SQRT * scale:
         return None
     return SqrtResult(sqrt=sq, inv_sqrt=inv, method="eig")
 
 
-def polar_decompose(a: np.ndarray, space: KreinSpace,
-                    radius: float = RADIUS_SERIES,
-                    tol_sqrt: float = TOL_SQRT) -> tuple[np.ndarray, np.ndarray]:
+def polar(t: np.ndarray, t_adj: np.ndarray,
+          space: KreinSpace) -> tuple[np.ndarray, SqrtResult]:
+    """Unitary polar factor U = (T T*)^{-1/2} T, and the root of T T*.
+
+    T may map between two spaces, so the caller supplies its adjoint T*;
+    ``space`` is the target of T, where T T* acts.  The root's ``sqrt`` is
+    the symmetric factor S of T = S U.  Raises OutOfConvergenceRadius when
+    T T* is too far from the identity.
+    """
+    root = sqrt_near_identity(t @ t_adj, space)
+    return root.inv_sqrt @ t, root
+
+
+def polar_decompose(a: np.ndarray,
+                    space: KreinSpace) -> tuple[np.ndarray, np.ndarray]:
     """Unique polar decomposition A = U S near the identity.
 
     U is unitary and S symmetric with respect to the space's inner product,
-    with S close to 1.  Explicitly, S = (A* A)^{1/2} and U = A (A* A)^{-1/2},
-    both square roots taken on the principal branch near 1.
+    with S close to 1: U is the adjoint of the polar factor of A*, and
+    S = (A* A)^{1/2} on the principal branch near 1.
 
     Raises OutOfConvergenceRadius when A* A is too far from the identity.
     """
-    a = np.asarray(a, dtype=complex)
-    b = space.adjoint(a) @ a
-    result = sqrt_near_identity(b, space, radius=radius, tol_sqrt=tol_sqrt)
-    s = result.sqrt
-    u = a @ result.inv_sqrt
-    return u, s
+    u_adj, root = polar(space.adjoint(a), a, space)
+    return space.adjoint(u_adj), root.sqrt

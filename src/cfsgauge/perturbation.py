@@ -19,7 +19,7 @@ from .correlation import local_correlation, spin_space
 from .dirac_box import (SPINOR_GRAM, DiracBoxConfig, SpacetimePoint,
                         kernel_mode_sum, wave_value_matrix)
 from .errors import NotDiagonalKernel
-from .krein import KreinSpace, opnorm, sqrt_near_identity
+from .krein import KreinSpace, opnorm, polar
 
 #: the spinor space as a Krein space of signature (2, 2)
 SPINOR_KREIN = KreinSpace(gram=SPINOR_GRAM, signature=(2, 2))
@@ -103,6 +103,19 @@ def kernel_time_coefficient(diag: np.ndarray,
     return alpha
 
 
+def _gauge_factor(waves, perturbed_waves, unitary):
+    """alpha, unitary gamma^0, and ``polar`` of T = P(x, F~(x)) / |alpha|.
+
+    T* = P(F~(x), x) / |alpha|, so T T* is the mixed closed chain / alpha^2.
+    """
+    alpha = kernel_time_coefficient(diagonal_kernel(waves))
+    scale = abs(alpha)
+    u, root = polar(mixed_kernel(waves, perturbed_waves) / scale,
+                    mixed_kernel(perturbed_waves, waves) / scale, SPINOR_KREIN)
+    left = SPINOR_GRAM if unitary is None else unitary @ SPINOR_GRAM
+    return alpha, left, u, root
+
+
 def perturbed_symmetric_gauge(waves: np.ndarray, perturbed_waves: np.ndarray,
                               unitary: np.ndarray | None = None) -> np.ndarray:
     """Value of the distinguished gauge at x for the perturbed ensemble.
@@ -112,17 +125,8 @@ def perturbed_symmetric_gauge(waves: np.ndarray, perturbed_waves: np.ndarray,
     form alpha gamma^0.  For a pure gauge perturbation the result equals the
     unperturbed gauge value exactly (local phases drop out).
     """
-    w = np.asarray(waves, dtype=complex)
-    wt = np.asarray(perturbed_waves, dtype=complex)
-    if unitary is None:
-        unitary = np.eye(4, dtype=complex)
-    alpha = kernel_time_coefficient(diagonal_kernel(w))
-    p_mixed = mixed_kernel(w, wt)
-    p_mixed_rev = mixed_kernel(wt, w)
-    chain = p_mixed @ p_mixed_rev
-    normalized = chain / (alpha * alpha)
-    inv_sqrt = sqrt_near_identity(normalized, SPINOR_KREIN).inv_sqrt / abs(alpha)
-    return unitary @ SPINOR_GRAM @ inv_sqrt @ p_mixed @ wt
+    _, left, u, _ = _gauge_factor(waves, perturbed_waves, unitary)
+    return left @ u @ np.asarray(perturbed_waves, dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,16 +192,8 @@ def gauged_basis(waves: np.ndarray, perturbed_waves: np.ndarray,
     """
     w = np.asarray(waves, dtype=complex)
     wt = np.asarray(perturbed_waves, dtype=complex)
-    if unitary is None:
-        unitary = np.eye(4, dtype=complex)
-    via_gauge = perturbed_symmetric_gauge(w, wt, unitary) @ np.asarray(coeffs)
-
-    alpha = kernel_time_coefficient(diagonal_kernel(w))
-    p_mixed = mixed_kernel(w, wt)
-    p_mixed_rev = mixed_kernel(wt, w)
-    chain = p_mixed @ p_mixed_rev
-    normalized = chain / (alpha * alpha)
-    sqrt_chain = abs(alpha) * sqrt_near_identity(normalized, SPINOR_KREIN).sqrt
+    alpha, left, u, root = _gauge_factor(w, wt, unitary)
+    via_gauge = left @ u @ wt @ np.asarray(coeffs)
     chi = (1.0 / alpha) * (SPINOR_GRAM @ (w @ np.asarray(coeffs)))
-    via_chain = unitary @ SPINOR_GRAM @ sqrt_chain @ chi
+    via_chain = left @ (abs(alpha) * root.sqrt) @ chi
     return via_gauge, via_chain

@@ -119,9 +119,10 @@ def symmetrize(psi: WaveChartPoint) -> WaveChartPoint:
     symmetric with respect to the spin inner product.
     """
     space = psi.base.krein
-    u, s = _krein.polar_decompose(psi.on_image, space)
-    u_inv = space.adjoint(u)
-    return WaveChartPoint(on_image=s,
+    # U^{-1} = U* is the polar factor of the adjoint of the on-image part
+    u_inv, root = _krein.polar(space.adjoint(psi.on_image), psi.on_image,
+                               space)
+    return WaveChartPoint(on_image=root.sqrt,
                           on_complement=u_inv @ psi.on_complement,
                           base=psi.base)
 
@@ -129,20 +130,16 @@ def symmetrize(psi: WaveChartPoint) -> WaveChartPoint:
 def connecting_unitary(base: SpinSpace, sp_y: SpinSpace) -> np.ndarray:
     """Spin-space unitary transporting the spin space at y onto the base.
 
-    U = (X^{-1} A_xy X^{-1})^{-1/2} X^{-1} P(x, y), with the inverse square
-    root taken near the identity.  Satisfies U U* = 1 across the two spin
-    inner products.
+    U = (X^{-1} A_xy X^{-1})^{-1/2} X^{-1} P(x, y), the polar factor of
+    T = X^{-1} P(x, y), whose adjoint is T* = P(y, x) X^{-1}.  Satisfies
+    U U* = 1 across the two spin inner products.
     """
-    p_xy = kernel(base, sp_y)
-    p_yx = kernel(sp_y, base)
-    chain = p_xy @ p_yx
     inv_x = np.linalg.inv(base.restriction)
-    normalized = inv_x @ chain @ inv_x
     try:
-        result = _krein.sqrt_near_identity(normalized, base.krein)
+        return _krein.polar(inv_x @ kernel(base, sp_y),
+                            kernel(sp_y, base) @ inv_x, base.krein)[0]
     except OutOfConvergenceRadius as exc:
         raise OutOfChartDomain(str(exc)) from exc
-    return result.inv_sqrt @ inv_x @ p_xy
 
 
 def symmetric_wave_chart(y, base: SpinSpace) -> WaveChartPoint:

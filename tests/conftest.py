@@ -1,9 +1,30 @@
 """Shared helpers for the test suite."""
 
 import itertools
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite stays deterministic and fast.
+settings.register_profile("tier1", derandomize=True, deadline=None,
+                          database=None, max_examples=100)
+settings.load_profile("tier1")
+
+
+def pytest_configure(config):
+    # hypothesis caches source constants under its home directory at
+    # collection time; keep that out of the working tree
+    config.hypothesis_home = tempfile.mkdtemp(prefix="hypothesis-")
+    set_hypothesis_home_dir(config.hypothesis_home)
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(config.hypothesis_home, ignore_errors=True)
 
 
 def multiset_distance(a, b) -> float:

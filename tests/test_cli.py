@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from cfsgauge.cli import (DEFAULT_TOLERANCES, load_config, main,
@@ -123,6 +124,14 @@ class TestConfigParsing:
         config = parse_config(raw)
         assert mode_count(config.box) == 16432
 
+    def test_grid_above_point_cap_rejected(self):
+        # 1025 * 4^3 = 65600 points, just above the cap of 2^16
+        raw = dict(BASE_CONFIG)
+        raw["points"] = {"nt": 1025, "nx": 4, "t_range": [0.0, 1.0]}
+        with pytest.raises(ConfigError) as info:
+            parse_config(raw)
+        assert info.value.field == "points"
+
     def test_tolerance_override_applies(self):
         raw = dict(BASE_CONFIG)
         raw["tolerances"] = {"coincidence": 1e-6}
@@ -198,6 +207,37 @@ class TestRunReports:
         assert "perturb" in report["task_errors"]
         assert report["all_passed"] is False
 
+    def test_huge_eps_recorded_as_empty_cutoff(self, tmp_path, capsys):
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        raw["box"]["eps"] = 1e200
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert set(report["task_errors"]) == {"dim-count", "kernels"}
+        assert "energy cutoff" in report["task_errors"]["dim-count"]
+        # a library error is a verdict on the input, not a fault: no traceback
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_foreign_task_exception_recorded(self, tmp_path, capsys):
+        # at m = 1e-20 the spin normalization yields non-finite spinors and
+        # the perturb task fails inside numpy, not with a library error
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        raw["box"] = {"L": 3.14159, "eps": 0.4, "m": 1e-20}
+        raw["tasks"] = ["perturb"]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            code = main(["run", str(path), "--out", str(out)])
+        assert code == 1
+        report = json.loads((out / "report.json").read_text())
+        assert "perturb" in report["task_errors"]
+        assert report["task_errors"]["perturb"].startswith("LinAlgError: ")
+        assert report["all_passed"] is False
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "LinAlgError" in err
 
     def test_kernel_failure_recorded_without_csv(self, tmp_path):
         # no lattice momentum lies below the cutoff, so every kernel mode sum
@@ -247,6 +287,14 @@ class TestExitCodes:
         assert main(["modes", str(math.pi), "0.4", "1.0"]) == 0
         assert capsys.readouterr().out.strip() == "114"
         assert main(["modes", str(math.pi), "2.0", "1.0"]) == 2
+
+    @pytest.mark.parametrize("args", [("1", "1e200", "0"),
+                                      ("1", "0.4", "1e200"),
+                                      ("1", "0.4", "3")])
+    def test_modes_empty_cutoff_exit_2(self, args, capsys):
+        assert main(["modes", *args]) == 2
+        assert ("energy cutoff lies below the mass gap"
+                in capsys.readouterr().err)
 
     def test_modes_beyond_bound_exit_2_quickly(self, capsys):
         start = time.perf_counter()

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cfsgauge.errors import NotSymmetric, OutOfConvergenceRadius, SingularGram
-from cfsgauge.krein import (KreinSpace, binomial_sqrt_series, opnorm,
+from cfsgauge.krein import (KreinSpace, binomial_sqrt_series, opnorm, polar,
                             polar_decompose, sqrt_near_identity)
 from cfsgauge.randoms import (random_complex, random_gram,
                               random_krein_symmetric, random_krein_unitary,
@@ -183,6 +185,57 @@ class TestPolarDecomposition:
     def test_far_from_identity_rejected(self):
         with pytest.raises(OutOfConvergenceRadius):
             polar_decompose(3.0 * np.eye(2), MINKOWSKI_2)
+
+
+def _signatures():
+    """(p, q) with 1 <= p + q <= 4."""
+    return st.integers(1, 4).flatmap(
+        lambda dim: st.tuples(st.integers(0, dim), st.just(dim))).map(
+        lambda pd: (pd[0], pd[1] - pd[0]))
+
+
+class TestPolar:
+    @given(signature=_signatures(), seed=st.integers(0, 2**32 - 1),
+           entries=st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32),
+           size=st.floats(0.0, 1.0))
+    def test_factors_near_identity(self, signature, seed, entries, size):
+        p, q = signature
+        dim = p + q
+        space = KreinSpace(gram=random_gram(np.random.default_rng(seed), p, q),
+                           signature=(p, q))
+        values = np.array(entries[:2 * dim * dim])
+        delta = (values[::2] + 1j * values[1::2]).reshape(dim, dim)
+        # ||delta||, ||delta*|| <= 0.3 keep T T* and T* T inside radius 0.8
+        largest = max(opnorm(delta), opnorm(space.adjoint(delta)))
+        if largest > 0.0:
+            delta *= 0.3 * size / largest
+        t = np.eye(dim) + delta
+        u, root = polar(t, space.adjoint(t), space)
+        s = root.sqrt
+        assert opnorm(u.conj().T @ space.gram @ u - space.gram) <= 1e-9
+        assert opnorm(s - space.adjoint(s)) <= 1e-9
+        assert opnorm(s @ u - t) <= 1e-9
+        u_right, s_right = polar_decompose(t, space)
+        assert opnorm(u_right @ s_right - t) <= 1e-9
+        assert opnorm(u_right - u) <= 1e-9
+
+    def test_known_factors(self):
+        rng = np.random.default_rng(21)
+        space = KreinSpace(gram=random_gram(rng, 2, 2), signature=(2, 2))
+        w = random_krein_unitary(rng, space, scale=0.1)
+        s_in = np.eye(4) + random_krein_symmetric(rng, space, scale=0.1)
+        t = s_in @ w
+        u, root = polar(t, space.adjoint(t), space)
+        assert opnorm(u - w) <= 1e-9
+        assert opnorm(root.sqrt - s_in) <= 1e-9
+        # the root is exactly the square-root primitive's result on T T*
+        reference = sqrt_near_identity(t @ space.adjoint(t), space)
+        np.testing.assert_array_equal(root.sqrt, reference.sqrt)
+        assert root.method == reference.method
+
+    def test_far_from_unitary_rejected(self):
+        with pytest.raises(OutOfConvergenceRadius):
+            polar(3.0 * np.eye(2), 3.0 * np.eye(2), MINKOWSKI_2)
 
 
 class TestBinomialSeries:

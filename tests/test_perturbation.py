@@ -262,6 +262,28 @@ class TestGaugedBasis:
             via_gauge, _ = gauged_basis(waves, perturbed, bw.coeffs)
             assert opnorm(via_gauge - reference) <= 1e-10
 
+    def test_one_square_root_per_call(self, waves, monkeypatch):
+        import cfsgauge.krein as krein
+        import cfsgauge.perturbation as perturbation
+
+        calls = []
+        original = krein.sqrt_near_identity
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        # count the primitive however the module reaches it
+        monkeypatch.setattr(krein, "sqrt_near_identity", counted)
+        monkeypatch.setattr(perturbation, "sqrt_near_identity", counted,
+                            raising=False)
+        rng = np.random.default_rng(13)
+        bw = basis_waves(CFG, POINT)
+        gauged_basis(waves, waves, bw.coeffs)
+        lam = random_gauge_function(rng, CFG.L)
+        gauged_basis(waves, apply_local_phase(waves, lam, POINT), bw.coeffs)
+        assert len(calls) == 2
+
     def test_unperturbed_closed_form(self, waves):
         # without perturbation the chain is P(x,x)^2, so the gauged basis is
         # gamma^0 |alpha| chi_a up to the sign convention of the chain root
