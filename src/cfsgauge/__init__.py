@@ -9,7 +9,7 @@ forms for the massless closed chain, and verification that the distinguished
 gauge cancels local phase transformations.
 """
 
-from .correlation import (ImageSplit, SpinSpace, as_split, closed_chain,
+from .correlation import (ImageSplit, as_split, closed_chain, complement_basis,
                           hermitize, kernel, kernel_krein_adjoint,
                           local_correlation, reconstruct, spin_space,
                           split_by_image, wave_evaluation)

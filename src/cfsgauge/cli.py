@@ -22,8 +22,10 @@ import csv
 import itertools
 import json
 import math
+import os
 import sys
 import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -124,6 +126,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         box = DiracBoxConfig(L=L, eps=eps, m=m)
     except TooManyModes as exc:
         raise ConfigError(str(exc), field="box.eps") from exc
+    except ValueError as exc:  # eps and m passed the checks above
+        raise ConfigError(str(exc), field="box.L") from exc
 
     points_raw = raw.get("points", {"nt": 1, "nx": 2, "t_range": [0.0, 0.0]})
     points = _parse_points(points_raw, box)
@@ -197,11 +201,13 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _entry(task, name, ref, value, threshold):
-    """One report line; entries without a threshold are informational."""
+    """One report line; informational without threshold, null if not finite."""
     value = float(value)
-    passed = True if threshold is None else bool(value <= threshold)
+    finite = math.isfinite(value)
+    passed = True if threshold is None else bool(finite and value <= threshold)
     return {"task": task, "name": name, "paper_ref": ref,
-            "value": value, "threshold": threshold, "passed": passed}
+            "value": value if finite else None, "threshold": threshold,
+            "passed": passed}
 
 
 def _interval_excess(value, low, high) -> float:
@@ -237,7 +243,7 @@ def task_charts(config: ExperimentConfig):
 
     worst = 0.0
     for p, q, f in ((1, 1, 6), (2, 2, 8)):
-        split = spin_space(rnd.random_correlation(rng, f, p), p).split
+        split = spin_space(rnd.random_correlation(rng, f, p), p)
         for _ in range(50):
             coords = rnd.random_chart_coords(rng, split, scale=0.05)
             back = mf.chart_inverse(mf.chart_forward(coords), split)
@@ -249,7 +255,7 @@ def task_charts(config: ExperimentConfig):
 
     for p, q, f in ((1, 1, 4), (2, 2, 8), (2, 2, 12)):
         x = rnd.random_correlation(rng, f, p)
-        split = spin_space(x, p).split
+        split = spin_space(x, p)
         rank = mf.chart_jacobian_rank(split)
         entries.append(_entry(
             "charts", f"jacobian-rank-{p}{q}-{f}",
@@ -257,7 +263,7 @@ def task_charts(config: ExperimentConfig):
             abs(rank - mf.manifold_dim(p, q, f)), 0.0))
 
     x = rnd.random_correlation(rng, 8, 2)
-    split = spin_space(x, 2).split
+    split = spin_space(x, 2)
     worst_rel = 0.0
     worst_excess = 0.0
     for _ in range(5):
@@ -318,7 +324,7 @@ def task_gauge(config: ExperimentConfig):
     for _ in range(25):
         psi = wc.WaveChartPoint(
             on_image=np.eye(4) + 0.05 * rnd.random_complex(rng, 4, 4),
-            on_complement=0.05 * rnd.random_complex(rng, 4, 4),
+            on_complement=rnd.random_complement_map(rng, base, 4, scale=0.05),
             base=base)
         u0 = rnd.random_krein_unitary(rng, base.krein, scale=0.2)
         rotated = wc.WaveChartPoint(on_image=u0 @ psi.on_image,
@@ -336,7 +342,7 @@ def task_gauge(config: ExperimentConfig):
     for f in (8, 12):
         x = rnd.random_correlation(rng, f, 2)
         base_f = spin_space(x, 2)
-        samples = [mf.chart_forward(rnd.random_chart_coords(rng, base_f.split,
+        samples = [mf.chart_forward(rnd.random_chart_coords(rng, base_f,
                                                             scale=0.04))
                    for _ in range(25)]
         report = wc.charts_coincide_check(base_f, samples)
@@ -345,8 +351,7 @@ def task_gauge(config: ExperimentConfig):
                           "symmetric-vs-transported-wave-chart",
                           worst_coincide, tol["coincidence"]))
 
-    points = [mf.chart_forward(rnd.random_chart_coords(rng, base.split,
-                                                       scale=0.05))
+    points = [mf.chart_forward(rnd.random_chart_coords(rng, base, scale=0.05))
               for _ in range(10)]
     gauge = wc.build_gauge(base, points)
     entries.append(_entry("gauge", "gauge-condition-residual",
@@ -367,7 +372,7 @@ def task_spectral(config: ExperimentConfig):
         lam_plus, lam_minus = cc.chain_eigenvalues(vk)
         predicted = np.array([lam_plus, lam_plus, lam_minus, lam_minus])
         numeric = np.linalg.eigvals(cc.chain_from_vectors(vk))
-        worst_eig = max(worst_eig, _multiset_distance(predicted, numeric))
+        worst_eig = max(worst_eig, cc.multiset_distance(predicted, numeric))
     entries.append(_entry("spectral", "eigenvalue-match",
                           "closed-chain-eigenvalues", worst_eig,
                           tol["eigenvalue_match"]))
@@ -418,13 +423,6 @@ def task_spectral(config: ExperimentConfig):
                           report.antisymmetry_residual,
                           tol["expansion_coefficient"]))
     return entries
-
-
-def _multiset_distance(a, b) -> float:
-    best = np.inf
-    for perm in itertools.permutations(range(len(b))):
-        best = min(best, float(np.max(np.abs(a - b[list(perm)]))))
-    return best
 
 
 def _right_half_plane_sample(rng):
@@ -535,6 +533,8 @@ TASK_RUNNERS = {
 def run_experiment(config: ExperimentConfig, out_dir):
     """Execute the configured tasks; write report.json and kernels.csv.
 
+    Each file is written to a temporary name in ``out_dir`` and renamed into
+    place, so it is either complete or absent; the report is strict JSON.
     Any exception from a task or from the kernel rows is recorded, with its
     type, under ``task_errors[task]`` or ``task_errors["kernels"]``; one that
     is not a CfsGaugeError also prints its traceback to stderr.  The kernel
@@ -575,9 +575,8 @@ def run_experiment(config: ExperimentConfig, out_dir):
         "task_errors": task_errors,
         "all_passed": all_passed,
     }
-    report_file = out_path / "report.json"
-    with open(report_file, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
+    with _replacing(out_path / "report.json") as handle:
+        json.dump(report, handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")
 
     kernels_file = out_path / "kernels.csv"
@@ -599,8 +598,20 @@ def _kernel_rows(config: ExperimentConfig):
     return blocks
 
 
+@contextmanager
+def _replacing(path: Path):
+    """Text handle on a temporary file that replaces ``path`` on success."""
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
+
+
 def _write_kernel_csv(path, blocks):
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with _replacing(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(["t", "x1", "x2", "x3", "row", "col", "re", "im"])
         for block in blocks:

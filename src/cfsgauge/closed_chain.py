@@ -16,6 +16,7 @@ reported, never patched.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,19 @@ from .krein import opnorm
 DEGENERACY_RTOL = 1e-8
 #: tolerance for deciding whether a complex number sits on the branch cut
 BRANCH_CUT_ATOL = 1e-12
+
+
+def multiset_distance(a, b) -> float:
+    """Smallest max-distance matching between two equal-size multisets.
+
+    Complex eigenvalue multisets cannot be compared by lexicographic sorting
+    (roundoff reorders conjugate pairs), so match over permutations.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape or a.ndim != 1:
+        raise ValueError("expected two 1-d arrays of equal length")
+    return min(float(np.max(np.abs(a - b[list(perm)])))
+               for perm in itertools.permutations(range(len(b))))
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,10 +7,12 @@ the indefinite spin inner product
     <u | v>_x = - (u, x v)
 
 of signature (n, n), so every such operator spawns a Krein space (the spin
-space).  The wave evaluation operator is the orthogonal projection onto the
-image expressed in a fixed eigenbasis; the kernel P(x, y) is the projection of
-y onto the spin space at x.  Every operator here is a plain ndarray in the
-bases recorded on the SpinSpace object.
+space).  One type, ``ImageSplit``, holds a regular point: the f x r image
+basis V and the compression X = V^dag x V, from which the spin space, the
+wave evaluation V^dag and the kernel P(x, y) = V_x^dag V_y X_y are all read
+at O(f r^2) cost.  No basis of the orthogonal complement is stored; the one
+function that builds it, ``complement_basis``, serves only small-f code that
+enumerates or draws coordinates on the complement.
 """
 
 from __future__ import annotations
@@ -43,13 +45,12 @@ def _fix_column_phases(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ImageSplit:
-    """Orthonormal splitting of the ambient space along the image of x.
+    """A regular point: the image of x and the compression of x onto it.
 
     ``basis`` holds eigenvectors of the p+q nonzero eigenvalues (descending
     eigenvalue order, phases fixed deterministically) and ``restricted`` the
-    compression of x onto its image, basis^dag x basis.  ``complement`` is an
-    orthonormal basis of the orthogonal complement of the image, built on
-    first use.
+    compression X = basis^dag x basis.  ``krein`` is the spin space, the image
+    with Gram matrix -X, built on first use.
     """
 
     operator: np.ndarray
@@ -58,18 +59,18 @@ class ImageSplit:
     signature: tuple[int, int]
 
     @property
-    def ambient_dim(self) -> int:
-        return self.operator.shape[0]
-
-    @property
     def rank(self) -> int:
         return self.basis.shape[1]
 
     @cached_property
-    def complement(self) -> np.ndarray:
-        """The last f - r columns of a complete QR factorization of basis."""
-        full, _ = np.linalg.qr(self.basis, mode="complete")
-        return full[:, self.rank:]
+    def krein(self) -> KreinSpace:
+        return KreinSpace(gram=-self.restricted, signature=self.signature[::-1])
+
+
+def complement_basis(split: ImageSplit) -> np.ndarray:
+    """Orthonormal f x (f - r) complement of the image (f x f QR: small f)."""
+    full, _ = np.linalg.qr(split.basis, mode="complete")
+    return full[:, split.rank:]
 
 
 def _range_basis(x: np.ndarray, r: int):
@@ -184,57 +185,14 @@ def as_split(x, p: int, q: int, tol_rank: float | None = None) -> ImageSplit:
     return split_by_image(x, p, q, tol_rank=tol_rank)
 
 
-@dataclass(frozen=True, eq=False)
-class SpinSpace:
-    """Spin space of a regular correlation operator.
-
-    Wraps the image splitting of x and equips the image with the spin inner
-    product of Gram matrix -X, where X = basis^dag x basis is the invertible
-    compression of x onto its image.
-    """
-
-    split: ImageSplit
-    spin_gram: np.ndarray
-    krein: KreinSpace
-    n: int
-
-    @property
-    def operator(self) -> np.ndarray:
-        return self.split.operator
-
-    @property
-    def basis(self) -> np.ndarray:
-        return self.split.basis
-
-    @property
-    def complement(self) -> np.ndarray:
-        return self.split.complement
-
-    @property
-    def restriction(self) -> np.ndarray:
-        """X = basis^dag x basis."""
-        return self.split.restricted
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.split.ambient_dim
-
-
-def spin_space(x, n: int, tol_rank: float | None = None) -> SpinSpace:
-    """Construct the spin space of a regular correlation operator.
+def spin_space(x, n: int, tol_rank: float | None = None) -> ImageSplit:
+    """The spin space of a regular correlation operator, as its image split.
 
     ``x`` is the operator or its image split.  Raises NotRegular unless x
     has exactly n eigenvalues above +tol and n below -tol, the rest being
     numerically zero.
     """
-    split = as_split(x, n, n, tol_rank=tol_rank)
-    gram = -split.restricted
-    return SpinSpace(
-        split=split,
-        spin_gram=gram,
-        krein=KreinSpace(gram=gram, signature=(n, n)),
-        n=n,
-    )
+    return as_split(x, n, n, tol_rank=tol_rank)
 
 
 def local_correlation(wave_values: np.ndarray,
@@ -250,31 +208,32 @@ def local_correlation(wave_values: np.ndarray,
     return hermitize(-(w.conj().T @ g @ w))
 
 
-def wave_evaluation(sp: SpinSpace) -> np.ndarray:
+def wave_evaluation(sp: ImageSplit) -> np.ndarray:
     """Projection onto the spin space, expressed in its basis (2n x f)."""
     return sp.basis.conj().T.copy()
 
 
-def kernel(sp_x: SpinSpace, sp_y: SpinSpace) -> np.ndarray:
+def kernel(sp_x: ImageSplit, sp_y: ImageSplit) -> np.ndarray:
     """Two-point kernel P(x, y): spin space at y -> spin space at x.
 
-    In the recorded bases this is basis_x^dag y basis_y, equivalently the
-    bra/ket sum -Psi(x) Psi(y)* over the ensemble.
+    In the recorded bases this is basis_x^dag y basis_y = (basis_x^dag
+    basis_y) X_y, read from the image factors at O(f r^2) cost; equivalently
+    the bra/ket sum -Psi(x) Psi(y)* over the ensemble.
     """
-    return sp_x.basis.conj().T @ sp_y.operator @ sp_y.basis
+    return sp_x.basis.conj().T @ sp_y.basis @ sp_y.restricted
 
 
-def kernel_krein_adjoint(p_xy: np.ndarray, sp_x: SpinSpace,
-                         sp_y: SpinSpace) -> np.ndarray:
+def kernel_krein_adjoint(p_xy: np.ndarray, sp_x: ImageSplit,
+                         sp_y: ImageSplit) -> np.ndarray:
     """Adjoint of P(x, y) with respect to the two spin inner products.
 
     Maps the spin space at x to the spin space at y; equals P(y, x) for
     kernels of correlation operators.
     """
-    return np.linalg.solve(sp_y.spin_gram, p_xy.conj().T @ sp_x.spin_gram)
+    return np.linalg.solve(sp_y.krein.gram, p_xy.conj().T @ sp_x.krein.gram)
 
 
-def closed_chain(sp_x: SpinSpace, sp_y: SpinSpace) -> np.ndarray:
+def closed_chain(sp_x: ImageSplit, sp_y: ImageSplit) -> np.ndarray:
     """Closed chain A_xy = P(x, y) P(y, x), an endomorphism of S_x.
 
     Symmetric with respect to the spin inner product at x; its spectrum does
@@ -283,7 +242,7 @@ def closed_chain(sp_x: SpinSpace, sp_y: SpinSpace) -> np.ndarray:
     return kernel(sp_x, sp_y) @ kernel(sp_y, sp_x)
 
 
-def reconstruct(sp: SpinSpace) -> np.ndarray:
+def reconstruct(sp: ImageSplit) -> np.ndarray:
     """Rebuild x from its wave evaluation, Psi^dag X Psi."""
     psi = wave_evaluation(sp)
-    return psi.conj().T @ sp.restriction @ psi
+    return psi.conj().T @ sp.restricted @ psi

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,13 +70,16 @@ def minkowski_dot(a, b) -> float:
 
 #: cap on 2 (2 nmax + 1)^3, the lattice cube's bound on the mode count
 MAX_MODES = 1 << 20  # nmax <= 39, f up to ~5e5
+#: largest half-length L whose mode normalization 2 pi (2 L)^3 is finite
+MAX_L = 0.5 * (sys.float_info.max / (2.0 * math.pi)) ** (1.0 / 3.0)
 
 
 @dataclass(frozen=True)
 class DiracBoxConfig:
     """Box half-length L, energy cutoff scale eps, and mass m (hbar = c = 1).
 
-    Raises TooManyModes when the lattice may hold over MAX_MODES modes.
+    Raises ValueError when L is not in (0, MAX_L] and TooManyModes when the
+    lattice may hold over MAX_MODES modes.
     """
 
     L: float
@@ -83,8 +87,9 @@ class DiracBoxConfig:
     m: float
 
     def __post_init__(self):
-        if not (0.0 < self.L < math.inf):
-            raise ValueError("box half-length L must be positive and finite")
+        if not (0.0 < self.L <= MAX_L):
+            raise ValueError(f"box half-length L must be positive and at most "
+                             f"MAX_L = {MAX_L:.4g}")
         if not (self.eps > 0.0):
             raise ValueError("cutoff scale eps must be positive")
         if not (self.m >= 0.0):
@@ -210,11 +215,17 @@ def _chi_table(k: np.ndarray, omega: np.ndarray, m: float) -> np.ndarray:
     def spin_inner(u, v):
         return np.sum(u.conj() * np.diag(SPINOR_GRAM) * v, -1, keepdims=True)
 
-    first, second = seed[:, :, 2], seed[:, :, 3]
-    first = first / np.sqrt(-spin_inner(first, first).real)
+    def normalized(u):
+        norm_sq = -spin_inner(u, u).real
+        if not np.all((norm_sq > 0.0) & (norm_sq < math.inf)):
+            raise MasslessNormalization(f"spin normalization of the sea "
+                                        f"spinors degenerates at m = {m:.3g}")
+        return u / np.sqrt(norm_sq)
+
+    first = normalized(seed[:, :, 2])
     # <first | first> = -1, so the projection coefficient flips sign
-    second = second + first * spin_inner(first, second)
-    second = second / np.sqrt(-spin_inner(second, second).real)
+    second = seed[:, :, 3]
+    second = normalized(second + first * spin_inner(first, second))
     return np.stack([first, second], axis=-1)
 
 

@@ -2,13 +2,13 @@
 
 The set of Hermitian f x f operators of rank p+q with exactly p positive and
 q negative eigenvalues is a smooth manifold of dimension 2(p+q)f - (p+q)^2.
-Around a base point x with image splitting H = I + J, points are parametrized
-by a Hermitian block ``a`` on I and a coupling block ``b`` from J to I via
+Around a base point x with image basis V and compression X = V^dag x V,
+points are parametrized by a Hermitian block ``a`` on the image and a map
+``b`` from H into the image that vanishes on the image, via
 
-    (a, b)  ->  [[X + a,          b],
-                 [b^dag,  b^dag (X + a)^{-1} b]]
+    (a, b)  ->  V (X + a) V^dag + V b + b^dag V^dag + b^dag (X + a)^{-1} b,
 
-(written in the (I, J) block basis and rotated back to the ambient basis).
+the block matrix [[X + a, b], [b^dag, b^dag (X + a)^{-1} b]] along H = I + J.
 The Hilbert-Schmidt scalar product induces a Riemannian metric tr(u v) on the
 Hermitian tangent matrices; in the chart above the metric is constant to first
 order at the base point, which the ``gaussian_check`` report quantifies.
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import ImageSplit, as_split, hermitize
+from .correlation import ImageSplit, as_split, complement_basis, hermitize
 from .errors import InvalidSignature, SignatureLost, TooFarFromBase
 
 #: smallest singular value of the image-overlap block accepted by chart_inverse
@@ -34,7 +34,7 @@ class ChartCoordinates:
     """Coordinates of a point in the chart around ``split``.
 
     ``a`` is the Hermitian perturbation acting on the image subspace of the
-    base point; ``b`` maps the orthogonal complement into the image.
+    base point; ``b`` maps H into the image and vanishes on the image.
     """
 
     a: np.ndarray
@@ -67,12 +67,10 @@ def chart_forward(coords: ChartCoordinates) -> np.ndarray:
             or np.min(np.abs(core_eigs)) <= 0.5 * np.min(np.abs(base_eigs))):
         raise SignatureLost("X + a does not retain the signature of the base point")
     b = np.asarray(coords.b, dtype=complex)
-    lower_right = b.conj().T @ np.linalg.solve(core, b)
-    v, w = split.basis, split.complement
-    m = (v @ core @ v.conj().T
-         + v @ b @ w.conj().T
-         + w @ b.conj().T @ v.conj().T
-         + w @ lower_right @ w.conj().T)
+    v = split.basis
+    vb = v @ b
+    m = (v @ core @ v.conj().T + vb + vb.conj().T
+         + b.conj().T @ np.linalg.solve(core, b))
     return hermitize(m)
 
 
@@ -80,24 +78,24 @@ def chart_inverse(y, split: ImageSplit,
                   tol_rank: float | None = None) -> ChartCoordinates:
     """Read off chart coordinates of an operator near the base point.
 
-    ``y`` is the operator or its image split.  Its image is expressed in the
-    (image, complement) block basis of the base point; the image-overlap
-    block must be safely invertible (smallest singular value >=
-    MIN_OVERLAP_SV), otherwise TooFarFromBase is raised.
+    ``y`` is the operator or its image split.  With the overlap O = V^dag V_y,
+    a = O X_y O^dag - X and b = O X_y (V_y^dag - O^dag V^dag).  O must be
+    safely invertible (smallest singular value >= MIN_OVERLAP_SV), otherwise
+    TooFarFromBase is raised.
     """
     p, q = split.signature
     split_y = as_split(y, p, q, tol_rank=tol_rank)
-    overlap_img = split.basis.conj().T @ split_y.basis
-    overlap_comp = split.complement.conj().T @ split_y.basis
-    smallest = np.linalg.svd(overlap_img, compute_uv=False)[-1]
+    overlap = split.basis.conj().T @ split_y.basis
+    smallest = np.linalg.svd(overlap, compute_uv=False)[-1]
     if smallest < MIN_OVERLAP_SV:
         raise TooFarFromBase(
             f"image overlap has smallest singular value {smallest:.3g} < "
             f"{MIN_OVERLAP_SV}"
         )
-    core = overlap_img @ split_y.restricted @ overlap_img.conj().T
-    a = hermitize(core - split.restricted)
-    b = overlap_img @ split_y.restricted @ overlap_comp.conj().T
+    moved = overlap @ split_y.restricted
+    a = hermitize(moved @ overlap.conj().T - split.restricted)
+    b = moved @ (split_y.basis.conj().T
+                 - overlap.conj().T @ split.basis.conj().T)
     return ChartCoordinates(a=a, b=b, split=split)
 
 
@@ -115,13 +113,14 @@ def chart_jacobian_rank(split: ImageSplit, step: float = 1e-5,
                         rtol: float = JACOBIAN_RANK_RTOL) -> int:
     """Numeric rank of the chart differential at the origin.
 
-    Central finite differences over a real parameter basis of (a, b); the
-    rank counts singular values above ``rtol`` times the largest one.
+    Central finite differences over a real parameter basis of (a, b), b along
+    a complement basis; the rank counts singular values above ``rtol`` times
+    the largest one.
     """
     r = split.rank
-    f = split.ambient_dim
+    complement = complement_basis(split).conj().T
     zero_a = np.zeros((r, r), dtype=complex)
-    zero_b = np.zeros((r, f - r), dtype=complex)
+    zero_b = np.zeros((r, split.basis.shape[0]), dtype=complex)
 
     directions = []
     for i in range(r):
@@ -139,10 +138,10 @@ def chart_jacobian_rank(split: ImageSplit, step: float = 1e-5,
             e[j, i] = -1.0j
             directions.append((e, zero_b))
     for i in range(r):
-        for j in range(f - r):
+        for row in complement:
             for unit in (1.0, 1.0j):
                 e = zero_b.copy()
-                e[i, j] = unit
+                e[i] = unit * row
                 directions.append((zero_a, e))
 
     columns = []

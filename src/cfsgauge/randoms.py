@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import expm
 
-from .correlation import hermitize
+from .correlation import complement_basis, hermitize
 from .krein import KreinSpace
 from .manifold import ChartCoordinates
 from .perturbation import GaugeFunction
@@ -68,13 +68,21 @@ def random_krein_symmetric(rng: np.random.Generator, space: KreinSpace,
     return 0.5 * (m + space.adjoint(m))
 
 
+def random_complement_map(rng: np.random.Generator, split, rows: int,
+                          scale: float = 1.0) -> np.ndarray:
+    """Random rows x f map vanishing on the image of ``split``.
+
+    One rows x (f - r) Gaussian draw, mapped by the complement basis.
+    """
+    draw = scale * random_complex(rng, rows, split.basis.shape[0] - split.rank)
+    return draw @ complement_basis(split).conj().T
+
+
 def random_chart_coords(rng: np.random.Generator, split,
                         scale: float = 0.1) -> ChartCoordinates:
     """Small random chart coordinates around a base splitting."""
-    r = split.rank
-    f = split.ambient_dim
-    a = random_hermitian(rng, r, scale=scale)
-    b = scale * random_complex(rng, r, f - r)
+    a = random_hermitian(rng, split.rank, scale=scale)
+    b = random_complement_map(rng, split, split.rank, scale=scale)
     return ChartCoordinates(a=a, b=b, split=split)
 
 
@@ -82,7 +90,7 @@ def random_direction_pair(rng: np.random.Generator, split):
     """Two normalized coordinate directions (a, b) for metric probes."""
     def one():
         a = random_hermitian(rng, split.rank)
-        b = random_complex(rng, split.rank, split.ambient_dim - split.rank)
+        b = random_complement_map(rng, split, split.rank)
         norm = np.sqrt(np.linalg.norm(a, "fro") ** 2
                        + 2.0 * np.linalg.norm(b, "fro") ** 2)
         return a / norm, b / norm

@@ -2,11 +2,12 @@
 
 Points near a regular correlation operator x can be parametrized by maps
 psi from the ambient Hilbert space into the spin space at x ("wave
-coordinates"), via the realization map psi -> -psi* psi.  That map is
-invertible only up to composition with unitaries of the spin inner product;
-the gauge is fixed by demanding that the component of psi on the image of x
-be symmetric with respect to the spin inner product.  Two constructions of
-this distinguished section are provided:
+coordinates"), psi = on_image V^dag + on_complement with on_complement
+vanishing on the image V of x, via the realization map psi -> -psi* psi.
+That map is invertible only up to composition with unitaries of the spin
+inner product; the gauge is fixed by demanding that the component of psi on
+the image of x be symmetric with respect to the spin inner product.  Two
+constructions of this distinguished section are provided:
 
 * ``symmetric_wave_chart`` follows the polar-decomposition route through the
   two-point kernels, psi = (X^{-1} A_xy X^{-1})^{-1/2} X^{-1} P(x, y) Psi(y);
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import krein as _krein
-from .correlation import (ImageSplit, SpinSpace, as_split, hermitize,
-                          kernel, spin_space, wave_evaluation)
+from .correlation import (ImageSplit, as_split, hermitize, kernel,
+                          wave_evaluation)
 from .errors import (NotInvertible, OutOfChartDomain, OutOfConvergenceRadius,
                      TooFarFromBase)
 from .krein import opnorm
@@ -45,35 +46,32 @@ class WaveChartPoint:
     """Wave coordinates of a point, split along the image of the base.
 
     ``on_image`` is the 2n x 2n component acting within the spin space of the
-    base point; ``on_complement`` maps the orthogonal complement into it.
+    base point; ``on_complement`` (2n x f) vanishes on the image of the base.
     For points of a symmetric wave chart, ``on_image`` is symmetric with
     respect to the spin inner product and invertible.
     """
 
     on_image: np.ndarray
     on_complement: np.ndarray
-    base: SpinSpace
+    base: ImageSplit
 
     def full_matrix(self) -> np.ndarray:
         """The map from the ambient space into the spin space, 2n x f."""
-        return (self.on_image @ self.base.basis.conj().T
-                + self.on_complement @ self.base.complement.conj().T)
+        return self.on_image @ self.base.basis.conj().T + self.on_complement
 
     @classmethod
-    def from_full(cls, full: np.ndarray, base: SpinSpace) -> "WaveChartPoint":
-        return cls(on_image=full @ base.basis,
-                   on_complement=full @ base.complement,
+    def from_full(cls, full: np.ndarray, base: ImageSplit) -> "WaveChartPoint":
+        on_image = full @ base.basis
+        return cls(on_image=on_image,
+                   on_complement=full - on_image @ base.basis.conj().T,
                    base=base)
 
 
-def identity_point(base: SpinSpace) -> WaveChartPoint:
+def identity_point(base: ImageSplit) -> WaveChartPoint:
     """The wave coordinates of the base point itself, (1, 0)."""
-    two_n = 2 * base.n
-    return WaveChartPoint(
-        on_image=np.eye(two_n, dtype=complex),
-        on_complement=np.zeros((two_n, base.ambient_dim - two_n), dtype=complex),
-        base=base,
-    )
+    return WaveChartPoint(on_image=np.eye(base.rank, dtype=complex),
+                          on_complement=np.zeros_like(base.basis.T),
+                          base=base)
 
 
 def realize(psi: WaveChartPoint) -> np.ndarray:
@@ -83,7 +81,7 @@ def realize(psi: WaveChartPoint) -> np.ndarray:
     base point realize the base point itself.
     """
     full = psi.full_matrix()
-    return hermitize(full.conj().T @ psi.base.restriction @ full)
+    return hermitize(full.conj().T @ psi.base.restricted @ full)
 
 
 def gauge_orbit_witness(psi: WaveChartPoint, psi_tilde: WaveChartPoint,
@@ -127,14 +125,14 @@ def symmetrize(psi: WaveChartPoint) -> WaveChartPoint:
                           base=psi.base)
 
 
-def connecting_unitary(base: SpinSpace, sp_y: SpinSpace) -> np.ndarray:
+def connecting_unitary(base: ImageSplit, sp_y: ImageSplit) -> np.ndarray:
     """Spin-space unitary transporting the spin space at y onto the base.
 
     U = (X^{-1} A_xy X^{-1})^{-1/2} X^{-1} P(x, y), the polar factor of
     T = X^{-1} P(x, y), whose adjoint is T* = P(y, x) X^{-1}.  Satisfies
     U U* = 1 across the two spin inner products.
     """
-    inv_x = np.linalg.inv(base.restriction)
+    inv_x = np.linalg.inv(base.restricted)
     try:
         return _krein.polar(inv_x @ kernel(base, sp_y),
                             kernel(sp_y, base) @ inv_x, base.krein)[0]
@@ -142,7 +140,7 @@ def connecting_unitary(base: SpinSpace, sp_y: SpinSpace) -> np.ndarray:
         raise OutOfChartDomain(str(exc)) from exc
 
 
-def symmetric_wave_chart(y, base: SpinSpace) -> WaveChartPoint:
+def symmetric_wave_chart(y, base: ImageSplit) -> WaveChartPoint:
     """Wave coordinates of y in the symmetric wave chart around the base.
 
     ``y`` is the operator or its image split.  The on-image component comes
@@ -152,25 +150,24 @@ def symmetric_wave_chart(y, base: SpinSpace) -> WaveChartPoint:
     chart coordinate too large, or square root out of its convergence
     radius).
     """
-    return _symmetric_chart(as_split(y, base.n, base.n), base)[0]
+    return _symmetric_chart(as_split(y, *base.signature), base)[0]
 
 
-def _symmetric_chart(split_y: ImageSplit, base: SpinSpace):
+def _symmetric_chart(split_y: ImageSplit, base: ImageSplit):
     """``symmetric_wave_chart`` and the chart coordinates it went through."""
     try:
-        coords = chart_inverse(split_y, base.split)
+        coords = chart_inverse(split_y, base)
     except TooFarFromBase as exc:
         raise OutOfChartDomain(str(exc)) from exc
-    inv_x = np.linalg.inv(base.restriction)
+    inv_x = np.linalg.inv(base.restricted)
     if opnorm(inv_x @ coords.a) > CHART_DOMAIN_RADIUS:
         raise OutOfChartDomain("chart coordinate exceeds the shared domain radius")
-    sp_y = spin_space(split_y, base.n)
-    u_conn = connecting_unitary(base, sp_y)
-    full = u_conn @ wave_evaluation(sp_y)
+    full = connecting_unitary(base, split_y) @ wave_evaluation(split_y)
     return WaveChartPoint.from_full(full, base), coords
 
 
-def gaussian_wave_map(coords: ChartCoordinates, base: SpinSpace) -> WaveChartPoint:
+def gaussian_wave_map(coords: ChartCoordinates,
+                      base: ImageSplit) -> WaveChartPoint:
     """Wave coordinates obtained by transporting manifold chart coordinates.
 
     Returns (sqrt(1 + X^{-1} a), (1 + X^{-1} a)^{-1/2} X^{-1} b); realizing
@@ -178,8 +175,8 @@ def gaussian_wave_map(coords: ChartCoordinates, base: SpinSpace) -> WaveChartPoi
     the on-image component is symmetric with respect to the spin inner
     product.  Raises OutOfConvergenceRadius if X^{-1} a is too large.
     """
-    inv_x = np.linalg.inv(base.restriction)
-    argument = np.eye(2 * base.n, dtype=complex) + inv_x @ coords.a
+    inv_x = np.linalg.inv(base.restricted)
+    argument = np.eye(base.rank, dtype=complex) + inv_x @ coords.a
     result = _krein.sqrt_near_identity(argument, base.krein)
     on_image = result.sqrt
     on_complement = result.inv_sqrt @ inv_x @ coords.b
@@ -195,7 +192,7 @@ class CoincidenceReport:
     deviations: tuple
 
 
-def charts_coincide_check(base: SpinSpace, sample_points) -> CoincidenceReport:
+def charts_coincide_check(base: ImageSplit, sample_points) -> CoincidenceReport:
     """Compare the symmetric and transported wave charts on sample operators.
 
     For each y both wave-coordinate constructions are evaluated and the
@@ -204,7 +201,7 @@ def charts_coincide_check(base: SpinSpace, sample_points) -> CoincidenceReport:
     """
     deviations = []
     for y in sample_points:
-        via_polar, coords = _symmetric_chart(as_split(y, base.n, base.n), base)
+        via_polar, coords = _symmetric_chart(as_split(y, *base.signature), base)
         via_chart = gaussian_wave_map(coords, base)
         deviations.append(opnorm(via_polar.full_matrix()
                                  - via_chart.full_matrix()))
@@ -227,11 +224,11 @@ class GaugeMap:
     values: tuple
     target_gram: np.ndarray
     unitary: np.ndarray
-    base: SpinSpace
+    base: ImageSplit
     condition_residuals: tuple
 
 
-def build_gauge(base: SpinSpace, points, unitary: np.ndarray | None = None,
+def build_gauge(base: ImageSplit, points, unitary: np.ndarray | None = None,
                 target_gram: np.ndarray | None = None) -> GaugeMap:
     """Construct the distinguished gauge over a set of operators.
 
@@ -240,22 +237,22 @@ def build_gauge(base: SpinSpace, points, unitary: np.ndarray | None = None,
     itself.  A supplied unitary must be an isometry from the spin inner
     product of the base onto ``target_gram``.
     """
-    two_n = 2 * base.n
+    spin_gram = base.krein.gram
     if unitary is None:
-        unitary = np.eye(two_n, dtype=complex)
+        unitary = np.eye(base.rank, dtype=complex)
     if target_gram is None:
-        target_gram = base.spin_gram
+        target_gram = spin_gram
     unitary = np.asarray(unitary, dtype=complex)
     target_gram = np.asarray(target_gram, dtype=complex)
     pullback = unitary.conj().T @ target_gram @ unitary
-    if opnorm(pullback - base.spin_gram) > 1e-9 * max(1.0, opnorm(base.spin_gram)):
+    if opnorm(pullback - spin_gram) > 1e-9 * max(1.0, opnorm(spin_gram)):
         raise ValueError("unitary is not an isometry onto the target inner product")
 
     operators = []
     values = []
     residuals = []
     for y in points:
-        split_y = as_split(y, base.n, base.n)
+        split_y = as_split(y, *base.signature)
         value = unitary @ symmetric_wave_chart(split_y, base).full_matrix()
         operators.append(split_y.operator)
         values.append(value)

@@ -1,6 +1,5 @@
 """Shared helpers for the test suite."""
 
-import itertools
 import shutil
 import tempfile
 
@@ -8,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
+
+from cfsgauge.closed_chain import multiset_distance  # noqa: F401 (for tests)
 
 # Property tests draw the same examples on every run and keep no example
 # database, so the suite stays deterministic and fast.
@@ -25,22 +26,6 @@ def pytest_configure(config):
 
 def pytest_unconfigure(config):
     shutil.rmtree(config.hypothesis_home, ignore_errors=True)
-
-
-def multiset_distance(a, b) -> float:
-    """Smallest max-distance matching between two equal-size multisets.
-
-    Complex eigenvalue multisets cannot be compared by lexicographic sorting
-    (roundoff reorders conjugate pairs), so match over permutations.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    assert a.shape == b.shape and a.ndim == 1
-    best = np.inf
-    for perm in itertools.permutations(range(len(b))):
-        d = np.max(np.abs(a - b[list(perm)]))
-        best = min(best, d)
-    return float(best)
 
 
 @pytest.fixture

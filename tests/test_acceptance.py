@@ -39,7 +39,7 @@ def test_criterion_01_dimension_formula():
     rng = np.random.default_rng(101)
     results = []
     for p, q, f in ((1, 1, 4), (2, 2, 8), (2, 2, 12)):
-        split = spin_space(rnd.random_correlation(rng, f, p), p).split
+        split = spin_space(rnd.random_correlation(rng, f, p), p)
         rank = mf.chart_jacobian_rank(split)
         results.append((rank, mf.manifold_dim(p, q, f)))
     ok = all(rank == dim for rank, dim in results)
@@ -54,7 +54,7 @@ def test_criterion_02_chart_roundtrip():
     worst = 0.0
     for p, q, f in ((1, 1, 6), (1, 1, 8), (1, 1, 12),
                     (2, 2, 6), (2, 2, 8), (2, 2, 12)):
-        split = spin_space(rnd.random_correlation(rng, f, p), p).split
+        split = spin_space(rnd.random_correlation(rng, f, p), p)
         for _ in range(100):
             coords = rnd.random_chart_coords(rng, split, scale=0.05)
             back = mf.chart_inverse(mf.chart_forward(coords), split)
@@ -67,7 +67,7 @@ def test_criterion_02_chart_roundtrip():
 def test_criterion_03_gaussian_property():
     started = time.perf_counter()
     rng = np.random.default_rng(103)
-    split = spin_space(rnd.random_correlation(rng, 8, 2), 2).split
+    split = spin_space(rnd.random_correlation(rng, 8, 2), 2)
     worst_rel = 0.0
     ratios = []
     for _ in range(20):
@@ -122,7 +122,7 @@ def test_criterion_05_chart_coincidence():
         base = spin_space(x, 2)
         samples = []
         while len(samples) < 25:
-            y = mf.chart_forward(rnd.random_chart_coords(rng, base.split,
+            y = mf.chart_forward(rnd.random_chart_coords(rng, base,
                                                          scale=0.04))
             if opnorm(y - x) <= 0.1 * opnorm(x):
                 samples.append(y)

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from cfsgauge import cli
 from cfsgauge.cli import (DEFAULT_TOLERANCES, load_config, main,
                           parse_config, run_experiment)
 from cfsgauge.dirac_box import mode_count
@@ -118,6 +119,14 @@ class TestConfigParsing:
             parse_config(raw)
         assert exc.value.field == "box.eps"
 
+    def test_box_volume_overflow_rejected(self):
+        # (2 L)^3 overflows a float, while the cutoff still holds modes
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        raw["box"] = {"L": 1e103, "eps": 1e102, "m": 0.0}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(raw)
+        assert exc.value.field == "box.L"
+
     def test_largest_sweep_box_allowed(self):
         raw = json.loads(json.dumps(BASE_CONFIG))
         raw["box"]["eps"] = 0.08
@@ -220,17 +229,19 @@ class TestRunReports:
         # a library error is a verdict on the input, not a fault: no traceback
         assert "Traceback" not in capsys.readouterr().err
 
-    def test_foreign_task_exception_recorded(self, tmp_path, capsys):
-        # at m = 1e-20 the spin normalization yields non-finite spinors and
+    def test_foreign_task_exception_recorded(self, tmp_path, capsys,
+                                            monkeypatch):
         # the perturb task fails inside numpy, not with a library error
+        def failing(config):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setitem(cli.TASK_RUNNERS, "perturb", failing)
         raw = json.loads(json.dumps(BASE_CONFIG))
-        raw["box"] = {"L": 3.14159, "eps": 0.4, "m": 1e-20}
         raw["tasks"] = ["perturb"]
         path = tmp_path / "c.json"
         path.write_text(json.dumps(raw))
         out = tmp_path / "out"
-        with np.errstate(all="ignore"):
-            code = main(["run", str(path), "--out", str(out)])
+        code = main(["run", str(path), "--out", str(out)])
         assert code == 1
         report = json.loads((out / "report.json").read_text())
         assert "perturb" in report["task_errors"]
@@ -255,6 +266,46 @@ class TestRunReports:
         assert set(report["task_errors"]) == {"kernels"}
         assert report["all_passed"] is False
         assert not (out / "kernels.csv").exists()
+
+    def test_non_finite_value_written_as_null(self, tmp_path, monkeypatch):
+        def nan_task(config):
+            return [cli._entry("dim-count", "gated", "ref", math.nan, 1.0),
+                    cli._entry("dim-count", "informational", "ref", math.inf,
+                               None)]
+
+        monkeypatch.setitem(cli.TASK_RUNNERS, "dim-count", nan_task)
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path)), "--out", str(out)]) == 1
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        report = json.loads((out / "report.json").read_text(),
+                            parse_constant=reject)
+        gated, informational = report["entries"]
+        assert gated["value"] is None and gated["passed"] is False
+        assert informational["value"] is None and informational["passed"] is True
+        assert report["all_passed"] is False
+        assert sorted(p.name for p in out.iterdir()) == ["kernels.csv",
+                                                         "report.json"]
+
+    def test_failed_report_write_keeps_previous_file(self, tmp_path,
+                                                     monkeypatch):
+        path = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        previous = (out / "report.json").read_bytes()
+
+        def raw_nan_task(config):
+            return [{"task": "dim-count", "name": "raw", "value": math.nan,
+                     "threshold": None, "passed": True}]
+
+        monkeypatch.setitem(cli.TASK_RUNNERS, "dim-count", raw_nan_task)
+        with pytest.raises(ValueError):
+            main(["run", str(path), "--out", str(out)])
+        assert (out / "report.json").read_bytes() == previous
+        assert sorted(p.name for p in out.iterdir()) == ["kernels.csv",
+                                                         "report.json"]
 
 
 class TestExitCodes:
@@ -301,6 +352,11 @@ class TestExitCodes:
         assert main(["modes", "3.14", "0.002", "0"]) == 2
         assert time.perf_counter() - start < 1.0
         assert "MAX_MODES" in capsys.readouterr().err
+
+    def test_modes_volume_overflow_exit_2(self, capsys):
+        assert main(["modes", "1e103", "1e102", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "MAX_L" in err and "Traceback" not in err
 
     def test_console_script_installed(self):
         result = subprocess.run([sys.executable, "-m", "cfsgauge.cli",

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from conftest import multiset_distance
 
-from cfsgauge.correlation import (closed_chain, kernel, kernel_krein_adjoint,
-                                  local_correlation, reconstruct, spin_space,
-                                  split_by_image, wave_evaluation)
+from cfsgauge import correlation
+from cfsgauge.correlation import (closed_chain, complement_basis, kernel,
+                                  kernel_krein_adjoint, local_correlation,
+                                  reconstruct, spin_space, split_by_image,
+                                  wave_evaluation)
 from cfsgauge.dirac_box import DiracBoxConfig, build_correlation_map
 from cfsgauge.errors import NotRegular
 from cfsgauge.krein import opnorm
@@ -48,13 +50,13 @@ class TestSpinSpace:
         x = diag_operator([1.0, -1.0], 6)
         sp = spin_space(x, 1)
         np.testing.assert_allclose(np.abs(sp.basis[:2, :]), np.eye(2), atol=1e-12)
-        np.testing.assert_allclose(sp.restriction, np.diag([1.0, -1.0]), atol=1e-12)
-        np.testing.assert_allclose(sp.spin_gram, np.diag([-1.0, 1.0]), atol=1e-12)
+        np.testing.assert_allclose(sp.restricted, np.diag([1.0, -1.0]), atol=1e-12)
+        np.testing.assert_allclose(sp.krein.gram, np.diag([-1.0, 1.0]), atol=1e-12)
 
     def test_spin_gram_signature(self):
         x = diag_operator([2.0, 1.0, -1.0, -3.0], 7)
         sp = spin_space(x, 2)
-        eigs = np.linalg.eigvalsh(sp.spin_gram)
+        eigs = np.linalg.eigvalsh(sp.krein.gram)
         assert int(np.sum(eigs > 0)) == 2 and int(np.sum(eigs < 0)) == 2
 
     def test_singular_rejected(self):
@@ -73,8 +75,25 @@ class TestSpinSpace:
         sp = spin_space(x, 2)
         np.testing.assert_allclose(sp.basis.conj().T @ sp.basis, np.eye(4),
                                    atol=1e-12)
-        np.testing.assert_allclose(sp.complement.conj().T @ sp.basis,
+        np.testing.assert_allclose(complement_basis(sp).conj().T @ sp.basis,
                                    np.zeros((5, 4)), atol=1e-12)
+
+    def test_krein_space_built_on_first_use(self, monkeypatch):
+        built = []
+
+        class Counted(correlation.KreinSpace):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(correlation, "KreinSpace", Counted)
+        rng = np.random.default_rng(40)
+        sp = spin_space(random_correlation(rng, 8, 2), 2)
+        closed_chain(sp, sp)
+        assert built == []
+        np.testing.assert_array_equal(sp.krein.gram, -sp.restricted)
+        assert sp.krein is sp.krein
+        assert len(built) == 1
 
 
 def dense_split(x, p, q):
@@ -108,9 +127,10 @@ def assert_matches_dense(x, p, q):
     np.testing.assert_allclose(split.basis.conj().T @ split.basis,
                                np.eye(p + q), rtol=0, atol=1e-12)
     f = x.shape[0]
-    np.testing.assert_allclose(split.complement.conj().T @ split.complement,
+    complement = complement_basis(split)
+    np.testing.assert_allclose(complement.conj().T @ complement,
                                np.eye(f - p - q), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(split.complement.conj().T @ split.basis,
+    np.testing.assert_allclose(complement.conj().T @ split.basis,
                                np.zeros((f - p - q, p + q)), rtol=0,
                                atol=1e-12)
 
@@ -185,7 +205,7 @@ class TestWaveEvaluation:
         rng = np.random.default_rng(2)
         x = random_correlation(rng, 8, 2)
         sp = spin_space(x, 2)
-        u = sp.complement @ random_complex(rng, 4)
+        u = complement_basis(sp) @ random_complex(rng, 4)
         np.testing.assert_allclose(wave_evaluation(sp) @ u, np.zeros(4),
                                    atol=1e-12)
 
@@ -206,7 +226,7 @@ class TestKernel:
         rng = np.random.default_rng(3)
         x = random_correlation(rng, 7, 1)
         sp = spin_space(x, 1)
-        np.testing.assert_allclose(kernel(sp, sp), sp.restriction, atol=1e-12)
+        np.testing.assert_allclose(kernel(sp, sp), sp.restricted, atol=1e-12)
 
     def test_orthogonal_images_vanish(self):
         x = diag_operator([1.0, -1.0, 0.0, 0.0], 6)
@@ -228,6 +248,19 @@ class TestKernel:
                 kernel(sp_y, sp_x), kernel_krein_adjoint(p_xy, sp_x, sp_y),
                 atol=1e-10)
 
+    @pytest.mark.parametrize("m", [0.0, 0.3])
+    def test_factor_kernel_matches_dense_on_box(self, m):
+        cfg = DiracBoxConfig(L=math.pi, eps=0.4, m=m)
+        points = [cfg.point(0.0, (0.0, 0.0, 0.0)),
+                  cfg.point(0.1, (0.1, -0.05, 0.0)),
+                  cfg.point(-0.7, (1.3, 0.4, -2.2))]
+        operators = build_correlation_map(cfg, points)
+        spaces = [spin_space(x, 2) for x in operators]
+        for sp_x in spaces:
+            for y, sp_y in zip(operators, spaces):
+                dense = sp_x.basis.conj().T @ y @ sp_y.basis
+                assert opnorm(kernel(sp_x, sp_y) - dense) <= 1e-12 * opnorm(dense)
+
 
 class TestClosedChain:
     def test_diagonal_chain_is_square(self):
@@ -235,7 +268,7 @@ class TestClosedChain:
         x = random_correlation(rng, 6, 2)
         sp = spin_space(x, 2)
         np.testing.assert_allclose(closed_chain(sp, sp),
-                                   sp.restriction @ sp.restriction, atol=1e-12)
+                                   sp.restricted @ sp.restricted, atol=1e-12)
 
     def test_krein_symmetric(self):
         rng = np.random.default_rng(6)
@@ -268,7 +301,7 @@ class TestClosedChain:
         p_new = sp_x.basis.conj().T @ sp_y.operator @ basis_new
         np.testing.assert_allclose(p_new, kernel(sp_x, sp_y) @ u, atol=1e-10)
         gram_new = -(basis_new.conj().T @ sp_y.operator @ basis_new)
-        np.testing.assert_allclose(gram_new, sp_y.spin_gram, atol=1e-10)
+        np.testing.assert_allclose(gram_new, sp_y.krein.gram, atol=1e-10)
         p_yx_new = u_inv @ kernel(sp_y, sp_x)
         np.testing.assert_allclose(p_new @ p_yx_new, closed_chain(sp_x, sp_y),
                                    atol=1e-10)

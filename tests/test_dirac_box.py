@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cfsgauge.correlation import kernel, spin_space
-from cfsgauge.dirac_box import (ETA, GAMMA, MAX_MODES, SPINOR_GRAM,
+from cfsgauge.dirac_box import (ETA, GAMMA, MAX_L, MAX_MODES, SPINOR_GRAM,
                                 DiracBoxConfig, SpacetimePoint, _sea_table,
                                 build_correlation_map, chi_spinors,
                                 evaluation_isometry, gamma_matrices,
@@ -144,6 +144,16 @@ class TestChiSpinors:
         mode = momentum_points(CFG_MASSLESS)[0]
         with pytest.raises(MasslessNormalization):
             chi_spinors(mode, 0.0)
+
+    def test_vanishing_normalization_rejected(self):
+        # at m = 1e-16 the spin norm of most seeds rounds to zero
+        point = SpacetimePoint(t=0.1, x_vec=(0.2, -0.3, 0.4))
+        with pytest.raises(MasslessNormalization):
+            wave_value_matrix(DiracBoxConfig(L=3.14159, eps=0.4, m=1e-16),
+                              point)
+        waves = wave_value_matrix(DiracBoxConfig(L=3.14159, eps=0.4, m=1e-12),
+                                  point)
+        assert waves.shape == (4, 162) and np.all(np.isfinite(waves))
 
 
 class TestSeaSpinors:
@@ -312,7 +322,7 @@ class TestSpinSpinorIdentification:
         e_y = evaluation_isometry(cfg, y, sp_y)
         # Krein isometry: pulls the spinor product back to the spin product
         np.testing.assert_allclose(e_x.conj().T @ SPINOR_GRAM @ e_x,
-                                   sp_x.spin_gram, atol=1e-10)
+                                   sp_x.krein.gram, atol=1e-10)
         abstract = kernel(sp_x, sp_y)
         aligned = e_x @ abstract @ np.linalg.inv(e_y)
         assert opnorm(aligned - kernel_mode_sum(cfg, x, y)) <= 1e-8
@@ -470,3 +480,8 @@ class TestModeBound:
 
     def test_largest_sweep_point_allowed(self):
         assert mode_count(DiracBoxConfig(L=math.pi, eps=0.08, m=0.0)) == 16432
+
+    def test_box_volume_must_be_finite(self):
+        with pytest.raises(ValueError, match="MAX_L"):
+            DiracBoxConfig(L=1e103, eps=1e102, m=0.0)
+        assert mode_count(DiracBoxConfig(L=MAX_L, eps=MAX_L / 10.0, m=0.0)) > 0

@@ -44,7 +44,7 @@ class TestChartForward:
     def test_origin_is_base(self):
         rng = np.random.default_rng(0)
         split = random_split(rng, 7, 1, 2)
-        coords = ChartCoordinates(a=np.zeros((3, 3)), b=np.zeros((3, 4)),
+        coords = ChartCoordinates(a=np.zeros((3, 3)), b=np.zeros((3, 7)),
                                   split=split)
         np.testing.assert_allclose(chart_forward(coords), split.operator,
                                    atol=1e-12)
@@ -53,7 +53,7 @@ class TestChartForward:
         rng = np.random.default_rng(1)
         split = random_split(rng, 6, 1, 1)
         a = random_hermitian(rng, 2, scale=0.05)
-        coords = ChartCoordinates(a=a, b=np.zeros((2, 4)), split=split)
+        coords = ChartCoordinates(a=a, b=np.zeros((2, 6)), split=split)
         expected = (split.operator
                     + split.basis @ a @ split.basis.conj().T)
         np.testing.assert_allclose(chart_forward(coords), expected, atol=1e-12)
@@ -76,7 +76,7 @@ class TestChartForward:
         # push the positive eigenvalue far negative
         a = -10.0 * np.eye(2)
         with pytest.raises(SignatureLost):
-            chart_forward(ChartCoordinates(a=a, b=np.zeros((2, 4)), split=split))
+            chart_forward(ChartCoordinates(a=a, b=np.zeros((2, 6)), split=split))
 
 
 class TestChartInverse:
@@ -118,7 +118,7 @@ class TestChartInverse:
         rng = np.random.default_rng(12)
         split = random_split(rng, 4, 2, 2)
         coords = random_chart_coords(rng, split, scale=0.05)
-        assert coords.b.shape == (4, 0)
+        assert not np.any(coords.b)
         back = chart_inverse(chart_forward(coords), split)
         assert opnorm(back.a - coords.a) <= 1e-9
         assert chart_jacobian_rank(split) == manifold_dim(2, 2, 4)

@@ -11,8 +11,9 @@ from cfsgauge.dirac_box import DiracBoxConfig, build_correlation_map
 from cfsgauge.errors import NotInvertible, OutOfChartDomain
 from cfsgauge.krein import opnorm
 from cfsgauge.manifold import ChartCoordinates, chart_forward, chart_inverse
-from cfsgauge.randoms import (random_chart_coords, random_complex,
-                              random_correlation, random_krein_unitary)
+from cfsgauge.randoms import (random_chart_coords, random_complement_map,
+                              random_complex, random_correlation,
+                              random_krein_unitary)
 from cfsgauge.wave_charts import (WaveChartPoint, build_gauge,
                                   charts_coincide_check,
                                   condition_residual_bound, connecting_unitary,
@@ -23,17 +24,16 @@ from cfsgauge.wave_charts import (WaveChartPoint, build_gauge,
 
 def perturbed_point(rng, base, scale=0.1):
     """A wave-chart point near (1, 0)."""
-    two_n = 2 * base.n
-    rest = base.ambient_dim - two_n
+    two_n = base.rank
     return WaveChartPoint(
         on_image=np.eye(two_n) + scale * random_complex(rng, two_n, two_n),
-        on_complement=scale * random_complex(rng, two_n, rest),
+        on_complement=random_complement_map(rng, base, two_n, scale=scale),
         base=base,
     )
 
 
 def nearby_operator(rng, base, scale=0.05):
-    return chart_forward(random_chart_coords(rng, base.split, scale=scale))
+    return chart_forward(random_chart_coords(rng, base, scale=scale))
 
 
 class TestRealize:
@@ -63,6 +63,17 @@ class TestRealize:
             tol = 1e-8 * opnorm(y)
             assert int(np.sum(vals > tol)) == 2
             assert int(np.sum(vals < -tol)) == 2
+
+    def test_from_full_round_trip(self):
+        rng = np.random.default_rng(25)
+        base = spin_space(random_correlation(rng, 9, 2), 2)
+        full = random_complex(rng, 4, 9)
+        point = WaveChartPoint.from_full(full, base)
+        np.testing.assert_allclose(point.full_matrix(), full, rtol=0,
+                                   atol=1e-14)
+        # the rest of the map vanishes on the image of the base
+        np.testing.assert_allclose(point.on_complement @ base.basis,
+                                   np.zeros((4, 4)), rtol=0, atol=1e-14)
 
 
 class TestGaugeOrbitWitness:
@@ -118,7 +129,8 @@ class TestSymmetrize:
         base = spin_space(random_correlation(rng, 7, 1), 1)
         u0 = random_krein_unitary(rng, base.krein, scale=0.1)
         psi = WaveChartPoint(on_image=u0,
-                             on_complement=0.1 * random_complex(rng, 2, 5),
+                             on_complement=random_complement_map(rng, base, 2,
+                                                                 scale=0.1),
                              base=base)
         sym = symmetrize(psi)
         assert opnorm(sym.on_image - np.eye(2)) <= 1e-9
@@ -158,7 +170,7 @@ class TestSymmetricWaveChart:
         sp_y = spin_space(y, 2)
         u = connecting_unitary(base, sp_y)
         # adjoint across the two spin products: S_x -> S_y
-        u_star = np.linalg.solve(sp_y.spin_gram, u.conj().T @ base.spin_gram)
+        u_star = np.linalg.solve(sp_y.krein.gram, u.conj().T @ base.krein.gram)
         assert opnorm(u @ u_star - np.eye(4)) <= 1e-9
         assert opnorm(u_star @ u - np.eye(4)) <= 1e-9
 
@@ -182,8 +194,8 @@ class TestGaussianWaveMap:
     def test_origin(self):
         rng = np.random.default_rng(14)
         base = spin_space(random_correlation(rng, 8, 2), 2)
-        coords = ChartCoordinates(a=np.zeros((4, 4)), b=np.zeros((4, 4)),
-                                  split=base.split)
+        coords = ChartCoordinates(a=np.zeros((4, 4)), b=np.zeros((4, 8)),
+                                  split=base)
         point = gaussian_wave_map(coords, base)
         assert opnorm(point.on_image - np.eye(4)) <= 1e-12
         assert opnorm(point.on_complement) <= 1e-12
@@ -192,8 +204,8 @@ class TestGaussianWaveMap:
         rng = np.random.default_rng(15)
         base = spin_space(random_correlation(rng, 6, 1), 1)
         eps = 0.21
-        coords = ChartCoordinates(a=eps * base.restriction,
-                                  b=np.zeros((2, 4)), split=base.split)
+        coords = ChartCoordinates(a=eps * base.restricted,
+                                  b=np.zeros((2, 6)), split=base)
         point = gaussian_wave_map(coords, base)
         np.testing.assert_allclose(point.on_image, 1.1 * np.eye(2), atol=1e-10)
 
@@ -201,7 +213,7 @@ class TestGaussianWaveMap:
         rng = np.random.default_rng(16)
         base = spin_space(random_correlation(rng, 8, 2), 2)
         for _ in range(50):
-            coords = random_chart_coords(rng, base.split, scale=0.05)
+            coords = random_chart_coords(rng, base, scale=0.05)
             point = gaussian_wave_map(coords, base)
             assert opnorm(chart_forward(coords) - realize(point)) <= 1e-9
             assert base.krein.is_symmetric(point.on_image, tol=1e-9)
@@ -317,6 +329,26 @@ class TestBoxGauge:
         assert max(gauge.condition_residuals) <= 1e-9
         assert report.max_deviation <= 1e-8
 
+    def test_no_complement_basis(self, box, monkeypatch):
+        base, ys = box
+        f, r = base.basis.shape
+        factorized = []
+        original_qr = np.linalg.qr
+
+        def recorded(a, mode="reduced"):
+            result = original_qr(a, mode=mode)
+            factorized.append((mode, result[0].shape))
+            return result
+
+        monkeypatch.setattr(np.linalg, "qr", recorded)
+        gauge = build_gauge(base, ys)
+        charts_coincide_check(base, ys)
+        assert factorized
+        for mode, shape in factorized:
+            assert mode != "complete"
+            assert shape[1] not in (f - r, f)
+        assert max(gauge.condition_residuals) <= 1e-9
+
     def test_each_point_split_once(self, box, monkeypatch):
         base, ys = box
         calls = []
@@ -367,9 +399,9 @@ class TestConditionResidualBound:
                 split_y = split_by_image(y, 2, 2)
                 for value in (symmetric_wave_chart(split_y, base).full_matrix(),
                               random_complex(rng, 4, f)):
-                    dense = opnorm(y + value.conj().T @ base.spin_gram @ value)
+                    dense = opnorm(y + value.conj().T @ base.krein.gram @ value)
                     bound = condition_residual_bound(split_y, value,
-                                                     base.spin_gram)
+                                                     base.krein.gram)
                     assert dense <= bound * (1.0 + 1e-12)
 
     def test_tight_when_residual_lies_in_the_span(self):
@@ -381,6 +413,6 @@ class TestConditionResidualBound:
         h = random_complex(rng, 4, 4)
         shift = split_y.basis @ (h + h.conj().T) @ split_y.basis.conj().T
         shifted = split_by_image(y + shift, 2, 2)
-        dense = opnorm(shifted.operator + value.conj().T @ base.spin_gram @ value)
-        bound = condition_residual_bound(shifted, value, base.spin_gram)
+        dense = opnorm(shifted.operator + value.conj().T @ base.krein.gram @ value)
+        bound = condition_residual_bound(shifted, value, base.krein.gram)
         assert dense <= bound <= dense + 1e-12
