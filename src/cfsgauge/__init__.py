@@ -10,8 +10,7 @@ gauge cancels local phase transformations.
 """
 
 from .correlation import (ImageSplit, as_split, closed_chain, complement_basis,
-                          hermitize, kernel, kernel_krein_adjoint,
-                          local_correlation, reconstruct, spin_space,
+                          hermitize, kernel, local_correlation, spin_space,
                           split_by_image, wave_evaluation)
 from .closed_chain import (DualRouteResult, ExpansionReport, VectorKernel,
                            chain_eigenvalues, chain_from_vectors,
@@ -19,11 +18,9 @@ from .closed_chain import (DualRouteResult, ExpansionReport, VectorKernel,
                            spectral_inv_sqrt_kernel, spectral_projectors,
                            unitary_expansion, vector_kernel_from_matrix)
 from .dirac_box import (DiracBoxConfig, MomentumMode, SpacetimePoint,
-                        build_correlation_map, chi_spinors,
-                        evaluation_isometry, gamma_matrices,
-                        kernel_braket_sum, kernel_mode_sum, mode_count,
-                        mode_overlap, momentum_modes, momentum_points,
-                        plane_wave, sea_spinors, slash, wave_value_matrix)
+                        build_correlation_map, kernel_braket_sum,
+                        kernel_mode_sum, mode_count, momentum_modes,
+                        momentum_points, slash, wave_value_matrix)
 from .errors import (BranchCut, CfsGaugeError, ConfigError, DegenerateChain,
                      EmptyCutoff, InvalidSignature, MasslessNormalization,
                      NotDiagonalKernel, NotInvertible, NotRegular,
@@ -34,17 +31,14 @@ from .krein import (KreinSpace, SqrtResult, binomial_sqrt_series, opnorm,
                     polar, polar_decompose, sqrt_near_identity)
 from .manifold import (ChartCoordinates, GaussianReport, chart_forward,
                        chart_inverse, chart_jacobian_rank, chart_metric,
-                       gaussian_check, hs_distance, manifold_dim,
-                       riemannian_metric)
+                       gaussian_check, manifold_dim)
 from .perturbation import (BasisWaves, GaugeFunction, apply_local_phase,
-                           basis_waves, diagonal_kernel, gauged_basis,
-                           kernel_time_coefficient, mixed_kernel,
-                           perturbed_correlation, perturbed_symmetric_gauge)
+                           basis_waves, gauged_basis, kernel_time_coefficient,
+                           mixed_kernel, perturbed_symmetric_gauge)
 from .wave_charts import (CoincidenceReport, GaugeMap, WaveChartPoint,
                           build_gauge, charts_coincide_check,
                           condition_residual_bound, connecting_unitary,
-                          gauge_orbit_witness, gaussian_wave_map,
-                          identity_point, realize, symmetric_wave_chart,
-                          symmetrize)
+                          gauge_orbit_witness, gaussian_wave_map, realize,
+                          symmetric_wave_chart, symmetrize)
 
 __version__ = "0.1.0"

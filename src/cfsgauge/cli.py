@@ -134,9 +134,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not points:
         raise ConfigError("grid is empty", field="points")
 
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("expected integer", field="seed")
+    seed = _seed(raw.get("seed", 0))
 
     tolerances = dict(DEFAULT_TOLERANCES)
     overrides = raw.get("tolerances", {})
@@ -159,6 +157,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     return ExperimentConfig(box=box, points=tuple(points), seed=seed,
                             tolerances=tolerances, tasks=tuple(tasks))
+
+
+def _seed(value) -> int:
+    """A seed that numpy's default_rng accepts after every task offset."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ConfigError("expected non-negative integer", field="seed")
+    return value
 
 
 def _parse_points(raw, box: DiracBoxConfig):
@@ -509,7 +514,7 @@ def task_perturb(config: ExperimentConfig):
     for point in grid:
         w = wave_value_matrix(box, point)
         wt = pt.apply_local_phase(w, lam, point)
-        expected = np.exp(-1j * lam(point)) * pt.diagonal_kernel(w)
+        expected = np.exp(-1j * lam(point)) * pt.mixed_kernel(w, w)
         worst_mixed = max(worst_mixed, opnorm(pt.mixed_kernel(w, wt) - expected))
     entries.append(_entry("perturb", "mixed-kernel-phase-law",
                           "mixed-kernel-phase-law", worst_mixed,
@@ -667,7 +672,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         if args.seed is not None:
-            config = replace(config, seed=args.seed)
+            config = replace(config, seed=_seed(args.seed))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

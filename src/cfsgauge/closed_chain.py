@@ -29,6 +29,8 @@ from .krein import opnorm
 DEGENERACY_RTOL = 1e-8
 #: tolerance for deciding whether a complex number sits on the branch cut
 BRANCH_CUT_ATOL = 1e-12
+#: relative residual above which a matrix counts as not of vector form
+VECTOR_FORM_RTOL = 1e-10
 
 
 def multiset_distance(a, b) -> float:
@@ -62,13 +64,8 @@ class VectorKernel:
     def kernel_matrix(self) -> np.ndarray:
         return slash(self.real_vec) + 1j * slash(self.imag_vec)
 
-    def conjugate_kernel(self) -> np.ndarray:
-        """The reversed kernel slash(u) - i slash(z)."""
-        return slash(self.real_vec) - 1j * slash(self.imag_vec)
 
-
-def vector_kernel_from_matrix(m: np.ndarray,
-                              tol: float = 1e-10) -> VectorKernel:
+def vector_kernel_from_matrix(m: np.ndarray) -> VectorKernel:
     """Recover the unique (u, z) with m = slash(u) + i slash(z).
 
     Components follow from the trace pairing tr(m gamma^mu) / 4; raises
@@ -78,7 +75,7 @@ def vector_kernel_from_matrix(m: np.ndarray,
     w = np.array([np.trace(m @ g) / 4.0 for g in GAMMA])
     vk = VectorKernel(real_vec=w.real, imag_vec=w.imag)
     residual = opnorm(vk.kernel_matrix() - m)
-    if residual > tol * max(1.0, opnorm(m)):
+    if residual > VECTOR_FORM_RTOL * max(1.0, opnorm(m)):
         raise ValueError(
             f"matrix is not of vector form (residual {residual:.3g})"
         )

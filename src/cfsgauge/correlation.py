@@ -98,7 +98,7 @@ def _range_basis(x: np.ndarray, r: int):
     return frame, rows
 
 
-def _split_from_range(x: np.ndarray, p: int, q: int, tol_rank: float | None):
+def _split_from_range(x: np.ndarray, p: int, q: int):
     """Split x from a rank-(p+q) range basis, or None if not certified.
 
     With Q from ``_range_basis`` and B = Q^dag x Q, the residual
@@ -106,9 +106,9 @@ def _split_from_range(x: np.ndarray, p: int, q: int, tol_rank: float | None):
     the spectrum of Q B Q^dag (eig(B) and f - r zeros).  If rho is below the
     rank threshold and every |eig(B)| exceeds threshold + rho, then x has
     exactly r eigenvalues above the threshold in magnitude, with the signs of
-    eig(B), and the dense route would reach the same verdict.  Without a
-    given ``tol_rank`` the threshold scales with ||x||, known from max|eig(B)|
-    only to within rho, so both bounds take the unfavorable end.
+    eig(B), and the dense route would reach the same verdict.  The threshold
+    scales with ||x||, known from max|eig(B)| only to within rho, so both
+    bounds take the unfavorable end.
     """
     found = _range_basis(x, p + q)
     if found is None:
@@ -120,15 +120,11 @@ def _split_from_range(x: np.ndarray, p: int, q: int, tol_rank: float | None):
     rho = math.hypot(np.linalg.norm(x - frame @ rows),
                      np.linalg.norm(rows - b @ frame.conj().T))
     scale = float(np.max(np.abs(vals)))
-    if tol_rank is None:
-        tol_rank = TOL_RANK_FACTOR * max(scale, 1e-300)
-        tol_low = TOL_RANK_FACTOR * max(scale - rho, 1e-300)
-        tol_high = TOL_RANK_FACTOR * max(scale + rho, 1e-300)
-    else:
-        tol_low = tol_high = tol_rank
+    tol_low = TOL_RANK_FACTOR * max(scale - rho, 1e-300)
+    tol_high = TOL_RANK_FACTOR * max(scale + rho, 1e-300)
     if not (rho < tol_low and np.min(np.abs(vals)) > tol_high + rho):
         return None
-    _check_signature(vals, p, q, tol_rank)
+    _check_signature(vals, p, q, TOL_RANK_FACTOR * max(scale, 1e-300))
     basis = _fix_column_phases(frame @ vecs[:, ::-1])
     coeffs = frame.conj().T @ basis
     return ImageSplit(operator=x, basis=basis,
@@ -136,11 +132,10 @@ def _split_from_range(x: np.ndarray, p: int, q: int, tol_rank: float | None):
                       signature=(p, q))
 
 
-def _split_dense(x: np.ndarray, p: int, q: int, tol_rank: float | None):
+def _split_dense(x: np.ndarray, p: int, q: int):
     """Split x by a full f x f eigendecomposition."""
     vals, vecs = np.linalg.eigh(hermitize(x))
-    if tol_rank is None:
-        tol_rank = TOL_RANK_FACTOR * max(float(np.max(np.abs(vals))), 1e-300)
+    tol_rank = TOL_RANK_FACTOR * max(float(np.max(np.abs(vals))), 1e-300)
     keep = np.abs(vals) > tol_rank
     _check_signature(vals[keep], p, q, tol_rank)
     basis = _fix_column_phases(vecs[:, keep][:, ::-1])
@@ -158,41 +153,40 @@ def _check_signature(kept: np.ndarray, p: int, q: int, tol_rank: float):
         )
 
 
-def split_by_image(x: np.ndarray, p: int, q: int,
-                   tol_rank: float | None = None) -> ImageSplit:
+def split_by_image(x: np.ndarray, p: int, q: int) -> ImageSplit:
     """Eigen-split a Hermitian operator of expected signature (p, q).
 
     Raises NotRegular when the counts of eigenvalues above +tol / below -tol
     differ from (p, q); every other eigenvalue is discarded as numerically
-    zero.  The default threshold is ``TOL_RANK_FACTOR`` times ||x||.  The
+    zero.  The threshold is ``TOL_RANK_FACTOR`` times ||x||.  The
     image comes from an f x (p+q) range basis at O(f^2 (p+q)) cost; a full
     eigendecomposition runs only when its residual certificate cannot decide.
     """
     x = np.asarray(x, dtype=complex)
     split = None
     if 0 < p + q <= x.shape[0]:
-        split = _split_from_range(x, p, q, tol_rank)
-    return split if split is not None else _split_dense(x, p, q, tol_rank)
+        split = _split_from_range(x, p, q)
+    return split if split is not None else _split_dense(x, p, q)
 
 
-def as_split(x, p: int, q: int, tol_rank: float | None = None) -> ImageSplit:
+def as_split(x, p: int, q: int) -> ImageSplit:
     """The image split of an operator, or the given split itself."""
     if isinstance(x, ImageSplit):
         if x.signature != (p, q):
             raise NotRegular(f"expected signature ({p}, {q}), found "
                              f"{tuple(x.signature)}")
         return x
-    return split_by_image(x, p, q, tol_rank=tol_rank)
+    return split_by_image(x, p, q)
 
 
-def spin_space(x, n: int, tol_rank: float | None = None) -> ImageSplit:
+def spin_space(x, n: int) -> ImageSplit:
     """The spin space of a regular correlation operator, as its image split.
 
     ``x`` is the operator or its image split.  Raises NotRegular unless x
     has exactly n eigenvalues above +tol and n below -tol, the rest being
     numerically zero.
     """
-    return as_split(x, n, n, tol_rank=tol_rank)
+    return as_split(x, n, n)
 
 
 def local_correlation(wave_values: np.ndarray,
@@ -223,16 +217,6 @@ def kernel(sp_x: ImageSplit, sp_y: ImageSplit) -> np.ndarray:
     return sp_x.basis.conj().T @ sp_y.basis @ sp_y.restricted
 
 
-def kernel_krein_adjoint(p_xy: np.ndarray, sp_x: ImageSplit,
-                         sp_y: ImageSplit) -> np.ndarray:
-    """Adjoint of P(x, y) with respect to the two spin inner products.
-
-    Maps the spin space at x to the spin space at y; equals P(y, x) for
-    kernels of correlation operators.
-    """
-    return np.linalg.solve(sp_y.krein.gram, p_xy.conj().T @ sp_x.krein.gram)
-
-
 def closed_chain(sp_x: ImageSplit, sp_y: ImageSplit) -> np.ndarray:
     """Closed chain A_xy = P(x, y) P(y, x), an endomorphism of S_x.
 
@@ -240,9 +224,3 @@ def closed_chain(sp_x: ImageSplit, sp_y: ImageSplit) -> np.ndarray:
     not depend on the choice of spin bases.
     """
     return kernel(sp_x, sp_y) @ kernel(sp_y, sp_x)
-
-
-def reconstruct(sp: ImageSplit) -> np.ndarray:
-    """Rebuild x from its wave evaluation, Psi^dag X Psi."""
-    psi = wave_evaluation(sp)
-    return psi.conj().T @ sp.restricted @ psi

@@ -49,11 +49,6 @@ SPINOR_GRAM = GAMMA[0]
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
-def gamma_matrices():
-    """The four gamma matrices and the spinor Gram matrix gamma^0."""
-    return GAMMA, SPINOR_GRAM
-
-
 def slash(v) -> np.ndarray:
     """Contraction v_mu gamma^mu = v^0 gamma^0 - v . gamma_spatial (stackable)."""
     v = np.asarray(v)[..., None, None]
@@ -149,13 +144,8 @@ def _lattice_extent(cfg: DiracBoxConfig) -> tuple[float, float, int]:
 
 
 @functools.lru_cache(maxsize=8)
-def _sea_table(cfg: DiracBoxConfig) -> tuple[np.ndarray, ...]:
-    """Enumerate the lattice and solve every spinor, once per config.
-
-    Returns read-only arrays ``(n, k, omega, spin)``: the momenta in N rows,
-    in ``momentum_modes`` order, and 4 x 2N spinors whose column 2 i + a - 1
-    is the wave value of mode (i, a) at the origin.
-    """
+def _lattice(cfg: DiracBoxConfig) -> tuple[np.ndarray, ...]:
+    """Momenta (n, k, omega) of ``momentum_modes``, read-only; no spinors."""
     step, cutoff_sq, nmax = _lattice_extent(cfg)
     if cutoff_sq <= 0.0:
         raise EmptyCutoff("energy cutoff lies below the mass gap")
@@ -169,6 +159,15 @@ def _sea_table(cfg: DiracBoxConfig) -> tuple[np.ndarray, ...]:
     n, n_sq = n[keep][order], n_sq[keep][order]
     k = step * n
     omega = np.sqrt((step * step) * n_sq + cfg.m ** 2)
+    for array in (n, k, omega):
+        array.setflags(write=False)
+    return n, k, omega
+
+
+@functools.lru_cache(maxsize=8)
+def _sea_table(cfg: DiracBoxConfig) -> tuple[np.ndarray, ...]:
+    """``_lattice`` plus the 4 x 2N wave values at the origin, read-only."""
+    n, k, omega = _lattice(cfg)
     if cfg.m > 0.0:
         chi = _chi_table(k, omega, cfg.m)
         scale = np.sqrt(cfg.m / (math.pi * omega)) / (4.0 * cfg.L ** 1.5)
@@ -176,14 +175,13 @@ def _sea_table(cfg: DiracBoxConfig) -> tuple[np.ndarray, ...]:
         chi = _sea_spinor_table(k, omega, cfg.m)
         scale = np.ones_like(omega) / math.sqrt(2.0 * math.pi * (2.0 * cfg.L) ** 3)
     spin = (scale[:, None, None] * chi).transpose(1, 0, 2).reshape(4, -1)
-    for array in (n, k, omega, spin):
-        array.setflags(write=False)
+    spin.setflags(write=False)
     return n, k, omega, spin
 
 
 def mode_count(cfg: DiracBoxConfig) -> int:
-    """Number f of sea modes below the cutoff, from the cached table."""
-    return 2 * len(_sea_table(cfg)[2])
+    """Number f of sea modes below the cutoff; solves no spinor."""
+    return 2 * len(_lattice(cfg)[2])
 
 
 def momentum_modes(cfg: DiracBoxConfig) -> list[MomentumMode]:
@@ -194,7 +192,7 @@ def momentum_modes(cfg: DiracBoxConfig) -> list[MomentumMode]:
     excluded.  Ordering is lexicographic in (|k|^2, k1, k2, k3, a).  Raises
     EmptyCutoff when no mode satisfies the bound.
     """
-    n, k, omega, _ = _sea_table(cfg)
+    n, k, omega = _lattice(cfg)
     return [MomentumMode(n_vec=tuple(n_i), k_vec=tuple(k_i), omega=w, a=a)
             for n_i, k_i, w in zip(n.tolist(), k.tolist(), omega.tolist())
             for a in (1, 2)]
@@ -206,7 +204,7 @@ def momentum_points(cfg: DiracBoxConfig) -> list[MomentumMode]:
 
 
 def _chi_table(k: np.ndarray, omega: np.ndarray, m: float) -> np.ndarray:
-    """``chi_spinors`` for N stacked momenta at once, N x 4 x 2."""
+    """Sea spinors (kslash + m) e_{3,4}, spin-orthonormalized, N x 4 x 2."""
     if m <= 0.0:
         raise MasslessNormalization("spin normalization of the sea spinors "
                                     "degenerates at m = 0")
@@ -230,7 +228,7 @@ def _chi_table(k: np.ndarray, omega: np.ndarray, m: float) -> np.ndarray:
 
 
 def _sea_spinor_table(k: np.ndarray, omega: np.ndarray, m: float) -> np.ndarray:
-    """``sea_spinors`` for N stacked momenta, one batched eigh, N x 4 x 2."""
+    """Sea spinors for any m >= 0 from one batched eigh, N x 4 x 2."""
     k = k[..., None, None]
     hamiltonian = GAMMA[0] @ (k[:, 0] * GAMMA[1] + k[:, 1] * GAMMA[2]
                               + k[:, 2] * GAMMA[3]) + m * GAMMA[0]
@@ -238,41 +236,6 @@ def _sea_spinor_table(k: np.ndarray, omega: np.ndarray, m: float) -> np.ndarray:
     if not np.all(np.abs(vals[:, :2].T + omega) <= 1e-10 * (1.0 + omega)):
         raise ValueError("momentum-space Hamiltonian has unexpected spectrum")
     return _fix_column_phases(vecs[..., :2])
-
-
-def chi_spinors(mode: MomentumMode, m: float) -> np.ndarray:
-    """Pseudo-orthonormal momentum-space solutions for a sea mode (m > 0).
-
-    Columns chi_1, chi_2 solve (kslash - m) chi = 0 at k = (-omega, k_vec)
-    and satisfy <chi_a | chi_b> = -delta_ab in the spinor inner product.
-    Built by applying kslash + m to the constant spinors e_3, e_4 and
-    orthonormalizing in the spin inner product; deterministic in k.
-    """
-    return _chi_table(np.array([mode.k_vec]), np.array([mode.omega]), m)[0]
-
-
-def sea_spinors(mode: MomentumMode, m: float) -> np.ndarray:
-    """Euclidean-orthonormal negative-energy spinors, valid for any m >= 0.
-
-    Columns span the same solution space as ``chi_spinors`` but are
-    orthonormal in the plain C^4 product (eigenvectors of the momentum-space
-    Dirac Hamiltonian with eigenvalue -omega), which stays well defined in
-    the massless case where the spin normalization degenerates.
-    """
-    return _sea_spinor_table(np.array([mode.k_vec]), np.array([mode.omega]),
-                             m)[0]
-
-
-def plane_wave(mode: MomentumMode, point: SpacetimePoint,
-               cfg: DiracBoxConfig) -> np.ndarray:
-    """Value of the normalized sea plane wave at a spacetime point (m > 0).
-
-    sqrt(m / (pi omega)) / (4 L^{3/2}) * exp(-i k x) * chi_a with
-    k x = -omega t - k_vec . x_vec.
-    """
-    chi = chi_spinors(mode, cfg.m)[:, mode.a - 1]
-    c = math.sqrt(cfg.m / (math.pi * mode.omega)) / (4.0 * cfg.L ** 1.5)
-    return c * _phases(np.asarray(mode.k_vec), mode.omega, point) * chi
 
 
 def _phases(k: np.ndarray, omega, point: SpacetimePoint) -> np.ndarray:
@@ -317,7 +280,7 @@ def kernel_mode_sum(cfg: DiracBoxConfig, x: SpacetimePoint,
     bra/ket sum over the basis waves.  Linear in kslash, so it takes three
     contractions of the weights c_k: with omega, with k_vec, and their sum.
     """
-    _, k, omega, _ = _sea_table(cfg)
+    _, k, omega = _lattice(cfg)
     diff = SpacetimePoint(t=x.t - y.t, x_vec=tuple(np.subtract(x.x_vec, y.x_vec)))
     c = _phases(k, omega, diff) / (4.0 * math.pi * omega)
     total = (slash(np.concatenate([[-(c @ omega)], c @ k]))
@@ -330,30 +293,3 @@ def kernel_braket_sum(cfg: DiracBoxConfig, x: SpacetimePoint,
     """Two-point kernel as -sum over basis waves |psi(x)><psi(y)|."""
     wx, wy = wave_value_matrix(cfg, x), wave_value_matrix(cfg, y)
     return -(wx @ wy.conj().T @ SPINOR_GRAM)
-
-
-def mode_overlap(cfg: DiracBoxConfig, mode_i: MomentumMode,
-                 mode_j: MomentumMode) -> complex:
-    """Closed form of the solution scalar product of two basis waves.
-
-    2 pi integral over the box of psi_i^dag psi_j: zero unless the lattice
-    momenta agree (the spatial integral collapses), in which case the
-    exponentials cancel and only the spinor product survives.
-    """
-    if mode_i.n_vec != mode_j.n_vec:
-        return 0.0 + 0.0j
-    modes, spin = momentum_modes(cfg), _sea_table(cfg)[3]
-    i, j = modes.index(mode_i), modes.index(mode_j)
-    volume = (2.0 * cfg.L) ** 3
-    return complex(2.0 * math.pi * volume * np.vdot(spin[:, i], spin[:, j]))
-
-
-def evaluation_isometry(cfg: DiracBoxConfig, point: SpacetimePoint,
-                        sp) -> np.ndarray:
-    """Matrix of the evaluation map restricted to a spin space (4 x 2n).
-
-    Sends the recorded spin basis of ``sp`` (coefficient vectors over the
-    mode basis) to its wave values at ``point``; a Krein isometry from the
-    spin inner product onto the spinor inner product.
-    """
-    return wave_value_matrix(cfg, point) @ sp.basis

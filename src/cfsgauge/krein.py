@@ -75,22 +75,9 @@ class KreinSpace:
                 f"gram has signature ({p}, {q}), declared {tuple(self.signature)}"
             )
 
-    @classmethod
-    def from_gram(cls, gram: np.ndarray) -> "KreinSpace":
-        """Build a space from its Gram matrix, deriving the signature."""
-        g = np.asarray(gram, dtype=complex)
-        eigs = np.linalg.eigvalsh(0.5 * (g + g.conj().T))
-        p = int(np.sum(eigs > 0.0))
-        q = int(np.sum(eigs < 0.0))
-        return cls(gram=g, signature=(p, q))
-
     @property
     def dim(self) -> int:
         return self.gram.shape[0]
-
-    def inner(self, u: np.ndarray, v: np.ndarray) -> complex:
-        """Indefinite inner product of two vectors, u^dag G v."""
-        return complex(np.vdot(u, self.gram @ v))
 
     def adjoint(self, a: np.ndarray) -> np.ndarray:
         """Adjoint with respect to the indefinite product, G^{-1} A^dag G."""
@@ -103,11 +90,6 @@ class KreinSpace:
         """Whether U^dag G U = G within ``tol`` (operator norm)."""
         u = np.asarray(u, dtype=complex)
         return opnorm(u.conj().T @ self.gram @ u - self.gram) <= tol
-
-    def is_symmetric(self, s: np.ndarray, tol: float = TOL) -> bool:
-        """Whether S equals its indefinite adjoint within ``tol``."""
-        s = np.asarray(s, dtype=complex)
-        return opnorm(s - self.adjoint(s)) <= tol
 
 
 class SqrtResult(NamedTuple):

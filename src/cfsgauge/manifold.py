@@ -25,8 +25,12 @@ from .errors import InvalidSignature, SignatureLost, TooFarFromBase
 
 #: smallest singular value of the image-overlap block accepted by chart_inverse
 MIN_OVERLAP_SV = 0.5
+#: central-difference step of chart_jacobian_rank
+JACOBIAN_STEP = 1e-5
 #: singular values below this fraction of the largest count as zero rank
 JACOBIAN_RANK_RTOL = 1e-6
+#: base step of the Richardson extrapolation in gaussian_check
+RICHARDSON_STEP = 0.05
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,8 +78,7 @@ def chart_forward(coords: ChartCoordinates) -> np.ndarray:
     return hermitize(m)
 
 
-def chart_inverse(y, split: ImageSplit,
-                  tol_rank: float | None = None) -> ChartCoordinates:
+def chart_inverse(y, split: ImageSplit) -> ChartCoordinates:
     """Read off chart coordinates of an operator near the base point.
 
     ``y`` is the operator or its image split.  With the overlap O = V^dag V_y,
@@ -84,7 +87,7 @@ def chart_inverse(y, split: ImageSplit,
     TooFarFromBase is raised.
     """
     p, q = split.signature
-    split_y = as_split(y, p, q, tol_rank=tol_rank)
+    split_y = as_split(y, p, q)
     overlap = split.basis.conj().T @ split_y.basis
     smallest = np.linalg.svd(overlap, compute_uv=False)[-1]
     if smallest < MIN_OVERLAP_SV:
@@ -99,23 +102,12 @@ def chart_inverse(y, split: ImageSplit,
     return ChartCoordinates(a=a, b=b, split=split)
 
 
-def hs_distance(x: np.ndarray, y: np.ndarray) -> float:
-    """Hilbert-Schmidt distance sqrt(tr((x - y)^2)) of Hermitian operators."""
-    return float(np.linalg.norm(np.asarray(x) - np.asarray(y), "fro"))
-
-
-def riemannian_metric(u: np.ndarray, v: np.ndarray) -> float:
-    """Metric tr(u v) on Hermitian tangent matrices."""
-    return float(np.real(np.trace(np.asarray(u) @ np.asarray(v))))
-
-
-def chart_jacobian_rank(split: ImageSplit, step: float = 1e-5,
-                        rtol: float = JACOBIAN_RANK_RTOL) -> int:
+def chart_jacobian_rank(split: ImageSplit) -> int:
     """Numeric rank of the chart differential at the origin.
 
     Central finite differences over a real parameter basis of (a, b), b along
-    a complement basis; the rank counts singular values above ``rtol`` times
-    the largest one.
+    a complement basis; the rank counts singular values above
+    ``JACOBIAN_RANK_RTOL`` times the largest one.
     """
     r = split.rank
     complement = complement_basis(split).conj().T
@@ -145,6 +137,7 @@ def chart_jacobian_rank(split: ImageSplit, step: float = 1e-5,
                 directions.append((zero_a, e))
 
     columns = []
+    step = JACOBIAN_STEP
     for da, db in directions:
         plus = chart_forward(ChartCoordinates(a=step * da, b=step * db, split=split))
         minus = chart_forward(ChartCoordinates(a=-step * da, b=-step * db, split=split))
@@ -152,7 +145,7 @@ def chart_jacobian_rank(split: ImageSplit, step: float = 1e-5,
         columns.append(np.concatenate([diff.real.ravel(), diff.imag.ravel()]))
     jac = np.column_stack(columns)
     sv = np.linalg.svd(jac, compute_uv=False)
-    return int(np.sum(sv > rtol * sv[0]))
+    return int(np.sum(sv > JACOBIAN_RANK_RTOL * sv[0]))
 
 
 @dataclass(frozen=True)
@@ -190,8 +183,7 @@ def _squared_chart_distance(split: ImageSplit, a1, b1, a2, b2, t: float) -> floa
 
 
 def gaussian_check(split: ImageSplit, a1, b1, a2, b2,
-                   t_list=(0.1, 0.05, 0.025),
-                   t_richardson: float = 0.05) -> GaussianReport:
+                   t_list=(0.1, 0.05, 0.025)) -> GaussianReport:
     """Measure the quadratic coefficient and quartic residual of D(t).
 
     The measured c2 comes from Richardson extrapolation of the even part of
@@ -211,7 +203,7 @@ def gaussian_check(split: ImageSplit, a1, b1, a2, b2,
         dm = _squared_chart_distance(split, a1, b1, a2, b2, -t)
         return (dp + dm) / (2.0 * t * t)
 
-    t0 = t_richardson
+    t0 = RICHARDSON_STEP
     # D(t)/t^2 even in t: two Richardson stages kill the t^2 and t^4 terms.
     e0, e1, e2 = even_part(t0), even_part(t0 / 2), even_part(t0 / 4)
     r1a = (4.0 * e1 - e0) / 3.0

@@ -64,38 +64,27 @@ def apply_local_phase(waves: np.ndarray, gauge_fn: GaugeFunction,
     return np.exp(1j * gauge_fn(point)) * np.asarray(waves, dtype=complex)
 
 
-def perturbed_correlation(perturbed_waves: np.ndarray) -> np.ndarray:
-    """Correlation operator of the perturbed wave values (phases cancel)."""
-    return local_correlation(perturbed_waves, SPINOR_GRAM)
-
-
-def diagonal_kernel(waves: np.ndarray) -> np.ndarray:
-    """P(x, x) = -Psi(x) Psi(x)* from the wave values at x."""
-    w = np.asarray(waves, dtype=complex)
-    return -(w @ w.conj().T @ SPINOR_GRAM)
-
-
 def mixed_kernel(waves: np.ndarray, perturbed_waves: np.ndarray) -> np.ndarray:
     """Kernel with only the second factor perturbed, -Psi(x) Psi~(x)*.
 
-    For a pure gauge perturbation this equals exp(-i Lambda(x)) P(x, x).
+    For a pure gauge perturbation this equals exp(-i Lambda(x)) P(x, x);
+    ``mixed_kernel(w, w)`` is the diagonal kernel P(x, x) itself.
     """
     w = np.asarray(waves, dtype=complex)
     wt = np.asarray(perturbed_waves, dtype=complex)
     return -(w @ wt.conj().T @ SPINOR_GRAM)
 
 
-def kernel_time_coefficient(diag: np.ndarray,
-                            rtol: float = DIAGONAL_KERNEL_RTOL) -> float:
+def kernel_time_coefficient(diag: np.ndarray) -> float:
     """Coefficient alpha of a diagonal kernel of the form alpha gamma^0.
 
     Raises NotDiagonalKernel when the non-gamma^0 components exceed
-    ``rtol`` times |alpha|.
+    ``DIAGONAL_KERNEL_RTOL`` times |alpha|.
     """
     diag = np.asarray(diag, dtype=complex)
     alpha = float(np.real(np.trace(SPINOR_GRAM @ diag)) / 4.0)
     residual = opnorm(diag - alpha * SPINOR_GRAM)
-    if residual > rtol * abs(alpha):
+    if residual > DIAGONAL_KERNEL_RTOL * abs(alpha):
         raise NotDiagonalKernel(
             f"P(x, x) deviates from alpha gamma^0 by {residual:.3g} "
             f"(|alpha| = {abs(alpha):.3g})"
@@ -108,7 +97,7 @@ def _gauge_factor(waves, perturbed_waves, unitary):
 
     T* = P(F~(x), x) / |alpha|, so T T* is the mixed closed chain / alpha^2.
     """
-    alpha = kernel_time_coefficient(diagonal_kernel(waves))
+    alpha = kernel_time_coefficient(mixed_kernel(waves, waves))
     scale = abs(alpha)
     u, root = polar(mixed_kernel(waves, perturbed_waves) / scale,
                     mixed_kernel(perturbed_waves, waves) / scale, SPINOR_KREIN)
@@ -163,7 +152,7 @@ def basis_waves(cfg: DiracBoxConfig, point: SpacetimePoint,
     u_a(y) = P(y, x) chi_a is verified to ``tol``.
     """
     waves = wave_value_matrix(cfg, point)
-    alpha = kernel_time_coefficient(diagonal_kernel(waves))
+    alpha = kernel_time_coefficient(mixed_kernel(waves, waves))
     correlation = local_correlation(waves, SPINOR_GRAM)
     sp = spin_space(correlation, 2)
     coeffs = sp.basis

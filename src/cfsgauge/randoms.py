@@ -12,9 +12,15 @@ import numpy as np
 from scipy.linalg import expm
 
 from .correlation import complement_basis, hermitize
+from .dirac_box import SpacetimePoint
 from .krein import KreinSpace
 from .manifold import ChartCoordinates
 from .perturbation import GaugeFunction
+
+#: range of the eigenvalue moduli of random Gram and correlation operators
+SPREAD = (0.5, 2.0)
+#: term count, amplitude scale and lattice-mode bound of random gauge functions
+GAUGE_TERMS, GAUGE_AMPLITUDE, GAUGE_MAX_MODE = 3, 0.5, 2
 
 
 def random_complex(rng: np.random.Generator, *shape) -> np.ndarray:
@@ -34,22 +40,20 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_gram(rng: np.random.Generator, p: int, q: int,
-                spread=(0.5, 2.0)) -> np.ndarray:
+def random_gram(rng: np.random.Generator, p: int, q: int) -> np.ndarray:
     """Random invertible Hermitian Gram matrix of signature (p, q)."""
     dim = p + q
     u = random_unitary(rng, dim)
-    vals = np.concatenate([rng.uniform(*spread, size=p),
-                           -rng.uniform(*spread, size=q)])
+    vals = np.concatenate([rng.uniform(*SPREAD, size=p),
+                           -rng.uniform(*SPREAD, size=q)])
     return hermitize((u * vals) @ u.conj().T)
 
 
-def random_correlation(rng: np.random.Generator, f: int, n: int,
-                       spread=(0.5, 2.0)) -> np.ndarray:
+def random_correlation(rng: np.random.Generator, f: int, n: int) -> np.ndarray:
     """Random regular correlation operator: rank 2n, signature (n, n)."""
     basis, _ = np.linalg.qr(random_complex(rng, f, 2 * n))
-    vals = np.concatenate([np.sort(rng.uniform(*spread, size=n))[::-1],
-                           -np.sort(rng.uniform(*spread, size=n))])
+    vals = np.concatenate([np.sort(rng.uniform(*SPREAD, size=n))[::-1],
+                           -np.sort(rng.uniform(*SPREAD, size=n))])
     return hermitize((basis * vals) @ basis.conj().T)
 
 
@@ -97,14 +101,13 @@ def random_direction_pair(rng: np.random.Generator, split):
     return one(), one()
 
 
-def random_gauge_function(rng: np.random.Generator, L: float,
-                          n_terms: int = 3, amplitude: float = 0.5,
-                          max_mode: int = 2) -> GaugeFunction:
+def random_gauge_function(rng: np.random.Generator, L: float) -> GaugeFunction:
     """Random real Fourier gauge function on the box lattice."""
     terms = []
-    for _ in range(n_terms):
-        amp = amplitude * rng.standard_normal()
-        n_vec = tuple(int(v) for v in rng.integers(-max_mode, max_mode + 1, size=3))
+    for _ in range(GAUGE_TERMS):
+        amp = GAUGE_AMPLITUDE * rng.standard_normal()
+        n_vec = tuple(int(v) for v in rng.integers(-GAUGE_MAX_MODE,
+                                                   GAUGE_MAX_MODE + 1, size=3))
         omega = rng.standard_normal()
         phase = rng.uniform(0.0, 2.0 * np.pi)
         terms.append((amp, n_vec, omega, phase))
@@ -114,8 +117,6 @@ def random_gauge_function(rng: np.random.Generator, L: float,
 def random_box_point(rng: np.random.Generator, L: float,
                      t_spread: float = 1.0):
     """Random spacetime point inside the box."""
-    from .dirac_box import SpacetimePoint
-
     t = float(rng.uniform(-t_spread, t_spread))
     x = tuple(float(c) for c in rng.uniform(-L, L, size=3))
     return SpacetimePoint.in_box(t, x, L)

@@ -67,13 +67,6 @@ class WaveChartPoint:
                    base=base)
 
 
-def identity_point(base: ImageSplit) -> WaveChartPoint:
-    """The wave coordinates of the base point itself, (1, 0)."""
-    return WaveChartPoint(on_image=np.eye(base.rank, dtype=complex),
-                          on_complement=np.zeros_like(base.basis.T),
-                          base=base)
-
-
 def realize(psi: WaveChartPoint) -> np.ndarray:
     """Realization map psi -> -psi* psi, a Hermitian operator on H.
 
@@ -84,13 +77,12 @@ def realize(psi: WaveChartPoint) -> np.ndarray:
     return hermitize(full.conj().T @ psi.base.restricted @ full)
 
 
-def gauge_orbit_witness(psi: WaveChartPoint, psi_tilde: WaveChartPoint,
-                        tol: float = ORBIT_TOL):
+def gauge_orbit_witness(psi: WaveChartPoint, psi_tilde: WaveChartPoint):
     """Unitary connecting two wave-coordinate points on the same orbit.
 
     If both points realize the same operator, returns the spin-space unitary
-    U with psi_tilde = U psi (verified on both components); returns None when
-    the realizations differ or no such unitary exists within tolerance.
+    U with psi_tilde = U psi (verified on both components to ``ORBIT_TOL``);
+    returns None when the realizations differ or no such unitary exists.
     Raises NotInvertible when the on-image component cannot be inverted.
     """
     sv = np.linalg.svd(psi.on_image, compute_uv=False)
@@ -98,13 +90,13 @@ def gauge_orbit_witness(psi: WaveChartPoint, psi_tilde: WaveChartPoint,
         raise NotInvertible("on-image component is singular")
     r1 = realize(psi)
     r2 = realize(psi_tilde)
-    scale = max(1.0, opnorm(r1))
-    if opnorm(r1 - r2) > tol * scale:
+    tol = ORBIT_TOL * max(1.0, opnorm(r1))
+    if opnorm(r1 - r2) > tol:
         return None
     u = psi_tilde.on_image @ np.linalg.inv(psi.on_image)
-    if not psi.base.krein.is_unitary(u, tol * max(1.0, opnorm(u) ** 2)):
+    if not psi.base.krein.is_unitary(u, ORBIT_TOL * max(1.0, opnorm(u) ** 2)):
         return None
-    if opnorm(psi_tilde.on_complement - u @ psi.on_complement) > tol * scale:
+    if opnorm(psi_tilde.on_complement - u @ psi.on_complement) > tol:
         return None
     return u
 

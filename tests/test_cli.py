@@ -8,9 +8,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cfsgauge import cli
-from cfsgauge.cli import (DEFAULT_TOLERANCES, load_config, main,
+from cfsgauge.cli import (DEFAULT_TOLERANCES, KNOWN_TASKS, load_config, main,
                           parse_config, run_experiment)
 from cfsgauge.dirac_box import mode_count
 from cfsgauge.errors import ConfigError
@@ -141,6 +143,12 @@ class TestConfigParsing:
             parse_config(raw)
         assert info.value.field == "points"
 
+    @pytest.mark.parametrize("seed", [-3, -1])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ConfigError) as info:
+            parse_config(dict(BASE_CONFIG, seed=seed))
+        assert info.value.field == "seed"
+
     def test_tolerance_override_applies(self):
         raw = dict(BASE_CONFIG)
         raw["tolerances"] = {"coincidence": 1e-6}
@@ -148,6 +156,53 @@ class TestConfigParsing:
         assert config.tolerances["coincidence"] == 1e-6
         assert (config.tolerances["chart_roundtrip"]
                 == DEFAULT_TOLERANCES["chart_roundtrip"])
+
+
+# any JSON value, including the NaN and Infinity tokens json.loads accepts;
+# strings come from the config's own keys, so objects can nest as a config
+CONFIG_KEYS = st.sampled_from(["box", "L", "eps", "m", "points", "nt", "nx",
+                               "t_range", "seed", "tasks", "tolerances", ""])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | CONFIG_KEYS,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(CONFIG_KEYS, inner, max_size=3)),
+    max_leaves=8)
+
+# a valid box with every other field fuzzed or left out
+BOXED_CONFIGS = st.fixed_dictionaries(
+    {"box": st.just({"L": math.pi, "eps": 0.4, "m": 0.0})},
+    optional={
+        "points": JSON_VALUES | st.lists(
+            st.lists(st.integers() | st.floats(), min_size=4, max_size=4),
+            max_size=3),
+        "seed": st.integers() | JSON_VALUES,
+        "tasks": JSON_VALUES | st.lists(
+            st.sampled_from(KNOWN_TASKS + ("nonsense",)), max_size=3),
+        "tolerances": JSON_VALUES | st.dictionaries(
+            st.sampled_from(sorted(DEFAULT_TOLERANCES) + ["no_such"]),
+            st.floats() | JSON_VALUES, max_size=3),
+    })
+
+
+class TestConfigBoundary:
+    """parse_config rejects with ConfigError or returns a usable config."""
+
+    @staticmethod
+    def check(raw):
+        try:
+            config = parse_config(raw)
+        except ConfigError:
+            return
+        for offset in range(4):   # the tasks seed seed + 0 ... seed + 3
+            np.random.default_rng(config.seed + offset)
+
+    @given(JSON_VALUES)
+    def test_arbitrary_documents(self, raw):
+        self.check(raw)
+
+    @given(BOXED_CONFIGS)
+    def test_fuzzed_fields_around_a_valid_box(self, raw):
+        self.check(raw)
 
 
 class TestRunReports:
@@ -325,6 +380,17 @@ class TestExitCodes:
         assert "box.L" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_negative_seed_exits_2_on_both_routes(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        in_config = write_config(tmp_path, {"seed": -3}, name="negative.json")
+        routes = (["run", str(in_config)],
+                  ["run", str(write_config(tmp_path)), "--seed", "-3"])
+        for argv in routes:
+            assert main([*argv, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "seed" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "out")]) == 2
@@ -338,6 +404,11 @@ class TestExitCodes:
         assert main(["modes", str(math.pi), "0.4", "1.0"]) == 0
         assert capsys.readouterr().out.strip() == "114"
         assert main(["modes", str(math.pi), "2.0", "1.0"]) == 2
+
+    def test_modes_at_vanishing_spin_normalization(self, capsys):
+        # counting modes solves no spinor, so m = 1e-16 counts like m = 0
+        assert main(["modes", "3.14159", "0.4", "1e-16"]) == 0
+        assert capsys.readouterr().out.strip() == "162"
 
     @pytest.mark.parametrize("args", [("1", "1e200", "0"),
                                       ("1", "0.4", "1e200"),

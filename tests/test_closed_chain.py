@@ -50,7 +50,9 @@ class TestChainAssembly:
         rng = np.random.default_rng(0)
         for _ in range(20):
             vk = VectorKernel(rng.standard_normal(4), rng.standard_normal(4))
-            product = vk.kernel_matrix() @ vk.conjugate_kernel()
+            # the reversed kernel is slash(u) - i slash(z)
+            reversed_kernel = slash(vk.real_vec) - 1j * slash(vk.imag_vec)
+            product = vk.kernel_matrix() @ reversed_kernel
             assert opnorm(chain_from_vectors(vk) - product) <= 1e-12
 
 

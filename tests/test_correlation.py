@@ -8,14 +8,14 @@ from conftest import multiset_distance
 
 from cfsgauge import correlation
 from cfsgauge.correlation import (closed_chain, complement_basis, kernel,
-                                  kernel_krein_adjoint, local_correlation,
-                                  reconstruct, spin_space, split_by_image,
-                                  wave_evaluation)
+                                  local_correlation, spin_space,
+                                  split_by_image, wave_evaluation)
 from cfsgauge.dirac_box import DiracBoxConfig, build_correlation_map
 from cfsgauge.errors import NotRegular
 from cfsgauge.krein import opnorm
 from cfsgauge.randoms import (random_complex, random_correlation,
                               random_krein_unitary)
+from cfsgauge.wave_charts import WaveChartPoint, realize
 
 
 def diag_operator(values, f):
@@ -218,7 +218,9 @@ class TestWaveEvaluation:
         for _ in range(100):
             x = random_correlation(rng, f, n)
             sp = spin_space(x, n)
-            assert opnorm(reconstruct(sp) - x) <= 1e-10
+            # the base point's own wave coordinates Psi realize Psi^dag X Psi
+            own = WaveChartPoint.from_full(wave_evaluation(sp), sp)
+            assert opnorm(realize(own) - x) <= 1e-10
 
 
 class TestKernel:
@@ -244,9 +246,10 @@ class TestKernel:
             sp_x = spin_space(random_correlation(rng, 8, 2), 2)
             sp_y = spin_space(random_correlation(rng, 8, 2), 2)
             p_xy = kernel(sp_x, sp_y)
-            np.testing.assert_allclose(
-                kernel(sp_y, sp_x), kernel_krein_adjoint(p_xy, sp_x, sp_y),
-                atol=1e-10)
+            # adjoint across the spin inner products: G_y^{-1} P^dag G_x
+            adjoint = np.linalg.solve(sp_y.krein.gram,
+                                      p_xy.conj().T @ sp_x.krein.gram)
+            np.testing.assert_allclose(kernel(sp_y, sp_x), adjoint, atol=1e-10)
 
     @pytest.mark.parametrize("m", [0.0, 0.3])
     def test_factor_kernel_matches_dense_on_box(self, m):

@@ -8,13 +8,11 @@ import pytest
 
 from cfsgauge.correlation import kernel, spin_space
 from cfsgauge.dirac_box import (ETA, GAMMA, MAX_L, MAX_MODES, SPINOR_GRAM,
-                                DiracBoxConfig, SpacetimePoint, _sea_table,
-                                build_correlation_map, chi_spinors,
-                                evaluation_isometry, gamma_matrices,
-                                kernel_braket_sum, kernel_mode_sum,
-                                mode_count, mode_overlap, momentum_modes,
-                                momentum_points, plane_wave, sea_spinors,
-                                slash, wave_value_matrix)
+                                DiracBoxConfig, SpacetimePoint, _chi_table,
+                                _lattice, _sea_spinor_table, _sea_table,
+                                build_correlation_map, kernel_braket_sum,
+                                kernel_mode_sum, mode_count, momentum_modes,
+                                momentum_points, slash, wave_value_matrix)
 from cfsgauge.errors import (EmptyCutoff, MasslessNormalization, TooFewModes,
                              TooManyModes)
 from cfsgauge.krein import opnorm
@@ -40,11 +38,17 @@ def brute_force_mode_count(cfg) -> int:
     return 2 * count
 
 
+def table_spinors(cfg):
+    """The 4 x 2 spinor block of each momentum in the sea table, unscaled."""
+    _, _, omega, spin = _sea_table(cfg)
+    return [spin[:, 2 * i:2 * i + 2] / reference_scale(cfg, w)
+            for i, w in enumerate(omega.tolist())]
+
+
 class TestGammaMatrices:
     def test_clifford_relations(self):
-        gammas, _ = gamma_matrices()
         for i, j in itertools.product(range(4), repeat=2):
-            anti = gammas[i] @ gammas[j] + gammas[j] @ gammas[i]
+            anti = GAMMA[i] @ GAMMA[j] + GAMMA[j] @ GAMMA[i]
             np.testing.assert_allclose(anti, 2.0 * ETA[i, j] * np.eye(4),
                                        atol=1e-14)
 
@@ -112,8 +116,8 @@ class TestMomentumModes:
 
 class TestChiSpinors:
     def test_rest_frame(self):
-        mode = [m for m in momentum_modes(CFG) if m.n_vec == (0, 0, 0)][0]
-        chi = chi_spinors(mode, CFG.m)
+        rest = [m.n_vec for m in momentum_points(CFG)].index((0, 0, 0))
+        chi = table_spinors(CFG)[rest]
         # spans the -1 eigenspace of gamma^0 and has spin norm -1
         np.testing.assert_allclose(GAMMA[0] @ chi, -chi, atol=1e-12)
         for a in range(2):
@@ -121,29 +125,26 @@ class TestChiSpinors:
             np.testing.assert_allclose(val, -1.0, atol=1e-12)
 
     def test_pseudo_orthonormality_all_modes(self):
-        for mode in momentum_points(CFG):
-            chi = chi_spinors(mode, CFG.m)
+        for chi in table_spinors(CFG):
             gram = chi.conj().T @ SPINOR_GRAM @ chi
             np.testing.assert_allclose(gram, -np.eye(2), atol=1e-12)
 
     def test_momentum_space_dirac_equation(self):
-        for mode in momentum_points(CFG)[:10]:
-            chi = chi_spinors(mode, CFG.m)
+        for mode, chi in zip(momentum_points(CFG)[:10], table_spinors(CFG)):
             residual = (slash(mode.four_momentum) - CFG.m * np.eye(4)) @ chi
             assert opnorm(residual) <= 1e-12
 
     def test_projector_identity(self):
-        for mode in momentum_points(CFG)[:10]:
-            chi = chi_spinors(mode, CFG.m)
+        for mode, chi in zip(momentum_points(CFG)[:10], table_spinors(CFG)):
             projector = -sum(np.outer(chi[:, a], (SPINOR_GRAM @ chi[:, a]).conj())
                              for a in range(2))
             expected = (slash(mode.four_momentum) + CFG.m * np.eye(4)) / (2 * CFG.m)
             np.testing.assert_allclose(projector, expected, atol=1e-12)
 
     def test_massless_rejected(self):
-        mode = momentum_points(CFG_MASSLESS)[0]
+        _, k, omega = _lattice(CFG_MASSLESS)
         with pytest.raises(MasslessNormalization):
-            chi_spinors(mode, 0.0)
+            _chi_table(k[:1], omega[:1], 0.0)
 
     def test_vanishing_normalization_rejected(self):
         # at m = 1e-16 the spin norm of most seeds rounds to zero
@@ -159,8 +160,9 @@ class TestChiSpinors:
 class TestSeaSpinors:
     def test_orthonormal_and_solve_dirac(self):
         for cfg in (CFG, CFG_MASSLESS):
-            for mode in momentum_points(cfg)[:8]:
-                chi = sea_spinors(mode, cfg.m)
+            _, k, omega = _lattice(cfg)
+            sea = _sea_spinor_table(k[:8], omega[:8], cfg.m)
+            for mode, chi in zip(momentum_points(cfg), sea):
                 np.testing.assert_allclose(chi.conj().T @ chi, np.eye(2),
                                            atol=1e-12)
                 residual = (slash(mode.four_momentum)
@@ -168,9 +170,9 @@ class TestSeaSpinors:
                 assert opnorm(residual) <= 1e-10
 
     def test_same_span_as_chi(self):
-        for mode in momentum_points(CFG)[:5]:
-            chi = chi_spinors(mode, CFG.m)
-            sea = sea_spinors(mode, CFG.m)
+        _, k, omega = _lattice(CFG)
+        seas = _sea_spinor_table(k[:5], omega[:5], CFG.m)
+        for chi, sea in zip(table_spinors(CFG), seas):
             # projection of each sea column onto span(chi) has full norm
             q, _ = np.linalg.qr(chi)
             proj = q @ (q.conj().T @ sea)
@@ -179,27 +181,31 @@ class TestSeaSpinors:
 
 class TestPlaneWaves:
     def test_spatial_periodicity(self):
-        mode = momentum_modes(CFG)[7]
         p1 = SpacetimePoint(t=0.3, x_vec=(0.2, -0.4, 1.0))
         p2 = SpacetimePoint(t=0.3, x_vec=(0.2 + 2 * CFG.L, -0.4, 1.0))
-        np.testing.assert_allclose(plane_wave(mode, p1, CFG),
-                                   plane_wave(mode, p2, CFG), atol=1e-12)
+        np.testing.assert_allclose(wave_value_matrix(CFG, p1)[:, 7],
+                                   wave_value_matrix(CFG, p2)[:, 7],
+                                   atol=1e-12)
 
     def test_phase_evolution(self):
         mode = momentum_modes(CFG)[5]
         x = (0.1, 0.2, 0.3)
         t = 0.7
-        at_zero = plane_wave(mode, SpacetimePoint(t=0.0, x_vec=x), CFG)
-        at_t = plane_wave(mode, SpacetimePoint(t=t, x_vec=x), CFG)
+        at_zero = wave_value_matrix(CFG, SpacetimePoint(t=0.0, x_vec=x))[:, 5]
+        at_t = wave_value_matrix(CFG, SpacetimePoint(t=t, x_vec=x))[:, 5]
         np.testing.assert_allclose(at_t, np.exp(1j * mode.omega * t) * at_zero,
                                    atol=1e-12)
 
     def test_orthonormality_closed_form(self):
-        modes = momentum_modes(CFG_SMALL)
-        for i, j in itertools.product(range(len(modes)), repeat=2):
-            overlap = mode_overlap(CFG_SMALL, modes[i], modes[j])
-            expected = 1.0 if i == j else 0.0
-            assert abs(overlap - expected) <= 1e-10
+        # the box integral of psi_i^dag psi_j vanishes across momenta and
+        # leaves 2 pi (2L)^3 S_n^dag S_n on the spinor block S_n of a momentum
+        cfg = CFG_SMALL
+        spin = _sea_table(cfg)[3]
+        volume = (2.0 * cfg.L) ** 3
+        for i in range(len(momentum_points(cfg))):
+            block = spin[:, 2 * i:2 * i + 2]
+            overlap = 2.0 * math.pi * volume * (block.conj().T @ block)
+            assert np.max(np.abs(overlap - np.eye(2))) <= 1e-10
 
     def test_orthonormality_riemann_quadrature(self):
         # uniform spatial grid sums trig polynomials exactly below Nyquist
@@ -209,17 +215,15 @@ class TestPlaneWaves:
         n_grid = 2 * (2 * max_index) + 1
         axis = -cfg.L + 2 * cfg.L * np.arange(n_grid) / n_grid
         t = 0.37
+        spin = _sea_table(cfg)[3]
         values = []
-        for mode in modes:
-            vals = np.empty((n_grid, n_grid, n_grid, 4), dtype=complex)
-            chi = chi_spinors(mode, cfg.m)[:, mode.a - 1]
-            c = math.sqrt(cfg.m / (math.pi * mode.omega)) / (4.0 * cfg.L ** 1.5)
+        for mode, at_origin in zip(modes, spin.T):
             kx = np.exp(1j * mode.k_vec[0] * axis)
             ky = np.exp(1j * mode.k_vec[1] * axis)
             kz = np.exp(1j * mode.k_vec[2] * axis)
             phase = (np.exp(1j * mode.omega * t)
                      * kx[:, None, None] * ky[None, :, None] * kz[None, None, :])
-            vals = phase[..., None] * (c * chi)[None, None, None, :]
+            vals = phase[..., None] * at_origin[None, None, None, :]
             values.append(vals)
         weight = (2 * cfg.L / n_grid) ** 3
         for i in (0, 3, 7):
@@ -318,8 +322,8 @@ class TestSpinSpinorIdentification:
         ops = build_correlation_map(cfg, [x, y])
         sp_x = spin_space(ops[0], 2)
         sp_y = spin_space(ops[1], 2)
-        e_x = evaluation_isometry(cfg, x, sp_x)
-        e_y = evaluation_isometry(cfg, y, sp_y)
+        e_x = wave_value_matrix(cfg, x) @ sp_x.basis
+        e_y = wave_value_matrix(cfg, y) @ sp_y.basis
         # Krein isometry: pulls the spinor product back to the spin product
         np.testing.assert_allclose(e_x.conj().T @ SPINOR_GRAM @ e_x,
                                    sp_x.krein.gram, atol=1e-10)
@@ -420,13 +424,9 @@ class TestSeaTableParity:
         spin = _sea_table(cfg)[3]
         for i, mode in enumerate(momentum_points(cfg)):
             reference = reference_spinors(mode.k_vec, mode.omega, cfg.m)
-            per_mode = (chi_spinors(mode, cfg.m) if cfg.m > 0.0
-                        else sea_spinors(mode, cfg.m))
-            np.testing.assert_allclose(per_mode, reference, rtol=0,
-                                       atol=1e-14)
             np.testing.assert_allclose(
                 spin[:, 2 * i:2 * i + 2],
-                reference_scale(cfg, mode.omega) * per_mode, rtol=0,
+                reference_scale(cfg, mode.omega) * reference, rtol=0,
                 atol=1e-14 * reference_scale(cfg, mode.omega))
 
     def test_wave_values_match_per_mode_loop(self, cfg):
@@ -453,6 +453,13 @@ class TestSeaTableCache:
         build_correlation_map(cfg, PARITY_POINTS[:1])
         momentum_modes(cfg)
         assert decompositions == []
+
+    def test_mode_count_solves_no_spinor(self):
+        # at m = 1e-16 the spin normalization vanishes, the count does not
+        cfg = DiracBoxConfig(L=3.14159, eps=0.4, m=1e-16)
+        _sea_table.cache_clear()
+        assert mode_count(cfg) == len(momentum_modes(cfg)) == 162
+        assert _sea_table.cache_info().currsize == 0
 
     def test_cached_arrays_are_read_only(self):
         table = _sea_table(PARITY_CONFIGS[1])

@@ -8,11 +8,9 @@ from cfsgauge.errors import InvalidSignature, SignatureLost, TooFarFromBase
 from cfsgauge.krein import opnorm
 from cfsgauge.manifold import (ChartCoordinates, chart_forward, chart_inverse,
                                chart_jacobian_rank, chart_metric,
-                               gaussian_check, hs_distance, manifold_dim,
-                               riemannian_metric)
+                               gaussian_check, manifold_dim)
 from cfsgauge.randoms import (random_chart_coords, random_complex,
-                              random_correlation, random_direction_pair,
-                              random_hermitian)
+                              random_direction_pair, random_hermitian)
 
 
 def random_split(rng, f, p, q):
@@ -130,37 +128,6 @@ class TestJacobianRank:
         rng = np.random.default_rng(1000 + f)
         split = random_split(rng, f, p, q)
         assert chart_jacobian_rank(split) == manifold_dim(p, q, f)
-
-
-class TestDistanceAndMetric:
-    def test_distance_zero_and_symmetry(self):
-        rng = np.random.default_rng(5)
-        x = random_correlation(rng, 6, 2)
-        y = random_correlation(rng, 6, 2)
-        assert hs_distance(x, x) == 0.0
-        assert abs(hs_distance(x, y) - hs_distance(y, x)) <= 1e-12
-
-    def test_distance_example(self):
-        x = np.diag([1.0, 0.0])
-        y = np.diag([0.0, 1.0])
-        assert abs(hs_distance(x, y) - np.sqrt(2.0)) <= 1e-14
-
-    def test_metric_examples(self):
-        u = np.diag([1.0, -1.0, 0.0])
-        assert abs(riemannian_metric(u, u) - 2.0) <= 1e-14
-        e01 = np.zeros((3, 3))
-        e01[0, 1] = 1.0
-        e01[1, 0] = 1.0
-        e02 = np.zeros((3, 3))
-        e02[0, 2] = 1.0
-        e02[2, 0] = 1.0
-        assert abs(riemannian_metric(e01, e02)) <= 1e-14
-
-    def test_metric_is_squared_hs_norm(self):
-        rng = np.random.default_rng(6)
-        for _ in range(50):
-            u = random_hermitian(rng, 5)
-            assert abs(riemannian_metric(u, u) - hs_distance(u, 0 * u) ** 2) <= 1e-10
 
 
 class TestGaussianCheck:

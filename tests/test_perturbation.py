@@ -5,15 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from cfsgauge.correlation import local_correlation
 from cfsgauge.dirac_box import (SPINOR_GRAM, DiracBoxConfig,
                                 SpacetimePoint, kernel_mode_sum,
                                 wave_value_matrix)
 from cfsgauge.errors import NotDiagonalKernel
 from cfsgauge.krein import opnorm
 from cfsgauge.perturbation import (GaugeFunction, apply_local_phase,
-                                   basis_waves, diagonal_kernel, gauged_basis,
+                                   basis_waves, gauged_basis,
                                    kernel_time_coefficient, mixed_kernel,
-                                   perturbed_correlation,
                                    perturbed_symmetric_gauge)
 from cfsgauge.randoms import (random_box_point, random_gauge_function,
                               random_krein_unitary)
@@ -82,14 +82,14 @@ class TestCorrelationInvariance:
         for _ in range(10):
             lam = random_gauge_function(rng, CFG.L)
             perturbed = apply_local_phase(waves, lam, POINT)
-            assert opnorm(perturbed_correlation(perturbed)
-                          - perturbed_correlation(waves)) <= 1e-12
+            assert opnorm(local_correlation(perturbed, SPINOR_GRAM)
+                          - local_correlation(waves, SPINOR_GRAM)) <= 1e-12
 
     def test_signature_preserved(self, waves):
         rng = np.random.default_rng(5)
         lam = random_gauge_function(rng, CFG.L)
         perturbed = apply_local_phase(waves, lam, POINT)
-        vals = np.linalg.eigvalsh(perturbed_correlation(perturbed))
+        vals = np.linalg.eigvalsh(local_correlation(perturbed, SPINOR_GRAM))
         tol = 1e-8 * max(abs(vals))
         assert int(np.sum(vals > tol)) == 2
         assert int(np.sum(vals < -tol)) == 2
@@ -97,15 +97,18 @@ class TestCorrelationInvariance:
 
 class TestMixedKernel:
     def test_zero_gauge_function(self, waves):
-        np.testing.assert_allclose(mixed_kernel(waves, waves),
-                                   diagonal_kernel(waves), atol=1e-14)
+        unchanged = apply_local_phase(waves, GaugeFunction(terms=(), L=CFG.L),
+                                      POINT)
+        np.testing.assert_allclose(mixed_kernel(waves, unchanged),
+                                   kernel_mode_sum(CFG, POINT, POINT),
+                                   atol=1e-14)
 
     def test_constant_phase(self, waves):
         theta = -1.3
         perturbed = np.exp(1j * theta) * waves
+        diagonal = mixed_kernel(waves, waves)
         np.testing.assert_allclose(mixed_kernel(waves, perturbed),
-                                   np.exp(-1j * theta) * diagonal_kernel(waves),
-                                   atol=1e-12)
+                                   np.exp(-1j * theta) * diagonal, atol=1e-12)
 
     def test_phase_law_on_grid(self, waves):
         # exact phase law pointwise on a 5 x 5 x 5 spatial grid
@@ -118,14 +121,14 @@ class TestMixedKernel:
                     point = SpacetimePoint(t=0.1, x_vec=(x1, x2, x3))
                     w = wave_value_matrix(CFG, point)
                     wt = apply_local_phase(w, lam, point)
-                    expected = np.exp(-1j * lam(point)) * diagonal_kernel(w)
+                    expected = np.exp(-1j * lam(point)) * mixed_kernel(w, w)
                     assert opnorm(mixed_kernel(w, wt) - expected) <= 1e-10
 
 
 class TestSymmetricGaugeValue:
     def test_diagonal_coefficient_matches_mode_count(self, waves):
         from cfsgauge.dirac_box import momentum_points
-        alpha = kernel_time_coefficient(diagonal_kernel(waves))
+        alpha = kernel_time_coefficient(mixed_kernel(waves, waves))
         expected = -len(momentum_points(CFG)) / (32 * math.pi * CFG.L ** 3)
         assert abs(alpha - expected) <= 1e-12
 
@@ -133,7 +136,7 @@ class TestSymmetricGaugeValue:
         cfg = DiracBoxConfig(L=math.pi, eps=1.0 / 2.5, m=1.0)
         w = wave_value_matrix(cfg, POINT)
         with pytest.raises(NotDiagonalKernel):
-            kernel_time_coefficient(diagonal_kernel(w))
+            kernel_time_coefficient(mixed_kernel(w, w))
 
     def test_zero_gauge_function_reproduces_unperturbed(self, waves):
         v0 = perturbed_symmetric_gauge(waves, waves)
@@ -181,7 +184,7 @@ class TestTransformationLedger:
         wy = wave_value_matrix(CFG, y)
         p_xy = -(wx @ wy.conj().T @ SPINOR_GRAM)
         chain = p_xy @ (-(wy @ wx.conj().T @ SPINOR_GRAM))
-        alpha = kernel_time_coefficient(diagonal_kernel(wx))
+        alpha = kernel_time_coefficient(mixed_kernel(wx, wx))
 
         for _ in range(10):
             lam = random_gauge_function(rng, CFG.L).shifted_to_vanish_at(x)
