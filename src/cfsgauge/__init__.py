@@ -19,14 +19,15 @@ from .closed_chain import (DualRouteResult, ExpansionReport, VectorKernel,
                            unitary_expansion, vector_kernel_from_matrix)
 from .dirac_box import (DiracBoxConfig, MomentumMode, SpacetimePoint,
                         build_correlation_map, kernel_braket_sum,
-                        kernel_mode_sum, mode_count, momentum_modes,
-                        momentum_points, slash, wave_value_matrix)
+                        kernel_mode_sum, mixed_kernel, mode_count,
+                        momentum_modes, momentum_points, slash,
+                        wave_value_matrix)
 from .errors import (BranchCut, CfsGaugeError, ConfigError, DegenerateChain,
-                     EmptyCutoff, InvalidSignature, MasslessNormalization,
-                     NotDiagonalKernel, NotInvertible, NotRegular,
-                     NotSymmetric, OutOfChartDomain, OutOfConvergenceRadius,
-                     SignatureLost, SingularGram, TaskError, TooFarFromBase,
-                     TooFewModes, TooManyModes)
+                     EmptyCutoff, InvalidSignature, NotDiagonalKernel,
+                     NotInvertible, NotRegular, NotSymmetric,
+                     OutOfChartDomain, OutOfConvergenceRadius, SignatureLost,
+                     SingularGram, TaskError, TooFarFromBase, TooFewModes,
+                     TooManyModes)
 from .krein import (KreinSpace, SqrtResult, binomial_sqrt_series, opnorm,
                     polar, polar_decompose, sqrt_near_identity)
 from .manifold import (ChartCoordinates, GaussianReport, chart_forward,
@@ -34,7 +35,7 @@ from .manifold import (ChartCoordinates, GaussianReport, chart_forward,
                        gaussian_check, manifold_dim)
 from .perturbation import (BasisWaves, GaugeFunction, apply_local_phase,
                            basis_waves, gauged_basis, kernel_time_coefficient,
-                           mixed_kernel, perturbed_symmetric_gauge)
+                           perturbed_symmetric_gauge)
 from .wave_charts import (CoincidenceReport, GaugeMap, WaveChartPoint,
                           build_gauge, charts_coincide_check,
                           condition_residual_bound, connecting_unitary,

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import _fix_column_phases, hermitize, local_correlation
-from .errors import (EmptyCutoff, MasslessNormalization, TooFewModes,
-                     TooManyModes)
+from .errors import EmptyCutoff, TooFewModes, TooManyModes
 
 _SIGMA = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -49,6 +48,19 @@ SPINOR_GRAM = GAMMA[0]
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
+def mixed_kernel(waves: np.ndarray, perturbed_waves: np.ndarray) -> np.ndarray:
+    """Bra-ket kernel -Psi(x) Psi~(y)* of two 4 x f wave-value matrices.
+
+    With waves at x and at y this is the two-point kernel P(x, y); with
+    perturbed waves at x it is the mixed kernel of a perturbation, equal to
+    exp(-i Lambda(x)) P(x, x) for a pure gauge.  ``mixed_kernel(w, w)`` is
+    the diagonal kernel P(x, x) itself.
+    """
+    w = np.asarray(waves, dtype=complex)
+    wt = np.asarray(perturbed_waves, dtype=complex)
+    return -(w @ wt.conj().T @ SPINOR_GRAM)
+
+
 def slash(v) -> np.ndarray:
     """Contraction v_mu gamma^mu = v^0 gamma^0 - v . gamma_spatial (stackable)."""
     v = np.asarray(v)[..., None, None]
@@ -65,6 +77,8 @@ def minkowski_dot(a, b) -> float:
 
 #: cap on 2 (2 nmax + 1)^3, the lattice cube's bound on the mode count
 MAX_MODES = 1 << 20  # nmax <= 39, f up to ~5e5
+#: cap on 16 f^2, the bytes of one dense complex f x f correlation operator
+MAX_DENSE_BYTES = 1 << 30  # f <= 8192
 #: largest half-length L whose mode normalization 2 pi (2 L)^3 is finite
 MAX_L = 0.5 * (sys.float_info.max / (2.0 * math.pi)) ** (1.0 / 3.0)
 
@@ -168,13 +182,9 @@ def _lattice(cfg: DiracBoxConfig) -> tuple[np.ndarray, ...]:
 def _sea_table(cfg: DiracBoxConfig) -> tuple[np.ndarray, ...]:
     """``_lattice`` plus the 4 x 2N wave values at the origin, read-only."""
     n, k, omega = _lattice(cfg)
-    if cfg.m > 0.0:
-        chi = _chi_table(k, omega, cfg.m)
-        scale = np.sqrt(cfg.m / (math.pi * omega)) / (4.0 * cfg.L ** 1.5)
-    else:
-        chi = _sea_spinor_table(k, omega, cfg.m)
-        scale = np.ones_like(omega) / math.sqrt(2.0 * math.pi * (2.0 * cfg.L) ** 3)
-    spin = (scale[:, None, None] * chi).transpose(1, 0, 2).reshape(4, -1)
+    scale = 1.0 / math.sqrt(2.0 * math.pi * (2.0 * cfg.L) ** 3)
+    spin = (scale * _sea_spinor_table(k, omega, cfg.m)).transpose(1, 0, 2)
+    spin = spin.reshape(4, -1)
     spin.setflags(write=False)
     return n, k, omega, spin
 
@@ -203,30 +213,6 @@ def momentum_points(cfg: DiracBoxConfig) -> list[MomentumMode]:
     return momentum_modes(cfg)[::2]
 
 
-def _chi_table(k: np.ndarray, omega: np.ndarray, m: float) -> np.ndarray:
-    """Sea spinors (kslash + m) e_{3,4}, spin-orthonormalized, N x 4 x 2."""
-    if m <= 0.0:
-        raise MasslessNormalization("spin normalization of the sea spinors "
-                                    "degenerates at m = 0")
-    seed = slash(np.column_stack([-omega, k])) + m * np.eye(4)
-
-    def spin_inner(u, v):
-        return np.sum(u.conj() * np.diag(SPINOR_GRAM) * v, -1, keepdims=True)
-
-    def normalized(u):
-        norm_sq = -spin_inner(u, u).real
-        if not np.all((norm_sq > 0.0) & (norm_sq < math.inf)):
-            raise MasslessNormalization(f"spin normalization of the sea "
-                                        f"spinors degenerates at m = {m:.3g}")
-        return u / np.sqrt(norm_sq)
-
-    first = normalized(seed[:, :, 2])
-    # <first | first> = -1, so the projection coefficient flips sign
-    second = seed[:, :, 3]
-    second = normalized(second + first * spin_inner(first, second))
-    return np.stack([first, second], axis=-1)
-
-
 def _sea_spinor_table(k: np.ndarray, omega: np.ndarray, m: float) -> np.ndarray:
     """Sea spinors for any m >= 0 from one batched eigh, N x 4 x 2."""
     k = k[..., None, None]
@@ -247,10 +233,11 @@ def _phases(k: np.ndarray, omega, point: SpacetimePoint) -> np.ndarray:
 def wave_value_matrix(cfg: DiracBoxConfig, point: SpacetimePoint) -> np.ndarray:
     """4 x f matrix of all basis wave values at one point.
 
-    Columns follow the mode ordering of ``momentum_modes``.  For m > 0 these
-    are the spin-normalized plane waves; for m = 0 the Euclidean-orthonormal
-    sea basis is used (same span per momentum, orthonormal in the solution
-    scalar product), keeping the ensemble well defined.
+    Columns follow the mode ordering of ``momentum_modes``.  For every m the
+    two spinors of a momentum are the Euclidean-orthonormal negative-energy
+    eigenvectors of its Hamiltonian, so the basis is orthonormal in the
+    solution scalar product; any other orthonormal basis of the same
+    eigenspaces gives a unitarily equivalent ensemble.
     """
     _, k, omega, spin = _sea_table(cfg)
     # phase first: numpy's complex product rounds differently per operand order
@@ -262,11 +249,15 @@ def build_correlation_map(cfg: DiracBoxConfig, points) -> list[np.ndarray]:
 
     F(x)_ij = -psi_i(x)^dag gamma^0 psi_j(x) over the ordered mode basis;
     every F(x) is Hermitian of rank 4 and signature (2, 2) once at least two
-    momenta are occupied.  Raises TooFewModes when dim H < 4.
+    momenta are occupied.  Raises TooFewModes when dim H < 4 and TooManyModes
+    when one dense operator would take over MAX_DENSE_BYTES.
     """
     f = mode_count(cfg)
     if f < 4:
         raise TooFewModes(f"ensemble has only {f} modes, need >= 4")
+    if 16 * f * f > MAX_DENSE_BYTES:
+        raise TooManyModes(f"a dense correlation operator at f = {f} modes "
+                           f"takes over MAX_DENSE_BYTES = {MAX_DENSE_BYTES} B")
     return [local_correlation(wave_value_matrix(cfg, p), SPINOR_GRAM)
             for p in points]
 
@@ -291,5 +282,4 @@ def kernel_mode_sum(cfg: DiracBoxConfig, x: SpacetimePoint,
 def kernel_braket_sum(cfg: DiracBoxConfig, x: SpacetimePoint,
                       y: SpacetimePoint) -> np.ndarray:
     """Two-point kernel as -sum over basis waves |psi(x)><psi(y)|."""
-    wx, wy = wave_value_matrix(cfg, x), wave_value_matrix(cfg, y)
-    return -(wx @ wy.conj().T @ SPINOR_GRAM)
+    return mixed_kernel(wave_value_matrix(cfg, x), wave_value_matrix(cfg, y))

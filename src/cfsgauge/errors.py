@@ -45,10 +45,6 @@ class EmptyCutoff(CfsGaugeError):
     """No momentum mode satisfies the energy cutoff."""
 
 
-class MasslessNormalization(CfsGaugeError):
-    """Spin normalization of the basis spinors degenerates at zero mass."""
-
-
 class TooFewModes(CfsGaugeError):
     """The mode ensemble is too small to produce regular points."""
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .correlation import local_correlation, spin_space
 from .dirac_box import (SPINOR_GRAM, DiracBoxConfig, SpacetimePoint,
-                        kernel_mode_sum, wave_value_matrix)
+                        kernel_mode_sum, mixed_kernel, wave_value_matrix)
 from .errors import NotDiagonalKernel
 from .krein import KreinSpace, opnorm, polar
 
@@ -64,17 +64,6 @@ def apply_local_phase(waves: np.ndarray, gauge_fn: GaugeFunction,
     return np.exp(1j * gauge_fn(point)) * np.asarray(waves, dtype=complex)
 
 
-def mixed_kernel(waves: np.ndarray, perturbed_waves: np.ndarray) -> np.ndarray:
-    """Kernel with only the second factor perturbed, -Psi(x) Psi~(x)*.
-
-    For a pure gauge perturbation this equals exp(-i Lambda(x)) P(x, x);
-    ``mixed_kernel(w, w)`` is the diagonal kernel P(x, x) itself.
-    """
-    w = np.asarray(waves, dtype=complex)
-    wt = np.asarray(perturbed_waves, dtype=complex)
-    return -(w @ wt.conj().T @ SPINOR_GRAM)
-
-
 def kernel_time_coefficient(diag: np.ndarray) -> float:
     """Coefficient alpha of a diagonal kernel of the form alpha gamma^0.
 
@@ -92,8 +81,8 @@ def kernel_time_coefficient(diag: np.ndarray) -> float:
     return alpha
 
 
-def _gauge_factor(waves, perturbed_waves, unitary):
-    """alpha, unitary gamma^0, and ``polar`` of T = P(x, F~(x)) / |alpha|.
+def _gauge_factor(waves, perturbed_waves):
+    """alpha and ``polar`` of T = P(x, F~(x)) / |alpha|.
 
     T* = P(F~(x), x) / |alpha|, so T T* is the mixed closed chain / alpha^2.
     """
@@ -101,21 +90,20 @@ def _gauge_factor(waves, perturbed_waves, unitary):
     scale = abs(alpha)
     u, root = polar(mixed_kernel(waves, perturbed_waves) / scale,
                     mixed_kernel(perturbed_waves, waves) / scale, SPINOR_KREIN)
-    left = SPINOR_GRAM if unitary is None else unitary @ SPINOR_GRAM
-    return alpha, left, u, root
+    return alpha, u, root
 
 
-def perturbed_symmetric_gauge(waves: np.ndarray, perturbed_waves: np.ndarray,
-                              unitary: np.ndarray | None = None) -> np.ndarray:
+def perturbed_symmetric_gauge(waves: np.ndarray,
+                              perturbed_waves: np.ndarray) -> np.ndarray:
     """Value of the distinguished gauge at x for the perturbed ensemble.
 
-    unitary . gamma^0 . A^{-1/2} . P(x, F~(x)) . Psi~(x), where A is the
+    gamma^0 . A^{-1/2} . P(x, F~(x)) . Psi~(x), where A is the
     mixed closed chain; requires the unperturbed diagonal kernel to be of the
     form alpha gamma^0.  For a pure gauge perturbation the result equals the
     unperturbed gauge value exactly (local phases drop out).
     """
-    _, left, u, _ = _gauge_factor(waves, perturbed_waves, unitary)
-    return left @ u @ np.asarray(perturbed_waves, dtype=complex)
+    _, u, _ = _gauge_factor(waves, perturbed_waves)
+    return SPINOR_GRAM @ u @ np.asarray(perturbed_waves, dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,18 +159,17 @@ def basis_waves(cfg: DiracBoxConfig, point: SpacetimePoint,
 
 
 def gauged_basis(waves: np.ndarray, perturbed_waves: np.ndarray,
-                 coeffs: np.ndarray,
-                 unitary: np.ndarray | None = None):
+                 coeffs: np.ndarray):
     """Gauge values of the basis waves, by two routes.
 
     Route one applies the full gauge map to the basis coefficient vectors;
-    route two is the closed form unitary . gamma^0 . A^{+1/2} . chi_a, which
+    route two is the closed form gamma^0 . A^{+1/2} . chi_a, which
     involves only the gauge-invariant chain.  Returns (via_gauge, via_chain).
     """
     w = np.asarray(waves, dtype=complex)
     wt = np.asarray(perturbed_waves, dtype=complex)
-    alpha, left, u, root = _gauge_factor(w, wt, unitary)
-    via_gauge = left @ u @ wt @ np.asarray(coeffs)
+    alpha, u, root = _gauge_factor(w, wt)
+    via_gauge = SPINOR_GRAM @ u @ wt @ np.asarray(coeffs)
     chi = (1.0 / alpha) * (SPINOR_GRAM @ (w @ np.asarray(coeffs)))
-    via_chain = left @ (abs(alpha) * root.sqrt) @ chi
+    via_chain = SPINOR_GRAM @ (abs(alpha) * root.sqrt) @ chi
     return via_gauge, via_chain

@@ -114,9 +114,8 @@ def random_gauge_function(rng: np.random.Generator, L: float) -> GaugeFunction:
     return GaugeFunction(terms=tuple(terms), L=L)
 
 
-def random_box_point(rng: np.random.Generator, L: float,
-                     t_spread: float = 1.0):
-    """Random spacetime point inside the box."""
-    t = float(rng.uniform(-t_spread, t_spread))
+def random_box_point(rng: np.random.Generator, L: float):
+    """Random spacetime point inside the box, with |t| <= 1."""
+    t = float(rng.uniform(-1.0, 1.0))
     x = tuple(float(c) for c in rng.uniform(-L, L, size=3))
     return SpacetimePoint.in_box(t, x, L)

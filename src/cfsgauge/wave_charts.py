@@ -15,9 +15,9 @@ constructions of this distinguished section are provided:
   (a, b), psi = (sqrt(1 + X^{-1} a), (1 + X^{-1} a)^{-1/2} X^{-1} b).
 
 They coincide on their common domain, which ``charts_coincide_check``
-quantifies.  ``build_gauge`` composes the chart with one fixed unitary onto a
-reference spin space, producing a gauge over a whole point set that is unique
-up to a single global unitary.
+quantifies.  ``build_gauge`` evaluates the chart over a whole point set,
+producing a gauge into the spin space of the base point that is unique up to
+a single global unitary.
 """
 
 from __future__ import annotations
@@ -205,54 +205,38 @@ def charts_coincide_check(base: ImageSplit, sample_points) -> CoincidenceReport:
 class GaugeMap:
     """A gauge over a point set: one wave map into a common target per point.
 
-    ``values[i]`` is the 2n x f matrix of the gauge at ``points[i]``; the
-    target space carries the indefinite inner product ``target_gram``, and
-    ``unitary`` is the single spin-space-to-target unitary entering every
-    value.  ``condition_residuals`` record how well each point satisfies the
-    defining condition y = -(value)* (value).
+    ``values[i]`` is the 2n x f matrix of the gauge at ``points[i]``, a map
+    into the spin space of ``base`` with its inner product
+    ``base.krein.gram``.  ``condition_residuals`` record how well each point
+    satisfies the defining condition y = -(value)* (value).
     """
 
     points: tuple
     values: tuple
-    target_gram: np.ndarray
-    unitary: np.ndarray
     base: ImageSplit
     condition_residuals: tuple
 
 
-def build_gauge(base: ImageSplit, points, unitary: np.ndarray | None = None,
-                target_gram: np.ndarray | None = None) -> GaugeMap:
+def build_gauge(base: ImageSplit, points) -> GaugeMap:
     """Construct the distinguished gauge over a set of operators.
 
-    Every value is ``unitary @ symmetric_wave_chart(y, base)``; with the
-    default identity unitary the target is the spin space of the base point
-    itself.  A supplied unitary must be an isometry from the spin inner
-    product of the base onto ``target_gram``.
+    Every value is ``symmetric_wave_chart(y, base)``, a map into the spin
+    space of the base point.  Any other gauge over the same points that
+    satisfies the gauge condition is one global spin-space unitary times
+    this one.
     """
-    spin_gram = base.krein.gram
-    if unitary is None:
-        unitary = np.eye(base.rank, dtype=complex)
-    if target_gram is None:
-        target_gram = spin_gram
-    unitary = np.asarray(unitary, dtype=complex)
-    target_gram = np.asarray(target_gram, dtype=complex)
-    pullback = unitary.conj().T @ target_gram @ unitary
-    if opnorm(pullback - spin_gram) > 1e-9 * max(1.0, opnorm(spin_gram)):
-        raise ValueError("unitary is not an isometry onto the target inner product")
-
     operators = []
     values = []
     residuals = []
     for y in points:
         split_y = as_split(y, *base.signature)
-        value = unitary @ symmetric_wave_chart(split_y, base).full_matrix()
+        value = symmetric_wave_chart(split_y, base).full_matrix()
         operators.append(split_y.operator)
         values.append(value)
-        residuals.append(condition_residual_bound(split_y, value, target_gram))
+        residuals.append(condition_residual_bound(split_y, value,
+                                                  base.krein.gram))
     return GaugeMap(points=tuple(operators),
                     values=tuple(values),
-                    target_gram=target_gram,
-                    unitary=unitary,
                     base=base,
                     condition_residuals=tuple(residuals))
 

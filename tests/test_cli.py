@@ -406,9 +406,20 @@ class TestExitCodes:
         assert main(["modes", str(math.pi), "2.0", "1.0"]) == 2
 
     def test_modes_at_vanishing_spin_normalization(self, capsys):
-        # counting modes solves no spinor, so m = 1e-16 counts like m = 0
+        # m = 1e-16 keeps the zero mode, so it counts two modes more than m = 0
         assert main(["modes", "3.14159", "0.4", "1e-16"]) == 0
         assert capsys.readouterr().out.strip() == "162"
+
+    def test_perturb_at_tiny_mass_reports_scalar_kernel(self, tmp_path):
+        # the zero mode adds 1 / (4 pi (2L)^3) ~ 3.2e-4 times the identity
+        # to P(x, x), so the task stops at the diagonal-kernel check
+        path = write_config(tmp_path, {"box": {"L": 3.14159, "eps": 0.4,
+                                               "m": 1e-16},
+                                       "tasks": ["perturb"]})
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        error = report["task_errors"]["perturb"]
+        assert error.startswith("TaskError") and "alpha gamma^0" in error
 
     @pytest.mark.parametrize("args", [("1", "1e200", "0"),
                                       ("1", "0.4", "1e200"),

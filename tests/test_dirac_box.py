@@ -2,19 +2,19 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
 from cfsgauge.correlation import kernel, spin_space
-from cfsgauge.dirac_box import (ETA, GAMMA, MAX_L, MAX_MODES, SPINOR_GRAM,
-                                DiracBoxConfig, SpacetimePoint, _chi_table,
+from cfsgauge.dirac_box import (ETA, GAMMA, MAX_DENSE_BYTES, MAX_L, MAX_MODES,
+                                SPINOR_GRAM, DiracBoxConfig, SpacetimePoint,
                                 _lattice, _sea_spinor_table, _sea_table,
                                 build_correlation_map, kernel_braket_sum,
                                 kernel_mode_sum, mode_count, momentum_modes,
                                 momentum_points, slash, wave_value_matrix)
-from cfsgauge.errors import (EmptyCutoff, MasslessNormalization, TooFewModes,
-                             TooManyModes)
+from cfsgauge.errors import EmptyCutoff, TooFewModes, TooManyModes
 from cfsgauge.krein import opnorm
 
 CFG = DiracBoxConfig(L=math.pi, eps=1.0 / 2.5, m=1.0)
@@ -39,9 +39,15 @@ def brute_force_mode_count(cfg) -> int:
 
 
 def table_spinors(cfg):
-    """The 4 x 2 spinor block of each momentum in the sea table, unscaled."""
+    """Each momentum's 4 x 2 block of the sea table, spin-normalized (m > 0).
+
+    The table holds Euclidean-orthonormal spinors; sqrt(omega / m) times
+    them have spin norm -1, like the spinors (kslash + m) e_{3,4} normalized
+    in the spin inner product.
+    """
     _, _, omega, spin = _sea_table(cfg)
-    return [spin[:, 2 * i:2 * i + 2] / reference_scale(cfg, w)
+    blocks = spin.reshape(4, -1, 2) / reference_scale(cfg)
+    return [math.sqrt(w / cfg.m) * blocks[:, i]
             for i, w in enumerate(omega.tolist())]
 
 
@@ -141,20 +147,6 @@ class TestChiSpinors:
             expected = (slash(mode.four_momentum) + CFG.m * np.eye(4)) / (2 * CFG.m)
             np.testing.assert_allclose(projector, expected, atol=1e-12)
 
-    def test_massless_rejected(self):
-        _, k, omega = _lattice(CFG_MASSLESS)
-        with pytest.raises(MasslessNormalization):
-            _chi_table(k[:1], omega[:1], 0.0)
-
-    def test_vanishing_normalization_rejected(self):
-        # at m = 1e-16 the spin norm of most seeds rounds to zero
-        point = SpacetimePoint(t=0.1, x_vec=(0.2, -0.3, 0.4))
-        with pytest.raises(MasslessNormalization):
-            wave_value_matrix(DiracBoxConfig(L=3.14159, eps=0.4, m=1e-16),
-                              point)
-        waves = wave_value_matrix(DiracBoxConfig(L=3.14159, eps=0.4, m=1e-12),
-                                  point)
-        assert waves.shape == (4, 162) and np.all(np.isfinite(waves))
 
 
 class TestSeaSpinors:
@@ -169,14 +161,24 @@ class TestSeaSpinors:
                             - cfg.m * np.eye(4)) @ chi
                 assert opnorm(residual) <= 1e-10
 
-    def test_same_span_as_chi(self):
-        _, k, omega = _lattice(CFG)
-        seas = _sea_spinor_table(k[:5], omega[:5], CFG.m)
-        for chi, sea in zip(table_spinors(CFG), seas):
-            # projection of each sea column onto span(chi) has full norm
-            q, _ = np.linalg.qr(chi)
-            proj = q @ (q.conj().T @ sea)
-            assert opnorm(proj - sea) <= 1e-10
+
+class TestTinyMass:
+    # m = 1e-16: the spin norm -m / omega of the sea spinors rounds to zero
+    CFG_TINY = DiracBoxConfig(L=3.14159, eps=0.4, m=1e-16)
+    X = SpacetimePoint(t=0.1, x_vec=(0.2, -0.3, 0.4))
+    Y = SpacetimePoint(t=-0.3, x_vec=(1.0, 0.5, -2.0))
+
+    def test_wave_values_finite(self):
+        waves = wave_value_matrix(self.CFG_TINY, self.X)
+        assert waves.shape == (4, 162) and np.all(np.isfinite(waves))
+
+    def test_point_is_regular(self):
+        x = build_correlation_map(self.CFG_TINY, [self.X])[0]
+        assert spin_space(x, 2).basis.shape == (162, 4)
+
+    def test_braket_matches_mode_sum(self):
+        assert opnorm(kernel_braket_sum(self.CFG_TINY, self.X, self.Y)
+                      - kernel_mode_sum(self.CFG_TINY, self.X, self.Y)) <= 1e-10
 
 
 class TestPlaneWaves:
@@ -251,6 +253,17 @@ class TestCorrelationMap:
         ops = build_correlation_map(CFG_SMALL, points)
         spectra = [np.sort(np.linalg.eigvalsh(x))[[0, 1, -2, -1]] for x in ops]
         np.testing.assert_allclose(spectra[0], spectra[1], atol=1e-12)
+
+    def test_dense_operator_too_large(self):
+        # f = 16432 would take 4.3 GB per operator
+        cfg = DiracBoxConfig(L=math.pi, eps=0.08, m=0.0)
+        assert 16 * 968 ** 2 <= MAX_DENSE_BYTES < 16 * 16432 ** 2
+        cached = _sea_table.cache_info().currsize
+        start = time.perf_counter()
+        with pytest.raises(TooManyModes, match="f = 16432"):
+            build_correlation_map(cfg, [SpacetimePoint(t=0.0, x_vec=(0, 0, 0))])
+        assert time.perf_counter() - start < 1.0
+        assert _sea_table.cache_info().currsize == cached
 
     def test_too_few_modes(self):
         # a single lattice momentum gives f = 2 < 4
@@ -359,16 +372,8 @@ def reference_modes(cfg):
 
 def reference_spinors(k_vec, omega, m):
     """Normalized sea spinors of one momentum, solved on their own (4 x 2)."""
-    if m > 0.0:
-        seed = slash((-omega,) + tuple(k_vec)) + m * np.eye(4)
-        chis = []
-        for vec in (seed[:, 2], seed[:, 3]):
-            for prev in chis:
-                vec = vec + prev * np.vdot(prev, SPINOR_GRAM @ vec)
-            chis.append(vec / math.sqrt(-np.vdot(vec, SPINOR_GRAM @ vec).real))
-        return np.column_stack(chis)
     hamiltonian = GAMMA[0] @ (k_vec[0] * GAMMA[1] + k_vec[1] * GAMMA[2]
-                              + k_vec[2] * GAMMA[3])
+                              + k_vec[2] * GAMMA[3]) + m * GAMMA[0]
     vals, vecs = np.linalg.eigh(0.5 * (hamiltonian + hamiltonian.conj().T))
     np.testing.assert_allclose(vals[:2], -omega, atol=1e-12)
     columns = []
@@ -378,9 +383,7 @@ def reference_spinors(k_vec, omega, m):
     return np.column_stack(columns)
 
 
-def reference_scale(cfg, omega):
-    if cfg.m > 0.0:
-        return math.sqrt(cfg.m / (math.pi * omega)) / (4.0 * cfg.L ** 1.5)
+def reference_scale(cfg):
     return 1.0 / math.sqrt(2.0 * math.pi * (2.0 * cfg.L) ** 3)
 
 
@@ -390,7 +393,7 @@ def reference_waves(cfg, point):
     for n, k, omega, a in reference_modes(cfg):
         kx = -omega * point.t - sum(kc * xc for kc, xc in zip(k, point.x_vec))
         spinor = reference_spinors(k, omega, cfg.m)[:, a - 1]
-        columns.append(np.exp(-1j * kx) * reference_scale(cfg, omega) * spinor)
+        columns.append(np.exp(-1j * kx) * reference_scale(cfg) * spinor)
     return np.column_stack(columns)
 
 
@@ -425,9 +428,8 @@ class TestSeaTableParity:
         for i, mode in enumerate(momentum_points(cfg)):
             reference = reference_spinors(mode.k_vec, mode.omega, cfg.m)
             np.testing.assert_allclose(
-                spin[:, 2 * i:2 * i + 2],
-                reference_scale(cfg, mode.omega) * reference, rtol=0,
-                atol=1e-14 * reference_scale(cfg, mode.omega))
+                spin[:, 2 * i:2 * i + 2], reference_scale(cfg) * reference,
+                rtol=0, atol=1e-14 * reference_scale(cfg))
 
     def test_wave_values_match_per_mode_loop(self, cfg):
         for point in PARITY_POINTS:
@@ -455,7 +457,7 @@ class TestSeaTableCache:
         assert decompositions == []
 
     def test_mode_count_solves_no_spinor(self):
-        # at m = 1e-16 the spin normalization vanishes, the count does not
+        # counting modes reads the lattice alone, at any m
         cfg = DiracBoxConfig(L=3.14159, eps=0.4, m=1e-16)
         _sea_table.cache_clear()
         assert mode_count(cfg) == len(momentum_modes(cfg)) == 162

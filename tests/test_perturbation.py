@@ -15,8 +15,7 @@ from cfsgauge.perturbation import (GaugeFunction, apply_local_phase,
                                    basis_waves, gauged_basis,
                                    kernel_time_coefficient, mixed_kernel,
                                    perturbed_symmetric_gauge)
-from cfsgauge.randoms import (random_box_point, random_gauge_function,
-                              random_krein_unitary)
+from cfsgauge.randoms import random_box_point, random_gauge_function
 from cfsgauge.perturbation import SPINOR_KREIN
 
 CFG = DiracBoxConfig(L=math.pi, eps=1.0 / 2.5, m=0.0)
@@ -163,13 +162,6 @@ class TestSymmetricGaugeValue:
         v1 = perturbed_symmetric_gauge(
             waves, apply_local_phase(waves, lam, POINT))
         assert opnorm(v1 - v0) <= 1e-12
-
-    def test_supplied_unitary_enters_linearly(self, waves):
-        rng = np.random.default_rng(8)
-        u = random_krein_unitary(rng, SPINOR_KREIN, scale=0.2)
-        v_id = perturbed_symmetric_gauge(waves, waves)
-        v_u = perturbed_symmetric_gauge(waves, waves, unitary=u)
-        assert opnorm(v_u - u @ v_id) <= 1e-12
 
 
 class TestTransformationLedger:

@@ -1,10 +1,13 @@
-"""Every public function of the package has a caller outside the unit tests.
+"""Every public function and option of the package has a caller outside the
+unit tests.
 
 A public function or method counts as used when its name is referenced
 (called, read as an attribute or imported) by a module of the package other
 than ``__init__``, by the benchmark under ``perfbench/``, or by the
-acceptance suite.  Unit tests alone do not keep a helper alive: a claim they
-check goes through the code the program runs.
+acceptance suite.  A parameter with a default counts as used when one call
+from those sources passes it, by name or by position.  Unit tests alone do
+not keep a helper or an option alive: a claim they check goes through the
+code the program runs.
 """
 
 import ast
@@ -30,8 +33,8 @@ ALLOWED = {
 }
 
 
-def public_definitions():
-    """``module.name`` or ``module.Class.name`` -> bare name, per def."""
+def public_functions():
+    """``module.name`` or ``module.Class.name`` -> its def node."""
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -45,17 +48,21 @@ def public_definitions():
                 continue
             for qualname, item in members:
                 if not item.name.startswith("_"):
-                    found[f"{path.stem}.{qualname}"] = item.name
+                    found[f"{path.stem}.{qualname}"] = item
     return found
 
 
-def referenced_names():
+def caller_trees():
     sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     sources += list((ROOT / "perfbench").glob("*.py"))
     sources.append(ROOT / "tests" / "test_acceptance.py")
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in sources]
+
+
+def referenced_names():
     names = set()
-    for path in sources:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for tree in caller_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -65,9 +72,62 @@ def referenced_names():
     return names
 
 
+def defaulted_parameters(node):
+    """(name, position or None) of each parameter that has a default.
+
+    The position counts positional arguments of a call, so a method's
+    ``self`` or ``cls`` is not counted; a keyword-only parameter has none.
+    """
+    positional = node.args.posonlyargs + node.args.args
+    skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+    first = len(positional) - len(node.args.defaults)
+    found = [(arg.arg, i - skip) for i, arg in enumerate(positional)
+             if i >= first]
+    found += [(arg.arg, None) for arg, default
+              in zip(node.args.kwonlyargs, node.args.kw_defaults)
+              if default is not None]
+    return found
+
+
+def passed_arguments():
+    """Bare callee name -> (most positional arguments, keyword names)."""
+    calls = {}
+    for tree in caller_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name is None:
+                continue
+            count = len(node.args)
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                count = float("inf")
+            keywords = {k.arg for k in node.keywords}
+            most, names = calls.get(name, (0, set()))
+            calls[name] = (max(most, count), names | keywords)
+    return calls
+
+
 def test_every_public_function_has_a_caller():
     used = referenced_names()
-    unused = {qualname for qualname, name in public_definitions().items()
-              if name not in used}
+    unused = {qualname for qualname, node in public_functions().items()
+              if node.name not in used}
     assert not unused - set(ALLOWED), "public without a caller"
     assert not set(ALLOWED) - unused, "allowed name is used or gone"
+
+
+def test_every_keyword_option_is_passed():
+    calls = passed_arguments()
+    unset = []
+    for qualname, node in public_functions().items():
+        if qualname in ALLOWED:
+            continue
+        most, keywords = calls.get(node.name, (0, set()))
+        if None in keywords:  # a ** argument may pass any keyword
+            continue
+        unset += [f"{qualname}({name})"
+                  for name, position in defaulted_parameters(node)
+                  if name not in keywords
+                  and (position is None or most <= position)]
+    assert not unset, "keyword options no caller sets"
