@@ -293,24 +293,24 @@ def task_gauge(config: ExperimentConfig):
     rng = np.random.default_rng(config.seed + 1)
     entries = []
 
-    worst_polar = worst_unitary = worst_symmetric = worst_series = 0.0
+    worst = np.zeros(4)   # polar, symmetric, series and unitary residuals
     for p, q in ((1, 1), (2, 2)):
         dim = p + q
-        for _ in range(100):
-            space = KreinSpace(gram=rnd.random_gram(rng, p, q),
-                               signature=(p, q))
-            delta = rnd.random_complex(rng, dim, dim)
-            delta *= 0.2 * rng.uniform(0.2, 1.0) / opnorm(delta)
-            a = np.eye(dim) + delta
-            u, s = kr.polar_decompose(a, space)
-            worst_polar = max(worst_polar, opnorm(a - u @ s))
-            worst_unitary = max(worst_unitary, opnorm(
-                u.conj().T @ space.gram @ u - space.gram))
-            worst_symmetric = max(worst_symmetric,
-                                  opnorm(s - space.adjoint(s)))
-            series = kr.binomial_sqrt_series(
-                space.adjoint(a) @ a - np.eye(dim), 0.5)
-            worst_series = max(worst_series, opnorm(s - series))
+        grams, deltas, sizes = [], [], []
+        for _ in range(100):   # draw first, then evaluate one stack
+            grams.append(rnd.random_gram(rng, p, q))
+            deltas.append(rnd.random_complex(rng, dim, dim))
+            sizes.append(0.2 * rng.uniform(0.2, 1.0))
+        space = KreinSpace(gram=np.array(grams), signature=(p, q))
+        deltas = np.array(deltas)
+        a = np.eye(dim) + deltas * (sizes / opnorm(deltas))[:, None, None]
+        u, s = kr.polar_decompose(a, space)
+        series = kr.binomial_sqrt_series(space.adjoint(a) @ a - np.eye(dim),
+                                         0.5)
+        residuals = (a - u @ s, s - space.adjoint(s), s - series,
+                     u.conj().swapaxes(1, 2) @ space.gram @ u - space.gram)
+        worst = np.maximum(worst, [opnorm(r).max() for r in residuals])
+    worst_polar, worst_symmetric, worst_series, worst_unitary = worst.tolist()
     entries.append(_entry("gauge", "polar-residual",
                           "unique-polar-decomposition", worst_polar,
                           tol["polar_residual"]))

@@ -12,6 +12,8 @@ this indefinite product:
 Matrix square roots are provided only in a neighborhood of the identity, where
 the principal branch is unambiguous; this is exactly the regime needed for the
 unique polar decomposition A = U S with U unitary and S symmetric close to 1.
+Every routine also takes stacks (..., n, n), a space a stack of Grams of one
+signature; each element gets every check, and errors name its stack index.
 """
 
 from __future__ import annotations
@@ -36,21 +38,29 @@ SERIES_MAX_TERMS = 200
 SERIES_TERM_TOL = 1e-15
 
 
-def opnorm(a: np.ndarray) -> float:
-    """Operator (spectral) norm."""
-    return float(np.linalg.norm(a, 2))
+def opnorm(a: np.ndarray):
+    """Operator (spectral) norm: a float, or an array of them for a stack."""
+    values = np.linalg.svd(a, compute_uv=False)
+    top = values[..., 0] if values.shape[-1] else np.zeros(values.shape[:-1])
+    return float(top) if top.ndim == 0 else top
+
+
+def _refuse(bad, error, message: str, *values) -> None:
+    """Raise ``error``, formatted with ``values``, where ``bad`` first holds."""
+    if np.asarray(bad).any():
+        where = tuple(np.argwhere(bad)[0].tolist())
+        values = [np.broadcast_to(v, np.shape(bad))[where] for v in values]
+        prefix = f"stack element {list(where)}: " if where else ""
+        raise error(prefix + message.format(*values))
 
 
 @dataclass(frozen=True, eq=False)
 class KreinSpace:
     """Finite-dimensional indefinite inner product space.
 
-    Attributes
-    ----------
-    gram : ndarray
-        Invertible Hermitian matrix of the inner product in the working basis.
-    signature : (int, int)
-        Number of positive and negative eigenvalues of ``gram``.
+    ``gram`` is the invertible Hermitian matrix of the inner product in the
+    working basis, or a stack (..., n, n) of them; ``signature`` counts the
+    positive and negative eigenvalues of each.
     """
 
     gram: np.ndarray
@@ -59,46 +69,43 @@ class KreinSpace:
     def __post_init__(self):
         g = np.asarray(self.gram, dtype=complex)
         object.__setattr__(self, "gram", g)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        if g.ndim < 2 or g.shape[-2] != g.shape[-1]:
             raise ValueError("gram must be a square matrix")
         scale = opnorm(g)
-        if opnorm(g - g.conj().T) > TOL * max(1.0, scale):
-            raise ValueError("gram must be Hermitian")
+        _refuse(opnorm(g - g.conj().swapaxes(-1, -2))
+                > TOL * np.maximum(1.0, scale), ValueError, "gram must be Hermitian")
         # for Hermitian g the singular values are the moduli of the eigenvalues
         eigs = np.linalg.eigvalsh(g)
-        if np.min(np.abs(eigs)) <= SINGULAR_FACTOR * scale:
-            raise SingularGram("gram matrix is singular to working precision")
-        p = int(np.sum(eigs > 0.0))
-        q = int(np.sum(eigs < 0.0))
-        if (p, q) != tuple(self.signature):
-            raise ValueError(
-                f"gram has signature ({p}, {q}), declared {tuple(self.signature)}"
-            )
+        _refuse(np.min(np.abs(eigs), axis=-1) <= SINGULAR_FACTOR * scale,
+                SingularGram, "gram matrix is singular to working precision")
+        p, q = np.sum(eigs > 0.0, axis=-1), np.sum(eigs < 0.0, axis=-1)
+        _refuse((p != self.signature[0]) | (q != self.signature[1]), ValueError,
+                "gram has signature ({}, {}), declared ({}, {})", p, q, *self.signature)
 
     @property
     def dim(self) -> int:
-        return self.gram.shape[0]
+        return self.gram.shape[-1]
 
     def adjoint(self, a: np.ndarray) -> np.ndarray:
         """Adjoint with respect to the indefinite product, G^{-1} A^dag G."""
         a = np.asarray(a, dtype=complex)
-        if a.shape != self.gram.shape:
+        if a.shape[-2:] != self.gram.shape[-2:]:
             raise ValueError("operator shape does not match the space dimension")
-        return np.linalg.solve(self.gram, a.conj().T @ self.gram)
+        return np.linalg.solve(self.gram, a.conj().swapaxes(-1, -2) @ self.gram)
 
     def is_unitary(self, u: np.ndarray, tol: float = TOL) -> bool:
-        """Whether U^dag G U = G within ``tol`` (operator norm)."""
+        """Whether U^dag G U = G within ``tol`` (operator norm), for each."""
         u = np.asarray(u, dtype=complex)
-        return opnorm(u.conj().T @ self.gram @ u - self.gram) <= tol
+        residual = u.conj().swapaxes(-1, -2) @ self.gram @ u - self.gram
+        return bool(np.all(opnorm(residual) <= tol))
 
 
 class SqrtResult(NamedTuple):
     """Square root and inverse square root of an operator near the identity.
 
     ``method`` records which route produced the result: "eig" for the
-    eigendecomposition with principal scalar square roots, "series" for the
-    truncated binomial series fallback (used when the operator could not be
-    diagonalized reliably).
+    eigendecomposition with principal scalar square roots, "series" when the
+    truncated binomial series stood in for it (for a stack: for any element).
     """
 
     sqrt: np.ndarray
@@ -107,25 +114,26 @@ class SqrtResult(NamedTuple):
 
 
 def binomial_sqrt_series(delta: np.ndarray, exponent: float) -> np.ndarray:
-    """Evaluate (1 + delta)**exponent by its binomial series.
+    """Evaluate (1 + delta)**exponent, exponent +0.5 or -0.5, by its series.
 
-    ``exponent`` is +0.5 or -0.5.  The series is truncated once the operator
-    norm of a term drops below SERIES_TERM_TOL or after SERIES_MAX_TERMS
-    terms; it converges absolutely for ||delta|| < 1.
+    It converges for ||delta|| < 1 and stops once every element's term has
+    operator norm below SERIES_TERM_TOL; it raises OutOfConvergenceRadius if
+    that has not happened after SERIES_MAX_TERMS terms.
     """
     delta = np.asarray(delta, dtype=complex)
-    dim = delta.shape[0]
-    total = np.eye(dim, dtype=complex)
-    power = np.eye(dim, dtype=complex)
+    total = power = np.eye(delta.shape[-1], dtype=complex)
     coeff = 1.0
     for n in range(1, SERIES_MAX_TERMS + 1):
         coeff *= (exponent - (n - 1)) / n
         power = power @ delta
         term = coeff * power
-        total += term
-        if opnorm(term) < SERIES_TERM_TOL:
-            break
-    return total
+        total = total + term
+        large = opnorm(term) >= SERIES_TERM_TOL
+        if not np.any(large):
+            return total
+    raise OutOfConvergenceRadius(
+        f"binomial series not converged after {SERIES_MAX_TERMS} terms for "
+        f"{np.count_nonzero(large)} of {np.size(large)} matrices")
 
 
 def sqrt_near_identity(b: np.ndarray, space: KreinSpace) -> SqrtResult:
@@ -133,49 +141,42 @@ def sqrt_near_identity(b: np.ndarray, space: KreinSpace) -> SqrtResult:
 
     Requires ``b`` to be symmetric with respect to the space's inner product
     and within RADIUS_SERIES of the identity in operator norm.  The primary
-    route diagonalizes ``b`` and applies the principal scalar square root; if
-    the eigendecomposition does not reproduce ``b`` to TOL_SQRT (e.g. for a
-    defective matrix), the binomial series is used instead and the result is
-    flagged as series-only.
+    route diagonalizes ``b`` and applies the principal scalar square root; an
+    element it does not reproduce to TOL_SQRT (e.g. a defective matrix) takes
+    the binomial series instead.
     """
     b = np.asarray(b, dtype=complex)
-    dim = b.shape[0]
-    delta = b - np.eye(dim)
+    delta = b - np.eye(b.shape[-1])
     dist = opnorm(delta)
-    if dist >= RADIUS_SERIES:
-        raise OutOfConvergenceRadius(
-            f"||B - 1|| = {dist:.3g} >= allowed radius {RADIUS_SERIES:.3g}"
-        )
+    _refuse(dist >= RADIUS_SERIES, OutOfConvergenceRadius,
+            "||B - 1|| = {:.3g} >= allowed radius {:.3g}", dist, RADIUS_SERIES)
     asym = opnorm(b - space.adjoint(b))
-    if asym > TOL * max(1.0, opnorm(b)):
-        raise NotSymmetric(f"||B - B*|| = {asym:.3g} exceeds tolerance")
-
-    result = _sqrt_by_eig(b)
-    if result is not None:
-        return result
-    sq = binomial_sqrt_series(delta, 0.5)
-    inv = binomial_sqrt_series(delta, -0.5)
-    return SqrtResult(sqrt=sq, inv_sqrt=inv, method="series")
+    _refuse(asym > TOL * np.maximum(1.0, opnorm(b)), NotSymmetric,
+            "||B - B*|| = {:.3g} exceeds tolerance", asym)
+    sq, inv, ok = _sqrt_by_eig(b)
+    method = "eig" if np.asarray(ok).all() else "series"
+    if method == "series":   # b[True] is a stack of one, so a lone b works too
+        sq[~ok] = binomial_sqrt_series(delta[~ok], 0.5)
+        inv[~ok] = binomial_sqrt_series(delta[~ok], -0.5)
+    return SqrtResult(sq, inv, method)
 
 
 def _sqrt_by_eig(b: np.ndarray):
-    """Principal square root via eigendecomposition; None if unreliable."""
-    dim = b.shape[0]
+    """Principal square root via eigendecomposition, and where it is reliable."""
     try:
         vals, vecs = np.linalg.eig(b)
         vecs_inv = np.linalg.inv(vecs)
-    except np.linalg.LinAlgError:
-        return None
+    except np.linalg.LinAlgError:   # unreliable for the whole stack
+        return np.empty_like(b), np.empty_like(b), np.zeros(b.shape[:-2], bool)
     # ||B - 1|| < 1 keeps the spectrum in the open right half plane, away
     # from the branch cut of the principal root.
-    sq = (vecs * np.sqrt(vals)) @ vecs_inv
-    inv = (vecs * (1.0 / np.sqrt(vals))) @ vecs_inv
-    scale = max(1.0, opnorm(b))
-    if opnorm(sq @ sq - b) > TOL_SQRT * scale:
-        return None
-    if opnorm(sq @ inv - np.eye(dim)) > TOL_SQRT * scale:
-        return None
-    return SqrtResult(sqrt=sq, inv_sqrt=inv, method="eig")
+    roots = np.sqrt(vals)[..., None, :]
+    sq = (vecs * roots) @ vecs_inv
+    inv = (vecs * (1.0 / roots)) @ vecs_inv
+    limit = TOL_SQRT * np.maximum(1.0, opnorm(b))
+    ok = ((opnorm(sq @ sq - b) <= limit)
+          & (opnorm(sq @ inv - np.eye(b.shape[-1])) <= limit))
+    return sq, inv, ok
 
 
 def polar(t: np.ndarray, t_adj: np.ndarray,
@@ -197,9 +198,8 @@ def polar_decompose(a: np.ndarray,
 
     U is unitary and S symmetric with respect to the space's inner product,
     with S close to 1: U is the adjoint of the polar factor of A*, and
-    S = (A* A)^{1/2} on the principal branch near 1.
-
-    Raises OutOfConvergenceRadius when A* A is too far from the identity.
+    S = (A* A)^{1/2} on the principal branch near 1.  Raises
+    OutOfConvergenceRadius when A* A is too far from the identity.
     """
     u_adj, root = polar(space.adjoint(a), a, space)
     return space.adjoint(u_adj), root.sqrt

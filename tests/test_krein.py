@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cfsgauge import krein
 from cfsgauge.errors import NotSymmetric, OutOfConvergenceRadius, SingularGram
-from cfsgauge.krein import (TOL, KreinSpace, binomial_sqrt_series, opnorm,
-                            polar, polar_decompose, sqrt_near_identity)
+from cfsgauge.krein import (SERIES_MAX_TERMS, TOL, KreinSpace,
+                            binomial_sqrt_series, opnorm, polar,
+                            polar_decompose, sqrt_near_identity)
 from cfsgauge.randoms import (random_complex, random_gram,
                               random_krein_symmetric, random_krein_unitary,
                               random_unitary)
@@ -254,3 +256,134 @@ class TestBinomialSeries:
         delta = (m * [0.3, -0.2, 0.1]) @ m.conj().T
         sq = binomial_sqrt_series(delta, 0.5)
         np.testing.assert_allclose(sq @ sq, np.eye(3) + delta, atol=1e-13)
+
+    @pytest.mark.parametrize("size,exponent", [(1.5, 0.5), (0.97, -0.5)])
+    def test_unconverged_series_raises(self, size, exponent):
+        # at 1.5 the partial sums diverge (-9.9e30 after the last term); at
+        # 0.97 they converge too slowly to meet the stop test in time
+        with pytest.raises(OutOfConvergenceRadius,
+                           match=f"after {SERIES_MAX_TERMS} terms for 1 of 1"):
+            binomial_sqrt_series(size * np.eye(2), exponent)
+
+    def test_one_diverging_element_fails_the_stack(self):
+        deltas = np.array([0.3 * np.eye(2), 1.5 * np.eye(2), -0.2 * np.eye(2)])
+        with pytest.raises(OutOfConvergenceRadius, match="1 of 3 matrices"):
+            binomial_sqrt_series(deltas, 0.5)
+
+
+class TestOpnorm:
+    @pytest.mark.parametrize("shape", [(4, 0), (0, 0), (0, 4)])
+    def test_empty_map_has_norm_zero(self, shape):
+        value = opnorm(np.zeros(shape))
+        assert value == 0.0 and type(value) is float
+        np.testing.assert_array_equal(opnorm(np.zeros((3,) + shape)), np.zeros(3))
+
+    def test_matrix_gives_float_equal_to_numpy_norm(self):
+        rng = np.random.default_rng(31)
+        for _ in range(100):
+            for a in (random_complex(rng, 4, 4), rng.standard_normal((4, 4))):
+                value = opnorm(a)
+                assert type(value) is float
+                assert value == np.linalg.norm(a, 2)
+
+
+def _stack_case(signature, count, seed, size):
+    """Stacked and per-element spaces, and T near 1 in each as in TestPolar."""
+    p, q = signature
+    rng = np.random.default_rng(seed)
+    singles = [KreinSpace(gram=random_gram(rng, p, q), signature=(p, q))
+               for _ in range(count)]
+    ts = []
+    for space in singles:
+        delta = random_complex(rng, p + q, p + q)
+        largest = max(opnorm(delta), opnorm(space.adjoint(delta)))
+        ts.append(np.eye(p + q) + delta * (0.3 * size / largest))
+    stacked = KreinSpace(gram=np.array([s.gram for s in singles]),
+                         signature=(p, q))
+    return stacked, singles, np.array(ts)
+
+
+def assert_matches_loop(stacked, looped, rtol=1e-14):
+    """Each stacked element equals the lone result to ``rtol`` relative."""
+    for got, want in zip(stacked, looped, strict=True):
+        assert opnorm(got - want) <= rtol * max(1.0, opnorm(want))
+
+
+class TestStacks:
+    @given(signature=_signatures(), count=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1), size=st.floats(0.0, 1.0))
+    def test_stack_matches_loop(self, signature, count, seed, size):
+        space, singles, t = _stack_case(signature, count, seed, size)
+        t_adj = space.adjoint(t)
+        assert_matches_loop(t_adj, [s.adjoint(x) for s, x in zip(singles, t)])
+        np.testing.assert_array_equal(opnorm(t), [opnorm(x) for x in t])
+
+        b = t @ t_adj
+        root = sqrt_near_identity(b, space)
+        lone = [sqrt_near_identity(x, s) for s, x in zip(singles, b)]
+        assert root.method == "eig" == lone[0].method
+        assert_matches_loop(root.sqrt, [r.sqrt for r in lone])
+        assert_matches_loop(root.inv_sqrt, [r.inv_sqrt for r in lone])
+
+        u, root = polar(t, t_adj, space)
+        lone = [polar(x, s.adjoint(x), s) for s, x in zip(singles, t)]
+        assert_matches_loop(u, [v for v, _ in lone])
+        assert_matches_loop(root.sqrt, [r.sqrt for _, r in lone])
+
+        u, s_fac = polar_decompose(t, space)
+        lone = [polar_decompose(x, s) for s, x in zip(singles, t)]
+        assert_matches_loop(u, [v for v, _ in lone])
+        assert_matches_loop(s_fac, [f for _, f in lone])
+
+        for exponent in (0.5, -0.5):
+            assert_matches_loop(
+                binomial_sqrt_series(b - np.eye(b.shape[-1]), exponent),
+                [binomial_sqrt_series(x - np.eye(b.shape[-1]), exponent)
+                 for x in b])
+
+    def test_element_outside_radius_is_named(self):
+        space = KreinSpace(gram=np.array([np.diag([1.0, -1.0])] * 3),
+                           signature=(1, 1))
+        b = np.array([np.eye(2), 1.1 * np.eye(2), 2.0 * np.eye(2)])
+        with pytest.raises(OutOfConvergenceRadius,
+                           match=r"stack element \[2\]"):
+            sqrt_near_identity(b, space)
+
+    def test_asymmetric_element_is_named(self):
+        space = KreinSpace(gram=np.array([np.diag([1.0, -1.0])] * 3),
+                           signature=(1, 1))
+        b = np.array([np.eye(2)] * 3)
+        b[1, 0, 1] = 0.1
+        with pytest.raises(NotSymmetric, match=r"stack element \[1\]"):
+            sqrt_near_identity(b, space)
+
+    def test_singular_gram_is_named(self):
+        grams = np.array([np.diag([1.0, -1.0]), np.diag([2.0, -1.0]),
+                          np.diag([1.0, 0.0])])
+        with pytest.raises(SingularGram, match=r"stack element \[2\]"):
+            KreinSpace(gram=grams, signature=(1, 1))
+
+    def test_defective_element_alone_takes_the_series(self, monkeypatch):
+        # gram [[0,1],[1,0]]: the nilpotent perturbation of 1 is symmetric
+        # and not diagonalizable (see test_series_handles_defective_input)
+        gram = np.array([[0.0, 1.0], [1.0, 0.0]])
+        lone_space = KreinSpace(gram=gram, signature=(1, 1))
+        rng = np.random.default_rng(41)
+        b = np.array([1.1 * np.eye(2), [[1.0, 0.0], [0.3, 1.0]],
+                      np.eye(2) + random_krein_symmetric(rng, lone_space, 0.1)])
+        series_inputs = []
+
+        def recorded(delta, exponent, _original=krein.binomial_sqrt_series):
+            series_inputs.append(np.shape(delta))
+            return _original(delta, exponent)
+
+        monkeypatch.setattr(krein, "binomial_sqrt_series", recorded)
+        root = sqrt_near_identity(b, KreinSpace(gram=np.array([gram] * 3),
+                                                signature=(1, 1)))
+        # only the defective element went through the series, once per sign
+        assert series_inputs == [(1, 2, 2), (1, 2, 2)]
+        lone = [sqrt_near_identity(x, lone_space) for x in b]
+        assert root.method == "series"
+        assert [r.method for r in lone] == ["eig", "series", "eig"]
+        assert_matches_loop(root.sqrt, [r.sqrt for r in lone])
+        assert_matches_loop(root.inv_sqrt, [r.inv_sqrt for r in lone])

@@ -5,10 +5,11 @@ import math
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cfsgauge
-from cfsgauge import cli, correlation, dirac_box, wave_charts
+from cfsgauge import cli, correlation, dirac_box, krein, wave_charts
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -56,4 +57,20 @@ def test_traced_gauge_counts_splits_and_restores(tracing):
     spans = recorder.summary()
     assert spans["correlation.split_by_image"]["calls"] == 2
     assert spans["wave_charts.build_gauge"]["calls"] == 1
+    assert wrapped_names(tracing) == []
+
+
+def test_traced_stacked_sqrt_is_counted_and_restored(tracing):
+    space = krein.KreinSpace(gram=np.array([np.diag([1.0, -1.0])] * 3),
+                             signature=(1, 1))
+    recorder = tracing.Recorder()
+    restore = tracing.install(recorder)
+    try:
+        root = krein.sqrt_near_identity(
+            np.array([1.0, 1.1, 1.2])[:, None, None] * np.eye(2), space)
+    finally:
+        restore()
+    assert root.method == "eig"
+    assert recorder.sqrt_routes == {"eig": 1, "series": 0}
+    assert recorder.summary()["krein.sqrt_near_identity"]["calls"] == 1
     assert wrapped_names(tracing) == []
