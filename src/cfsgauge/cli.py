@@ -38,13 +38,16 @@ from . import perturbation as pt
 from . import randoms as rnd
 from . import wave_charts as wc
 from .correlation import spin_space
-from .dirac_box import (DiracBoxConfig, kernel_braket_sum,
+from .dirac_box import (MIN_MASS, DiracBoxConfig, kernel_braket_sum,
                         kernel_mode_sum, mode_count, wave_value_matrix)
 from .errors import CfsGaugeError, ConfigError, TaskError, TooManyModes
 from .krein import KreinSpace, opnorm
 
 #: cap on the nt * nx^3 points of a grid spec, checked before expanding it
 MAX_GRID_POINTS = 1 << 16
+#: cap on 2 |t| / eps, which bounds every phase omega (t_x - t_y) since
+#: omega < 1 / eps: past 2^52 a float phase keeps no digit below one radian
+MAX_PHASE = 2.0 ** 52
 
 KNOWN_TASKS = ("charts", "gauge", "spectral", "perturb", "dim-count")
 
@@ -80,7 +83,6 @@ class ExperimentConfig:
     box: DiracBoxConfig
     points: tuple
     seed: int
-    tolerances: dict
     tasks: tuple
 
 
@@ -106,13 +108,22 @@ def _require(mapping, key, kind, field):
     raise ConfigError(f"expected {expected}", field=field)
 
 
+def _known_keys(mapping: dict, known, prefix: str = "") -> None:
+    """Reject the first key of ``mapping`` that is not in ``known``."""
+    for key in mapping:
+        if key not in known:
+            raise ConfigError("unknown field", field=f"{prefix}{key}")
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("top-level document must be an object", field="")
+    _known_keys(raw, ("box", "points", "seed", "tasks"))
 
     box_raw = raw.get("box")
     if not isinstance(box_raw, dict):
         raise ConfigError("missing or invalid section", field="box")
+    _known_keys(box_raw, ("L", "eps", "m"), "box.")
     L = _require(box_raw, "L", float, "box.L")
     eps = _require(box_raw, "eps", float, "box.eps")
     m = _require(box_raw, "m", float, "box.m")
@@ -120,8 +131,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("must be positive", field="box.L")
     if eps <= 0.0:
         raise ConfigError("must be positive", field="box.eps")
-    if m < 0.0:
-        raise ConfigError("must be nonnegative", field="box.m")
+    if not (m == 0.0 or m >= MIN_MASS):
+        raise ConfigError(f"must be 0 or at least MIN_MASS = {MIN_MASS:.4g}",
+                          field="box.m")
     try:
         box = DiracBoxConfig(L=L, eps=eps, m=m)
     except TooManyModes as exc:
@@ -136,18 +148,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     seed = _seed(raw.get("seed", 0))
 
-    tolerances = dict(DEFAULT_TOLERANCES)
-    overrides = raw.get("tolerances", {})
-    if not isinstance(overrides, dict):
-        raise ConfigError("expected object", field="tolerances")
-    for key, value in overrides.items():
-        if key not in DEFAULT_TOLERANCES:
-            raise ConfigError("unknown tolerance", field=f"tolerances.{key}")
-        if not _finite_number(value) or value <= 0:
-            raise ConfigError("must be positive and finite",
-                              field=f"tolerances.{key}")
-        tolerances[key] = float(value)
-
     tasks = raw.get("tasks", list(KNOWN_TASKS))
     if not isinstance(tasks, list) or not tasks:
         raise ConfigError("expected non-empty list", field="tasks")
@@ -156,7 +156,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"unknown task {task!r}", field="tasks")
 
     return ExperimentConfig(box=box, points=tuple(points), seed=seed,
-                            tolerances=tolerances, tasks=tuple(tasks))
+                            tasks=tuple(tasks))
 
 
 def _seed(value) -> int:
@@ -164,6 +164,11 @@ def _seed(value) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise ConfigError("expected non-negative integer", field="seed")
     return value
+
+
+def _phase_bounded(t, box: DiracBoxConfig) -> bool:
+    """Whether points with times up to |t| keep every phase in MAX_PHASE."""
+    return 2.0 * abs(t) / box.eps <= MAX_PHASE
 
 
 def _parse_points(raw, box: DiracBoxConfig):
@@ -174,15 +179,22 @@ def _parse_points(raw, box: DiracBoxConfig):
                     or not all(_finite_number(c) for c in item)):
                 raise ConfigError("expected [t, x1, x2, x3]",
                                   field=f"points[{i}]")
+            if not _phase_bounded(item[0], box):
+                raise ConfigError("2 |t| / eps exceeds MAX_PHASE",
+                                  field=f"points[{i}]")
             points.append(box.point(float(item[0]), tuple(map(float, item[1:]))))
         return points
     if isinstance(raw, dict):
+        _known_keys(raw, ("nt", "nx", "t_range"), "points.")
         nt = _require(raw, "nt", int, "points.nt")
         nx = _require(raw, "nx", int, "points.nx")
         t_range = raw.get("t_range", [0.0, 0.0])
         if (not isinstance(t_range, list) or len(t_range) != 2
                 or not all(_finite_number(c) for c in t_range)):
             raise ConfigError("expected [t_min, t_max]", field="points.t_range")
+        if not all(_phase_bounded(c, box) for c in t_range):
+            raise ConfigError("2 |t| / eps exceeds MAX_PHASE",
+                              field="points.t_range")
         if nt < 1 or nx < 1:
             raise ConfigError("grid sizes must be >= 1", field="points")
         if nt * nx ** 3 > MAX_GRID_POINTS:
@@ -242,7 +254,7 @@ def task_dim_count(config: ExperimentConfig):
 
 
 def task_charts(config: ExperimentConfig):
-    tol = config.tolerances
+    tol = DEFAULT_TOLERANCES
     rng = np.random.default_rng(config.seed)
     entries = []
 
@@ -289,7 +301,7 @@ def task_charts(config: ExperimentConfig):
 
 
 def task_gauge(config: ExperimentConfig):
-    tol = config.tolerances
+    tol = DEFAULT_TOLERANCES
     rng = np.random.default_rng(config.seed + 1)
     entries = []
 
@@ -367,7 +379,7 @@ def task_gauge(config: ExperimentConfig):
 
 
 def task_spectral(config: ExperimentConfig):
-    tol = config.tolerances
+    tol = DEFAULT_TOLERANCES
     rng = np.random.default_rng(config.seed + 2)
     entries = []
 
@@ -444,7 +456,7 @@ def _right_half_plane_sample(rng):
 
 
 def task_perturb(config: ExperimentConfig):
-    tol = config.tolerances
+    tol = DEFAULT_TOLERANCES
     box = config.box
     rng = np.random.default_rng(config.seed + 3)
     entries = []
@@ -574,7 +586,7 @@ def run_experiment(config: ExperimentConfig, out_dir):
             "points": [[p.t, *p.x_vec] for p in config.points],
             "seed": config.seed,
             "tasks": list(config.tasks),
-            "tolerances": config.tolerances,
+            "tolerances": DEFAULT_TOLERANCES,
         },
         "entries": entries,
         "task_errors": task_errors,

@@ -189,18 +189,15 @@ def closed_form_inv_sqrt_kernel(vk: VectorKernel) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DualRouteResult:
-    """Both evaluations of A^{-1/2} P and their disagreement.
+    """How far the two evaluations of A^{-1/2} P disagree.
 
     ``unitarity_residual`` measures || (spectral route) paired with its
     indefinite adjoint minus 1 ||; the deviation of the coefficient formula
     is reported (nan where it is undefined), not asserted.
     """
 
-    spectral: np.ndarray
-    closed_form: np.ndarray | None
     deviation: float
     unitarity_residual: float
-    eigenvalues: tuple
 
 
 def dual_route_inv_sqrt(vk: VectorKernel) -> DualRouteResult:
@@ -209,18 +206,11 @@ def dual_route_inv_sqrt(vk: VectorKernel) -> DualRouteResult:
     adjoint = GAMMA[0] @ spectral.conj().T @ GAMMA[0]
     unitarity = opnorm(spectral @ adjoint - np.eye(4))
     try:
-        closed_form = closed_form_inv_sqrt_kernel(vk)
-        deviation = opnorm(spectral - closed_form)
+        deviation = opnorm(spectral - closed_form_inv_sqrt_kernel(vk))
     except DegenerateChain:
-        closed_form = None
         deviation = float("nan")
-    return DualRouteResult(
-        spectral=spectral,
-        closed_form=closed_form,
-        deviation=float(deviation),
-        unitarity_residual=float(unitarity),
-        eigenvalues=chain_eigenvalues(vk),
-    )
+    return DualRouteResult(deviation=float(deviation),
+                           unitarity_residual=float(unitarity))
 
 
 @dataclass(frozen=True)
@@ -229,18 +219,16 @@ class ExpansionReport:
 
     The base kernel is alpha gamma^0; the real and imaginary vector parts are
     perturbed linearly in tau.  ``coefficient_fd`` is the finite-difference
-    first derivative of g at tau = 0 (Richardson-extrapolated),
-    ``coefficient_predicted`` the expected value
+    first derivative of g at tau = 0 (Richardson-extrapolated), and
+    ``coefficient_deviation`` its distance to the predicted value
     -gamma^0 (u1_vec . gamma) + i z1^0 / |alpha|, exact for |alpha| = 1.
     Residuals are || g(tau) - 1 - tau * predicted || and should scale as
     tau^2 (ratios near 4 under halving).
     """
 
-    taus: tuple
     residuals: tuple
     residual_ratios: tuple
     coefficient_fd: np.ndarray
-    coefficient_predicted: np.ndarray
     coefficient_deviation: float
     antisymmetry_residual: float
 
@@ -288,11 +276,9 @@ def unitary_expansion(alpha: float, real_step, imag_step,
 
     adjoint = GAMMA[0] @ coeff_fd.conj().T @ GAMMA[0]
     return ExpansionReport(
-        taus=tuple(float(t) for t in tau_list),
         residuals=tuple(float(r) for r in residuals),
         residual_ratios=tuple(float(r) for r in ratios),
         coefficient_fd=coeff_fd,
-        coefficient_predicted=predicted,
         coefficient_deviation=float(opnorm(coeff_fd - predicted)),
         antisymmetry_residual=float(opnorm(adjoint + coeff_fd)),
     )

@@ -81,14 +81,18 @@ MAX_MODES = 1 << 20  # nmax <= 39, f up to ~5e5
 MAX_DENSE_BYTES = 1 << 30  # f <= 8192
 #: largest half-length L whose mode normalization 2 pi (2 L)^3 is finite
 MAX_L = 0.5 * (sys.float_info.max / (2.0 * math.pi)) ** (1.0 / 3.0)
+#: smallest positive mass whose square is a normal float: below it the zero
+#: mode's omega = sqrt(m^2) loses precision or vanishes
+MIN_MASS = math.sqrt(sys.float_info.min)
 
 
 @dataclass(frozen=True)
 class DiracBoxConfig:
     """Box half-length L, energy cutoff scale eps, and mass m (hbar = c = 1).
 
-    Raises ValueError when L is not in (0, MAX_L] and TooManyModes when the
-    lattice may hold over MAX_MODES modes.
+    Raises ValueError when L is not in (0, MAX_L] or m is neither 0 nor at
+    least MIN_MASS, and TooManyModes when the lattice may hold over MAX_MODES
+    modes.
     """
 
     L: float
@@ -101,8 +105,9 @@ class DiracBoxConfig:
                              f"MAX_L = {MAX_L:.4g}")
         if not (self.eps > 0.0):
             raise ValueError("cutoff scale eps must be positive")
-        if not (self.m >= 0.0):
-            raise ValueError("mass m must be nonnegative")
+        if not (self.m == 0.0 or self.m >= MIN_MASS):
+            raise ValueError(f"mass m must be 0 or at least "
+                             f"MIN_MASS = {MIN_MASS:.4g}")
         _lattice_extent(self)
 
     def point(self, t: float, x_vec) -> "SpacetimePoint":
@@ -128,15 +133,14 @@ class MomentumMode:
     """One occupied sea state: lattice momentum, frequency, polarization.
 
     ``n_vec`` are the integer lattice coordinates, ``k_vec = (pi / L) n_vec``
-    the physical momentum, ``a`` the polarization index in {1, 2}; the
-    frequency sign ``s`` is always -1 for the sea ensemble.
+    the physical momentum, ``a`` the polarization index in {1, 2}; every
+    mode has negative frequency, as the sea ensemble does.
     """
 
     n_vec: tuple
     k_vec: tuple
     omega: float
     a: int
-    s: int = -1
 
     @property
     def four_momentum(self) -> tuple:

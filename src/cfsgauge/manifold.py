@@ -155,16 +155,13 @@ class GaussianReport:
     D(t) = d(point(t a, t b), point(t a2, t b2))^2 is fitted as
     c2 t^2 + r(t); ``quadratic_coefficient`` is the measured c2,
     ``predicted_coefficient`` the block-trace value it should equal, and the
-    residual r(t) should scale like t^4 (exponents near 4, ratios near 16
-    under halving of t).
+    residual r(t) should scale like t^4 (ratios near 16 under halving of t).
     """
 
     quadratic_coefficient: float
     predicted_coefficient: float
-    t_values: tuple
     residuals: tuple
     residual_ratios: tuple
-    residual_exponents: tuple
 
 
 def _squared_chart_distance(split: ImageSplit, a1, b1, a2, b2, t: float) -> float:
@@ -210,31 +207,16 @@ def gaussian_check(split: ImageSplit, a1, b1, a2, b2,
     r1b = (4.0 * e2 - e1) / 3.0
     measured = (16.0 * r1b - r1a) / 15.0
 
-    residuals = []
-    for t in t_list:
-        d = _squared_chart_distance(split, a1, b1, a2, b2, t)
-        residuals.append(d - predicted * t * t)
-    ratios = []
-    exponents = []
-    for (ta, ra), (tb, rb) in zip(zip(t_list, residuals),
-                                  list(zip(t_list, residuals))[1:]):
-        if rb != 0.0 and ta != tb:
-            ratios.append(ra / rb)
-            if ra / rb > 0.0:
-                exponents.append(float(np.log(ra / rb) / np.log(ta / tb)))
-            else:
-                exponents.append(float("nan"))
-        else:
-            ratios.append(float("nan"))
-            exponents.append(float("nan"))
+    residuals = [_squared_chart_distance(split, a1, b1, a2, b2, t)
+                 - predicted * t * t for t in t_list]
+    ratios = [ra / rb if rb != 0.0 else float("nan")
+              for ra, rb in zip(residuals, residuals[1:])]
 
     return GaussianReport(
         quadratic_coefficient=float(measured),
         predicted_coefficient=float(predicted),
-        t_values=tuple(float(t) for t in t_list),
         residuals=tuple(float(r) for r in residuals),
         residual_ratios=tuple(ratios),
-        residual_exponents=tuple(exponents),
     )
 
 

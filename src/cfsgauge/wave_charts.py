@@ -32,11 +32,12 @@ from .correlation import (ImageSplit, as_split, hermitize, kernel,
                           wave_evaluation)
 from .errors import (NotInvertible, OutOfChartDomain, OutOfConvergenceRadius,
                      TooFarFromBase)
-from .krein import opnorm
+from .krein import RADIUS_SERIES, opnorm
 from .manifold import ChartCoordinates, chart_inverse
 
-#: bound on ||X^{-1} a|| shared by both wave-chart constructions
-CHART_DOMAIN_RADIUS = 0.8
+#: bound on ||X^{-1} a|| shared by both wave-chart constructions; it is the
+#: radius within which sqrt_near_identity roots 1 + X^{-1} a
+CHART_DOMAIN_RADIUS = RADIUS_SERIES
 #: relative tolerance when comparing realizations in the orbit test
 ORBIT_TOL = 1e-8
 
@@ -178,10 +179,9 @@ def gaussian_wave_map(coords: ChartCoordinates,
 
 @dataclass(frozen=True)
 class CoincidenceReport:
-    """Pointwise deviation between the two wave-chart constructions."""
+    """Largest deviation between the two wave-chart constructions."""
 
     max_deviation: float
-    deviations: tuple
 
 
 def charts_coincide_check(base: ImageSplit, sample_points) -> CoincidenceReport:
@@ -197,21 +197,19 @@ def charts_coincide_check(base: ImageSplit, sample_points) -> CoincidenceReport:
         via_chart = gaussian_wave_map(coords, base)
         deviations.append(opnorm(via_polar.full_matrix()
                                  - via_chart.full_matrix()))
-    return CoincidenceReport(max_deviation=float(max(deviations)),
-                             deviations=tuple(float(d) for d in deviations))
+    return CoincidenceReport(max_deviation=float(max(deviations)))
 
 
 @dataclass(frozen=True, eq=False)
 class GaugeMap:
     """A gauge over a point set: one wave map into a common target per point.
 
-    ``values[i]`` is the 2n x f matrix of the gauge at ``points[i]``, a map
+    ``values[i]`` is the 2n x f matrix of the gauge at the i-th point, a map
     into the spin space of ``base`` with its inner product
     ``base.krein.gram``.  ``condition_residuals`` record how well each point
     satisfies the defining condition y = -(value)* (value).
     """
 
-    points: tuple
     values: tuple
     base: ImageSplit
     condition_residuals: tuple
@@ -225,19 +223,15 @@ def build_gauge(base: ImageSplit, points) -> GaugeMap:
     satisfies the gauge condition is one global spin-space unitary times
     this one.
     """
-    operators = []
     values = []
     residuals = []
     for y in points:
         split_y = as_split(y, *base.signature)
         value = symmetric_wave_chart(split_y, base).full_matrix()
-        operators.append(split_y.operator)
         values.append(value)
         residuals.append(condition_residual_bound(split_y, value,
                                                   base.krein.gram))
-    return GaugeMap(points=tuple(operators),
-                    values=tuple(values),
-                    base=base,
+    return GaugeMap(values=tuple(values), base=base,
                     condition_residuals=tuple(residuals))
 
 

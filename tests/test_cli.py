@@ -1,20 +1,24 @@
 """Experiment runner: config validation, reports, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfsgauge import cli
-from cfsgauge.cli import (DEFAULT_TOLERANCES, KNOWN_TASKS, load_config, main,
-                          parse_config, run_experiment)
-from cfsgauge.dirac_box import mode_count
+from cfsgauge.cli import (KNOWN_TASKS, load_config, main, parse_config,
+                          run_experiment)
+from cfsgauge.dirac_box import MIN_MASS, mode_count
 from cfsgauge.errors import ConfigError
 
 BASE_CONFIG = {
@@ -23,6 +27,11 @@ BASE_CONFIG = {
     "seed": 7,
     "tasks": ["dim-count"],
 }
+
+
+def reject_constant(token):
+    """``parse_constant`` hook that makes json.loads strict."""
+    raise ValueError(f"non-standard JSON token {token}")
 
 
 def write_config(tmp_path, overrides=None, name="config.json"):
@@ -60,16 +69,59 @@ class TestConfigParsing:
             parse_config(raw)
 
     def test_unknown_tolerance_rejected(self):
+        # the thresholds are DEFAULT_TOLERANCES alone; a config cannot loosen
+        # one, and its old override section is not silently ignored either
         raw = dict(BASE_CONFIG)
-        raw["tolerances"] = {"no_such": 1.0}
-        with pytest.raises(ConfigError):
+        raw["tolerances"] = {"coincidence": 1e-6}
+        with pytest.raises(ConfigError) as info:
             parse_config(raw)
+        assert info.value.field == "tolerances"
 
     def test_nonpositive_tolerance_rejected(self):
         raw = dict(BASE_CONFIG)
         raw["tolerances"] = {"coincidence": 0.0}
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as info:
             parse_config(raw)
+        assert info.value.field == "tolerances"
+
+    @pytest.mark.parametrize("field, overrides", [
+        ("task", {"task": ["charts"]}),
+        ("box.mass", {"box": {"L": math.pi, "eps": 0.4, "m": 0.0,
+                              "mass": 1.0}}),
+        ("points.t_rnage", {"points": {"nt": 2, "nx": 1,
+                                       "t_rnage": [0.0, 1.0]}}),
+    ])
+    def test_unknown_field_rejected(self, field, overrides):
+        with pytest.raises(ConfigError) as info:
+            parse_config(dict(BASE_CONFIG, **overrides))
+        assert info.value.field == field
+
+    @pytest.mark.parametrize("m", [2.5e-185, 1e-170, 1e-160])
+    def test_underflowing_mass_rejected(self, m):
+        # m^2 is subnormal or zero: the zero mode's omega = sqrt(m^2) loses
+        # precision or vanishes, and the mode sum divides by it
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        raw["box"]["m"] = m
+        with pytest.raises(ConfigError) as info:
+            parse_config(raw)
+        assert info.value.field == "box.m"
+
+    @pytest.mark.parametrize("field, eps, points", [
+        # omega (t_x - t_y) reaches 2 |t| / eps, which overflows here
+        ("points[0]", 0.4, [[1e308, 0.0, 0.0, 0.0], [-1e308, 0.0, 0.0, 0.0]]),
+        ("points[1]", 0.4, [[0.0, 0.0, 0.0, 0.0], [-1e308, 0.0, 0.0, 0.0]]),
+        ("points.t_range", 0.4, {"nt": 2, "nx": 1, "t_range": [0.0, 1e308]}),
+        # 2 |t| / eps is finite, but the perturb task's gauge phases omega t,
+        # omega of order 1, overflow math.cos
+        ("points[0]", 0.9, [[8e307, 0.0, 0.0, 0.0]]),
+    ])
+    def test_time_beyond_phase_bound_rejected(self, field, eps, points):
+        box = dict(BASE_CONFIG["box"], eps=eps)
+        with pytest.raises(ConfigError) as info:
+            parse_config(dict(BASE_CONFIG, box=box, points=points))
+        assert info.value.field == field
+        inside = 0.25 * cli.MAX_PHASE * eps   # 2 |t| / eps = MAX_PHASE / 2
+        parse_config(dict(BASE_CONFIG, box=box, points=[[inside, 0, 0, 0]]))
 
     @pytest.mark.parametrize("key", ["L", "eps", "m"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
@@ -106,14 +158,6 @@ class TestConfigParsing:
             parse_config(raw)
         assert info.value.field == "points.t_range"
 
-    @pytest.mark.parametrize("value", [math.inf, math.nan])
-    def test_nonfinite_tolerance_rejected(self, value):
-        raw = dict(BASE_CONFIG)
-        raw["tolerances"] = {"coincidence": value}
-        with pytest.raises(ConfigError) as info:
-            parse_config(raw)
-        assert info.value.field == "tolerances.coincidence"
-
     def test_box_beyond_mode_bound_rejected(self):
         raw = json.loads(json.dumps(BASE_CONFIG))
         raw["box"] = {"L": 3.14, "eps": 0.002, "m": 0.0}
@@ -149,14 +193,6 @@ class TestConfigParsing:
             parse_config(dict(BASE_CONFIG, seed=seed))
         assert info.value.field == "seed"
 
-    def test_tolerance_override_applies(self):
-        raw = dict(BASE_CONFIG)
-        raw["tolerances"] = {"coincidence": 1e-6}
-        config = parse_config(raw)
-        assert config.tolerances["coincidence"] == 1e-6
-        assert (config.tolerances["chart_roundtrip"]
-                == DEFAULT_TOLERANCES["chart_roundtrip"])
-
 
 # any JSON value, including the NaN and Infinity tokens json.loads accepts;
 # strings come from the config's own keys, so objects can nest as a config
@@ -178,9 +214,6 @@ BOXED_CONFIGS = st.fixed_dictionaries(
         "seed": st.integers() | JSON_VALUES,
         "tasks": JSON_VALUES | st.lists(
             st.sampled_from(KNOWN_TASKS + ("nonsense",)), max_size=3),
-        "tolerances": JSON_VALUES | st.dictionaries(
-            st.sampled_from(sorted(DEFAULT_TOLERANCES) + ["no_such"]),
-            st.floats() | JSON_VALUES, max_size=3),
     })
 
 
@@ -203,6 +236,59 @@ class TestConfigBoundary:
     @given(BOXED_CONFIGS)
     def test_fuzzed_fields_around_a_valid_box(self, raw):
         self.check(raw)
+
+
+# boxes of at most f = 162 modes: L <= pi and eps >= 0.4 only drop modes, and
+# a mass adds at most the zero mode; the edge values sit at the input bounds
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 1e-170, 2.5e-185, MIN_MASS, 1e308,
+                               -1e308, 1e16, math.inf, math.nan])
+MASSES = st.floats(min_value=0.0, max_value=3.0) | EDGE_FLOATS
+COORDS = st.floats(min_value=-10.0, max_value=10.0) | st.floats() | EDGE_FLOATS
+RUN_CONFIGS = st.fixed_dictionaries(
+    {"box": (st.just(BASE_CONFIG["box"])
+             | st.builds(lambda m: dict(BASE_CONFIG["box"], m=m), MASSES)
+             | st.fixed_dictionaries({
+                 "L": st.floats(min_value=1e-3, max_value=math.pi)
+                      | EDGE_FLOATS,
+                 "eps": st.floats(min_value=0.4, max_value=1e3) | EDGE_FLOATS,
+                 "m": MASSES})),
+     "tasks": st.lists(st.sampled_from(["dim-count", "perturb"]),
+                       min_size=1, max_size=2)},
+    optional={
+        "points": st.lists(st.lists(COORDS, min_size=4, max_size=4),
+                           max_size=2)
+                  | st.fixed_dictionaries(
+                      {"nt": st.integers(1, 2), "nx": st.integers(1, 2)},
+                      optional={"t_range": st.lists(COORDS, min_size=2,
+                                                    max_size=2)}),
+        "seed": st.integers(0, 2 ** 32),
+    })
+
+
+class TestWholeRun:
+    """A whole ``cfsgauge run`` exits 0, 1 or 2 and never crashes."""
+
+    @settings(max_examples=30)
+    @given(RUN_CONFIGS)
+    def test_fuzzed_run_exits_cleanly(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.json"
+            path.write_text(json.dumps(raw))   # NaN and Infinity as tokens
+            out = Path(tmp) / "out"
+            err = io.StringIO()
+            with (contextlib.redirect_stderr(err),
+                  contextlib.redirect_stdout(io.StringIO())):
+                code = main(["run", str(path), "--out", str(out)])
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()
+            if code != 2:
+                json.loads((out / "report.json").read_text(),
+                           parse_constant=reject_constant)
+            kernels = out / "kernels.csv"
+            if kernels.exists():
+                text = kernels.read_text().lower()
+                assert "nan" not in text and "inf" not in text
+            assert not list(Path(tmp).rglob("*.tmp"))
 
 
 class TestRunReports:
@@ -332,11 +418,8 @@ class TestRunReports:
         out = tmp_path / "out"
         assert main(["run", str(write_config(tmp_path)), "--out", str(out)]) == 1
 
-        def reject(token):
-            raise ValueError(f"non-standard JSON token {token}")
-
         report = json.loads((out / "report.json").read_text(),
-                            parse_constant=reject)
+                            parse_constant=reject_constant)
         gated, informational = report["entries"]
         assert gated["value"] is None and gated["passed"] is False
         assert informational["value"] is None and informational["passed"] is True
@@ -420,6 +503,16 @@ class TestExitCodes:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         error = report["task_errors"]["perturb"]
         assert error.startswith("TaskError") and "alpha gamma^0" in error
+
+    def test_underflowing_mass_exits_2_on_both_routes(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"box": {"L": 3.14159, "eps": 0.4,
+                                               "m": 1e-170}})
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "box.m" in capsys.readouterr().err
+        assert main(["modes", "3.14159", "0.4", "1e-170"]) == 2
+        err = capsys.readouterr().err
+        assert "MIN_MASS" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("args", [("1", "1e200", "0"),
                                       ("1", "0.4", "1e200"),

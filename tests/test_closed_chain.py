@@ -169,7 +169,6 @@ class TestInvSqrtKernel:
         for _ in range(20):
             vk = right_half_plane_sample(rng)
             result = dual_route_inv_sqrt(vk)
-            assert result.closed_form is not None
             assert np.isfinite(result.deviation)
             deviations.append(result.deviation)
         # the fixed coefficient formula differs from the spectral calculus
@@ -180,7 +179,6 @@ class TestInvSqrtKernel:
         vk = VectorKernel(real_vec=[1.5, 0.3, 0.1, -0.2],
                           imag_vec=np.zeros(4))
         result = dual_route_inv_sqrt(vk)
-        assert result.closed_form is None
         assert math.isnan(result.deviation)
         assert result.unitarity_residual <= 1e-12
 

@@ -9,7 +9,7 @@ import pytest
 
 from cfsgauge.correlation import kernel, spin_space
 from cfsgauge.dirac_box import (ETA, GAMMA, MAX_DENSE_BYTES, MAX_L, MAX_MODES,
-                                SPINOR_GRAM, DiracBoxConfig, SpacetimePoint,
+                                MIN_MASS, SPINOR_GRAM, DiracBoxConfig, SpacetimePoint,
                                 _lattice, _sea_spinor_table, _sea_table,
                                 build_correlation_map, kernel_braket_sum,
                                 kernel_mode_sum, mode_count, momentum_modes,
@@ -489,6 +489,16 @@ class TestModeBound:
 
     def test_largest_sweep_point_allowed(self):
         assert mode_count(DiracBoxConfig(L=math.pi, eps=0.08, m=0.0)) == 16432
+
+    def test_smallest_mass_keeps_the_zero_mode_finite(self):
+        # m^2 is still a normal float, so omega = m and 1 / omega are exact
+        cfg = DiracBoxConfig(L=math.pi, eps=0.4, m=MIN_MASS)
+        assert mode_count(cfg) == 162
+        k = kernel_mode_sum(cfg, cfg.point(0.3, (0.1, 0.2, -0.4)),
+                            cfg.point(0.0, (0.0, 0.0, 0.0)))
+        assert np.all(np.isfinite(k))
+        with pytest.raises(ValueError, match="MIN_MASS"):
+            DiracBoxConfig(L=math.pi, eps=0.4, m=0.5 * MIN_MASS)
 
     def test_box_volume_must_be_finite(self):
         with pytest.raises(ValueError, match="MAX_L"):

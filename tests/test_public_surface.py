@@ -1,13 +1,15 @@
-"""Every public function and option of the package has a caller outside the
-unit tests.
+"""Every public function, option and field of the package has a caller
+outside the unit tests, and every name has one import path.
 
 A public function or method counts as used when its name is referenced
 (called, read as an attribute or imported) by a module of the package other
 than ``__init__``, by the benchmark under ``perfbench/``, or by the
 acceptance suite.  A parameter with a default counts as used when one call
-from those sources passes it, by name or by position.  Unit tests alone do
-not keep a helper or an option alive: a claim they check goes through the
-code the program runs.
+from those sources passes it, by name or by position.  An annotated field of
+a public class counts as used when those sources read an attribute of its
+name.  Unit tests alone do not keep a helper, an option or a field alive: a
+claim they check goes through the code the program runs.  The package root
+binds no name, so each one is imported from the module that defines it.
 """
 
 import ast
@@ -30,6 +32,18 @@ ALLOWED = {
         "counterpart of random_krein_unitary; a test copy would be as long",
     "wave_charts.symmetrize":
         "the only move of a point to its symmetric orbit representative",
+}
+
+#: public fields kept without a reader, each with the reason
+ALLOWED_FIELDS = {
+    "closed_chain.ExpansionReport.coefficient_fd":
+        "the derivative the reported coefficient deviation is measured on",
+    "closed_chain.ExpansionReport.residuals":
+        "the residuals the reported ratios are formed from",
+    "manifold.GaussianReport.residuals":
+        "the residuals the reported ratios are formed from",
+    "perturbation.BasisWaves.alpha":
+        "the scale alpha of P(x, x) = alpha gamma^0 that chi is divided by",
 }
 
 
@@ -57,6 +71,25 @@ def caller_trees():
     sources += list((ROOT / "perfbench").glob("*.py"))
     sources.append(ROOT / "tests" / "test_acceptance.py")
     return [ast.parse(path.read_text(encoding="utf-8")) for path in sources]
+
+
+def public_fields():
+    """``module.Class.field`` for each annotated field of a public class."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                found |= {f"{path.stem}.{node.name}.{item.target.id}"
+                          for item in node.body
+                          if isinstance(item, ast.AnnAssign)
+                          and isinstance(item.target, ast.Name)}
+    return found
+
+
+def read_attributes():
+    return {node.attr for tree in caller_trees() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
 
 
 def referenced_names():
@@ -115,6 +148,22 @@ def test_every_public_function_has_a_caller():
               if node.name not in used}
     assert not unused - set(ALLOWED), "public without a caller"
     assert not set(ALLOWED) - unused, "allowed name is used or gone"
+
+
+def test_package_root_binds_no_name():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    bound = [ast.dump(node) for node in tree.body
+             if not (isinstance(node, ast.Expr)
+                     and isinstance(node.value, ast.Constant))]
+    assert not bound, "import names from their modules"
+
+
+def test_every_public_field_is_read():
+    read = read_attributes()
+    unread = {name for name in public_fields()
+              if name.rsplit(".", 1)[1] not in read}
+    assert not unread - set(ALLOWED_FIELDS), "public fields nothing reads"
+    assert not set(ALLOWED_FIELDS) - unread, "allowed field is read or gone"
 
 
 def test_every_keyword_option_is_passed():

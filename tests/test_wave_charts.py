@@ -281,7 +281,7 @@ class TestBuildGauge:
         u_two = random_krein_unitary(rng, base.krein, scale=0.2)
         gauge = build_gauge(base, points)
         # a Krein unitary applied to the gauge keeps the gauge condition
-        for y, value in zip(gauge.points, gauge.values):
+        for y, value in zip(points, gauge.values):
             for u in (u_one, u_two):
                 assert condition_residual_bound(spin_space(y, 2), u @ value,
                                                 base.krein.gram) <= 1e-9
@@ -301,7 +301,7 @@ class TestBuildGauge:
         g = random_krein_unitary(rng, base.krein, scale=0.2)
         gauge = build_gauge(base, points)
         factor = u_x @ g @ base.krein.adjoint(u_x)
-        for y, value in zip(gauge.points, gauge.values):
+        for y, value in zip(points, gauge.values):
             v1, v2 = u_x @ value, u_x @ g @ value
             assert opnorm(v2 - factor @ v1) <= 1e-9
             assert condition_residual_bound(spin_space(y, 2), v2,
@@ -381,7 +381,7 @@ class TestBoxGauge:
     def test_residual_bound_covers_dense_norm(self, box):
         base, ys = box
         gauge = build_gauge(base, ys)
-        for y, value, bound in zip(gauge.points, gauge.values,
+        for y, value, bound in zip(ys, gauge.values,
                                    gauge.condition_residuals):
             dense = opnorm(y + value.conj().T @ gauge.base.krein.gram @ value)
             assert dense <= bound * (1.0 + 1e-12)
