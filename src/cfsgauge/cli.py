@@ -30,6 +30,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import expm
 
 from . import closed_chain as cc
 from . import krein as kr
@@ -228,8 +229,22 @@ def _entry(task, name, ref, value, threshold):
 
 
 def _interval_excess(value, low, high) -> float:
-    """Distance outside [low, high]; zero inside."""
+    """Distance outside [low, high]; zero inside, infinite if not finite.
+
+    A NaN would pass ``max`` (every comparison with it is false); an
+    infinite excess keeps any later ``max`` infinite and fails the gate.
+    """
+    if not math.isfinite(value):
+        return math.inf
     return float(max(0.0, low - value, value - high))
+
+
+def _chart_samples(rng, split, count: int, scale: float):
+    """``count`` random chart coordinates around ``split``, as one stack."""
+    drawn = [rnd.random_chart_coords(rng, split, scale=scale)
+             for _ in range(count)]
+    return mf.ChartCoordinates(a=np.array([c.a for c in drawn]),
+                               b=np.array([c.b for c in drawn]), split=split)
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +276,10 @@ def task_charts(config: ExperimentConfig):
     worst = 0.0
     for p, q, f in ((1, 1, 6), (2, 2, 8)):
         split = spin_space(rnd.random_correlation(rng, f, p), p)
-        for _ in range(50):
-            coords = rnd.random_chart_coords(rng, split, scale=0.05)
-            back = mf.chart_inverse(mf.chart_forward(coords), split)
-            worst = max(worst, opnorm(back.a - coords.a),
-                        opnorm(back.b - coords.b))
+        coords = _chart_samples(rng, split, 50, scale=0.05)
+        back = mf.chart_inverse(mf.chart_forward(coords), split)
+        worst = max(worst, np.max(opnorm(back.a - coords.a)),
+                    np.max(opnorm(back.b - coords.b)))
     entries.append(_entry("charts", "roundtrip-max-residual",
                           "chart-inverse-roundtrip", worst,
                           tol["chart_roundtrip"]))
@@ -337,39 +351,36 @@ def task_gauge(config: ExperimentConfig):
                           tol["sqrt_series_agreement"]))
 
     base = spin_space(rnd.random_correlation(rng, 8, 2), 2)
-    worst_orbit = 0.0
-    for _ in range(25):
-        psi = wc.WaveChartPoint(
-            on_image=np.eye(4) + 0.05 * rnd.random_complex(rng, 4, 4),
-            on_complement=rnd.random_complement_map(rng, base, 4, scale=0.05),
-            base=base)
-        u0 = rnd.random_krein_unitary(rng, base.krein, scale=0.2)
-        rotated = wc.WaveChartPoint(on_image=u0 @ psi.on_image,
-                                    on_complement=u0 @ psi.on_complement,
-                                    base=base)
-        u = wc.gauge_orbit_witness(psi, rotated)
-        if u is None:
-            raise TaskError("orbit witness unexpectedly missing")
-        worst_orbit = max(worst_orbit, opnorm(u - u0))
+    drawn = [(np.eye(4) + 0.05 * rnd.random_complex(rng, 4, 4),
+              rnd.random_complement_map(rng, base, 4, scale=0.05),
+              0.2 * rnd.random_complex(rng, 4, 4))
+             for _ in range(25)]
+    on_image, on_complement, m = map(np.array, zip(*drawn))
+    # Krein unitaries near 1: exp of the antisymmetric part of each m
+    u0 = expm(0.5 * (m - base.krein.adjoint(m)))
+    psi = wc.WaveChartPoint(on_image=on_image, on_complement=on_complement,
+                            base=base)
+    rotated = wc.WaveChartPoint(on_image=u0 @ on_image,
+                                on_complement=u0 @ on_complement, base=base)
+    u = wc.gauge_orbit_witness(psi, rotated)
+    if u is None:
+        raise TaskError("orbit witness unexpectedly missing")
+    worst_orbit = np.max(opnorm(u - u0))
     entries.append(_entry("gauge", "orbit-recovery",
                           "gauge-orbit-injectivity", worst_orbit,
                           tol["orbit_recovery"]))
 
     worst_coincide = 0.0
     for f in (8, 12):
-        x = rnd.random_correlation(rng, f, 2)
-        base_f = spin_space(x, 2)
-        samples = [mf.chart_forward(rnd.random_chart_coords(rng, base_f,
-                                                            scale=0.04))
-                   for _ in range(25)]
+        base_f = spin_space(rnd.random_correlation(rng, f, 2), 2)
+        samples = mf.chart_forward(_chart_samples(rng, base_f, 25, scale=0.04))
         report = wc.charts_coincide_check(base_f, samples)
         worst_coincide = max(worst_coincide, report.max_deviation)
     entries.append(_entry("gauge", "wave-chart-coincidence",
                           "symmetric-vs-transported-wave-chart",
                           worst_coincide, tol["coincidence"]))
 
-    points = [mf.chart_forward(rnd.random_chart_coords(rng, base, scale=0.05))
-              for _ in range(10)]
+    points = mf.chart_forward(_chart_samples(rng, base, 10, scale=0.05))
     gauge = wc.build_gauge(base, points)
     entries.append(_entry("gauge", "gauge-condition-residual",
                           "gauge-defining-condition",
@@ -383,34 +394,30 @@ def task_spectral(config: ExperimentConfig):
     rng = np.random.default_rng(config.seed + 2)
     entries = []
 
-    worst_eig = 0.0
-    for _ in range(100):
-        vk = cc.VectorKernel(rng.standard_normal(4), rng.standard_normal(4))
-        lam_plus, lam_minus = cc.chain_eigenvalues(vk)
-        predicted = np.array([lam_plus, lam_plus, lam_minus, lam_minus])
-        numeric = np.linalg.eigvals(cc.chain_from_vectors(vk))
-        worst_eig = max(worst_eig, cc.multiset_distance(predicted, numeric))
+    drawn = np.array([(rng.standard_normal(4), rng.standard_normal(4))
+                      for _ in range(100)])
+    vk = cc.VectorKernel(drawn[:, 0], drawn[:, 1])
+    lam_plus, lam_minus = cc.chain_eigenvalues(vk)
+    predicted = np.stack([lam_plus, lam_plus, lam_minus, lam_minus], axis=-1)
+    numeric = np.linalg.eigvals(cc.chain_from_vectors(vk))
+    worst_eig = np.max(cc.multiset_distance(predicted, numeric))
     entries.append(_entry("spectral", "eigenvalue-match",
                           "closed-chain-eigenvalues", worst_eig,
                           tol["eigenvalue_match"]))
 
-    worst_proj = worst_unit = 0.0
-    worst_dev = 0.0
-    eye = np.eye(4)
-    for _ in range(50):
-        vk = _right_half_plane_sample(rng)
-        e_plus, e_minus = cc.spectral_projectors(vk)
-        lam_plus, lam_minus = cc.chain_eigenvalues(vk)
-        a = cc.chain_from_vectors(vk)
-        worst_proj = max(worst_proj,
-                         opnorm(e_plus + e_minus - eye),
+    vk = _right_half_plane_samples(rng, 50)
+    e_plus, e_minus = cc.spectral_projectors(vk)
+    lam_plus, lam_minus = (lam[:, None, None]
+                           for lam in cc.chain_eigenvalues(vk))
+    a = cc.chain_from_vectors(vk)
+    worst_proj = np.max([opnorm(e_plus + e_minus - np.eye(4)),
                          opnorm(e_plus @ e_plus - e_plus),
                          opnorm(e_plus @ e_minus),
                          opnorm(a @ e_plus - lam_plus * e_plus),
-                         opnorm(a @ e_minus - lam_minus * e_minus))
-        result = cc.dual_route_inv_sqrt(vk)
-        worst_unit = max(worst_unit, result.unitarity_residual)
-        worst_dev = max(worst_dev, result.deviation)
+                         opnorm(a @ e_minus - lam_minus * e_minus)])
+    result = cc.dual_route_inv_sqrt(vk)
+    worst_unit = np.max(result.unitarity_residual)
+    worst_dev = np.max(result.deviation)
     entries.append(_entry("spectral", "projector-algebra",
                           "spectral-projector-algebra", worst_proj,
                           tol["projector_algebra"]))
@@ -442,17 +449,27 @@ def task_spectral(config: ExperimentConfig):
     return entries
 
 
-def _right_half_plane_sample(rng):
-    while True:
-        u = np.array([rng.uniform(1.5, 2.5), *(0.4 * rng.standard_normal(3))])
-        z = 0.4 * rng.standard_normal(4)
-        vk = cc.VectorKernel(real_vec=u, imag_vec=z)
-        lam_plus, lam_minus = cc.chain_eigenvalues(vk)
-        ok = all(l.real > 0.1 or abs(l.imag) > 0.1
-                 for l in (lam_plus, lam_minus))
-        if ok and abs(lam_plus - lam_minus) > 1e-3 * (abs(lam_plus)
-                                                      + abs(lam_minus)):
-            return vk
+def _right_half_plane_samples(rng, count: int):
+    """``count`` kernels whose chain eigenvalues are apart and off the cut.
+
+    Rejection sampling in rounds: a round draws as many candidates as are
+    still missing, so no draw is made past the last accepted one and the
+    samples are those of one candidate at a time.
+    """
+    kept = []
+    while len(kept) < count:
+        drawn = [(np.array([rng.uniform(1.5, 2.5),
+                            *(0.4 * rng.standard_normal(3))]),
+                  0.4 * rng.standard_normal(4))
+                 for _ in range(count - len(kept))]
+        lam_plus, lam_minus = cc.chain_eigenvalues(
+            cc.VectorKernel(*map(np.array, zip(*drawn))))
+        lams = np.stack([lam_plus, lam_minus])
+        off_cut = np.all((lams.real > 0.1) | (np.abs(lams.imag) > 0.1), axis=0)
+        apart = (np.abs(lam_plus - lam_minus)
+                 > 1e-3 * (np.abs(lam_plus) + np.abs(lam_minus)))
+        kept += [d for d, ok in zip(drawn, off_cut & apart) if ok]
+    return cc.VectorKernel(*map(np.array, zip(*kept)))
 
 
 def task_perturb(config: ExperimentConfig):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .dirac_box import GAMMA, minkowski_dot, slash
 from .errors import BranchCut, DegenerateChain
-from .krein import opnorm
+from .krein import _refuse, opnorm
 
 #: relative eigenvalue gap below which the chain counts as degenerate
 DEGENERACY_RTOL = 1e-8
@@ -33,22 +33,29 @@ BRANCH_CUT_ATOL = 1e-12
 VECTOR_FORM_RTOL = 1e-10
 
 
-def multiset_distance(a, b) -> float:
+def multiset_distance(a, b):
     """Smallest max-distance matching between two equal-size multisets.
 
     Complex eigenvalue multisets cannot be compared by lexicographic sorting
-    (roundoff reorders conjugate pairs), so match over permutations.
+    (roundoff reorders conjugate pairs), so match over all permutations at
+    once.  Along the last axis; a float, or an array of them for a stack.
     """
     a, b = np.asarray(a), np.asarray(b)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("expected two 1-d arrays of equal length")
-    return min(float(np.max(np.abs(a - b[list(perm)])))
-               for perm in itertools.permutations(range(len(b))))
+    if a.shape != b.shape or a.ndim < 1:
+        raise ValueError("expected two arrays of equal shape")
+    perms = np.array(list(itertools.permutations(range(a.shape[-1]))))
+    gaps = np.max(np.abs(a[..., None, :] - b[..., perms]), axis=-1)
+    best = np.min(gaps, axis=-1)
+    return float(best) if best.ndim == 0 else best
 
 
 @dataclass(frozen=True, eq=False)
 class VectorKernel:
-    """Kernel of pure vector form: slash(real_vec) + i slash(imag_vec)."""
+    """Kernel of pure vector form: slash(real_vec) + i slash(imag_vec).
+
+    The vectors may carry the same leading stack axes, one kernel per element;
+    every function below then returns one result per element.
+    """
 
     real_vec: np.ndarray
     imag_vec: np.ndarray
@@ -56,7 +63,7 @@ class VectorKernel:
     def __post_init__(self):
         u = np.asarray(self.real_vec, dtype=float)
         z = np.asarray(self.imag_vec, dtype=float)
-        if u.shape != (4,) or z.shape != (4,):
+        if u.shape[-1:] != (4,) or z.shape != u.shape:
             raise ValueError("vector components must be real 4-vectors")
         object.__setattr__(self, "real_vec", u)
         object.__setattr__(self, "imag_vec", z)
@@ -83,19 +90,25 @@ def vector_kernel_from_matrix(m: np.ndarray) -> VectorKernel:
 
 
 def _invariants(vk: VectorKernel):
+    """u^2, z^2, u z and the root sqrt(u^2 z^2 - (u z)^2), principal branch."""
     u, z = vk.real_vec, vk.imag_vec
     u_sq = minkowski_dot(u, u)
     z_sq = minkowski_dot(z, z)
     uz = minkowski_dot(u, z)
-    return u_sq, z_sq, uz
+    return u_sq, z_sq, uz, np.sqrt(np.asarray(u_sq * z_sq - uz * uz, complex))
+
+
+def _commutator(vk: VectorKernel) -> np.ndarray:
+    su = slash(vk.real_vec)
+    sz = slash(vk.imag_vec)
+    return su @ sz - sz @ su
 
 
 def chain_from_vectors(vk: VectorKernel) -> np.ndarray:
     """Closed chain (u^2 + z^2) 1 - i [slash(u), slash(z)]."""
-    u_sq, z_sq, _ = _invariants(vk)
-    su = slash(vk.real_vec)
-    sz = slash(vk.imag_vec)
-    return (u_sq + z_sq) * np.eye(4) - 1j * (su @ sz - sz @ su)
+    u_sq, z_sq, _, _ = _invariants(vk)
+    return (np.asarray(u_sq + z_sq)[..., None, None] * np.eye(4)
+            - 1j * _commutator(vk))
 
 
 def chain_eigenvalues(vk: VectorKernel) -> tuple[complex, complex]:
@@ -103,15 +116,14 @@ def chain_eigenvalues(vk: VectorKernel) -> tuple[complex, complex]:
 
     u^2 + z^2 +/- 2 sqrt(u^2 z^2 - (u z)^2), principal square root.
     """
-    u_sq, z_sq, uz = _invariants(vk)
-    root = np.sqrt(complex(u_sq * z_sq - uz * uz))
-    return (complex(u_sq + z_sq + 2.0 * root),
-            complex(u_sq + z_sq - 2.0 * root))
+    u_sq, z_sq, _, root = _invariants(vk)
+    return (u_sq + z_sq + 2.0 * root)[()], (u_sq + z_sq - 2.0 * root)[()]
 
 
-def _degenerate(lam_plus: complex, lam_minus: complex) -> bool:
-    gap = abs(lam_plus - lam_minus)
-    return gap <= DEGENERACY_RTOL * (abs(lam_plus) + abs(lam_minus) + 1e-30)
+def _degenerate(lam_plus, lam_minus):
+    gap = np.abs(lam_plus - lam_minus)
+    return gap <= DEGENERACY_RTOL * (np.abs(lam_plus) + np.abs(lam_minus)
+                                     + 1e-30)
 
 
 def spectral_projectors(vk: VectorKernel) -> tuple[np.ndarray, np.ndarray]:
@@ -120,23 +132,27 @@ def spectral_projectors(vk: VectorKernel) -> tuple[np.ndarray, np.ndarray]:
     E_+/- = (1 -/+ i [slash(u), slash(z)] / (2 sqrt(u^2 z^2 - (u z)^2))) / 2.
     Raises DegenerateChain when the eigenvalues coincide.
     """
-    lam_plus, lam_minus = chain_eigenvalues(vk)
-    if _degenerate(lam_plus, lam_minus):
-        raise DegenerateChain("closed chain has coinciding eigenvalues")
-    u_sq, z_sq, uz = _invariants(vk)
-    root = np.sqrt(complex(u_sq * z_sq - uz * uz))
-    su = slash(vk.real_vec)
-    sz = slash(vk.imag_vec)
-    commutator = su @ sz - sz @ su
+    _refuse(_degenerate(*chain_eigenvalues(vk)), DegenerateChain,
+            "closed chain has coinciding eigenvalues")
+    return _projectors(vk)
+
+
+def _projectors(vk: VectorKernel) -> tuple[np.ndarray, np.ndarray]:
+    """``spectral_projectors`` unchecked; finite where the root vanishes."""
+    root = _invariants(vk)[3]
+    root = np.where(root == 0.0, 1.0, root)[..., None, None]
+    commutator = _commutator(vk)
     eye = np.eye(4)
     e_plus = 0.5 * (eye - 1j * commutator / (2.0 * root))
     e_minus = 0.5 * (eye + 1j * commutator / (2.0 * root))
     return e_plus, e_minus
 
 
-def _principal_inv_sqrt(lam: complex) -> complex:
-    if abs(lam.imag) <= BRANCH_CUT_ATOL * (abs(lam) + 1e-300) and lam.real <= 0.0:
-        raise BranchCut(f"eigenvalue {lam:.6g} lies on the branch cut")
+def _principal_inv_sqrt(lam):
+    lam = np.asarray(lam)
+    _refuse((np.abs(lam.imag) <= BRANCH_CUT_ATOL * (np.abs(lam) + 1e-300))
+            & (lam.real <= 0.0), BranchCut,
+            "eigenvalue {:.6g} lies on the branch cut", lam)
     return 1.0 / np.sqrt(lam)
 
 
@@ -149,18 +165,20 @@ def spectral_inv_sqrt_kernel(vk: VectorKernel) -> np.ndarray:
     """
     lam_plus, lam_minus = chain_eigenvalues(vk)
     kernel = vk.kernel_matrix()
-    if _degenerate(lam_plus, lam_minus):
-        lam = 0.5 * (lam_plus + lam_minus)
-        chain = chain_from_vectors(vk)
-        if opnorm(chain - lam * np.eye(4)) > 1e-10 * (abs(lam) + 1.0):
-            raise DegenerateChain(
-                "degenerate closed chain with nilpotent part has no "
-                "spectral inverse square root"
-            )
-        return _principal_inv_sqrt(lam) * kernel
-    e_plus, e_minus = spectral_projectors(vk)
-    return (_principal_inv_sqrt(lam_plus) * e_plus
-            + _principal_inv_sqrt(lam_minus) * e_minus) @ kernel
+    degenerate = _degenerate(lam_plus, lam_minus)
+    lam = 0.5 * (lam_plus + lam_minus)
+    chain = chain_from_vectors(vk)
+    _refuse(degenerate & (opnorm(chain - np.asarray(lam)[..., None, None]
+                                 * np.eye(4)) > 1e-10 * (np.abs(lam) + 1.0)),
+            DegenerateChain, "degenerate closed chain with nilpotent part has "
+            "no spectral inverse square root")
+    # a scalar chain takes its one eigenvalue on both projectors
+    inv_plus = _principal_inv_sqrt(np.where(degenerate, lam, lam_plus))
+    inv_minus = _principal_inv_sqrt(np.where(degenerate, lam, lam_minus))
+    inv_plus, inv_minus = inv_plus[..., None, None], inv_minus[..., None, None]
+    e_plus, e_minus = _projectors(vk)
+    return np.where(np.asarray(degenerate)[..., None, None], inv_plus * kernel,
+                    (inv_plus * e_plus + inv_minus * e_minus) @ kernel)
 
 
 def closed_form_inv_sqrt_kernel(vk: VectorKernel) -> np.ndarray:
@@ -173,18 +191,19 @@ def closed_form_inv_sqrt_kernel(vk: VectorKernel) -> np.ndarray:
     DegenerateChain when the eigenvalue gap vanishes.
     """
     lam_plus, lam_minus = chain_eigenvalues(vk)
-    if _degenerate(lam_plus, lam_minus):
-        raise DegenerateChain("coefficient formula needs distinct eigenvalues")
-    u_sq, z_sq, uz = _invariants(vk)
+    _refuse(_degenerate(lam_plus, lam_minus), DegenerateChain,
+            "coefficient formula needs distinct eigenvalues")
+    u_sq, z_sq, uz, _ = _invariants(vk)
     sqrt_plus = np.sqrt(lam_plus)
     sqrt_minus = np.sqrt(lam_minus)
     denom = sqrt_plus * sqrt_minus
     c_sum = (sqrt_plus + sqrt_minus) / denom
     c_diff = (sqrt_plus - sqrt_minus) / denom
-    radicand = np.sqrt(complex(u_sq * z_sq - 2.0 * uz * uz))
+    radicand = np.sqrt(np.asarray(u_sq * z_sq - 2.0 * uz * uz, complex))
     coeff_u = 0.5 * (c_sum - (z_sq - 1j * uz) / radicand * c_diff)
     coeff_z = 0.5j * (c_sum - (u_sq - 1j * uz) / radicand * c_diff)
-    return coeff_u * slash(vk.real_vec) + coeff_z * slash(vk.imag_vec)
+    return (coeff_u[..., None, None] * slash(vk.real_vec)
+            + coeff_z[..., None, None] * slash(vk.imag_vec))
 
 
 @dataclass(frozen=True)
@@ -193,7 +212,8 @@ class DualRouteResult:
 
     ``unitarity_residual`` measures || (spectral route) paired with its
     indefinite adjoint minus 1 ||; the deviation of the coefficient formula
-    is reported (nan where it is undefined), not asserted.
+    is reported (nan where it is undefined), not asserted.  Each is a float,
+    or an array of them for stacked kernels.
     """
 
     deviation: float
@@ -203,14 +223,16 @@ class DualRouteResult:
 def dual_route_inv_sqrt(vk: VectorKernel) -> DualRouteResult:
     """Evaluate A^{-1/2} P on both routes and report their deviation."""
     spectral = spectral_inv_sqrt_kernel(vk)
-    adjoint = GAMMA[0] @ spectral.conj().T @ GAMMA[0]
+    adjoint = GAMMA[0] @ np.swapaxes(spectral.conj(), -1, -2) @ GAMMA[0]
     unitarity = opnorm(spectral @ adjoint - np.eye(4))
-    try:
-        deviation = opnorm(spectral - closed_form_inv_sqrt_kernel(vk))
-    except DegenerateChain:
-        deviation = float("nan")
-    return DualRouteResult(deviation=float(deviation),
-                           unitarity_residual=float(unitarity))
+    # the formula is undefined on degenerate chains: evaluate it on the rest
+    defined = ~_degenerate(*chain_eigenvalues(vk))
+    deviation = np.full(np.shape(defined), np.nan)
+    closed_form = closed_form_inv_sqrt_kernel(
+        VectorKernel(vk.real_vec[defined], vk.imag_vec[defined]))
+    deviation[defined] = opnorm(spectral[defined] - closed_form)
+    return DualRouteResult(deviation=deviation[()],
+                           unitarity_residual=unitarity)
 
 
 @dataclass(frozen=True)
@@ -233,7 +255,9 @@ class ExpansionReport:
     antisymmetry_residual: float
 
 
-def _gauge_factor(alpha: float, real_step, imag_step, tau: float) -> np.ndarray:
+def _gauge_factor(alpha: float, real_step, imag_step, tau) -> np.ndarray:
+    """g(tau) = gamma^0 A^{-1/2} P, one per entry of ``tau``."""
+    tau = np.asarray(tau, dtype=float)[..., None]
     u = np.array([alpha, 0.0, 0.0, 0.0]) + tau * np.asarray(real_step, dtype=float)
     z = tau * np.asarray(imag_step, dtype=float)
     vk = VectorKernel(real_vec=u, imag_vec=z)
@@ -248,7 +272,8 @@ def unitary_expansion(alpha: float, real_step, imag_step,
     the kernel's Hermitian and anti-Hermitian parts.  Only the spatial part
     of ``real_step`` and the time component of ``imag_step`` enter at first
     order; the predicted coefficient is antisymmetric with respect to the
-    spinor inner product, making g unitary to this order.
+    spinor inner product, making g unitary to this order.  Every g(tau) is
+    taken in one stacked evaluation.
     """
     real_step = np.asarray(real_step, dtype=float)
     imag_step = np.asarray(imag_step, dtype=float)
@@ -257,26 +282,25 @@ def unitary_expansion(alpha: float, real_step, imag_step,
     predicted = (-GAMMA[0] @ spatial
                  + 1j * (imag_step[0] / abs(alpha)) * np.eye(4))
 
-    eye = np.eye(4)
-    residuals = []
-    for tau in tau_list:
-        g = _gauge_factor(alpha, real_step, imag_step, tau)
-        residuals.append(opnorm(g - eye - tau * predicted))
-    ratios = []
-    for (ta, ra), (tb, rb) in zip(list(zip(tau_list, residuals)),
-                                  list(zip(tau_list, residuals))[1:]):
-        ratios.append(ra / rb if rb != 0.0 else float("nan"))
-
+    # g at every tau, then at +/- tau_fd / 2 and +/- tau_fd for the
     # Richardson-extrapolated central difference of g at tau = 0
+    taus = np.asarray(tau_list, dtype=float)
     tau_fd = min(tau_list)
-    def central(t):
-        return (_gauge_factor(alpha, real_step, imag_step, t)
-                - _gauge_factor(alpha, real_step, imag_step, -t)) / (2.0 * t)
-    coeff_fd = (4.0 * central(tau_fd / 2.0) - central(tau_fd)) / 3.0
+    steps = (tau_fd / 2.0, tau_fd)
+    g = _gauge_factor(alpha, real_step, imag_step,
+                      np.concatenate([taus, [steps[0], -steps[0],
+                                             steps[1], -steps[1]]]))
+    residuals = opnorm(g[:len(taus)] - np.eye(4)
+                       - taus[:, None, None] * predicted).tolist()
+    ratios = [ra / rb if rb != 0.0 else float("nan")
+              for ra, rb in zip(residuals, residuals[1:])]
+    near, far = ((g[len(taus) + 2 * k] - g[len(taus) + 2 * k + 1])
+                 / (2.0 * t) for k, t in enumerate(steps))
+    coeff_fd = (4.0 * near - far) / 3.0
 
     adjoint = GAMMA[0] @ coeff_fd.conj().T @ GAMMA[0]
     return ExpansionReport(
-        residuals=tuple(float(r) for r in residuals),
+        residuals=tuple(residuals),
         residual_ratios=tuple(float(r) for r in ratios),
         coefficient_fd=coeff_fd,
         coefficient_deviation=float(opnorm(coeff_fd - predicted)),

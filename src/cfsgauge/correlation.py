@@ -17,14 +17,13 @@ enumerates or draws coordinates on the complement.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import NotRegular
-from .krein import KreinSpace
+from .krein import KreinSpace, _refuse
 
 #: relative threshold separating genuine eigenvalues from numerical zeros
 TOL_RANK_FACTOR = 1e-8
@@ -43,6 +42,17 @@ def _fix_column_phases(v: np.ndarray) -> np.ndarray:
     return v * np.where(size > 0.0, size / np.where(size > 0.0, pivot, 1), 1)
 
 
+def _frobenius(a: np.ndarray):
+    """Frobenius norm of each stacked matrix: one BLAS dot each, no copy."""
+    flat = np.ascontiguousarray(a).view(float).reshape(*a.shape[:-2], -1)
+    return np.sqrt(flat[..., None, :] @ flat[..., :, None])[..., 0, 0]
+
+
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each stacked matrix."""
+    return np.swapaxes(a.conj(), -1, -2)
+
+
 @dataclass(frozen=True, eq=False)
 class ImageSplit:
     """A regular point: the image of x and the compression of x onto it.
@@ -50,7 +60,8 @@ class ImageSplit:
     ``basis`` holds eigenvectors of the p+q nonzero eigenvalues (descending
     eigenvalue order, phases fixed deterministically) and ``restricted`` the
     compression X = basis^dag x basis.  ``krein`` is the spin space, the image
-    with Gram matrix -X, built on first use.
+    with Gram matrix -X, built on first use.  For a stack of operators every
+    field has the same leading stack axes.
     """
 
     operator: np.ndarray
@@ -60,7 +71,7 @@ class ImageSplit:
 
     @property
     def rank(self) -> int:
-        return self.basis.shape[1]
+        return self.basis.shape[-1]
 
     @cached_property
     def krein(self) -> KreinSpace:
@@ -70,36 +81,38 @@ class ImageSplit:
 def complement_basis(split: ImageSplit) -> np.ndarray:
     """Orthonormal f x (f - r) complement of the image (f x f QR: small f)."""
     full, _ = np.linalg.qr(split.basis, mode="complete")
-    return full[:, split.rank:]
+    return full[..., split.rank:]
 
 
 def _range_basis(x: np.ndarray, r: int):
-    """Orthonormal f x r basis Q of the dominant column space of x.
+    """Orthonormal f x r basis Q of the dominant column space of each x.
 
     r steps of Gram-Schmidt with column pivoting: each step takes the column
     of largest remaining norm, orthogonalizes it twice against the basis so
-    far and downdates the column norms.  Returns (Q, Q^dag x), or None when a
-    pivot column has nothing left (x has rank below r, or is not finite).
+    far and downdates the column norms.  Returns (Q, Q^dag x, ok), ok false
+    where a pivot column had nothing left (x has rank below r, or is not
+    finite); such an element's Q is meaningless.
     """
-    f = x.shape[0]
-    frame = np.zeros((f, r), dtype=complex)
-    rows = np.zeros((r, f), dtype=complex)
-    norms2 = np.einsum("ij,ij->j", x.conj(), x).real
+    stack, f = x.shape[:-2], x.shape[-1]
+    frame = np.zeros((*stack, f, r), dtype=complex)
+    rows = np.zeros((*stack, r, f), dtype=complex)
+    norms2 = np.einsum("...ij,...ij->...j", x.conj(), x).real
+    ok = np.ones(stack, dtype=bool)
     for k in range(r):
-        v = x[:, int(np.argmax(norms2))].copy()
+        pivot = np.argmax(norms2, axis=-1)[..., None, None]
+        v = np.take_along_axis(x, pivot, axis=-1)
         for _ in range(2):
-            v -= frame[:, :k] @ (frame[:, :k].conj().T @ v)
-        length = np.linalg.norm(v)
-        if not length > 0.0:
-            return None
-        frame[:, k] = v / length
-        rows[k] = frame[:, k].conj() @ x
-        norms2 -= np.abs(rows[k]) ** 2
-    return frame, rows
+            v = v - frame[..., :k] @ (_adjoint(frame[..., :k]) @ v)
+        length = np.linalg.norm(v[..., 0], axis=-1)
+        ok &= length > 0.0
+        frame[..., k] = v[..., 0] / np.where(ok, length, 1.0)[..., None]
+        rows[..., k, :] = (_adjoint(frame[..., k:k + 1]) @ x)[..., 0, :]
+        norms2 -= np.abs(rows[..., k, :]) ** 2
+    return frame, rows, ok
 
 
 def _split_from_range(x: np.ndarray, p: int, q: int):
-    """Split x from a rank-(p+q) range basis, or None if not certified.
+    """Split each x from a rank-(p+q) range basis, where certified.
 
     With Q from ``_range_basis`` and B = Q^dag x Q, the residual
     rho = ||x - Q B Q^dag||_F bounds how far every eigenvalue of x lies from
@@ -108,65 +121,79 @@ def _split_from_range(x: np.ndarray, p: int, q: int):
     exactly r eigenvalues above the threshold in magnitude, with the signs of
     eig(B), and the dense route would reach the same verdict.  The threshold
     scales with ||x||, known from max|eig(B)| only to within rho, so both
-    bounds take the unfavorable end.
+    bounds take the unfavorable end.  Returns (basis, restricted, found,
+    threshold, certified) per element, ``found`` the (p, q) counts.
     """
-    found = _range_basis(x, p + q)
-    if found is None:
-        return None
-    frame, rows = found
-    b = rows @ frame
+    frame, rows, ok = _range_basis(x, p + q)
+    b = np.where(ok[..., None, None], rows @ frame, 0.0)
     vals, vecs = np.linalg.eigh(hermitize(b))
     # x - Q B Q^dag = (1 - P) x + Q (Q^dag x)(1 - P), orthogonal in Frobenius
-    rho = math.hypot(np.linalg.norm(x - frame @ rows),
-                     np.linalg.norm(rows - b @ frame.conj().T))
-    scale = float(np.max(np.abs(vals)))
-    tol_low = TOL_RANK_FACTOR * max(scale - rho, 1e-300)
-    tol_high = TOL_RANK_FACTOR * max(scale + rho, 1e-300)
-    if not (rho < tol_low and np.min(np.abs(vals)) > tol_high + rho):
-        return None
-    _check_signature(vals, p, q, TOL_RANK_FACTOR * max(scale, 1e-300))
-    basis = _fix_column_phases(frame @ vecs[:, ::-1])
-    coeffs = frame.conj().T @ basis
-    return ImageSplit(operator=x, basis=basis,
-                      restricted=hermitize(coeffs.conj().T @ b @ coeffs),
-                      signature=(p, q))
+    outside = frame @ rows
+    np.subtract(x, outside, out=outside)
+    rho = np.hypot(_frobenius(outside), _frobenius(rows - b @ _adjoint(frame)))
+    scale = np.max(np.abs(vals), axis=-1)
+    tol_low = TOL_RANK_FACTOR * np.maximum(scale - rho, 1e-300)
+    tol_high = TOL_RANK_FACTOR * np.maximum(scale + rho, 1e-300)
+    certified = (ok & (rho < tol_low)
+                 & (np.min(np.abs(vals), axis=-1) > tol_high + rho))
+    basis = _fix_column_phases(frame @ vecs[..., ::-1])
+    coeffs = _adjoint(frame) @ basis
+    return (basis, hermitize(_adjoint(coeffs) @ b @ coeffs),
+            _counts(vals, 0.0), TOL_RANK_FACTOR * np.maximum(scale, 1e-300),
+            certified)
 
 
 def _split_dense(x: np.ndarray, p: int, q: int):
-    """Split x by a full f x f eigendecomposition."""
+    """Split each x by a full f x f eigendecomposition.
+
+    Returns what ``_split_from_range`` does, every element decided; the basis
+    is meaningful only where ``found`` is (p, q).
+    """
     vals, vecs = np.linalg.eigh(hermitize(x))
-    tol_rank = TOL_RANK_FACTOR * max(float(np.max(np.abs(vals))), 1e-300)
-    keep = np.abs(vals) > tol_rank
-    _check_signature(vals[keep], p, q, tol_rank)
-    basis = _fix_column_phases(vecs[:, keep][:, ::-1])
-    return ImageSplit(operator=x, basis=basis,
-                      restricted=hermitize(basis.conj().T @ x @ basis),
-                      signature=(p, q))
+    tol_rank = TOL_RANK_FACTOR * np.maximum(np.max(np.abs(vals), axis=-1),
+                                            1e-300)
+    keep = np.abs(vals) > tol_rank[..., None]
+    # the kept columns first, in descending eigenvalue order
+    order = np.argsort(~keep[..., ::-1], axis=-1, kind="stable")[..., :p + q]
+    basis = _fix_column_phases(
+        np.take_along_axis(vecs[..., ::-1], order[..., None, :], axis=-1))
+    return (basis, hermitize(_adjoint(basis) @ x @ basis),
+            _counts(vals, tol_rank), tol_rank, np.ones(x.shape[:-2], bool))
 
 
-def _check_signature(kept: np.ndarray, p: int, q: int, tol_rank: float):
-    found = (int(np.sum(kept > 0.0)), int(np.sum(kept < 0.0)))
-    if found != (p, q):
-        raise NotRegular(
-            f"expected signature ({p}, {q}), found {found} at threshold "
-            f"{tol_rank:.3g}"
-        )
+def _counts(vals: np.ndarray, tol) -> np.ndarray:
+    """(count above +tol, count below -tol) of each stacked spectrum."""
+    tol = np.asarray(tol)[..., None]
+    return np.stack([np.sum(vals > tol, axis=-1),
+                     np.sum(vals < -tol, axis=-1)], axis=-1)
 
 
 def split_by_image(x: np.ndarray, p: int, q: int) -> ImageSplit:
     """Eigen-split a Hermitian operator of expected signature (p, q).
 
-    Raises NotRegular when the counts of eigenvalues above +tol / below -tol
+    ``x`` may be a stack of operators, split element by element.  Raises
+    NotRegular when the counts of eigenvalues above +tol / below -tol
     differ from (p, q); every other eigenvalue is discarded as numerically
     zero.  The threshold is ``TOL_RANK_FACTOR`` times ||x||.  The
     image comes from an f x (p+q) range basis at O(f^2 (p+q)) cost; a full
-    eigendecomposition runs only when its residual certificate cannot decide.
+    eigendecomposition runs only for an element whose residual certificate
+    cannot decide.
     """
     x = np.asarray(x, dtype=complex)
-    split = None
-    if 0 < p + q <= x.shape[0]:
-        split = _split_from_range(x, p, q)
-    return split if split is not None else _split_dense(x, p, q)
+    # with no range basis every element takes the dense route
+    route = _split_from_range if 0 < p + q <= x.shape[-1] else _split_dense
+    basis, restricted, found, tol_rank, done = map(np.asarray, route(x, p, q))
+    rest = ~done
+    if rest.any():   # a 0-d mask indexes a lone x as a stack of one
+        dense = _split_dense(x[rest], p, q)
+        found[rest], tol_rank[rest] = dense[2], dense[3]
+    _refuse(np.any(found != (p, q), axis=-1), NotRegular,
+            "expected signature ({}, {}), found ({}, {}) at threshold {:.3g}",
+            p, q, found[..., 0], found[..., 1], tol_rank)
+    if rest.any():
+        basis[rest], restricted[rest] = dense[0], dense[1]
+    return ImageSplit(operator=x, basis=basis, restricted=restricted,
+                      signature=(p, q))
 
 
 def as_split(x, p: int, q: int) -> ImageSplit:
@@ -204,7 +231,7 @@ def local_correlation(wave_values: np.ndarray,
 
 def wave_evaluation(sp: ImageSplit) -> np.ndarray:
     """Projection onto the spin space, expressed in its basis (2n x f)."""
-    return sp.basis.conj().T.copy()
+    return _adjoint(sp.basis).copy()
 
 
 def kernel(sp_x: ImageSplit, sp_y: ImageSplit) -> np.ndarray:
@@ -214,7 +241,7 @@ def kernel(sp_x: ImageSplit, sp_y: ImageSplit) -> np.ndarray:
     basis_y) X_y, read from the image factors at O(f r^2) cost; equivalently
     the bra/ket sum -Psi(x) Psi(y)* over the ensemble.
     """
-    return sp_x.basis.conj().T @ sp_y.basis @ sp_y.restricted
+    return _adjoint(sp_x.basis) @ sp_y.basis @ sp_y.restricted
 
 
 def closed_chain(sp_x: ImageSplit, sp_y: ImageSplit) -> np.ndarray:

@@ -68,11 +68,12 @@ def slash(v) -> np.ndarray:
             - v[..., 2, :, :] * GAMMA[2] - v[..., 3, :, :] * GAMMA[3])
 
 
-def minkowski_dot(a, b) -> float:
-    """Minkowski product a^0 b^0 - a_vec . b_vec."""
+def minkowski_dot(a, b):
+    """Minkowski product a^0 b^0 - a_vec . b_vec (of each stacked pair)."""
     a = np.asarray(a)
     b = np.asarray(b)
-    return float(a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3])
+    return (a[..., 0] * b[..., 0] - a[..., 1] * b[..., 1]
+            - a[..., 2] * b[..., 2] - a[..., 3] * b[..., 3])
 
 
 #: cap on 2 (2 nmax + 1)^3, the lattice cube's bound on the mode count
@@ -81,6 +82,9 @@ MAX_MODES = 1 << 20  # nmax <= 39, f up to ~5e5
 MAX_DENSE_BYTES = 1 << 30  # f <= 8192
 #: largest half-length L whose mode normalization 2 pi (2 L)^3 is finite
 MAX_L = 0.5 * (sys.float_info.max / (2.0 * math.pi)) ** (1.0 / 3.0)
+#: smallest half-length L whose squared lattice step (pi / L)^2 is finite:
+#: below it the zero mode's |k|^2 = (pi / L)^2 * 0 is inf * 0 = nan
+MIN_LENGTH = math.pi / math.sqrt(sys.float_info.max)
 #: smallest positive mass whose square is a normal float: below it the zero
 #: mode's omega = sqrt(m^2) loses precision or vanishes
 MIN_MASS = math.sqrt(sys.float_info.min)
@@ -90,9 +94,9 @@ MIN_MASS = math.sqrt(sys.float_info.min)
 class DiracBoxConfig:
     """Box half-length L, energy cutoff scale eps, and mass m (hbar = c = 1).
 
-    Raises ValueError when L is not in (0, MAX_L] or m is neither 0 nor at
-    least MIN_MASS, and TooManyModes when the lattice may hold over MAX_MODES
-    modes.
+    Raises ValueError when L is not in [MIN_LENGTH, MAX_L] or m is neither 0
+    nor at least MIN_MASS, and TooManyModes when the lattice may hold over
+    MAX_MODES modes.
     """
 
     L: float
@@ -100,9 +104,9 @@ class DiracBoxConfig:
     m: float
 
     def __post_init__(self):
-        if not (0.0 < self.L <= MAX_L):
-            raise ValueError(f"box half-length L must be positive and at most "
-                             f"MAX_L = {MAX_L:.4g}")
+        if not (MIN_LENGTH <= self.L <= MAX_L):
+            raise ValueError(f"box half-length L must lie in [MIN_LENGTH, "
+                             f"MAX_L] = [{MIN_LENGTH:.4g}, {MAX_L:.4g}]")
         if not (self.eps > 0.0):
             raise ValueError("cutoff scale eps must be positive")
         if not (self.m == 0.0 or self.m >= MIN_MASS):

@@ -16,12 +16,15 @@ order at the base point, which the ``gaussian_check`` report quantifies.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import ImageSplit, as_split, complement_basis, hermitize
+from .correlation import (ImageSplit, _adjoint, as_split, complement_basis,
+                          hermitize)
 from .errors import InvalidSignature, SignatureLost, TooFarFromBase
+from .krein import _refuse
 
 #: smallest singular value of the image-overlap block accepted by chart_inverse
 MIN_OVERLAP_SV = 0.5
@@ -38,7 +41,8 @@ class ChartCoordinates:
     """Coordinates of a point in the chart around ``split``.
 
     ``a`` is the Hermitian perturbation acting on the image subspace of the
-    base point; ``b`` maps H into the image and vanishes on the image.
+    base point; ``b`` maps H into the image and vanishes on the image.  Both
+    may carry the same leading stack axes, one point per element.
     """
 
     a: np.ndarray
@@ -57,48 +61,48 @@ def manifold_dim(p: int, q: int, f: int) -> int:
 def chart_forward(coords: ChartCoordinates) -> np.ndarray:
     """Assemble the operator parametrized by chart coordinates.
 
-    Raises SignatureLost when X + a leaves the domain where the signature of
-    the base point is guaranteed (inertia changed, or its smallest eigenvalue
-    magnitude dropped below half that of X).
+    ``coords`` may hold a stack of (a, b) around its one base, giving a stack
+    of operators.  Raises SignatureLost when X + a leaves the domain where the
+    signature of the base point is guaranteed (inertia changed, or its
+    smallest eigenvalue magnitude dropped below half that of X).
     """
     split = coords.split
-    x_restricted = split.restricted
     p, q = split.signature
-    core = hermitize(x_restricted + coords.a)
+    core = hermitize(split.restricted + coords.a)
     core_eigs = np.linalg.eigvalsh(core)
-    base_eigs = np.linalg.eigvalsh(x_restricted)
-    if (int(np.sum(core_eigs > 0.0)) != p or int(np.sum(core_eigs < 0.0)) != q
-            or np.min(np.abs(core_eigs)) <= 0.5 * np.min(np.abs(base_eigs))):
-        raise SignatureLost("X + a does not retain the signature of the base point")
+    floor = 0.5 * np.min(np.abs(np.linalg.eigvalsh(split.restricted)), axis=-1)
+    _refuse((np.sum(core_eigs > 0.0, axis=-1) != p)
+            | (np.sum(core_eigs < 0.0, axis=-1) != q)
+            | (np.min(np.abs(core_eigs), axis=-1) <= floor), SignatureLost,
+            "X + a does not retain the signature of the base point")
     b = np.asarray(coords.b, dtype=complex)
     v = split.basis
     vb = v @ b
-    m = (v @ core @ v.conj().T + vb + vb.conj().T
-         + b.conj().T @ np.linalg.solve(core, b))
+    m = (v @ core @ _adjoint(v) + vb + _adjoint(vb)
+         + _adjoint(b) @ np.linalg.solve(core, b))
     return hermitize(m)
 
 
 def chart_inverse(y, split: ImageSplit) -> ChartCoordinates:
     """Read off chart coordinates of an operator near the base point.
 
-    ``y`` is the operator or its image split.  With the overlap O = V^dag V_y,
+    ``y`` is the operator or its image split, or a stack of them, giving
+    stacked coordinates.  With the overlap O = V^dag V_y,
     a = O X_y O^dag - X and b = O X_y (V_y^dag - O^dag V^dag).  O must be
     safely invertible (smallest singular value >= MIN_OVERLAP_SV), otherwise
     TooFarFromBase is raised.
     """
     p, q = split.signature
     split_y = as_split(y, p, q)
-    overlap = split.basis.conj().T @ split_y.basis
-    smallest = np.linalg.svd(overlap, compute_uv=False)[-1]
-    if smallest < MIN_OVERLAP_SV:
-        raise TooFarFromBase(
-            f"image overlap has smallest singular value {smallest:.3g} < "
-            f"{MIN_OVERLAP_SV}"
-        )
+    base_h = _adjoint(split.basis)
+    overlap = base_h @ split_y.basis
+    smallest = np.linalg.svd(overlap, compute_uv=False)[..., -1]
+    _refuse(smallest < MIN_OVERLAP_SV, TooFarFromBase,
+            "image overlap has smallest singular value {:.3g} < {}",
+            smallest, MIN_OVERLAP_SV)
     moved = overlap @ split_y.restricted
-    a = hermitize(moved @ overlap.conj().T - split.restricted)
-    b = moved @ (split_y.basis.conj().T
-                 - overlap.conj().T @ split.basis.conj().T)
+    a = hermitize(moved @ _adjoint(overlap) - split.restricted)
+    b = moved @ (_adjoint(split_y.basis) - _adjoint(overlap) @ base_h)
     return ChartCoordinates(a=a, b=b, split=split)
 
 
@@ -106,44 +110,27 @@ def chart_jacobian_rank(split: ImageSplit) -> int:
     """Numeric rank of the chart differential at the origin.
 
     Central finite differences over a real parameter basis of (a, b), b along
-    a complement basis; the rank counts singular values above
-    ``JACOBIAN_RANK_RTOL`` times the largest one.
+    a complement basis, all taken in one stacked ``chart_forward``; the rank
+    counts singular values above ``JACOBIAN_RANK_RTOL`` times the largest one.
     """
-    r = split.rank
-    complement = complement_basis(split).conj().T
-    zero_a = np.zeros((r, r), dtype=complex)
-    zero_b = np.zeros((r, split.basis.shape[0]), dtype=complex)
-
-    directions = []
-    for i in range(r):
-        e = zero_a.copy()
-        e[i, i] = 1.0
-        directions.append((e, zero_b))
-    for i in range(r):
-        for j in range(i + 1, r):
-            e = zero_a.copy()
-            e[i, j] = 1.0
-            e[j, i] = 1.0
-            directions.append((e, zero_b))
-            e = zero_a.copy()
-            e[i, j] = 1.0j
-            e[j, i] = -1.0j
-            directions.append((e, zero_b))
-    for i in range(r):
-        for row in complement:
-            for unit in (1.0, 1.0j):
-                e = zero_b.copy()
-                e[i] = unit * row
-                directions.append((zero_a, e))
-
-    columns = []
+    r, f = split.rank, split.basis.shape[0]
+    units = np.eye(r)
+    a_dirs = [np.outer(units[i], units[i]) for i in range(r)]
+    for i, j in itertools.combinations(range(r), 2):
+        e = np.outer(units[i], units[j])
+        a_dirs += [e + e.T, 1j * (e - e.T)]
+    # b along e_i (x) (unit * row): i outer, complement row, then unit 1, i
+    b_dirs = np.einsum("ik,u,jl->ijukl", units, [1.0, 1.0j],
+                       _adjoint(complement_basis(split))).reshape(-1, r, f)
+    da = np.concatenate([a_dirs, np.zeros((len(b_dirs), r, r))])
+    db = np.concatenate([np.zeros((len(a_dirs), r, f)), b_dirs])
     step = JACOBIAN_STEP
-    for da, db in directions:
-        plus = chart_forward(ChartCoordinates(a=step * da, b=step * db, split=split))
-        minus = chart_forward(ChartCoordinates(a=-step * da, b=-step * db, split=split))
-        diff = (plus - minus) / (2.0 * step)
-        columns.append(np.concatenate([diff.real.ravel(), diff.imag.ravel()]))
-    jac = np.column_stack(columns)
+    both = chart_forward(ChartCoordinates(a=step * np.concatenate([da, -da]),
+                                          b=step * np.concatenate([db, -db]),
+                                          split=split))
+    diff = (both[:len(da)] - both[len(da):]) / (2.0 * step)
+    jac = np.concatenate([diff.real.reshape(len(da), -1),
+                          diff.imag.reshape(len(da), -1)], axis=1).T
     sv = np.linalg.svd(jac, compute_uv=False)
     return int(np.sum(sv > JACOBIAN_RANK_RTOL * sv[0]))
 

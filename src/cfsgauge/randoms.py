@@ -9,11 +9,9 @@ needed, so a fixed seed reproduces every trial bit for bit.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 from .correlation import complement_basis, hermitize
 from .dirac_box import SpacetimePoint
-from .krein import KreinSpace
 from .manifold import ChartCoordinates
 from .perturbation import GaugeFunction
 
@@ -55,21 +53,6 @@ def random_correlation(rng: np.random.Generator, f: int, n: int) -> np.ndarray:
     vals = np.concatenate([np.sort(rng.uniform(*SPREAD, size=n))[::-1],
                            -np.sort(rng.uniform(*SPREAD, size=n))])
     return hermitize((basis * vals) @ basis.conj().T)
-
-
-def random_krein_unitary(rng: np.random.Generator, space: KreinSpace,
-                         scale: float = 0.1) -> np.ndarray:
-    """Unitary of the indefinite product near 1, exp of an antisymmetric op."""
-    m = scale * random_complex(rng, space.dim, space.dim)
-    generator = 0.5 * (m - space.adjoint(m))
-    return expm(generator)
-
-
-def random_krein_symmetric(rng: np.random.Generator, space: KreinSpace,
-                           scale: float = 0.1) -> np.ndarray:
-    """Symmetric operator of the indefinite product with norm ~ scale."""
-    m = scale * random_complex(rng, space.dim, space.dim)
-    return 0.5 * (m + space.adjoint(m))
 
 
 def random_complement_map(rng: np.random.Generator, split, rows: int,

@@ -22,17 +22,16 @@ a single global unitary.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import krein as _krein
-from .correlation import (ImageSplit, as_split, hermitize, kernel,
-                          wave_evaluation)
+from .correlation import (ImageSplit, _adjoint, _frobenius, as_split,
+                          hermitize, kernel, wave_evaluation)
 from .errors import (NotInvertible, OutOfChartDomain, OutOfConvergenceRadius,
                      TooFarFromBase)
-from .krein import RADIUS_SERIES, opnorm
+from .krein import RADIUS_SERIES, _refuse, opnorm
 from .manifold import ChartCoordinates, chart_inverse
 
 #: bound on ||X^{-1} a|| shared by both wave-chart constructions; it is the
@@ -49,7 +48,8 @@ class WaveChartPoint:
     ``on_image`` is the 2n x 2n component acting within the spin space of the
     base point; ``on_complement`` (2n x f) vanishes on the image of the base.
     For points of a symmetric wave chart, ``on_image`` is symmetric with
-    respect to the spin inner product and invertible.
+    respect to the spin inner product and invertible.  Both components may
+    carry the same leading stack axes, one point per element.
     """
 
     on_image: np.ndarray
@@ -58,13 +58,13 @@ class WaveChartPoint:
 
     def full_matrix(self) -> np.ndarray:
         """The map from the ambient space into the spin space, 2n x f."""
-        return self.on_image @ self.base.basis.conj().T + self.on_complement
+        return self.on_image @ _adjoint(self.base.basis) + self.on_complement
 
     @classmethod
     def from_full(cls, full: np.ndarray, base: ImageSplit) -> "WaveChartPoint":
         on_image = full @ base.basis
         return cls(on_image=on_image,
-                   on_complement=full - on_image @ base.basis.conj().T,
+                   on_complement=full - on_image @ _adjoint(base.basis),
                    base=base)
 
 
@@ -75,7 +75,7 @@ def realize(psi: WaveChartPoint) -> np.ndarray:
     base point realize the base point itself.
     """
     full = psi.full_matrix()
-    return hermitize(full.conj().T @ psi.base.restricted @ full)
+    return hermitize(_adjoint(full) @ psi.base.restricted @ full)
 
 
 def gauge_orbit_witness(psi: WaveChartPoint, psi_tilde: WaveChartPoint):
@@ -83,23 +83,23 @@ def gauge_orbit_witness(psi: WaveChartPoint, psi_tilde: WaveChartPoint):
 
     If both points realize the same operator, returns the spin-space unitary
     U with psi_tilde = U psi (verified on both components to ``ORBIT_TOL``);
-    returns None when the realizations differ or no such unitary exists.
+    returns None when the realizations differ or no such unitary exists (for
+    stacked points: the stack of unitaries, or None if any element fails).
     Raises NotInvertible when the on-image component cannot be inverted.
     """
     sv = np.linalg.svd(psi.on_image, compute_uv=False)
-    if sv[-1] <= 1e-12 * sv[0]:
-        raise NotInvertible("on-image component is singular")
+    _refuse(sv[..., -1] <= 1e-12 * sv[..., 0], NotInvertible,
+            "on-image component is singular")
     r1 = realize(psi)
-    r2 = realize(psi_tilde)
-    tol = ORBIT_TOL * max(1.0, opnorm(r1))
-    if opnorm(r1 - r2) > tol:
-        return None
+    tol = ORBIT_TOL * np.maximum(1.0, opnorm(r1))
     u = psi_tilde.on_image @ np.linalg.inv(psi.on_image)
-    if not psi.base.krein.is_unitary(u, ORBIT_TOL * max(1.0, opnorm(u) ** 2)):
-        return None
-    if opnorm(psi_tilde.on_complement - u @ psi.on_complement) > tol:
-        return None
-    return u
+    on_orbit = (
+        np.all(opnorm(r1 - realize(psi_tilde)) <= tol)
+        and psi.base.krein.is_unitary(
+            u, ORBIT_TOL * np.maximum(1.0, opnorm(u) ** 2))
+        and np.all(opnorm(psi_tilde.on_complement - u @ psi.on_complement)
+                   <= tol))
+    return u if on_orbit else None
 
 
 def symmetrize(psi: WaveChartPoint) -> WaveChartPoint:
@@ -123,7 +123,8 @@ def connecting_unitary(base: ImageSplit, sp_y: ImageSplit) -> np.ndarray:
 
     U = (X^{-1} A_xy X^{-1})^{-1/2} X^{-1} P(x, y), the polar factor of
     T = X^{-1} P(x, y), whose adjoint is T* = P(y, x) X^{-1}.  Satisfies
-    U U* = 1 across the two spin inner products.
+    U U* = 1 across the two spin inner products.  ``sp_y`` may be a stacked
+    split, giving a stack of unitaries.
     """
     inv_x = np.linalg.inv(base.restricted)
     try:
@@ -136,12 +137,12 @@ def connecting_unitary(base: ImageSplit, sp_y: ImageSplit) -> np.ndarray:
 def symmetric_wave_chart(y, base: ImageSplit) -> WaveChartPoint:
     """Wave coordinates of y in the symmetric wave chart around the base.
 
-    ``y`` is the operator or its image split.  The on-image component comes
-    out symmetric with respect to the spin inner product, and realizing the
-    result returns y.  Raises OutOfChartDomain when y leaves the shared
-    domain of the two wave-chart constructions (image overlap too small,
-    chart coordinate too large, or square root out of its convergence
-    radius).
+    ``y`` is the operator or its image split, or a stack of them.  The
+    on-image component comes out symmetric with respect to the spin inner
+    product, and realizing the result returns y.  Raises OutOfChartDomain
+    when y leaves the shared domain of the two wave-chart constructions
+    (image overlap too small, chart coordinate too large, or square root out
+    of its convergence radius).
     """
     return _symmetric_chart(as_split(y, *base.signature), base)[0]
 
@@ -153,8 +154,8 @@ def _symmetric_chart(split_y: ImageSplit, base: ImageSplit):
     except TooFarFromBase as exc:
         raise OutOfChartDomain(str(exc)) from exc
     inv_x = np.linalg.inv(base.restricted)
-    if opnorm(inv_x @ coords.a) > CHART_DOMAIN_RADIUS:
-        raise OutOfChartDomain("chart coordinate exceeds the shared domain radius")
+    _refuse(opnorm(inv_x @ coords.a) > CHART_DOMAIN_RADIUS, OutOfChartDomain,
+            "chart coordinate exceeds the shared domain radius")
     full = connecting_unitary(base, split_y) @ wave_evaluation(split_y)
     return WaveChartPoint.from_full(full, base), coords
 
@@ -187,17 +188,28 @@ class CoincidenceReport:
 def charts_coincide_check(base: ImageSplit, sample_points) -> CoincidenceReport:
     """Compare the symmetric and transported wave charts on sample operators.
 
-    For each y both wave-coordinate constructions are evaluated and the
-    operator norm of their difference (as maps from the ambient space) is
-    recorded.  Domain errors propagate.
+    Both wave-coordinate constructions are evaluated over the whole stack of
+    samples (a sequence or stack of operators, or a stacked split) and the
+    largest operator norm of their difference (as maps from the ambient
+    space) is recorded.  Domain errors propagate.
     """
-    deviations = []
-    for y in sample_points:
-        via_polar, coords = _symmetric_chart(as_split(y, *base.signature), base)
-        via_chart = gaussian_wave_map(coords, base)
-        deviations.append(opnorm(via_polar.full_matrix()
-                                 - via_chart.full_matrix()))
-    return CoincidenceReport(max_deviation=float(max(deviations)))
+    split_y = _as_stacked_split(sample_points, base)
+    via_polar, coords = _symmetric_chart(split_y, base)
+    via_chart = gaussian_wave_map(coords, base)
+    return CoincidenceReport(max_deviation=float(np.max(opnorm(
+        via_polar.full_matrix() - via_chart.full_matrix()))))
+
+
+def _as_stacked_split(points, base: ImageSplit) -> ImageSplit:
+    """The stacked split of a sequence or stack of points.
+
+    A single operator in a sequence becomes a view with a stack axis, so a
+    large one is not copied.
+    """
+    if not isinstance(points, (ImageSplit, np.ndarray)):
+        points = (np.asarray(points[0])[None] if len(points) == 1
+                  else np.stack(points))
+    return as_split(points, *base.signature)
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,21 +230,17 @@ class GaugeMap:
 def build_gauge(base: ImageSplit, points) -> GaugeMap:
     """Construct the distinguished gauge over a set of operators.
 
+    ``points`` is a sequence or stack of operators, or a stacked split.
     Every value is ``symmetric_wave_chart(y, base)``, a map into the spin
-    space of the base point.  Any other gauge over the same points that
-    satisfies the gauge condition is one global spin-space unitary times
-    this one.
+    space of the base point, all taken in one stacked call.  Any other gauge
+    over the same points that satisfies the gauge condition is one global
+    spin-space unitary times this one.
     """
-    values = []
-    residuals = []
-    for y in points:
-        split_y = as_split(y, *base.signature)
-        value = symmetric_wave_chart(split_y, base).full_matrix()
-        values.append(value)
-        residuals.append(condition_residual_bound(split_y, value,
-                                                  base.krein.gram))
+    split_y = _as_stacked_split(points, base)
+    values = symmetric_wave_chart(split_y, base).full_matrix()
+    residuals = condition_residual_bound(split_y, values, base.krein.gram)
     return GaugeMap(values=tuple(values), base=base,
-                    condition_residuals=tuple(residuals))
+                    condition_residuals=tuple(residuals.tolist()))
 
 
 def condition_residual_bound(split_y: ImageSplit, value: np.ndarray,
@@ -244,13 +252,14 @@ def condition_residual_bound(split_y: ImageSplit, value: np.ndarray,
     value^dag.  With Z an orthonormal basis of that span and P = Z Z^dag,
     R = P R P + (R - P R P), so ||R|| <= ||Z^dag R Z|| + ||R - P R P||_F.
     The last norm splits into ||(1 - P) R||_F and ||Z^dag R (1 - P)||_F,
-    both computed directly rather than by subtracting squared norms.
+    both computed directly rather than by subtracting squared norms.  For
+    a stacked split and stacked values it returns one bound per element.
     """
-    value_h = value.conj().T
+    value_h = _adjoint(value)
     residual = split_y.operator + value_h @ gram @ value
-    z, _ = np.linalg.qr(np.hstack([split_y.basis, value_h]))
-    z_residual = z.conj().T @ residual
+    z, _ = np.linalg.qr(np.concatenate([split_y.basis, value_h], axis=-1))
+    z_residual = _adjoint(z) @ residual
     core = z_residual @ z
-    outside = math.hypot(np.linalg.norm(residual - z @ z_residual),
-                         np.linalg.norm(z_residual - core @ z.conj().T))
+    outside = np.hypot(_frobenius(residual - z @ z_residual),
+                       _frobenius(z_residual - core @ _adjoint(z)))
     return opnorm(core) + outside

@@ -7,14 +7,28 @@ import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
+from scipy.linalg import expm
 
 from cfsgauge.closed_chain import multiset_distance  # noqa: F401 (for tests)
+from cfsgauge.randoms import random_complex
 
 # Property tests draw the same examples on every run and keep no example
 # database, so the suite stays deterministic and fast.
 settings.register_profile("tier1", derandomize=True, deadline=None,
                           database=None, max_examples=100)
 settings.load_profile("tier1")
+
+
+def random_krein_unitary(rng, space, scale=0.1):
+    """Unitary of the indefinite product near 1, exp of an antisymmetric op."""
+    m = scale * random_complex(rng, space.dim, space.dim)
+    return expm(0.5 * (m - space.adjoint(m)))
+
+
+def random_krein_symmetric(rng, space, scale=0.1):
+    """Symmetric operator of the indefinite product with norm ~ scale."""
+    m = scale * random_complex(rng, space.dim, space.dim)
+    return 0.5 * (m + space.adjoint(m))
 
 
 def pytest_configure(config):

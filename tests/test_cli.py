@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -427,6 +428,29 @@ class TestRunReports:
         assert sorted(p.name for p in out.iterdir()) == ["kernels.csv",
                                                          "report.json"]
 
+    def test_non_finite_ratio_fails_its_interval_gate(self):
+        excess = cli._interval_excess(math.nan, 12.0, 20.0)
+        assert not math.isfinite(excess)
+        # a later max over the samples keeps it
+        assert not math.isfinite(max(0.0, excess))
+        entry = cli._entry("charts", "ratio-excess", "ref", excess, 0.0)
+        assert entry["value"] is None and entry["passed"] is False
+        assert cli._interval_excess(16.0, 12.0, 20.0) == 0.0
+        assert cli._interval_excess(21.0, 12.0, 20.0) == 1.0
+
+    def test_nan_expansion_ratio_fails_the_spectral_task(self, monkeypatch):
+        original = cli.cc.unitary_expansion
+
+        def nan_ratios(*args, **kwargs):
+            report = original(*args, **kwargs)
+            return replace(report, residual_ratios=(math.nan, 4.0))
+
+        monkeypatch.setattr(cli.cc, "unitary_expansion", nan_ratios)
+        entries = cli.task_spectral(parse_config(BASE_CONFIG))
+        gate, = [e for e in entries
+                 if e["name"] == "expansion-residual-ratio-excess"]
+        assert gate["value"] is None and gate["passed"] is False
+
     def test_failed_report_write_keeps_previous_file(self, tmp_path,
                                                      monkeypatch):
         path = write_config(tmp_path)
@@ -527,6 +551,19 @@ class TestExitCodes:
         assert main(["modes", "3.14", "0.002", "0"]) == 2
         assert time.perf_counter() - start < 1.0
         assert "MAX_MODES" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    def test_modes_tiny_box_exit_2(self, capsys):
+        # below MIN_LENGTH (pi / L)^2 overflows and the zero mode was lost
+        assert main(["modes", "1e-200", "0.4", "0.5"]) == 2
+        assert "MIN_LENGTH" in capsys.readouterr().err
+        assert main(["modes", "1e-100", "0.4", "0.5"]) == 0
+        assert capsys.readouterr().out.strip() == "2"
+        raw = json.loads(json.dumps(BASE_CONFIG))
+        raw["box"]["L"] = 1e-200
+        with pytest.raises(ConfigError) as info:
+            parse_config(raw)
+        assert info.value.field == "box.L"
 
     def test_modes_volume_overflow_exit_2(self, capsys):
         assert main(["modes", "1e103", "1e102", "0"]) == 2

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import multiset_distance
+from conftest import multiset_distance, random_krein_unitary
 
 from cfsgauge import correlation
 from cfsgauge.correlation import (closed_chain, complement_basis, kernel,
@@ -13,8 +13,7 @@ from cfsgauge.correlation import (closed_chain, complement_basis, kernel,
 from cfsgauge.dirac_box import DiracBoxConfig, build_correlation_map
 from cfsgauge.errors import NotRegular
 from cfsgauge.krein import opnorm
-from cfsgauge.randoms import (random_complex, random_correlation,
-                              random_krein_unitary)
+from cfsgauge.randoms import random_complex, random_correlation
 from cfsgauge.wave_charts import WaveChartPoint, realize
 
 

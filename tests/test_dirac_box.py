@@ -9,7 +9,8 @@ import pytest
 
 from cfsgauge.correlation import kernel, spin_space
 from cfsgauge.dirac_box import (ETA, GAMMA, MAX_DENSE_BYTES, MAX_L, MAX_MODES,
-                                MIN_MASS, SPINOR_GRAM, DiracBoxConfig, SpacetimePoint,
+                                MIN_LENGTH, MIN_MASS, SPINOR_GRAM,
+                                DiracBoxConfig, SpacetimePoint,
                                 _lattice, _sea_spinor_table, _sea_table,
                                 build_correlation_map, kernel_braket_sum,
                                 kernel_mode_sum, mode_count, momentum_modes,
@@ -499,6 +500,15 @@ class TestModeBound:
         assert np.all(np.isfinite(k))
         with pytest.raises(ValueError, match="MIN_MASS"):
             DiracBoxConfig(L=math.pi, eps=0.4, m=0.5 * MIN_MASS)
+
+    @pytest.mark.filterwarnings("error")
+    def test_smallest_length_keeps_the_zero_mode(self):
+        # (pi / L)^2 is still finite, so the zero mode's |k|^2 is 0, not nan
+        for L in (MIN_LENGTH, 1e-100):
+            assert mode_count(DiracBoxConfig(L=L, eps=0.4, m=0.5)) == 2
+        for L in (0.5 * MIN_LENGTH, 1e-200):
+            with pytest.raises(ValueError, match="MIN_LENGTH"):
+                DiracBoxConfig(L=L, eps=0.4, m=0.5)
 
     def test_box_volume_must_be_finite(self):
         with pytest.raises(ValueError, match="MAX_L"):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import random_krein_symmetric, random_krein_unitary
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -10,9 +11,7 @@ from cfsgauge.errors import NotSymmetric, OutOfConvergenceRadius, SingularGram
 from cfsgauge.krein import (SERIES_MAX_TERMS, TOL, KreinSpace,
                             binomial_sqrt_series, opnorm, polar,
                             polar_decompose, sqrt_near_identity)
-from cfsgauge.randoms import (random_complex, random_gram,
-                              random_krein_symmetric, random_krein_unitary,
-                              random_unitary)
+from cfsgauge.randoms import random_complex, random_gram, random_unitary
 
 MINKOWSKI_2 = KreinSpace(gram=np.diag([1.0, -1.0]), signature=(1, 1))
 

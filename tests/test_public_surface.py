@@ -28,8 +28,6 @@ ALLOWED = {
         "the only construction of the distinguished basis waves",
     "perturbation.gauged_basis":
         "the only evaluation of the gauged basis waves by both routes",
-    "randoms.random_krein_symmetric":
-        "counterpart of random_krein_unitary; a test copy would be as long",
     "wave_charts.symmetrize":
         "the only move of a point to its symmetric orbit representative",
 }

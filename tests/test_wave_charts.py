@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import random_krein_unitary
 
 from cfsgauge import correlation, wave_charts
 from cfsgauge.correlation import spin_space, split_by_image
@@ -12,8 +13,7 @@ from cfsgauge.errors import NotInvertible, OutOfChartDomain
 from cfsgauge.krein import opnorm
 from cfsgauge.manifold import ChartCoordinates, chart_forward, chart_inverse
 from cfsgauge.randoms import (random_chart_coords, random_complement_map,
-                              random_complex, random_correlation,
-                              random_krein_unitary)
+                              random_complex, random_correlation)
 from cfsgauge.wave_charts import (WaveChartPoint, build_gauge,
                                   charts_coincide_check,
                                   condition_residual_bound, connecting_unitary,
@@ -348,7 +348,7 @@ class TestBoxGauge:
         assert factorized
         for mode, shape in factorized:
             assert mode != "complete"
-            assert shape[1] not in (f - r, f)
+            assert shape[-1] not in (f - r, f)
         assert max(gauge.condition_residuals) <= 1e-9
 
     def test_each_point_split_once(self, box, monkeypatch):
@@ -360,11 +360,13 @@ class TestBoxGauge:
             return split_by_image(x, p, q)
 
         monkeypatch.setattr(correlation, "split_by_image", counted)
+        f = base.basis.shape[0]
+        # all points in one stacked split
         build_gauge(base, ys)
-        assert len(calls) == len(ys)
+        assert calls == [(len(ys), f, f)]
         calls.clear()
         charts_coincide_check(base, ys)
-        assert len(calls) == len(ys)
+        assert calls == [(len(ys), f, f)]
 
     def test_coincidence_inverts_each_chart_once(self, box, monkeypatch):
         base, ys = box
@@ -376,7 +378,9 @@ class TestBoxGauge:
 
         monkeypatch.setattr(wave_charts, "chart_inverse", counted)
         charts_coincide_check(base, ys)
-        assert len(calls) == len(ys)
+        # one stacked inversion of the stacked split of all points
+        assert len(calls) == 1
+        assert calls[0].basis.shape[0] == len(ys)
 
     def test_residual_bound_covers_dense_norm(self, box):
         base, ys = box
