@@ -49,6 +49,11 @@ MAX_GRID_POINTS = 1 << 16
 #: cap on 2 |t| / eps, which bounds every phase omega (t_x - t_y) since
 #: omega < 1 / eps: past 2^52 a float phase keeps no digit below one radian
 MAX_PHASE = 2.0 ** 52
+#: largest s = ||A - 1|| of the gauge task's polar draws.  Gram moduli in
+#: randoms.SPREAD = (0.5, 2) give the Krein adjoint a norm factor k <= 4,
+#: so ||A* A - 1|| <= (1 + k) s + k s^2 = 5s + 4s^2 = 0.778, inside
+#: krein.RADIUS_SERIES = 0.8 for every draw
+POLAR_SIZE = 0.14
 
 KNOWN_TASKS = ("charts", "gauge", "spectral", "perturb", "dim-count")
 
@@ -228,23 +233,16 @@ def _entry(task, name, ref, value, threshold):
             "passed": passed}
 
 
-def _interval_excess(value, low, high) -> float:
-    """Distance outside [low, high]; zero inside, infinite if not finite.
+def _interval_excess(values, low, high) -> float:
+    """Largest distance of ``values`` outside [low, high]; inf if not finite.
 
     A NaN would pass ``max`` (every comparison with it is false); an
     infinite excess keeps any later ``max`` infinite and fails the gate.
     """
-    if not math.isfinite(value):
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
         return math.inf
-    return float(max(0.0, low - value, value - high))
-
-
-def _chart_samples(rng, split, count: int, scale: float):
-    """``count`` random chart coordinates around ``split``, as one stack."""
-    drawn = [rnd.random_chart_coords(rng, split, scale=scale)
-             for _ in range(count)]
-    return mf.ChartCoordinates(a=np.array([c.a for c in drawn]),
-                               b=np.array([c.b for c in drawn]), split=split)
+    return float(np.max(np.maximum(low - values, values - high), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +274,7 @@ def task_charts(config: ExperimentConfig):
     worst = 0.0
     for p, q, f in ((1, 1, 6), (2, 2, 8)):
         split = spin_space(rnd.random_correlation(rng, f, p), p)
-        coords = _chart_samples(rng, split, 50, scale=0.05)
+        coords = rnd.random_chart_coords(rng, split, 50, scale=0.05)
         back = mf.chart_inverse(mf.chart_forward(coords), split)
         worst = max(worst, np.max(opnorm(back.a - coords.a)),
                     np.max(opnorm(back.b - coords.b)))
@@ -295,17 +293,14 @@ def task_charts(config: ExperimentConfig):
 
     x = rnd.random_correlation(rng, 8, 2)
     split = spin_space(x, 2)
-    worst_rel = 0.0
-    worst_excess = 0.0
-    for _ in range(5):
-        dir1, dir2 = rnd.random_direction_pair(rng, split)
-        report = mf.gaussian_check(split, dir1[0], dir1[1], dir2[0], dir2[1])
-        scale = max(1.0, report.predicted_coefficient)
-        worst_rel = max(worst_rel, abs(report.quadratic_coefficient
-                                       - report.predicted_coefficient) / scale)
-        for ratio in report.residual_ratios:
-            worst_excess = max(worst_excess, _interval_excess(
-                ratio, tol["gaussian_ratio_low"], tol["gaussian_ratio_high"]))
+    dir1, dir2 = rnd.random_direction_pair(rng, split, 5)
+    report = mf.gaussian_check(split, *dir1, *dir2)
+    worst_rel = np.max(np.abs(report.quadratic_coefficient
+                              - report.predicted_coefficient)
+                       / np.maximum(1.0, report.predicted_coefficient))
+    worst_excess = _interval_excess(report.residual_ratios,
+                                    tol["gaussian_ratio_low"],
+                                    tol["gaussian_ratio_high"])
     entries.append(_entry("charts", "gaussian-c2-relative-error",
                           "gaussian-chart-quadratic-form", worst_rel,
                           tol["gaussian_c2_rel"]))
@@ -322,13 +317,10 @@ def task_gauge(config: ExperimentConfig):
     worst = np.zeros(4)   # polar, symmetric, series and unitary residuals
     for p, q in ((1, 1), (2, 2)):
         dim = p + q
-        grams, deltas, sizes = [], [], []
-        for _ in range(100):   # draw first, then evaluate one stack
-            grams.append(rnd.random_gram(rng, p, q))
-            deltas.append(rnd.random_complex(rng, dim, dim))
-            sizes.append(0.2 * rng.uniform(0.2, 1.0))
-        space = KreinSpace(gram=np.array(grams), signature=(p, q))
-        deltas = np.array(deltas)
+        space = KreinSpace(gram=rnd.random_gram(rng, p, q, 100),
+                           signature=(p, q))
+        deltas = rnd.random_complex(rng, 100, dim, dim)
+        sizes = POLAR_SIZE * rng.uniform(0.2, 1.0, size=100)
         a = np.eye(dim) + deltas * (sizes / opnorm(deltas))[:, None, None]
         u, s = kr.polar_decompose(a, space)
         series = kr.binomial_sqrt_series(space.adjoint(a) @ a - np.eye(dim),
@@ -351,11 +343,9 @@ def task_gauge(config: ExperimentConfig):
                           tol["sqrt_series_agreement"]))
 
     base = spin_space(rnd.random_correlation(rng, 8, 2), 2)
-    drawn = [(np.eye(4) + 0.05 * rnd.random_complex(rng, 4, 4),
-              rnd.random_complement_map(rng, base, 4, scale=0.05),
-              0.2 * rnd.random_complex(rng, 4, 4))
-             for _ in range(25)]
-    on_image, on_complement, m = map(np.array, zip(*drawn))
+    on_image = np.eye(4) + 0.05 * rnd.random_complex(rng, 25, 4, 4)
+    on_complement = rnd.random_complement_map(rng, base, 25, 4, scale=0.05)
+    m = 0.2 * rnd.random_complex(rng, 25, 4, 4)
     # Krein unitaries near 1: exp of the antisymmetric part of each m
     u0 = expm(0.5 * (m - base.krein.adjoint(m)))
     psi = wc.WaveChartPoint(on_image=on_image, on_complement=on_complement,
@@ -373,14 +363,16 @@ def task_gauge(config: ExperimentConfig):
     worst_coincide = 0.0
     for f in (8, 12):
         base_f = spin_space(rnd.random_correlation(rng, f, 2), 2)
-        samples = mf.chart_forward(_chart_samples(rng, base_f, 25, scale=0.04))
+        samples = mf.chart_forward(
+            rnd.random_chart_coords(rng, base_f, 25, scale=0.04))
         report = wc.charts_coincide_check(base_f, samples)
         worst_coincide = max(worst_coincide, report.max_deviation)
     entries.append(_entry("gauge", "wave-chart-coincidence",
                           "symmetric-vs-transported-wave-chart",
                           worst_coincide, tol["coincidence"]))
 
-    points = mf.chart_forward(_chart_samples(rng, base, 10, scale=0.05))
+    points = mf.chart_forward(rnd.random_chart_coords(rng, base, 10,
+                                                      scale=0.05))
     gauge = wc.build_gauge(base, points)
     entries.append(_entry("gauge", "gauge-condition-residual",
                           "gauge-defining-condition",
@@ -436,9 +428,9 @@ def task_spectral(config: ExperimentConfig):
                           "gauge-factor-first-order",
                           report.coefficient_deviation,
                           tol["expansion_coefficient"]))
-    worst_excess = max(_interval_excess(r, tol["expansion_ratio_low"],
-                                        tol["expansion_ratio_high"])
-                       for r in report.residual_ratios)
+    worst_excess = _interval_excess(report.residual_ratios,
+                                    tol["expansion_ratio_low"],
+                                    tol["expansion_ratio_high"])
     entries.append(_entry("spectral", "expansion-residual-ratio-excess",
                           "gauge-factor-quadratic-residual", worst_excess,
                           0.0))

@@ -10,9 +10,8 @@ of signature (n, n), so every such operator spawns a Krein space (the spin
 space).  One type, ``ImageSplit``, holds a regular point: the f x r image
 basis V and the compression X = V^dag x V, from which the spin space, the
 wave evaluation V^dag and the kernel P(x, y) = V_x^dag V_y X_y are all read
-at O(f r^2) cost.  No basis of the orthogonal complement is stored; the one
-function that builds it, ``complement_basis``, serves only small-f code that
-enumerates or draws coordinates on the complement.
+at O(f r^2) cost.  No basis of the orthogonal complement is ever built:
+code that needs the complement projects off the image with 1 - V V^dag.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotRegular
-from .krein import KreinSpace, _refuse
+from .krein import KreinSpace, _frobenius, _refuse
 
 #: relative threshold separating genuine eigenvalues from numerical zeros
 TOL_RANK_FACTOR = 1e-8
@@ -40,12 +39,6 @@ def _fix_column_phases(v: np.ndarray) -> np.ndarray:
     pivot = np.take_along_axis(v, rows, axis=-2)
     size = np.hypot(pivot.real, pivot.imag)   # rounds as scalar abs() does
     return v * np.where(size > 0.0, size / np.where(size > 0.0, pivot, 1), 1)
-
-
-def _frobenius(a: np.ndarray):
-    """Frobenius norm of each stacked matrix: one BLAS dot each, no copy."""
-    flat = np.ascontiguousarray(a).view(float).reshape(*a.shape[:-2], -1)
-    return np.sqrt(flat[..., None, :] @ flat[..., :, None])[..., 0, 0]
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:
@@ -76,12 +69,6 @@ class ImageSplit:
     @cached_property
     def krein(self) -> KreinSpace:
         return KreinSpace(gram=-self.restricted, signature=self.signature[::-1])
-
-
-def complement_basis(split: ImageSplit) -> np.ndarray:
-    """Orthonormal f x (f - r) complement of the image (f x f QR: small f)."""
-    full, _ = np.linalg.qr(split.basis, mode="complete")
-    return full[..., split.rank:]
 
 
 def _range_basis(x: np.ndarray, r: int):

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import (ImageSplit, _adjoint, as_split, complement_basis,
-                          hermitize)
+from .correlation import ImageSplit, _adjoint, as_split, hermitize
 from .errors import InvalidSignature, SignatureLost, TooFarFromBase
-from .krein import _refuse
+from .krein import _frobenius, _refuse
 
 #: smallest singular value of the image-overlap block accepted by chart_inverse
 MIN_OVERLAP_SV = 0.5
@@ -109,8 +108,10 @@ def chart_inverse(y, split: ImageSplit) -> ChartCoordinates:
 def chart_jacobian_rank(split: ImageSplit) -> int:
     """Numeric rank of the chart differential at the origin.
 
-    Central finite differences over a real parameter basis of (a, b), b along
-    a complement basis, all taken in one stacked ``chart_forward``; the rank
+    Central finite differences over a real parameter basis of (a, b), all
+    taken in one stacked ``chart_forward``.  The b directions run along the
+    rows of the complement projector 1 - V V^dag: they span the complement
+    with f - r of them redundant, which leaves the rank unchanged.  The rank
     counts singular values above ``JACOBIAN_RANK_RTOL`` times the largest one.
     """
     r, f = split.rank, split.basis.shape[0]
@@ -119,9 +120,10 @@ def chart_jacobian_rank(split: ImageSplit) -> int:
     for i, j in itertools.combinations(range(r), 2):
         e = np.outer(units[i], units[j])
         a_dirs += [e + e.T, 1j * (e - e.T)]
-    # b along e_i (x) (unit * row): i outer, complement row, then unit 1, i
+    # b along e_i (x) (unit * row): i outer, projector row, then unit 1, i
+    rows = np.eye(f) - split.basis @ _adjoint(split.basis)
     b_dirs = np.einsum("ik,u,jl->ijukl", units, [1.0, 1.0j],
-                       _adjoint(complement_basis(split))).reshape(-1, r, f)
+                       rows).reshape(-1, r, f)
     da = np.concatenate([a_dirs, np.zeros((len(b_dirs), r, r))])
     db = np.concatenate([np.zeros((len(a_dirs), r, f)), b_dirs])
     step = JACOBIAN_STEP
@@ -143,68 +145,62 @@ class GaussianReport:
     c2 t^2 + r(t); ``quadratic_coefficient`` is the measured c2,
     ``predicted_coefficient`` the block-trace value it should equal, and the
     residual r(t) should scale like t^4 (ratios near 16 under halving of t).
+    Each field has the stack axes of the directions; ``residuals`` and
+    ``residual_ratios`` add a last axis over the t values.
     """
 
-    quadratic_coefficient: float
-    predicted_coefficient: float
-    residuals: tuple
-    residual_ratios: tuple
+    quadratic_coefficient: np.ndarray
+    predicted_coefficient: np.ndarray
+    residuals: np.ndarray
+    residual_ratios: np.ndarray
 
 
-def _squared_chart_distance(split: ImageSplit, a1, b1, a2, b2, t: float) -> float:
-    """D(t) computed blockwise so the base point cancels exactly."""
-    x_restricted = split.restricted
-    core1 = x_restricted + t * a1
-    core2 = x_restricted + t * a2
-    lr1 = (t * b1).conj().T @ np.linalg.solve(core1, t * b1)
-    lr2 = (t * b2).conj().T @ np.linalg.solve(core2, t * b2)
-    du = t * (a1 - a2)
-    dc = t * (b1 - b2)
-    dl = lr1 - lr2
-    return (np.linalg.norm(du, "fro") ** 2
-            + 2.0 * np.linalg.norm(dc, "fro") ** 2
-            + np.linalg.norm(dl, "fro") ** 2)
+def _squared_chart_distance(split: ImageSplit, a1, b1, a2, b2, t):
+    """D(t) for each t, computed blockwise so the base point cancels exactly.
+
+    The result has the stack axes of the directions and a last axis over t.
+    """
+    t = np.asarray(t)[:, None, None]
+    a1, b1, a2, b2 = (d[..., None, :, :] for d in (a1, b1, a2, b2))
+    lr1 = _adjoint(t * b1) @ np.linalg.solve(split.restricted + t * a1, t * b1)
+    lr2 = _adjoint(t * b2) @ np.linalg.solve(split.restricted + t * a2, t * b2)
+    return (_frobenius(t * (a1 - a2)) ** 2
+            + 2.0 * _frobenius(t * (b1 - b2)) ** 2
+            + _frobenius(lr1 - lr2) ** 2)
 
 
 def gaussian_check(split: ImageSplit, a1, b1, a2, b2,
                    t_list=(0.1, 0.05, 0.025)) -> GaussianReport:
     """Measure the quadratic coefficient and quartic residual of D(t).
 
-    The measured c2 comes from Richardson extrapolation of the even part of
-    D(t)/t^2; the predicted value is the squared Frobenius norm of the
-    first-order block [[a1 - a2, b1 - b2], [(b1 - b2)^dag, 0]].
+    The directions may carry leading stack axes, one probe per element; all
+    t values of all elements are evaluated in one stack.  The measured c2
+    comes from Richardson extrapolation of the even part of D(t)/t^2; the
+    predicted value is the squared Frobenius norm of the first-order block
+    [[a1 - a2, b1 - b2], [(b1 - b2)^dag, 0]].
     """
-    a1 = np.asarray(a1, dtype=complex)
-    b1 = np.asarray(b1, dtype=complex)
-    a2 = np.asarray(a2, dtype=complex)
-    b2 = np.asarray(b2, dtype=complex)
+    a1, b1, a2, b2 = (np.asarray(d, dtype=complex) for d in (a1, b1, a2, b2))
+    predicted = _frobenius(a1 - a2) ** 2 + 2.0 * _frobenius(b1 - b2) ** 2
 
-    predicted = (np.linalg.norm(a1 - a2, "fro") ** 2
-                 + 2.0 * np.linalg.norm(b1 - b2, "fro") ** 2)
-
-    def even_part(t: float) -> float:
-        dp = _squared_chart_distance(split, a1, b1, a2, b2, t)
-        dm = _squared_chart_distance(split, a1, b1, a2, b2, -t)
-        return (dp + dm) / (2.0 * t * t)
-
-    t0 = RICHARDSON_STEP
+    steps = RICHARDSON_STEP / np.array([1.0, 2.0, 4.0])
+    t_list = np.asarray(t_list, dtype=float)
+    d = _squared_chart_distance(split, a1, b1, a2, b2,
+                                np.concatenate([steps, -steps, t_list]))
     # D(t)/t^2 even in t: two Richardson stages kill the t^2 and t^4 terms.
-    e0, e1, e2 = even_part(t0), even_part(t0 / 2), even_part(t0 / 4)
+    e0, e1, e2 = np.moveaxis((d[..., :3] + d[..., 3:6]) / (2.0 * steps ** 2),
+                             -1, 0)
     r1a = (4.0 * e1 - e0) / 3.0
     r1b = (4.0 * e2 - e1) / 3.0
     measured = (16.0 * r1b - r1a) / 15.0
 
-    residuals = [_squared_chart_distance(split, a1, b1, a2, b2, t)
-                 - predicted * t * t for t in t_list]
-    ratios = [ra / rb if rb != 0.0 else float("nan")
-              for ra, rb in zip(residuals, residuals[1:])]
+    residuals = d[..., 6:] - predicted[..., None] * t_list ** 2
+    ra, rb = residuals[..., :-1], residuals[..., 1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(rb != 0.0, ra / rb, np.nan)
 
-    return GaussianReport(
-        quadratic_coefficient=float(measured),
-        predicted_coefficient=float(predicted),
-        residuals=tuple(float(r) for r in residuals),
-        residual_ratios=tuple(ratios),
-    )
+    return GaussianReport(quadratic_coefficient=measured,
+                          predicted_coefficient=predicted,
+                          residuals=residuals, residual_ratios=ratios)
 
 
 def chart_metric(split: ImageSplit, a, b, dir1, dir2) -> float:

@@ -2,16 +2,19 @@
 
 All randomness is drawn from an explicit numpy Generator.  Complex matrices
 are built from independent standard complex Gaussians (real and imaginary
-parts N(0, 1) / sqrt(2)), Hermitian-symmetrized or orthonormalized where
-needed, so a fixed seed reproduces every trial bit for bit.
+parts N(0, 1) / sqrt(2)), Hermitian-symmetrized, orthonormalized or
+projected off an image where needed, so a fixed seed reproduces every trial
+bit for bit.  The matrix draws take leading stack dimensions and fill a whole
+stack in one call: the lone draw is the stack of no dimensions.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .correlation import complement_basis, hermitize
+from .correlation import _adjoint, hermitize
 from .dirac_box import SpacetimePoint
+from .krein import _frobenius
 from .manifold import ChartCoordinates
 from .perturbation import GaugeFunction
 
@@ -26,25 +29,26 @@ def random_complex(rng: np.random.Generator, *shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def random_hermitian(rng: np.random.Generator, dim: int,
+def random_hermitian(rng: np.random.Generator, *shape,
                      scale: float = 1.0) -> np.ndarray:
-    return scale * hermitize(random_complex(rng, dim, dim))
+    """Random Hermitian dim x dim matrices, ``shape`` = (*stack, dim)."""
+    return scale * hermitize(random_complex(rng, *shape, shape[-1]))
 
 
-def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Haar-ish unitary via QR with a fixed diagonal phase convention."""
-    q, r = np.linalg.qr(random_complex(rng, dim, dim))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+def random_unitary(rng: np.random.Generator, *shape) -> np.ndarray:
+    """Haar-ish unitaries via QR with a fixed diagonal phase convention."""
+    q, r = np.linalg.qr(random_complex(rng, *shape, shape[-1]))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
-def random_gram(rng: np.random.Generator, p: int, q: int) -> np.ndarray:
-    """Random invertible Hermitian Gram matrix of signature (p, q)."""
-    dim = p + q
-    u = random_unitary(rng, dim)
-    vals = np.concatenate([rng.uniform(*SPREAD, size=p),
-                           -rng.uniform(*SPREAD, size=q)])
-    return hermitize((u * vals) @ u.conj().T)
+def random_gram(rng: np.random.Generator, p: int, q: int,
+                *stack) -> np.ndarray:
+    """Random invertible Hermitian Gram matrices of signature (p, q)."""
+    u = random_unitary(rng, *stack, p + q)
+    vals = np.concatenate([rng.uniform(*SPREAD, size=(*stack, p)),
+                           -rng.uniform(*SPREAD, size=(*stack, q))], axis=-1)
+    return hermitize((u * vals[..., None, :]) @ _adjoint(u))
 
 
 def random_correlation(rng: np.random.Generator, f: int, n: int) -> np.ndarray:
@@ -55,32 +59,37 @@ def random_correlation(rng: np.random.Generator, f: int, n: int) -> np.ndarray:
     return hermitize((basis * vals) @ basis.conj().T)
 
 
-def random_complement_map(rng: np.random.Generator, split, rows: int,
+def random_complement_map(rng: np.random.Generator, split, *shape,
                           scale: float = 1.0) -> np.ndarray:
-    """Random rows x f map vanishing on the image of ``split``.
+    """Random rows x f maps vanishing on the image of ``split``.
 
-    One rows x (f - r) Gaussian draw, mapped by the complement basis.
+    ``shape`` is (*stack, rows).  A Gaussian G projected off the image,
+    G - (G V) V^dag, is a Gaussian on the complement; a split whose image
+    is the whole space has no complement and gets exact zeros.
     """
-    draw = scale * random_complex(rng, rows, split.basis.shape[0] - split.rank)
-    return draw @ complement_basis(split).conj().T
+    v = split.basis
+    f = v.shape[0]
+    if split.rank == f:
+        return np.zeros((*shape, f), dtype=complex)
+    draw = scale * random_complex(rng, *shape, f)
+    return draw - (draw @ v) @ _adjoint(v)
 
 
-def random_chart_coords(rng: np.random.Generator, split,
+def random_chart_coords(rng: np.random.Generator, split, *stack,
                         scale: float = 0.1) -> ChartCoordinates:
     """Small random chart coordinates around a base splitting."""
-    a = random_hermitian(rng, split.rank, scale=scale)
-    b = random_complement_map(rng, split, split.rank, scale=scale)
+    a = random_hermitian(rng, *stack, split.rank, scale=scale)
+    b = random_complement_map(rng, split, *stack, split.rank, scale=scale)
     return ChartCoordinates(a=a, b=b, split=split)
 
 
-def random_direction_pair(rng: np.random.Generator, split):
+def random_direction_pair(rng: np.random.Generator, split, *stack):
     """Two normalized coordinate directions (a, b) for metric probes."""
     def one():
-        a = random_hermitian(rng, split.rank)
-        b = random_complement_map(rng, split, split.rank)
-        norm = np.sqrt(np.linalg.norm(a, "fro") ** 2
-                       + 2.0 * np.linalg.norm(b, "fro") ** 2)
-        return a / norm, b / norm
+        a = random_hermitian(rng, *stack, split.rank)
+        b = random_complement_map(rng, split, *stack, split.rank)
+        norm = np.sqrt(_frobenius(a) ** 2 + 2.0 * _frobenius(b) ** 2)
+        return a / norm[..., None, None], b / norm[..., None, None]
     return one(), one()
 
 

@@ -27,11 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import krein as _krein
-from .correlation import (ImageSplit, _adjoint, _frobenius, as_split,
-                          hermitize, kernel, wave_evaluation)
+from .correlation import (ImageSplit, _adjoint, as_split, hermitize, kernel,
+                          wave_evaluation)
 from .errors import (NotInvertible, OutOfChartDomain, OutOfConvergenceRadius,
                      TooFarFromBase)
-from .krein import RADIUS_SERIES, _refuse, opnorm
+from .krein import RADIUS_SERIES, _frobenius, _refuse, opnorm
 from .manifold import ChartCoordinates, chart_inverse
 
 #: bound on ||X^{-1} a|| shared by both wave-chart constructions; it is the

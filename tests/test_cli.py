@@ -17,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfsgauge import cli
+from cfsgauge import krein as kr
+from cfsgauge import randoms as rnd
 from cfsgauge.cli import (KNOWN_TASKS, load_config, main, parse_config,
                           run_experiment)
 from cfsgauge.dirac_box import MIN_MASS, mode_count
@@ -437,6 +439,24 @@ class TestRunReports:
         assert entry["value"] is None and entry["passed"] is False
         assert cli._interval_excess(16.0, 12.0, 20.0) == 0.0
         assert cli._interval_excess(21.0, 12.0, 20.0) == 1.0
+        assert cli._interval_excess([[16.0, 21.0], [10.5, 19.0]],
+                                    12.0, 20.0) == 1.5
+        assert cli._interval_excess([16.0, math.nan], 12.0, 20.0) == math.inf
+
+    def test_polar_draws_stay_inside_the_series_radius(self):
+        # Gram moduli in SPREAD bound the Krein adjoint's norm factor by
+        # k = max / min, so ||A - 1|| = s gives ||A* A - 1|| <= (1+k)s + ks^2
+        k = rnd.SPREAD[1] / rnd.SPREAD[0]
+        s = cli.POLAR_SIZE
+        bound = (1.0 + k) * s + k * s * s
+        assert bound < kr.RADIUS_SERIES
+        # the bound holds on draws at the largest size
+        rng = np.random.default_rng(0)
+        space = kr.KreinSpace(gram=rnd.random_gram(rng, 2, 2, 500),
+                              signature=(2, 2))
+        deltas = rnd.random_complex(rng, 500, 4, 4)
+        a = np.eye(4) + s * deltas / kr.opnorm(deltas)[:, None, None]
+        assert np.max(kr.opnorm(space.adjoint(a) @ a - np.eye(4))) <= bound
 
     def test_nan_expansion_ratio_fails_the_spectral_task(self, monkeypatch):
         original = cli.cc.unitary_expansion

@@ -7,9 +7,8 @@ import pytest
 from conftest import multiset_distance, random_krein_unitary
 
 from cfsgauge import correlation
-from cfsgauge.correlation import (closed_chain, complement_basis, kernel,
-                                  local_correlation, spin_space,
-                                  split_by_image, wave_evaluation)
+from cfsgauge.correlation import (closed_chain, kernel, local_correlation,
+                                  spin_space, split_by_image, wave_evaluation)
 from cfsgauge.dirac_box import DiracBoxConfig, build_correlation_map
 from cfsgauge.errors import NotRegular
 from cfsgauge.krein import opnorm
@@ -74,8 +73,10 @@ class TestSpinSpace:
         sp = spin_space(x, 2)
         np.testing.assert_allclose(sp.basis.conj().T @ sp.basis, np.eye(4),
                                    atol=1e-12)
-        np.testing.assert_allclose(complement_basis(sp).conj().T @ sp.basis,
-                                   np.zeros((5, 4)), atol=1e-12)
+        complement = np.eye(9) - sp.basis @ sp.basis.conj().T
+        np.testing.assert_allclose(complement @ sp.basis, np.zeros((9, 4)),
+                                   atol=1e-12)
+        assert abs(np.trace(complement) - 5) <= 1e-12
 
     def test_krein_space_built_on_first_use(self, monkeypatch):
         built = []
@@ -126,12 +127,11 @@ def assert_matches_dense(x, p, q):
     np.testing.assert_allclose(split.basis.conj().T @ split.basis,
                                np.eye(p + q), rtol=0, atol=1e-12)
     f = x.shape[0]
-    complement = complement_basis(split)
-    np.testing.assert_allclose(complement.conj().T @ complement,
-                               np.eye(f - p - q), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(complement.conj().T @ split.basis,
-                               np.zeros((f - p - q, p + q)), rtol=0,
+    complement = np.eye(f) - split.basis @ split.basis.conj().T
+    np.testing.assert_allclose(complement @ complement, complement, rtol=0,
                                atol=1e-12)
+    np.testing.assert_allclose(complement @ split.basis,
+                               np.zeros((f, p + q)), rtol=0, atol=1e-12)
 
 
 class TestSplitParity:
@@ -204,7 +204,7 @@ class TestWaveEvaluation:
         rng = np.random.default_rng(2)
         x = random_correlation(rng, 8, 2)
         sp = spin_space(x, 2)
-        u = complement_basis(sp) @ random_complex(rng, 4)
+        u = (np.eye(8) - sp.basis @ sp.basis.conj().T) @ random_complex(rng, 8)
         np.testing.assert_allclose(wave_evaluation(sp) @ u, np.zeros(4),
                                    atol=1e-12)
 

@@ -1,4 +1,4 @@
-"""Stacked image splits, charts, wave charts and closed chains.
+"""Stacked draws, image splits, charts, wave charts and closed chains.
 
 Every routine below takes a stack of inputs in one call; each stack element
 must match the lone call on that element, get its own checks, and name its
@@ -18,10 +18,12 @@ from cfsgauge.correlation import spin_space, split_by_image
 from cfsgauge.dirac_box import DiracBoxConfig, build_correlation_map
 from cfsgauge.errors import (NotRegular, OutOfChartDomain, SignatureLost,
                              TooFarFromBase)
+from cfsgauge.krein import KreinSpace
 from cfsgauge.manifold import (ChartCoordinates, chart_forward, chart_inverse,
-                               chart_jacobian_rank)
+                               chart_jacobian_rank, gaussian_check)
 from cfsgauge.randoms import (random_chart_coords, random_complement_map,
-                              random_complex, random_correlation)
+                              random_complex, random_correlation,
+                              random_direction_pair, random_gram)
 from cfsgauge.wave_charts import (WaveChartPoint, build_gauge,
                                   charts_coincide_check, gauge_orbit_witness,
                                   gaussian_wave_map, symmetric_wave_chart)
@@ -43,11 +45,9 @@ def projector(split):
 
 def stacked_coords(rng, split, count, scale):
     """``count`` random chart coordinates, as one stack and as a list."""
-    drawn = [random_chart_coords(rng, split, scale=scale)
-             for _ in range(count)]
-    return ChartCoordinates(a=np.array([c.a for c in drawn]),
-                            b=np.array([c.b for c in drawn]),
-                            split=split), drawn
+    coords = random_chart_coords(rng, split, count, scale=scale)
+    return coords, [ChartCoordinates(a=a, b=b, split=split)
+                    for a, b in zip(coords.a, coords.b)]
 
 
 def diag_operator(values, f):
@@ -150,8 +150,7 @@ class TestWaveChartStack:
                             tol=1e-12)
 
         on_image = np.eye(4) + 0.05 * random_complex(rng, 5, 4, 4)
-        on_complement = np.array([random_complement_map(rng, base, 4, 0.05)
-                                  for _ in range(5)])
+        on_complement = random_complement_map(rng, base, 5, 4, scale=0.05)
         u0 = np.array([random_krein_unitary(rng, base.krein, 0.2)
                        for _ in range(5)])
         psi = WaveChartPoint(on_image, on_complement, base)
@@ -177,6 +176,44 @@ class TestWaveChartStack:
                            match=r"stack element \[2\]: chart coordinate"):
             charts_coincide_check(base, [base.operator, 1.1 * base.operator,
                                          2.5 * base.operator])
+
+
+class TestDrawStack:
+    """One call draws a whole stack, and each element is a valid draw."""
+
+    @pytest.mark.parametrize("p,f", [(1, 6), (2, 8)])
+    def test_coupling_blocks_annihilate_the_image(self, p, f):
+        rng = np.random.default_rng(60 + f)
+        split = spin_space(random_correlation(rng, f, p), p)
+        coords = random_chart_coords(rng, split, 3, 7, scale=0.05)
+        on_complement = random_complement_map(rng, split, 9, 2 * p)
+        (_, b1), (_, b2) = random_direction_pair(rng, split, 4)
+        assert coords.a.shape == (3, 7, 2 * p, 2 * p)
+        assert coords.b.shape == (3, 7, 2 * p, f)
+        for b in (coords.b, on_complement, b1, b2):
+            assert np.max(np.abs(b @ split.basis)) <= TOL
+            assert np.min(np.abs(b).max(axis=(-2, -1))) > 0.0
+
+    @pytest.mark.parametrize("p,q", [(1, 1), (2, 2), (3, 1)])
+    def test_each_gram_has_the_signature(self, p, q):
+        grams = random_gram(np.random.default_rng(70 + p), p, q, 5, 20)
+        assert grams.shape == (5, 20, p + q, p + q)
+        eigs = np.linalg.eigvalsh(grams)
+        assert np.all(np.sum(eigs > 0.0, axis=-1) == p)
+        assert np.all(np.sum(eigs < 0.0, axis=-1) == q)
+        KreinSpace(gram=grams, signature=(p, q))   # invertible, Hermitian
+
+    def test_gaussian_check_matches_lone_calls(self):
+        rng = np.random.default_rng(80)
+        split = spin_space(random_correlation(rng, 8, 2), 2)
+        (a1, b1), (a2, b2) = random_direction_pair(rng, split, 6)
+        stacked = gaussian_check(split, a1, b1, a2, b2)
+        lone = [gaussian_check(split, *d)
+                for d in zip(a1, b1, a2, b2, strict=True)]
+        for field in ("quadratic_coefficient", "predicted_coefficient",
+                      "residuals", "residual_ratios"):
+            assert_matches_loop(getattr(stacked, field),
+                                [getattr(r, field) for r in lone])
 
 
 class TestClosedChainStack:

@@ -1,12 +1,13 @@
 """Wave charts, the realization map, gauge orbits and gauge construction."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import random_krein_unitary
 
-from cfsgauge import correlation, wave_charts
+from cfsgauge import cli, correlation, wave_charts
 from cfsgauge.correlation import spin_space, split_by_image
 from cfsgauge.dirac_box import DiracBoxConfig, build_correlation_map
 from cfsgauge.errors import NotInvertible, OutOfChartDomain
@@ -331,7 +332,7 @@ class TestBoxGauge:
         assert max(gauge.condition_residuals) <= 1e-9
         assert report.max_deviation <= 1e-8
 
-    def test_no_complement_basis(self, box, monkeypatch):
+    def test_no_complement_basis(self, box, monkeypatch, tmp_path):
         base, ys = box
         f, r = base.basis.shape
         factorized = []
@@ -350,6 +351,13 @@ class TestBoxGauge:
             assert mode != "complete"
             assert shape[-1] not in (f - r, f)
         assert max(gauge.condition_residuals) <= 1e-9
+        # a whole example run draws each block in one stack: a handful of
+        # QRs, none of them complete
+        factorized.clear()
+        config = Path(__file__).resolve().parents[1] / "configs/example.json"
+        assert cli.main(["run", str(config), "--out", str(tmp_path)]) == 0
+        assert 0 < len(factorized) <= 12
+        assert all(mode != "complete" for mode, _ in factorized)
 
     def test_each_point_split_once(self, box, monkeypatch):
         base, ys = box
@@ -416,8 +424,12 @@ class TestConditionResidualBound:
         y = nearby_operator(rng, base)
         split_y = split_by_image(y, 2, 2)
         value = symmetric_wave_chart(split_y, base).full_matrix()
+        # a Hermitian shift on the image below half of min |eig X_y| moves
+        # no eigenvalue across zero, so the signature is kept
         h = random_complex(rng, 4, 4)
-        shift = split_y.basis @ (h + h.conj().T) @ split_y.basis.conj().T
+        h = (h + h.conj().T) / opnorm(h + h.conj().T)
+        size = 0.4 * np.min(np.abs(np.linalg.eigvalsh(split_y.restricted)))
+        shift = size * split_y.basis @ h @ split_y.basis.conj().T
         shifted = split_by_image(y + shift, 2, 2)
         dense = opnorm(shifted.operator + value.conj().T @ base.krein.gram @ value)
         bound = condition_residual_bound(shifted, value, base.krein.gram)
