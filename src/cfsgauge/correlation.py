@@ -10,8 +10,9 @@ of signature (n, n), so every such operator spawns a Krein space (the spin
 space).  One type, ``ImageSplit``, holds a regular point: the f x r image
 basis V and the compression X = V^dag x V, from which the spin space, the
 wave evaluation V^dag and the kernel P(x, y) = V_x^dag V_y X_y are all read
-at O(f r^2) cost.  No basis of the orthogonal complement is ever built:
-code that needs the complement projects off the image with 1 - V V^dag.
+at O(f r^2) cost.  Code that needs the orthogonal complement projects off
+the image with 1 - V V^dag; only ``manifold.chart_jacobian_rank`` builds a
+basis of it, the range basis of that projector.
 """
 
 from __future__ import annotations

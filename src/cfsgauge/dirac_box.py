@@ -54,11 +54,11 @@ def mixed_kernel(waves: np.ndarray, perturbed_waves: np.ndarray) -> np.ndarray:
     With waves at x and at y this is the two-point kernel P(x, y); with
     perturbed waves at x it is the mixed kernel of a perturbation, equal to
     exp(-i Lambda(x)) P(x, x) for a pure gauge.  ``mixed_kernel(w, w)`` is
-    the diagonal kernel P(x, x) itself.
+    the diagonal kernel P(x, x) itself.  Stacks (..., 4, f) broadcast.
     """
     w = np.asarray(waves, dtype=complex)
     wt = np.asarray(perturbed_waves, dtype=complex)
-    return -(w @ wt.conj().T @ SPINOR_GRAM)
+    return -(w @ wt.conj().swapaxes(-1, -2) @ SPINOR_GRAM)
 
 
 def slash(v) -> np.ndarray:

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import ImageSplit, _adjoint, as_split, hermitize
+from .correlation import (ImageSplit, _adjoint, _range_basis, as_split,
+                          hermitize)
 from .errors import InvalidSignature, SignatureLost, TooFarFromBase
 from .krein import _frobenius, _refuse
 
@@ -109,9 +110,8 @@ def chart_jacobian_rank(split: ImageSplit) -> int:
     """Numeric rank of the chart differential at the origin.
 
     Central finite differences over a real parameter basis of (a, b), all
-    taken in one stacked ``chart_forward``.  The b directions run along the
-    rows of the complement projector 1 - V V^dag: they span the complement
-    with f - r of them redundant, which leaves the rank unchanged.  The rank
+    taken in one stacked ``chart_forward``: r^2 for a and 2 r (f - r) for b
+    along the range basis of 1 - V V^dag, one per real dimension.  The rank
     counts singular values above ``JACOBIAN_RANK_RTOL`` times the largest one.
     """
     r, f = split.rank, split.basis.shape[0]
@@ -120,10 +120,11 @@ def chart_jacobian_rank(split: ImageSplit) -> int:
     for i, j in itertools.combinations(range(r), 2):
         e = np.outer(units[i], units[j])
         a_dirs += [e + e.T, 1j * (e - e.T)]
-    # b along e_i (x) (unit * row): i outer, projector row, then unit 1, i
-    rows = np.eye(f) - split.basis @ _adjoint(split.basis)
+    # b along e_i (x) (unit * q_j^dag): i outer, complement vector, unit 1, i
+    complement, _, _ = _range_basis(
+        np.eye(f) - split.basis @ _adjoint(split.basis), f - r)
     b_dirs = np.einsum("ik,u,jl->ijukl", units, [1.0, 1.0j],
-                       rows).reshape(-1, r, f)
+                       _adjoint(complement)).reshape(-1, r, f)
     da = np.concatenate([a_dirs, np.zeros((len(b_dirs), r, r))])
     db = np.concatenate([np.zeros((len(a_dirs), r, f)), b_dirs])
     step = JACOBIAN_STEP

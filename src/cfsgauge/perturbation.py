@@ -4,8 +4,9 @@ A pure-gauge electromagnetic potential multiplies every wave value at x by
 the local phase exp(i Lambda(x)).  The correlation operators are exactly
 invariant, the mixed kernel picks up the conjugate phase, and the
 distinguished gauge built from the closed chain cancels the phases
-altogether.  All operations here act on 4 x f wave-value matrices at a single
-spacetime point, so the exact phase law applies with no expansion.
+altogether.  The operations here act on stacks of 4 x f wave-value
+matrices, each at one spacetime point, so the exact phase law applies with
+no expansion; a stack of gauge functions or gauge values is one call.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .correlation import local_correlation, spin_space
 from .dirac_box import (SPINOR_GRAM, DiracBoxConfig, SpacetimePoint,
                         kernel_mode_sum, mixed_kernel, wave_value_matrix)
 from .errors import NotDiagonalKernel
-from .krein import KreinSpace, opnorm, polar
+from .krein import KreinSpace, _refuse, opnorm, polar
 
 #: the spinor space as a Krein space of signature (2, 2)
 SPINOR_KREIN = KreinSpace(gram=SPINOR_GRAM, signature=(2, 2))
@@ -28,66 +29,68 @@ SPINOR_KREIN = KreinSpace(gram=SPINOR_GRAM, signature=(2, 2))
 DIAGONAL_KERNEL_RTOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaugeFunction:
-    """Real box-periodic gauge function as a finite Fourier sum.
+    """Real box-periodic gauge functions as finite Fourier sums.
 
-    Each term is (amplitude, n_vec, omega, phase) contributing
-    amplitude * cos((pi / L) n_vec . x_vec - omega t + phase); the spatial
-    frequencies live on the box lattice so the sum is 2L-periodic.
+    ``terms`` has shape (..., T, 6): each row (amplitude, n1, n2, n3, omega,
+    phase) contributes amplitude * cos((pi / L) n_vec . x_vec - omega t +
+    phase); the spatial frequencies live on the box lattice so the sum is
+    2L-periodic.  The leading axes stack functions; a lone function is the
+    stack of no dimensions.
     """
 
-    terms: tuple
+    terms: np.ndarray
     L: float
 
-    def __call__(self, point: SpacetimePoint) -> float:
-        value = 0.0
-        step = math.pi / self.L
-        for amplitude, n_vec, omega, phase in self.terms:
-            spatial = step * sum(n * xc for n, xc in zip(n_vec, point.x_vec))
-            value += amplitude * math.cos(spatial - omega * point.t + phase)
-        return value
+    def __call__(self, point: SpacetimePoint):
+        """Value at ``point``: a float, or an array over the stack axes."""
+        terms = self.terms
+        spatial = (math.pi / self.L) * (terms[..., 1:4] @ point.x_vec)
+        argument = spatial - terms[..., 4] * point.t + terms[..., 5]
+        return np.sum(terms[..., 0] * np.cos(argument), axis=-1)
 
     def shifted_to_vanish_at(self, point: SpacetimePoint) -> "GaugeFunction":
-        """The same gauge function minus its value at ``point``.
+        """The same gauge functions minus their values at ``point``.
 
-        Generates the identical pure-gauge potential; the constant offset is
-        itself a lattice term (zero frequency).
+        Each generates the identical pure-gauge potential; the constant
+        offset is itself a lattice term (zero frequency).
         """
-        offset = (-self(point), (0, 0, 0), 0.0, 0.0)
-        return GaugeFunction(terms=self.terms + (offset,), L=self.L)
+        offset = np.zeros((*self.terms.shape[:-2], 1, 6))
+        offset[..., 0, 0] = -self(point)
+        return GaugeFunction(terms=np.concatenate([self.terms, offset], -2),
+                             L=self.L)
 
 
 def apply_local_phase(waves: np.ndarray, gauge_fn: GaugeFunction,
                       point: SpacetimePoint) -> np.ndarray:
-    """Wave values after the exact local phase transformation at ``point``."""
-    return np.exp(1j * gauge_fn(point)) * np.asarray(waves, dtype=complex)
+    """Wave values after the local phase transformation of each function."""
+    phase = np.exp(1j * gauge_fn(point))[..., None, None]
+    return phase * np.asarray(waves, dtype=complex)
 
 
-def kernel_time_coefficient(diag: np.ndarray) -> float:
-    """Coefficient alpha of a diagonal kernel of the form alpha gamma^0.
+def kernel_time_coefficient(diag: np.ndarray):
+    """Coefficient alpha of each diagonal kernel of the form alpha gamma^0.
 
     Raises NotDiagonalKernel when the non-gamma^0 components exceed
     ``DIAGONAL_KERNEL_RTOL`` times |alpha|.
     """
     diag = np.asarray(diag, dtype=complex)
-    alpha = float(np.real(np.trace(SPINOR_GRAM @ diag)) / 4.0)
-    residual = opnorm(diag - alpha * SPINOR_GRAM)
-    if residual > DIAGONAL_KERNEL_RTOL * abs(alpha):
-        raise NotDiagonalKernel(
-            f"P(x, x) deviates from alpha gamma^0 by {residual:.3g} "
-            f"(|alpha| = {abs(alpha):.3g})"
-        )
+    alpha = np.real(np.trace(SPINOR_GRAM @ diag, axis1=-2, axis2=-1)) / 4.0
+    residual = opnorm(diag - alpha[..., None, None] * SPINOR_GRAM)
+    _refuse(residual > DIAGONAL_KERNEL_RTOL * np.abs(alpha), NotDiagonalKernel,
+            "P(x, x) deviates from alpha gamma^0 by {:.3g} (|alpha| = {:.3g})",
+            residual, np.abs(alpha))
     return alpha
 
 
 def _gauge_factor(waves, perturbed_waves):
-    """alpha and ``polar`` of T = P(x, F~(x)) / |alpha|.
+    """alpha (..., 1, 1) and ``polar`` of T = P(x, F~(x)) / |alpha|, stacked.
 
     T* = P(F~(x), x) / |alpha|, so T T* is the mixed closed chain / alpha^2.
     """
-    alpha = kernel_time_coefficient(mixed_kernel(waves, waves))
-    scale = abs(alpha)
+    alpha = kernel_time_coefficient(mixed_kernel(waves, waves))[..., None, None]
+    scale = np.abs(alpha)
     u, root = polar(mixed_kernel(waves, perturbed_waves) / scale,
                     mixed_kernel(perturbed_waves, waves) / scale, SPINOR_KREIN)
     return alpha, u, root
@@ -171,5 +174,5 @@ def gauged_basis(waves: np.ndarray, perturbed_waves: np.ndarray,
     alpha, u, root = _gauge_factor(w, wt)
     via_gauge = SPINOR_GRAM @ u @ wt @ np.asarray(coeffs)
     chi = (1.0 / alpha) * (SPINOR_GRAM @ (w @ np.asarray(coeffs)))
-    via_chain = SPINOR_GRAM @ (abs(alpha) * root.sqrt) @ chi
+    via_chain = SPINOR_GRAM @ (np.abs(alpha) * root.sqrt) @ chi
     return via_gauge, via_chain

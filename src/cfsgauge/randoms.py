@@ -4,8 +4,9 @@ All randomness is drawn from an explicit numpy Generator.  Complex matrices
 are built from independent standard complex Gaussians (real and imaginary
 parts N(0, 1) / sqrt(2)), Hermitian-symmetrized, orthonormalized or
 projected off an image where needed, so a fixed seed reproduces every trial
-bit for bit.  The matrix draws take leading stack dimensions and fill a whole
-stack in one call: the lone draw is the stack of no dimensions.
+bit for bit.  The matrix and gauge-function draws take leading stack
+dimensions and fill a whole stack in one call per field: the lone draw is
+the stack of no dimensions.
 """
 
 from __future__ import annotations
@@ -93,17 +94,15 @@ def random_direction_pair(rng: np.random.Generator, split, *stack):
     return one(), one()
 
 
-def random_gauge_function(rng: np.random.Generator, L: float) -> GaugeFunction:
-    """Random real Fourier gauge function on the box lattice."""
-    terms = []
-    for _ in range(GAUGE_TERMS):
-        amp = GAUGE_AMPLITUDE * rng.standard_normal()
-        n_vec = tuple(int(v) for v in rng.integers(-GAUGE_MAX_MODE,
-                                                   GAUGE_MAX_MODE + 1, size=3))
-        omega = rng.standard_normal()
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        terms.append((amp, n_vec, omega, phase))
-    return GaugeFunction(terms=tuple(terms), L=L)
+def random_gauge_function(rng: np.random.Generator, L: float,
+                          *stack) -> GaugeFunction:
+    """Random real Fourier gauge functions on the box lattice."""
+    shape = (*stack, GAUGE_TERMS)
+    columns = [GAUGE_AMPLITUDE * rng.standard_normal((*shape, 1)),
+               rng.integers(-GAUGE_MAX_MODE, GAUGE_MAX_MODE + 1, (*shape, 3)),
+               rng.standard_normal((*shape, 1)),
+               rng.uniform(0.0, 2.0 * np.pi, (*shape, 1))]
+    return GaugeFunction(terms=np.concatenate(columns, axis=-1), L=L)
 
 
 def random_box_point(rng: np.random.Generator, L: float):

@@ -518,6 +518,24 @@ class TestExitCodes:
             assert "seed" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("under_file", [False, True])
+    def test_unusable_out_exits_2_before_any_task(self, tmp_path, capsys,
+                                                  monkeypatch, under_file):
+        # an existing file as --out, or a path below one
+        ran = []
+        monkeypatch.setitem(cli.TASK_RUNNERS, "dim-count",
+                            lambda config: ran.append(config) or [])
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep")
+        out = blocker / "out" if under_file else blocker
+        assert main(["run", str(write_config(tmp_path)),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out: ")
+        assert "Traceback" not in err
+        assert not ran
+        assert blocker.read_text() == "keep"
+
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "out")]) == 2

@@ -129,6 +129,14 @@ class TestJacobianRank:
         split = random_split(rng, f, p, q)
         assert chart_jacobian_rank(split) == manifold_dim(p, q, f)
 
+    @pytest.mark.parametrize("p,q,f", [(1, 1, 4), (2, 2, 4), (2, 2, 12)])
+    def test_one_direction_per_dimension(self, p, q, f, decompositions):
+        # one Jacobian column per direction; the rank's SVD comes last
+        split = random_split(np.random.default_rng(2000 + f), f, p, q)
+        decompositions.clear()
+        chart_jacobian_rank(split)
+        assert decompositions[-1][1] == manifold_dim(p, q, f)
+
 
 class TestGaussianCheck:
     def test_equal_directions_vanish(self):

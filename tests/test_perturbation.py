@@ -20,6 +20,14 @@ from cfsgauge.perturbation import SPINOR_KREIN
 
 CFG = DiracBoxConfig(L=math.pi, eps=1.0 / 2.5, m=0.0)
 POINT = SpacetimePoint(t=0.2, x_vec=(0.4, -0.8, 1.1))
+#: the gauge function with no terms, Lambda = 0
+ZERO = GaugeFunction(terms=np.zeros((0, 6)), L=CFG.L)
+
+
+def constant(theta):
+    """The constant gauge function Lambda = theta: one zero-frequency row."""
+    return GaugeFunction(terms=np.array([[theta, 0.0, 0.0, 0.0, 0.0, 0.0]]),
+                         L=CFG.L)
 
 
 @pytest.fixture(scope="module")
@@ -51,13 +59,13 @@ class TestGaugeFunction:
 
 class TestLocalPhase:
     def test_zero_gauge_function(self, waves):
-        lam = GaugeFunction(terms=(), L=CFG.L)
-        np.testing.assert_allclose(apply_local_phase(waves, lam, POINT), waves)
+        assert ZERO(POINT) == 0.0
+        np.testing.assert_allclose(apply_local_phase(waves, ZERO, POINT), waves)
 
     def test_constant_phase(self, waves):
         theta = 0.77
-        lam = GaugeFunction(terms=((theta, (0, 0, 0), 0.0, 0.0),), L=CFG.L)
-        np.testing.assert_allclose(apply_local_phase(waves, lam, POINT),
+        np.testing.assert_allclose(apply_local_phase(waves, constant(theta),
+                                                     POINT),
                                    np.exp(1j * theta) * waves, atol=1e-14)
 
     def test_first_order_consistency(self, waves):
@@ -67,9 +75,10 @@ class TestLocalPhase:
         value = lam(POINT)
         residuals = []
         for s in (1e-2, 5e-3):
-            perturbed = apply_local_phase(waves, GaugeFunction(
-                terms=tuple((s * a, n, w, p) for a, n, w, p in lam.terms),
-                L=CFG.L), POINT)
+            # scale the amplitude column of every term
+            scaled = lam.terms * [s, 1.0, 1.0, 1.0, 1.0, 1.0]
+            perturbed = apply_local_phase(
+                waves, GaugeFunction(terms=scaled, L=CFG.L), POINT)
             linear = waves + 1j * s * value * waves
             residuals.append(opnorm(perturbed - linear))
         assert 3.5 <= residuals[0] / residuals[1] <= 4.5
@@ -96,8 +105,7 @@ class TestCorrelationInvariance:
 
 class TestMixedKernel:
     def test_zero_gauge_function(self, waves):
-        unchanged = apply_local_phase(waves, GaugeFunction(terms=(), L=CFG.L),
-                                      POINT)
+        unchanged = apply_local_phase(waves, ZERO, POINT)
         np.testing.assert_allclose(mixed_kernel(waves, unchanged),
                                    kernel_mode_sum(CFG, POINT, POINT),
                                    atol=1e-14)
@@ -139,9 +147,8 @@ class TestSymmetricGaugeValue:
 
     def test_zero_gauge_function_reproduces_unperturbed(self, waves):
         v0 = perturbed_symmetric_gauge(waves, waves)
-        lam = GaugeFunction(terms=(), L=CFG.L)
         v1 = perturbed_symmetric_gauge(
-            waves, apply_local_phase(waves, lam, POINT))
+            waves, apply_local_phase(waves, ZERO, POINT))
         assert opnorm(v1 - v0) <= 1e-12
 
     def test_phase_cancellation_50_gauge_functions(self, waves):
@@ -156,11 +163,9 @@ class TestSymmetricGaugeValue:
         assert worst <= 1e-9
 
     def test_global_phase_invariance(self, waves):
-        theta = 2.1
-        lam = GaugeFunction(terms=((theta, (0, 0, 0), 0.0, 0.0),), L=CFG.L)
         v0 = perturbed_symmetric_gauge(waves, waves)
         v1 = perturbed_symmetric_gauge(
-            waves, apply_local_phase(waves, lam, POINT))
+            waves, apply_local_phase(waves, constant(2.1), POINT))
         assert opnorm(v1 - v0) <= 1e-12
 
 

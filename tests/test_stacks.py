@@ -1,4 +1,5 @@
-"""Stacked draws, image splits, charts, wave charts and closed chains.
+"""Stacked draws, image splits, charts, wave charts, closed chains and
+pure-gauge perturbations.
 
 Every routine below takes a stack of inputs in one call; each stack element
 must match the lone call on that element, get its own checks, and name its
@@ -8,27 +9,35 @@ loops fails here.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import multiset_distance, random_krein_unitary
 
 from cfsgauge import closed_chain as cc
+from cfsgauge import perturbation as pt
+from cfsgauge.cli import load_config, task_perturb
 from cfsgauge.correlation import spin_space, split_by_image
-from cfsgauge.dirac_box import DiracBoxConfig, build_correlation_map
-from cfsgauge.errors import (NotRegular, OutOfChartDomain, SignatureLost,
-                             TooFarFromBase)
+from cfsgauge.dirac_box import (DiracBoxConfig, build_correlation_map,
+                                wave_value_matrix)
+from cfsgauge.errors import (NotDiagonalKernel, NotRegular, OutOfChartDomain,
+                             SignatureLost, TooFarFromBase)
 from cfsgauge.krein import KreinSpace
 from cfsgauge.manifold import (ChartCoordinates, chart_forward, chart_inverse,
                                chart_jacobian_rank, gaussian_check)
 from cfsgauge.randoms import (random_chart_coords, random_complement_map,
                               random_complex, random_correlation,
-                              random_direction_pair, random_gram)
+                              random_direction_pair, random_gauge_function,
+                              random_gram)
 from cfsgauge.wave_charts import (WaveChartPoint, build_gauge,
                                   charts_coincide_check, gauge_orbit_witness,
                                   gaussian_wave_map, symmetric_wave_chart)
 
 TOL = 1e-13
+BOX = DiracBoxConfig(L=math.pi, eps=0.4, m=0.0)
+X = BOX.point(0.2, (0.4, -0.8, 1.1))
+Y = BOX.point(0.3, (0.55, -0.7, 1.2))
 
 
 def assert_matches_loop(stacked, looped, tol=TOL):
@@ -216,6 +225,61 @@ class TestDrawStack:
                                 [getattr(r, field) for r in lone])
 
 
+class TestPerturbationStack:
+    """Stacked gauge functions, phases, kernels and gauge values."""
+
+    def lone(self, lam):
+        """The stacked gauge functions, one at a time."""
+        return [pt.GaugeFunction(terms=t, L=lam.L)
+                for t in lam.terms.reshape(-1, *lam.terms.shape[-2:])]
+
+    def test_gauge_functions_and_phases_match_lone_calls(self):
+        lam = random_gauge_function(np.random.default_rng(90), BOX.L, 2, 3)
+        assert lam.terms.shape == (2, 3, 3, 6)
+        lone = self.lone(lam)
+        assert_matches_loop(lam(X).ravel(), [g(X) for g in lone])
+        shifted = lam.shifted_to_vanish_at(X)
+        assert shifted.terms.shape == (2, 3, 4, 6)
+        assert_matches_loop(shifted(Y).ravel(),
+                            [g.shifted_to_vanish_at(X)(Y) for g in lone])
+        waves = wave_value_matrix(BOX, X)
+        stacked = pt.apply_local_phase(waves, lam, X)
+        assert stacked.shape == (2, 3, *waves.shape)
+        assert_matches_loop(stacked.reshape(-1, *waves.shape),
+                            [pt.apply_local_phase(waves, g, X) for g in lone])
+
+    def test_gauge_values_match_lone_calls(self):
+        lam = random_gauge_function(np.random.default_rng(91), BOX.L, 6)
+        lone = self.lone(lam)
+        wx, wy = wave_value_matrix(BOX, X), wave_value_matrix(BOX, Y)
+        wx_t = pt.apply_local_phase(wx, lam, X)
+        wy_t = pt.apply_local_phase(wy, lam, Y)
+        assert_matches_loop(pt.kernel_time_coefficient(pt.mixed_kernel(
+            wx_t, wx_t)), [pt.kernel_time_coefficient(pt.mixed_kernel(w, w))
+                           for w in wx_t])
+        assert_matches_loop(pt.perturbed_symmetric_gauge(wx, wx_t),
+                            [pt.perturbed_symmetric_gauge(wx, w)
+                             for w in wx_t], tol=1e-12)
+        assert_matches_loop(pt.perturbed_symmetric_gauge(wx_t, wy_t),
+                            [pt.perturbed_symmetric_gauge(a, b)
+                             for a, b in zip(wx_t, wy_t)], tol=1e-12)
+        coeffs = pt.basis_waves(BOX, X).coeffs
+        via_gauge, via_chain = pt.gauged_basis(wx, wx_t, coeffs)
+        singles = [pt.gauged_basis(wx, pt.apply_local_phase(wx, g, X), coeffs)
+                   for g in lone]
+        assert_matches_loop(via_gauge, [g for g, _ in singles], tol=1e-12)
+        assert_matches_loop(via_chain, [c for _, c in singles], tol=1e-12)
+
+    def test_non_diagonal_element_is_named(self):
+        massive = DiracBoxConfig(L=math.pi, eps=0.4, m=1.0)
+        diagonals = [pt.mixed_kernel(w, w) for w in (
+            wave_value_matrix(BOX, X), wave_value_matrix(BOX, Y),
+            wave_value_matrix(massive, X))]
+        with pytest.raises(NotDiagonalKernel,
+                           match=r"stack element \[2\]: P\(x, x\) deviates"):
+            pt.kernel_time_coefficient(np.array(diagonals))
+
+
 class TestClosedChainStack:
     def kernels(self, seed):
         # time-like u dominates: eigenvalues in the right half plane
@@ -298,3 +362,26 @@ class TestDecompositionCounts:
             assert charts_coincide_check(base, ys).max_deviation <= 1e-8
             counts.append(len(decompositions))
         assert counts[0] == counts[1]
+
+    def test_perturbed_gauge_does_not_grow_with_functions(self,
+                                                          decompositions):
+        rng = np.random.default_rng(52)
+        waves = wave_value_matrix(BOX, X)
+        counts = []
+        for count in (5, 50):
+            lam = random_gauge_function(rng, BOX.L, count)
+            perturbed = pt.apply_local_phase(waves, lam, X)
+            decompositions.clear()
+            assert pt.perturbed_symmetric_gauge(waves, perturbed).shape == (
+                count, *waves.shape)
+            counts.append(len(decompositions))
+        assert counts[0] == counts[1]
+
+    def test_perturb_task_has_a_fixed_budget(self, decompositions):
+        # 643 eigh / eigvalsh / svd calls when it looped per sample
+        config = load_config(Path(__file__).resolve().parents[1]
+                             / "configs" / "example.json")
+        decompositions.clear()
+        entries = task_perturb(config)
+        assert all(e["passed"] for e in entries)
+        assert len(decompositions) <= 40
