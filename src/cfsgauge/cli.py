@@ -30,7 +30,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import closed_chain as cc
 from . import krein as kr
@@ -39,8 +38,9 @@ from . import perturbation as pt
 from . import randoms as rnd
 from . import wave_charts as wc
 from .correlation import spin_space
-from .dirac_box import (MIN_MASS, DiracBoxConfig, kernel_braket_sum,
-                        kernel_mode_sum, mode_count, wave_value_matrix)
+from .dirac_box import (MAX_DENSE_BYTES, MIN_MASS, DiracBoxConfig,
+                        kernel_braket_sum, kernel_mode_sum, mode_count,
+                        wave_value_matrix)
 from .errors import CfsGaugeError, ConfigError, TaskError, TooManyModes
 from .krein import KreinSpace, opnorm
 
@@ -346,8 +346,9 @@ def task_gauge(config: ExperimentConfig):
     on_image = np.eye(4) + 0.05 * rnd.random_complex(rng, 25, 4, 4)
     on_complement = rnd.random_complement_map(rng, base, 25, 4, scale=0.05)
     m = 0.2 * rnd.random_complex(rng, 25, 4, 4)
-    # Krein unitaries near 1: exp of the antisymmetric part of each m
-    u0 = expm(0.5 * (m - base.krein.adjoint(m)))
+    # Krein unitaries near 1: Cayley transforms of Krein-antisymmetric parts
+    half = 0.25 * (m - base.krein.adjoint(m))
+    u0 = np.linalg.solve(np.eye(4) - half, np.eye(4) + half)
     psi = wc.WaveChartPoint(on_image=on_image, on_complement=on_complement,
                             base=base)
     rotated = wc.WaveChartPoint(on_image=u0 @ on_image,
@@ -523,11 +524,16 @@ def task_perturb(config: ExperimentConfig):
     axis = np.linspace(-box.L, box.L, 5, endpoint=False)
     grid = [box.point(0.1, (float(a), float(b), float(c)))
             for a in axis for b in axis for c in axis]
-    w = np.array([wave_value_matrix(box, point) for point in grid])
-    phases = np.array([lam(point) for point in grid])[:, None, None]
-    expected = np.exp(-1j * phases) * pt.mixed_kernel(w, w)
-    worst_mixed = np.max(opnorm(pt.mixed_kernel(w, np.exp(1j * phases) * w)
-                                - expected))
+    # blocks of points whose (block, 4, f) wave stacks fit MAX_DENSE_BYTES
+    block = max(1, MAX_DENSE_BYTES // waves.nbytes)
+    worst_mixed = 0.0
+    for start in range(0, len(grid), block):
+        points = grid[start:start + block]
+        w = np.array([wave_value_matrix(box, point) for point in points])
+        phases = np.array([lam(point) for point in points])[:, None, None]
+        expected = np.exp(-1j * phases) * pt.mixed_kernel(w, w)
+        worst_mixed = np.maximum(worst_mixed, np.max(opnorm(
+            pt.mixed_kernel(w, np.exp(1j * phases) * w) - expected)))
     entries.append(_entry("perturb", "mixed-kernel-phase-law",
                           "mixed-kernel-phase-law", worst_mixed,
                           tol["mixed_kernel_law"]))

@@ -1,5 +1,6 @@
 """Experiment runner: config validation, reports, determinism, exit codes."""
 
+import collections
 import contextlib
 import io
 import json
@@ -471,6 +472,47 @@ class TestRunReports:
                  if e["name"] == "expansion-residual-ratio-excess"]
         assert gate["value"] is None and gate["passed"] is False
 
+    def test_orbit_unitaries_are_krein_unitary(self, monkeypatch):
+        calls = []
+        original = cli.wc.gauge_orbit_witness
+
+        def recorded(psi, psi_tilde):
+            calls.append((psi, psi_tilde))
+            return original(psi, psi_tilde)
+
+        monkeypatch.setattr(cli.wc, "gauge_orbit_witness", recorded)
+        cli.task_gauge(parse_config(BASE_CONFIG))
+        (psi, rotated), = calls
+        u0 = rotated.on_image @ np.linalg.inv(psi.on_image)
+        gram = psi.base.krein.gram
+        assert u0.shape == (25, 4, 4)
+        assert np.max(kr.opnorm(u0.conj().swapaxes(-1, -2) @ gram @ u0
+                                - gram)) <= 1e-13
+        assert np.min(kr.opnorm(u0 - np.eye(4))) > 0.0
+
+    def test_perturb_grid_blocks_keep_the_phase_law(self, monkeypatch):
+        config = parse_config({**BASE_CONFIG, "tasks": ["perturb"]})
+        diagonal_stacks = []
+        original = cli.pt.mixed_kernel
+
+        def recorded(waves, perturbed_waves):
+            if waves is perturbed_waves and np.ndim(waves) == 3:
+                diagonal_stacks.append(len(waves))
+            return original(waves, perturbed_waves)
+
+        monkeypatch.setattr(cli.pt, "mixed_kernel", recorded)
+        whole = cli.task_perturb(config)
+        whole_stacks = collections.Counter(diagonal_stacks)
+        diagonal_stacks.clear()
+        # room for 7 of the 125 grid points per block
+        monkeypatch.setattr(cli, "MAX_DENSE_BYTES",
+                            7 * 64 * mode_count(config.box))
+        blocked = cli.task_perturb(config)
+        blocked_stacks = collections.Counter(diagonal_stacks)
+        assert whole_stacks - blocked_stacks == {125: 1}
+        assert blocked_stacks - whole_stacks == {7: 17, 6: 1}
+        assert blocked == whole
+
     def test_failed_report_write_keeps_previous_file(self, tmp_path,
                                                      monkeypatch):
         path = write_config(tmp_path)
@@ -614,3 +656,12 @@ class TestExitCodes:
                                 capture_output=True, text=True)
         assert result.returncode == 0
         assert result.stdout.strip() == "12"
+
+    def test_run_path_imports_no_scipy(self):
+        # SciPy's wheel bundles a second OpenBLAS whose threads slow numpy
+        result = subprocess.run(
+            [sys.executable, "-c", "import cfsgauge.cli, sys; print(sorted("
+             "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
