@@ -61,10 +61,6 @@ class BranchCut(CfsGaugeError):
     """Eigenvalue lies on the branch cut of the principal square root."""
 
 
-class NotDiagonalKernel(CfsGaugeError):
-    """Diagonal kernel is not proportional to the time gamma matrix."""
-
-
 class ConfigError(CfsGaugeError):
     """Experiment configuration is invalid."""
 

@@ -4,9 +4,11 @@ A pure-gauge electromagnetic potential multiplies every wave value at x by
 the local phase exp(i Lambda(x)).  The correlation operators are exactly
 invariant, the mixed kernel picks up the conjugate phase, and the
 distinguished gauge built from the closed chain cancels the phases
-altogether.  The operations here act on stacks of 4 x f wave-value
-matrices, each at one spacetime point, so the exact phase law applies with
-no expansion; a stack of gauge functions or gauge values is one call.
+altogether.  The gauge is the Krein polar decomposition of the 4 x 4
+factor B = P(x~, x) P(x, x)^{-1} in the spinor space, so it holds at every
+mass.  The operations here act on stacks of 4 x f wave-value matrices, each
+at one spacetime point, so the exact phase law applies with no expansion; a
+stack of gauge functions or gauge values is one call.
 """
 
 from __future__ import annotations
@@ -16,17 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import local_correlation, spin_space
 from .dirac_box import (SPINOR_GRAM, DiracBoxConfig, SpacetimePoint,
                         kernel_mode_sum, mixed_kernel, wave_value_matrix)
-from .errors import NotDiagonalKernel
-from .krein import KreinSpace, _refuse, opnorm, polar
+from .krein import KreinSpace, opnorm, polar_decompose
 
 #: the spinor space as a Krein space of signature (2, 2)
 SPINOR_KREIN = KreinSpace(gram=SPINOR_GRAM, signature=(2, 2))
-
-#: relative size allowed for non-diagonal components of P(x, x)
-DIAGONAL_KERNEL_RTOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,44 +66,31 @@ def apply_local_phase(waves: np.ndarray, gauge_fn: GaugeFunction,
     return phase * np.asarray(waves, dtype=complex)
 
 
-def kernel_time_coefficient(diag: np.ndarray):
-    """Coefficient alpha of each diagonal kernel of the form alpha gamma^0.
-
-    Raises NotDiagonalKernel when the non-gamma^0 components exceed
-    ``DIAGONAL_KERNEL_RTOL`` times |alpha|.
-    """
-    diag = np.asarray(diag, dtype=complex)
-    alpha = np.real(np.trace(SPINOR_GRAM @ diag, axis1=-2, axis2=-1)) / 4.0
-    residual = opnorm(diag - alpha[..., None, None] * SPINOR_GRAM)
-    _refuse(residual > DIAGONAL_KERNEL_RTOL * np.abs(alpha), NotDiagonalKernel,
-            "P(x, x) deviates from alpha gamma^0 by {:.3g} (|alpha| = {:.3g})",
-            residual, np.abs(alpha))
-    return alpha
-
-
 def _gauge_factor(waves, perturbed_waves):
-    """alpha (..., 1, 1) and ``polar`` of T = P(x, F~(x)) / |alpha|, stacked.
+    """V^x and S of the Krein polar decomposition B = V S, stacked.
 
-    T* = P(F~(x), x) / |alpha|, so T T* is the mixed closed chain / alpha^2.
+    B = P(x~, x) P(x, x)^{-1} in the spinor space; V^x B = S.  Raises
+    OutOfConvergenceRadius when B^x B is too far from the identity.
     """
-    alpha = kernel_time_coefficient(mixed_kernel(waves, waves))[..., None, None]
-    scale = np.abs(alpha)
-    u, root = polar(mixed_kernel(waves, perturbed_waves) / scale,
-                    mixed_kernel(perturbed_waves, waves) / scale, SPINOR_KREIN)
-    return alpha, u, root
+    diagonal = mixed_kernel(waves, waves).swapaxes(-1, -2)
+    mixed = mixed_kernel(perturbed_waves, waves).swapaxes(-1, -2)
+    v, s = polar_decompose(np.linalg.solve(diagonal, mixed).swapaxes(-1, -2),
+                           SPINOR_KREIN)
+    return SPINOR_KREIN.adjoint(v), s
 
 
 def perturbed_symmetric_gauge(waves: np.ndarray,
                               perturbed_waves: np.ndarray) -> np.ndarray:
-    """Value of the distinguished gauge at x for the perturbed ensemble.
+    """Value V^x Psi~(x) of the distinguished gauge for the perturbed ensemble.
 
-    gamma^0 . A^{-1/2} . P(x, F~(x)) . Psi~(x), where A is the
-    mixed closed chain; requires the unperturbed diagonal kernel to be of the
-    form alpha gamma^0.  For a pure gauge perturbation the result equals the
-    unperturbed gauge value exactly (local phases drop out).
+    V is the Krein-unitary factor of B = P(x~, x) P(x, x)^{-1} = V S, so the
+    unperturbed gauge value is Psi(x) itself.  For a pure gauge perturbation
+    the result equals the unperturbed gauge value exactly (local phases drop
+    out).  With waves at y in place of x~ it is the gauge value at y in the
+    spinor frame at x.
     """
-    _, u, _ = _gauge_factor(waves, perturbed_waves)
-    return SPINOR_GRAM @ u @ np.asarray(perturbed_waves, dtype=complex)
+    v_adj, _ = _gauge_factor(waves, perturbed_waves)
+    return v_adj @ perturbed_waves
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,15 +98,14 @@ class BasisWaves:
     """An orthonormal basis of the spin subspace at x, as wave functions.
 
     ``coeffs`` holds four orthonormal coefficient vectors over the mode basis
-    spanning the image of F(x); ``chi`` the spinors gamma^0 u_a(x) / alpha
-    that transport the kernel onto the basis waves.
+    spanning the image of F(x); ``chi`` the spinors P(x, x)^{-1} u_a(x) that
+    transport the kernel onto the basis waves.
     """
 
     cfg: DiracBoxConfig
     point: SpacetimePoint
     coeffs: np.ndarray
     chi: np.ndarray
-    alpha: float
 
     def evaluate(self, point: SpacetimePoint) -> np.ndarray:
         """Wave values u_a(point), one column per basis vector."""
@@ -137,20 +120,15 @@ def basis_waves(cfg: DiracBoxConfig, point: SpacetimePoint,
                 check_points=(), tol: float = 1e-9) -> BasisWaves:
     """Build the distinguished basis waves of the spin subspace at a point.
 
-    Requires the diagonal kernel at the point to be of the form
-    alpha gamma^0 (massless or nearly massless ensemble).  For every point
-    in ``check_points`` the kernel-transport identity
-    u_a(y) = P(y, x) chi_a is verified to ``tol``.
+    The image of F(x) is the span of the rows of Psi(x), so the coefficients
+    are the Q factor of Psi(x)^dag = QR.  For every point in ``check_points``
+    the kernel-transport identity u_a(y) = P(y, x) chi_a is verified to
+    ``tol``.
     """
     waves = wave_value_matrix(cfg, point)
-    alpha = kernel_time_coefficient(mixed_kernel(waves, waves))
-    correlation = local_correlation(waves, SPINOR_GRAM)
-    sp = spin_space(correlation, 2)
-    coeffs = sp.basis
-    values_at_x = waves @ coeffs
-    chi = (1.0 / alpha) * (SPINOR_GRAM @ values_at_x)
-    bw = BasisWaves(cfg=cfg, point=point, coeffs=coeffs, chi=chi,
-                    alpha=alpha)
+    coeffs, _ = np.linalg.qr(waves.conj().T)
+    chi = np.linalg.solve(mixed_kernel(waves, waves), waves @ coeffs)
+    bw = BasisWaves(cfg=cfg, point=point, coeffs=coeffs, chi=chi)
     for other in check_points:
         residual = opnorm(bw.kernel_transport(other) - bw.evaluate(other))
         if residual > tol:
@@ -165,14 +143,10 @@ def gauged_basis(waves: np.ndarray, perturbed_waves: np.ndarray,
                  coeffs: np.ndarray):
     """Gauge values of the basis waves, by two routes.
 
-    Route one applies the full gauge map to the basis coefficient vectors;
-    route two is the closed form gamma^0 . A^{+1/2} . chi_a, which
-    involves only the gauge-invariant chain.  Returns (via_gauge, via_chain).
+    Route one applies the gauge factor V^x to the perturbed basis waves;
+    route two is the closed form S u_a(x) = S P(x, x) chi_a, which involves
+    only the symmetric factor of B = V S.  They agree because V^x B = S and
+    B P(x, x) chi_a = u~_a(x).  Returns (via_gauge, via_chain).
     """
-    w = np.asarray(waves, dtype=complex)
-    wt = np.asarray(perturbed_waves, dtype=complex)
-    alpha, u, root = _gauge_factor(w, wt)
-    via_gauge = SPINOR_GRAM @ u @ wt @ np.asarray(coeffs)
-    chi = (1.0 / alpha) * (SPINOR_GRAM @ (w @ np.asarray(coeffs)))
-    via_chain = SPINOR_GRAM @ (np.abs(alpha) * root.sqrt) @ chi
-    return via_gauge, via_chain
+    v_adj, s = _gauge_factor(waves, perturbed_waves)
+    return v_adj @ perturbed_waves @ coeffs, s @ waves @ coeffs

@@ -25,6 +25,7 @@ from cfsgauge.cli import (KNOWN_TASKS, load_config, main, parse_config,
 from cfsgauge.dirac_box import MIN_MASS, mode_count
 from cfsgauge.errors import ConfigError
 
+EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "example.json"
 BASE_CONFIG = {
     "box": {"L": math.pi, "eps": 0.4, "m": 0.0},
     "points": [[0.2, 0.4, -0.8, 1.1], [0.3, 0.55, -0.7, 1.2]],
@@ -349,17 +350,28 @@ class TestRunReports:
         assert lines[0] == "t,x1,x2,x3,row,col,re,im"
         assert len(lines) == 1 + 16 * len(BASE_CONFIG["points"])
 
-    def test_perturb_task_error_on_massive_box(self, tmp_path):
+    def test_perturb_passes_on_massive_box(self, tmp_path):
         raw = json.loads(json.dumps(BASE_CONFIG))
         raw["box"] = {"L": math.pi, "eps": 0.4, "m": 1.0}
         raw["tasks"] = ["perturb"]
         path = tmp_path / "c.json"
         path.write_text(json.dumps(raw))
         code = main(["run", str(path), "--out", str(tmp_path / "out")])
-        assert code == 1
+        assert code == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert "perturb" in report["task_errors"]
-        assert report["all_passed"] is False
+        assert report["task_errors"] == {}
+        assert report["all_passed"] is True
+
+    @pytest.mark.parametrize("mass", [0.3, MIN_MASS])
+    def test_example_passes_in_a_massive_sea(self, tmp_path, mass):
+        raw = json.loads(EXAMPLE.read_text())
+        raw["box"]["m"] = mass
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(raw))
+        code = main(["run", str(path), "--out", str(tmp_path / "out")])
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["task_errors"] == {}
+        assert report["all_passed"] is True and code == 0
 
     def test_huge_eps_recorded_as_empty_cutoff(self, tmp_path, capsys):
         raw = json.loads(json.dumps(BASE_CONFIG))
@@ -492,25 +504,36 @@ class TestRunReports:
 
     def test_perturb_grid_blocks_keep_the_phase_law(self, monkeypatch):
         config = parse_config({**BASE_CONFIG, "tasks": ["perturb"]})
-        diagonal_stacks = []
+        diagonal_stacks, gauge_stacks = [], []
         original = cli.pt.mixed_kernel
+        original_gauge = cli.pt.perturbed_symmetric_gauge
 
         def recorded(waves, perturbed_waves):
             if waves is perturbed_waves and np.ndim(waves) == 3:
                 diagonal_stacks.append(len(waves))
             return original(waves, perturbed_waves)
 
+        def recorded_gauge(waves, perturbed_waves):
+            if np.ndim(waves) == 2 and np.ndim(perturbed_waves) == 3:
+                gauge_stacks.append(len(perturbed_waves))
+            return original_gauge(waves, perturbed_waves)
+
         monkeypatch.setattr(cli.pt, "mixed_kernel", recorded)
+        monkeypatch.setattr(cli.pt, "perturbed_symmetric_gauge",
+                            recorded_gauge)
         whole = cli.task_perturb(config)
         whole_stacks = collections.Counter(diagonal_stacks)
+        assert gauge_stacks == [50]
         diagonal_stacks.clear()
-        # room for 7 of the 125 grid points per block
+        gauge_stacks.clear()
+        # room for 7 of the 125 grid points, or of the 50 functions, per block
         monkeypatch.setattr(cli, "MAX_DENSE_BYTES",
                             7 * 64 * mode_count(config.box))
         blocked = cli.task_perturb(config)
         blocked_stacks = collections.Counter(diagonal_stacks)
         assert whole_stacks - blocked_stacks == {125: 1}
         assert blocked_stacks - whole_stacks == {7: 17, 6: 1}
+        assert gauge_stacks == [7] * 7 + [1]
         assert blocked == whole
 
     def test_failed_report_write_keeps_previous_file(self, tmp_path,
@@ -597,16 +620,16 @@ class TestExitCodes:
         assert main(["modes", "3.14159", "0.4", "1e-16"]) == 0
         assert capsys.readouterr().out.strip() == "162"
 
-    def test_perturb_at_tiny_mass_reports_scalar_kernel(self, tmp_path):
+    def test_perturb_passes_at_tiny_mass(self, tmp_path):
         # the zero mode adds 1 / (4 pi (2L)^3) ~ 3.2e-4 times the identity
-        # to P(x, x), so the task stops at the diagonal-kernel check
+        # to P(x, x); the gauge factor B = P(x~, x) P(x, x)^{-1} takes it
         path = write_config(tmp_path, {"box": {"L": 3.14159, "eps": 0.4,
                                                "m": 1e-16},
                                        "tasks": ["perturb"]})
-        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
-        error = report["task_errors"]["perturb"]
-        assert error.startswith("TaskError") and "alpha gamma^0" in error
+        assert report["task_errors"] == {}
+        assert report["all_passed"] is True
 
     def test_underflowing_mass_exits_2_on_both_routes(self, tmp_path, capsys):
         path = write_config(tmp_path, {"box": {"L": 3.14159, "eps": 0.4,

@@ -9,16 +9,15 @@ from cfsgauge.correlation import local_correlation
 from cfsgauge.dirac_box import (SPINOR_GRAM, DiracBoxConfig,
                                 SpacetimePoint, kernel_mode_sum,
                                 wave_value_matrix)
-from cfsgauge.errors import NotDiagonalKernel
-from cfsgauge.krein import opnorm
+from cfsgauge.krein import opnorm, polar
 from cfsgauge.perturbation import (GaugeFunction, apply_local_phase,
-                                   basis_waves, gauged_basis,
-                                   kernel_time_coefficient, mixed_kernel,
+                                   basis_waves, gauged_basis, mixed_kernel,
                                    perturbed_symmetric_gauge)
 from cfsgauge.randoms import random_box_point, random_gauge_function
 from cfsgauge.perturbation import SPINOR_KREIN
 
 CFG = DiracBoxConfig(L=math.pi, eps=1.0 / 2.5, m=0.0)
+MASSIVE = DiracBoxConfig(L=math.pi, eps=1.0 / 2.5, m=0.3)
 POINT = SpacetimePoint(t=0.2, x_vec=(0.4, -0.8, 1.1))
 #: the gauge function with no terms, Lambda = 0
 ZERO = GaugeFunction(terms=np.zeros((0, 6)), L=CFG.L)
@@ -28,6 +27,11 @@ def constant(theta):
     """The constant gauge function Lambda = theta: one zero-frequency row."""
     return GaugeFunction(terms=np.array([[theta, 0.0, 0.0, 0.0, 0.0, 0.0]]),
                          L=CFG.L)
+
+
+def time_coefficient(waves):
+    """alpha = tr(gamma^0 P(x, x)) / 4, the gamma^0 part of P(x, x)."""
+    return np.real(np.trace(SPINOR_GRAM @ mixed_kernel(waves, waves))) / 4.0
 
 
 @pytest.fixture(scope="module")
@@ -134,16 +138,44 @@ class TestMixedKernel:
 
 class TestSymmetricGaugeValue:
     def test_diagonal_coefficient_matches_mode_count(self, waves):
+        # at m = 0, P(x, x) = alpha gamma^0 with alpha = -f / (32 pi L^3)
         from cfsgauge.dirac_box import momentum_points
-        alpha = kernel_time_coefficient(mixed_kernel(waves, waves))
+        alpha = time_coefficient(waves)
         expected = -len(momentum_points(CFG)) / (32 * math.pi * CFG.L ** 3)
         assert abs(alpha - expected) <= 1e-12
+        assert opnorm(mixed_kernel(waves, waves)
+                      - alpha * SPINOR_GRAM) <= 1e-12 * abs(alpha)
 
-    def test_massive_kernel_rejected(self):
+    def test_massive_kernel_gauge(self):
+        # P(x, x) has a scalar part at m = 1, and the gauge still cancels
         cfg = DiracBoxConfig(L=math.pi, eps=1.0 / 2.5, m=1.0)
         w = wave_value_matrix(cfg, POINT)
-        with pytest.raises(NotDiagonalKernel):
-            kernel_time_coefficient(mixed_kernel(w, w))
+        assert opnorm(mixed_kernel(w, w) - time_coefficient(w)
+                      * SPINOR_GRAM) > 1e-3 * abs(time_coefficient(w))
+        assert opnorm(perturbed_symmetric_gauge(w, w) - w) <= 1e-12 * opnorm(w)
+        lam = random_gauge_function(np.random.default_rng(8), cfg.L, 50)
+        values = perturbed_symmetric_gauge(w, apply_local_phase(w, lam, POINT))
+        assert np.max(opnorm(values - w)) <= 1e-9
+
+    @pytest.mark.parametrize("cfg", [CFG, MASSIVE], ids=["m0", "m0.3"])
+    def test_unperturbed_value_is_the_wave_value(self, cfg):
+        # sign convention: with no perturbation B = 1, so V = 1
+        w = wave_value_matrix(cfg, POINT)
+        assert opnorm(perturbed_symmetric_gauge(w, w) - w) <= 1e-12 * opnorm(w)
+
+    def test_massless_value_matches_the_time_coefficient_route(self, waves):
+        # at m = 0, P(x, x) = alpha gamma^0 with alpha < 0, and the value is
+        # -gamma^0 polar(P(x, x~) / |alpha|) Psi~(x)
+        alpha = time_coefficient(waves)
+        assert alpha < 0.0
+        lam = random_gauge_function(np.random.default_rng(14), CFG.L, 10)
+        perturbed = apply_local_phase(waves, lam, POINT)
+        t = mixed_kernel(waves, perturbed) / abs(alpha)
+        t_adj = mixed_kernel(perturbed, waves) / abs(alpha)
+        u, _ = polar(t, t_adj, SPINOR_KREIN)
+        expected = -SPINOR_GRAM @ u @ perturbed
+        got = perturbed_symmetric_gauge(waves, perturbed)
+        assert np.max(opnorm(got - expected)) <= 1e-12 * opnorm(waves)
 
     def test_zero_gauge_function_reproduces_unperturbed(self, waves):
         v0 = perturbed_symmetric_gauge(waves, waves)
@@ -181,7 +213,7 @@ class TestTransformationLedger:
         wy = wave_value_matrix(CFG, y)
         p_xy = -(wx @ wy.conj().T @ SPINOR_GRAM)
         chain = p_xy @ (-(wy @ wx.conj().T @ SPINOR_GRAM))
-        alpha = kernel_time_coefficient(mixed_kernel(wx, wx))
+        alpha = time_coefficient(wx)
 
         for _ in range(10):
             lam = random_gauge_function(rng, CFG.L).shifted_to_vanish_at(x)
@@ -224,6 +256,13 @@ class TestBasisWaves:
         rng = np.random.default_rng(13)
         samples = [random_box_point(rng, CFG.L) for _ in range(3)]
         basis_waves(CFG, POINT, check_points=samples)   # must not raise
+
+    def test_kernel_transport_in_a_massive_sea(self):
+        rng = np.random.default_rng(15)
+        samples = [random_box_point(rng, MASSIVE.L) for _ in range(3)]
+        bw = basis_waves(MASSIVE, POINT, check_points=samples, tol=1e-12)
+        np.testing.assert_allclose(bw.coeffs.conj().T @ bw.coeffs, np.eye(4),
+                                   atol=1e-12)
 
     def test_coefficients_orthonormal(self):
         bw = basis_waves(CFG, POINT)
@@ -284,10 +323,10 @@ class TestGaugedBasis:
         gauged_basis(waves, apply_local_phase(waves, lam, POINT), bw.coeffs)
         assert len(calls) == 2
 
-    def test_unperturbed_closed_form(self, waves):
-        # without perturbation the chain is P(x,x)^2, so the gauged basis is
-        # gamma^0 |alpha| chi_a up to the sign convention of the chain root
-        bw = basis_waves(CFG, POINT)
-        _, via_chain = gauged_basis(waves, waves, bw.coeffs)
-        expected = SPINOR_GRAM @ (abs(bw.alpha) * np.eye(4)) @ bw.chi
-        np.testing.assert_allclose(via_chain, expected, atol=1e-10)
+    def test_unperturbed_closed_form(self):
+        # without perturbation B = 1, so S = 1 and the gauged basis is u_a(x)
+        for cfg in (CFG, MASSIVE):
+            w = wave_value_matrix(cfg, POINT)
+            bw = basis_waves(cfg, POINT)
+            _, via_chain = gauged_basis(w, w, bw.coeffs)
+            np.testing.assert_allclose(via_chain, w @ bw.coeffs, atol=1e-10)

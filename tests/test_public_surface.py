@@ -10,6 +10,7 @@ a public class counts as used when those sources read an attribute of its
 name.  Unit tests alone do not keep a helper, an option or a field alive: a
 claim they check goes through the code the program runs.  The package root
 binds no name, so each one is imported from the module that defines it.
+Every error type is raised or caught somewhere in the package.
 """
 
 import ast
@@ -40,8 +41,6 @@ ALLOWED_FIELDS = {
         "the residuals the reported ratios are formed from",
     "manifold.GaussianReport.residuals":
         "the residuals the reported ratios are formed from",
-    "perturbation.BasisWaves.alpha":
-        "the scale alpha of P(x, x) = alpha gamma^0 that chi is divided by",
 }
 
 
@@ -178,3 +177,33 @@ def test_every_keyword_option_is_passed():
                   if name not in keywords
                   and (position is None or most <= position)]
     assert not unset, "keyword options no caller sets"
+
+
+def raised_or_caught_names():
+    """Names in a ``raise``, an ``except`` or the error slot of ``_refuse``."""
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                named = [getattr(node.exc, "func", node.exc)]
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                named = getattr(node.type, "elts", [node.type])
+            elif (isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) == "_refuse"):
+                named = node.args[1:2]
+            else:
+                continue
+            names |= {getattr(n, "id", None) or getattr(n, "attr", None)
+                      for n in named}
+    return names
+
+
+def test_every_error_type_is_raised_or_caught():
+    tree = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    assert defined, "errors.py defines no error type"
+    dead = sorted(defined - raised_or_caught_names())
+    assert not dead, f"never raised or caught: {dead}"

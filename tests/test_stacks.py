@@ -21,8 +21,8 @@ from cfsgauge.cli import load_config, task_perturb
 from cfsgauge.correlation import spin_space, split_by_image
 from cfsgauge.dirac_box import (DiracBoxConfig, build_correlation_map,
                                 wave_value_matrix)
-from cfsgauge.errors import (NotDiagonalKernel, NotRegular, OutOfChartDomain,
-                             SignatureLost, TooFarFromBase)
+from cfsgauge.errors import (NotRegular, OutOfChartDomain, SignatureLost,
+                             TooFarFromBase)
 from cfsgauge.krein import KreinSpace
 from cfsgauge.manifold import (ChartCoordinates, chart_forward, chart_inverse,
                                chart_jacobian_rank, gaussian_check)
@@ -251,33 +251,22 @@ class TestPerturbationStack:
     def test_gauge_values_match_lone_calls(self):
         lam = random_gauge_function(np.random.default_rng(91), BOX.L, 6)
         lone = self.lone(lam)
-        wx, wy = wave_value_matrix(BOX, X), wave_value_matrix(BOX, Y)
-        wx_t = pt.apply_local_phase(wx, lam, X)
-        wy_t = pt.apply_local_phase(wy, lam, Y)
-        assert_matches_loop(pt.kernel_time_coefficient(pt.mixed_kernel(
-            wx_t, wx_t)), [pt.kernel_time_coefficient(pt.mixed_kernel(w, w))
-                           for w in wx_t])
-        assert_matches_loop(pt.perturbed_symmetric_gauge(wx, wx_t),
-                            [pt.perturbed_symmetric_gauge(wx, w)
-                             for w in wx_t], tol=1e-12)
-        assert_matches_loop(pt.perturbed_symmetric_gauge(wx_t, wy_t),
-                            [pt.perturbed_symmetric_gauge(a, b)
-                             for a, b in zip(wx_t, wy_t)], tol=1e-12)
-        coeffs = pt.basis_waves(BOX, X).coeffs
-        via_gauge, via_chain = pt.gauged_basis(wx, wx_t, coeffs)
-        singles = [pt.gauged_basis(wx, pt.apply_local_phase(wx, g, X), coeffs)
-                   for g in lone]
-        assert_matches_loop(via_gauge, [g for g, _ in singles], tol=1e-12)
-        assert_matches_loop(via_chain, [c for _, c in singles], tol=1e-12)
-
-    def test_non_diagonal_element_is_named(self):
-        massive = DiracBoxConfig(L=math.pi, eps=0.4, m=1.0)
-        diagonals = [pt.mixed_kernel(w, w) for w in (
-            wave_value_matrix(BOX, X), wave_value_matrix(BOX, Y),
-            wave_value_matrix(massive, X))]
-        with pytest.raises(NotDiagonalKernel,
-                           match=r"stack element \[2\]: P\(x, x\) deviates"):
-            pt.kernel_time_coefficient(np.array(diagonals))
+        for box in (BOX, DiracBoxConfig(L=math.pi, eps=0.4, m=0.3)):
+            wx, wy = wave_value_matrix(box, X), wave_value_matrix(box, Y)
+            wx_t = pt.apply_local_phase(wx, lam, X)
+            wy_t = pt.apply_local_phase(wy, lam, Y)
+            assert_matches_loop(pt.perturbed_symmetric_gauge(wx, wx_t),
+                                [pt.perturbed_symmetric_gauge(wx, w)
+                                 for w in wx_t], tol=1e-12)
+            assert_matches_loop(pt.perturbed_symmetric_gauge(wx_t, wy_t),
+                                [pt.perturbed_symmetric_gauge(a, b)
+                                 for a, b in zip(wx_t, wy_t)], tol=1e-12)
+            coeffs = pt.basis_waves(box, X).coeffs
+            via_gauge, via_chain = pt.gauged_basis(wx, wx_t, coeffs)
+            singles = [pt.gauged_basis(wx, pt.apply_local_phase(wx, g, X),
+                                       coeffs) for g in lone]
+            assert_matches_loop(via_gauge, [g for g, _ in singles], tol=1e-12)
+            assert_matches_loop(via_chain, [c for _, c in singles], tol=1e-12)
 
 
 class TestClosedChainStack:
