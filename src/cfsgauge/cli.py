@@ -42,7 +42,7 @@ from .dirac_box import (MAX_DENSE_BYTES, MIN_MASS, DiracBoxConfig,
                         kernel_braket_sum, kernel_mode_sum, mode_count,
                         wave_value_matrix)
 from .errors import CfsGaugeError, ConfigError, TaskError, TooManyModes
-from .krein import KreinSpace, opnorm
+from .krein import KreinSpace, max_opnorm, opnorm
 
 #: cap on the nt * nx^3 points of a grid spec, checked before expanding it
 MAX_GRID_POINTS = 1 << 16
@@ -276,8 +276,8 @@ def task_charts(config: ExperimentConfig):
         split = spin_space(rnd.random_correlation(rng, f, p), p)
         coords = rnd.random_chart_coords(rng, split, 50, scale=0.05)
         back = mf.chart_inverse(mf.chart_forward(coords), split)
-        worst = max(worst, np.max(opnorm(back.a - coords.a)),
-                    np.max(opnorm(back.b - coords.b)))
+        worst = max(worst, max_opnorm(back.a - coords.a),
+                    max_opnorm(back.b - coords.b))
     entries.append(_entry("charts", "roundtrip-max-residual",
                           "chart-inverse-roundtrip", worst,
                           tol["chart_roundtrip"]))
@@ -314,7 +314,7 @@ def task_gauge(config: ExperimentConfig):
     rng = np.random.default_rng(config.seed + 1)
     entries = []
 
-    worst = np.zeros(4)   # polar, symmetric, series and unitary residuals
+    worst = np.zeros(4)   # polar, unitary, symmetric and series residuals
     for p, q in ((1, 1), (2, 2)):
         dim = p + q
         space = KreinSpace(gram=rnd.random_gram(rng, p, q, 100),
@@ -325,22 +325,18 @@ def task_gauge(config: ExperimentConfig):
         u, s = kr.polar_decompose(a, space)
         series = kr.binomial_sqrt_series(space.adjoint(a) @ a - np.eye(dim),
                                          0.5)
-        residuals = (a - u @ s, s - space.adjoint(s), s - series,
-                     u.conj().swapaxes(1, 2) @ space.gram @ u - space.gram)
-        worst = np.maximum(worst, [opnorm(r).max() for r in residuals])
-    worst_polar, worst_symmetric, worst_series, worst_unitary = worst.tolist()
-    entries.append(_entry("gauge", "polar-residual",
-                          "unique-polar-decomposition", worst_polar,
-                          tol["polar_residual"]))
-    entries.append(_entry("gauge", "polar-unitary-residual",
-                          "indefinite-unitarity", worst_unitary,
-                          tol["polar_unitary"]))
-    entries.append(_entry("gauge", "polar-symmetric-residual",
-                          "indefinite-symmetry", worst_symmetric,
-                          tol["polar_symmetric"]))
-    entries.append(_entry("gauge", "sqrt-series-agreement",
-                          "sqrt-series-vs-diagonalization", worst_series,
-                          tol["sqrt_series_agreement"]))
+        residuals = (a - u @ s,
+                     u.conj().swapaxes(1, 2) @ space.gram @ u - space.gram,
+                     s - space.adjoint(s), s - series)
+        worst = np.maximum(worst, [max_opnorm(r) for r in residuals])
+    for value, (name, ref, key) in zip(worst.tolist(), (
+            ("polar-residual", "unique-polar-decomposition", "polar_residual"),
+            ("polar-unitary-residual", "indefinite-unitarity", "polar_unitary"),
+            ("polar-symmetric-residual", "indefinite-symmetry",
+             "polar_symmetric"),
+            ("sqrt-series-agreement", "sqrt-series-vs-diagonalization",
+             "sqrt_series_agreement"))):
+        entries.append(_entry("gauge", name, ref, value, tol[key]))
 
     base = spin_space(rnd.random_correlation(rng, 8, 2), 2)
     on_image = np.eye(4) + 0.05 * rnd.random_complex(rng, 25, 4, 4)
@@ -356,9 +352,8 @@ def task_gauge(config: ExperimentConfig):
     u = wc.gauge_orbit_witness(psi, rotated)
     if u is None:
         raise TaskError("orbit witness unexpectedly missing")
-    worst_orbit = np.max(opnorm(u - u0))
     entries.append(_entry("gauge", "orbit-recovery",
-                          "gauge-orbit-injectivity", worst_orbit,
+                          "gauge-orbit-injectivity", max_opnorm(u - u0),
                           tol["orbit_recovery"]))
 
     worst_coincide = 0.0
@@ -402,11 +397,9 @@ def task_spectral(config: ExperimentConfig):
     lam_plus, lam_minus = (lam[:, None, None]
                            for lam in cc.chain_eigenvalues(vk))
     a = cc.chain_from_vectors(vk)
-    worst_proj = np.max([opnorm(e_plus + e_minus - np.eye(4)),
-                         opnorm(e_plus @ e_plus - e_plus),
-                         opnorm(e_plus @ e_minus),
-                         opnorm(a @ e_plus - lam_plus * e_plus),
-                         opnorm(a @ e_minus - lam_minus * e_minus)])
+    worst_proj = max_opnorm(np.stack([
+        e_plus + e_minus - np.eye(4), e_plus @ e_plus - e_plus, e_plus @ e_minus,
+        a @ e_plus - lam_plus * e_plus, a @ e_minus - lam_minus * e_minus]))
     result = cc.dual_route_inv_sqrt(vk)
     worst_unit = np.max(result.unitarity_residual)
     worst_dev = np.max(result.deviation)
@@ -475,9 +468,9 @@ def task_perturb(config: ExperimentConfig):
          else box.point(x.t + 0.1, tuple(c + 0.2 for c in x.x_vec)))
 
     pairs = [(x, y), (y, x), (x, box.point(0.0, (0.0, 0.0, 0.0)))]
-    worst_kernel = np.max(opnorm(np.array([kernel_mode_sum(box, a, b)
-                                           - kernel_braket_sum(box, a, b)
-                                           for a, b in pairs])))
+    worst_kernel = max_opnorm(np.array([kernel_mode_sum(box, a, b)
+                                        - kernel_braket_sum(box, a, b)
+                                        for a, b in pairs]))
     entries.append(_entry("perturb", "kernel-sum-consistency",
                           "kernel-mode-sum-vs-braket", worst_kernel,
                           tol["kernel_consistency"]))
@@ -493,7 +486,7 @@ def task_perturb(config: ExperimentConfig):
         values = pt.perturbed_symmetric_gauge(
             waves, pt.apply_local_phase(waves, part, x))
         worst_cancel = np.maximum(worst_cancel,
-                                  np.max(opnorm(values - reference)))
+                                  max_opnorm(values - reference))
     entries.append(_entry("perturb", "phase-cancellation",
                           "local-phase-cancellation", worst_cancel,
                           tol["phase_cancellation"]))
@@ -503,23 +496,25 @@ def task_perturb(config: ExperimentConfig):
     chain = p_xy @ pt.mixed_kernel(waves_y, waves)
     reference_y = pt.perturbed_symmetric_gauge(waves, waves_y)
     lam = rnd.random_gauge_function(rng, box.L, 10).shifted_to_vanish_at(x)
-    wx_t = pt.apply_local_phase(waves, lam, x)
-    wy_t = pt.apply_local_phase(waves_y, lam, y)
-    p_xy_t = pt.mixed_kernel(wx_t, wy_t)
-    phase = np.exp(1j * (lam(x) - lam(y)))[:, None, None]
-    worst_phase = np.max(opnorm(p_xy_t - phase * p_xy))
-    worst_chain = np.max(opnorm(p_xy_t @ pt.mixed_kernel(wy_t, wx_t) - chain))
-    worst_value = np.max(opnorm(pt.perturbed_symmetric_gauge(wx_t, wy_t)
-                                - reference_y))
-    entries.append(_entry("perturb", "kernel-phase-law",
-                          "kernel-phase-transformation", worst_phase,
-                          tol["kernel_phase_law"]))
-    entries.append(_entry("perturb", "chain-invariance",
-                          "closed-chain-gauge-invariance", worst_chain,
-                          tol["chain_invariance"]))
-    entries.append(_entry("perturb", "gauge-value-invariance",
-                          "distinguished-gauge-invariance", worst_value,
-                          tol["gauge_value_invariance"]))
+    worst = np.zeros(3)   # phase law, chain and gauge value residuals
+    for start in range(0, len(lam.terms), block):
+        part = pt.GaugeFunction(terms=lam.terms[start:start + block], L=lam.L)
+        wx_t = pt.apply_local_phase(waves, part, x)
+        wy_t = pt.apply_local_phase(waves_y, part, y)
+        p_xy_t = pt.mixed_kernel(wx_t, wy_t)
+        phase = np.exp(1j * (part(x) - part(y)))[:, None, None]
+        residuals = (p_xy_t - phase * p_xy,
+                     p_xy_t @ pt.mixed_kernel(wy_t, wx_t) - chain,
+                     pt.perturbed_symmetric_gauge(wx_t, wy_t) - reference_y)
+        worst = np.maximum(worst, [max_opnorm(r) for r in residuals])
+    for value, (name, ref, key) in zip(worst.tolist(), (
+            ("kernel-phase-law", "kernel-phase-transformation",
+             "kernel_phase_law"),
+            ("chain-invariance", "closed-chain-gauge-invariance",
+             "chain_invariance"),
+            ("gauge-value-invariance", "distinguished-gauge-invariance",
+             "gauge_value_invariance"))):
+        entries.append(_entry("perturb", name, ref, value, tol[key]))
 
     lam = rnd.random_gauge_function(rng, box.L)
     axis = np.linspace(-box.L, box.L, 5, endpoint=False)
@@ -528,11 +523,11 @@ def task_perturb(config: ExperimentConfig):
     worst_mixed = 0.0
     for start in range(0, len(grid), block):
         points = grid[start:start + block]
-        w = np.array([wave_value_matrix(box, point) for point in points])
+        w = wave_value_matrix(box, points)
         phases = np.array([lam(point) for point in points])[:, None, None]
         expected = np.exp(-1j * phases) * pt.mixed_kernel(w, w)
-        worst_mixed = np.maximum(worst_mixed, np.max(opnorm(
-            pt.mixed_kernel(w, np.exp(1j * phases) * w) - expected)))
+        worst_mixed = np.maximum(worst_mixed, max_opnorm(
+            pt.mixed_kernel(w, np.exp(1j * phases) * w) - expected))
     entries.append(_entry("perturb", "mixed-kernel-phase-law",
                           "mixed-kernel-phase-law", worst_mixed,
                           tol["mixed_kernel_law"]))

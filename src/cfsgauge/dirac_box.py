@@ -232,14 +232,17 @@ def _sea_spinor_table(k: np.ndarray, omega: np.ndarray, m: float) -> np.ndarray:
     return _fix_column_phases(vecs[..., :2])
 
 
-def _phases(k: np.ndarray, omega, point: SpacetimePoint) -> np.ndarray:
-    """exp(-i k x) with k x = -omega t - k_vec . x_vec, per momentum."""
-    kx = -omega * point.t - sum(k[..., i] * c for i, c in enumerate(point.x_vec))
+def _phases(k: np.ndarray, omega, point) -> np.ndarray:
+    """exp(-i k x), k x = -omega t - k_vec . x_vec, per momentum (and point)."""
+    t, x_vec = ((point.t, point.x_vec) if isinstance(point, SpacetimePoint)
+                else (np.array([p.t for p in point])[:, None],
+                      np.array([p.x_vec for p in point]).T[..., None]))
+    kx = -omega * t - sum(k[..., i] * c for i, c in enumerate(x_vec))
     return np.exp(-1j * kx)
 
 
-def wave_value_matrix(cfg: DiracBoxConfig, point: SpacetimePoint) -> np.ndarray:
-    """4 x f matrix of all basis wave values at one point.
+def wave_value_matrix(cfg: DiracBoxConfig, point) -> np.ndarray:
+    """4 x f matrix of all basis wave values at one point, (n, 4, f) at n.
 
     Columns follow the mode ordering of ``momentum_modes``.  For every m the
     two spinors of a momentum are the Euclidean-orthonormal negative-energy
@@ -249,7 +252,7 @@ def wave_value_matrix(cfg: DiracBoxConfig, point: SpacetimePoint) -> np.ndarray:
     """
     _, k, omega, spin = _sea_table(cfg)
     # phase first: numpy's complex product rounds differently per operand order
-    return np.repeat(_phases(k, omega, point), 2) * spin
+    return np.repeat(_phases(k, omega, point), 2, axis=-1)[..., None, :] * spin
 
 
 def build_correlation_map(cfg: DiracBoxConfig, points) -> list[np.ndarray]:

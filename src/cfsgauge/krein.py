@@ -14,6 +14,8 @@ the principal branch is unambiguous; this is exactly the regime needed for the
 unique polar decomposition A = U S with U unitary and S symmetric close to 1.
 Every routine also takes stacks (..., n, n), a space a stack of Grams of one
 signature; each element gets every check, and errors name its stack index.
+Norm checks decide by the bound ||a||_2 <= ||a||_F first and take the SVD of
+``opnorm`` only where it cannot decide, as ``max_opnorm`` does for a maximum.
 """
 
 from __future__ import annotations
@@ -51,6 +53,27 @@ def _frobenius(a: np.ndarray):
     return np.sqrt(flat[..., None, :] @ flat[..., :, None])[..., 0, 0]
 
 
+def _norm_bound(a: np.ndarray, limit):
+    """||a||_F of each element where below ``limit``, else the exact ||a||."""
+    bound = np.array(_frobenius(a))
+    exact = ~(bound < limit)   # a NaN element too, whose SVD raises
+    if exact.any():
+        bound[exact] = opnorm(a[exact])
+    return bound
+
+
+def max_opnorm(a: np.ndarray) -> float:
+    """``np.max(opnorm(a))``, decomposing only the elements that can hold it.
+
+    Those reach max ||.||_F / sqrt(min(m, n)), a floor of the maximum; a
+    lone, empty or non-finite stack is decomposed whole.
+    """
+    frobenius = _frobenius(a) if a.ndim > 2 and a.size else np.nan
+    if np.all(np.isfinite(frobenius)):
+        a = a[frobenius >= np.max(frobenius) / np.sqrt(min(a.shape[-2:]))]
+    return float(np.max(opnorm(a)))
+
+
 def _refuse(bad, error, message: str, *values) -> None:
     """Raise ``error``, formatted with ``values``, where ``bad`` first holds."""
     if np.asarray(bad).any():
@@ -77,11 +100,12 @@ class KreinSpace:
         object.__setattr__(self, "gram", g)
         if g.ndim < 2 or g.shape[-2] != g.shape[-1]:
             raise ValueError("gram must be a square matrix")
-        scale = opnorm(g)
-        _refuse(opnorm(g - g.conj().swapaxes(-1, -2))
-                > TOL * np.maximum(1.0, scale), ValueError, "gram must be Hermitian")
-        # for Hermitian g the singular values are the moduli of the eigenvalues
         eigs = np.linalg.eigvalsh(g)
+        # for Hermitian g the singular values are the moduli of the eigenvalues
+        scale = np.max(np.abs(eigs), axis=-1)
+        limit = TOL * np.maximum(1.0, scale)
+        _refuse(_norm_bound(g - g.conj().swapaxes(-1, -2), limit) > limit,
+                ValueError, "gram must be Hermitian")
         _refuse(np.min(np.abs(eigs), axis=-1) <= SINGULAR_FACTOR * scale,
                 SingularGram, "gram matrix is singular to working precision")
         p, q = np.sum(eigs > 0.0, axis=-1), np.sum(eigs < 0.0, axis=-1)
@@ -103,7 +127,7 @@ class KreinSpace:
         """Whether U^dag G U = G within ``tol`` (operator norm), for each."""
         u = np.asarray(u, dtype=complex)
         residual = u.conj().swapaxes(-1, -2) @ self.gram @ u - self.gram
-        return bool(np.all(opnorm(residual) <= tol))
+        return bool(np.all(_norm_bound(residual, tol) <= tol))
 
 
 class SqrtResult(NamedTuple):
@@ -156,12 +180,13 @@ def sqrt_near_identity(b: np.ndarray, space: KreinSpace) -> SqrtResult:
     """
     b = np.asarray(b, dtype=complex)
     delta = b - np.eye(b.shape[-1])
-    dist = opnorm(delta)
+    dist = _norm_bound(delta, RADIUS_SERIES)
     _refuse(dist >= RADIUS_SERIES, OutOfConvergenceRadius,
             "||B - 1|| = {:.3g} >= allowed radius {:.3g}", dist, RADIUS_SERIES)
-    asym = opnorm(b - space.adjoint(b))
-    _refuse(asym > TOL * np.maximum(1.0, opnorm(b)), NotSymmetric,
-            "||B - B*|| = {:.3g} exceeds tolerance", asym)
+    asym = _norm_bound(b - space.adjoint(b), TOL)
+    if np.any(asym >= TOL):
+        _refuse(asym > TOL * np.maximum(1.0, opnorm(b)), NotSymmetric,
+                "||B - B*|| = {:.3g} exceeds tolerance", asym)
     sq, inv, ok = _sqrt_by_eig(b)
     method = "eig" if np.asarray(ok).all() else "series"
     if method == "series":   # b[True] is a stack of one, so a lone b works too
@@ -182,9 +207,11 @@ def _sqrt_by_eig(b: np.ndarray):
     roots = np.sqrt(vals)[..., None, :]
     sq = (vecs * roots) @ vecs_inv
     inv = (vecs * (1.0 / roots)) @ vecs_inv
-    limit = TOL_SQRT * np.maximum(1.0, opnorm(b))
-    ok = ((opnorm(sq @ sq - b) <= limit)
-          & (opnorm(sq @ inv - np.eye(b.shape[-1])) <= limit))
+    worst = np.maximum(_norm_bound(sq @ sq - b, TOL_SQRT),
+                       _norm_bound(sq @ inv - np.eye(b.shape[-1]), TOL_SQRT))
+    ok = worst <= TOL_SQRT
+    if not ok.all():   # the tolerance grows with ||B|| past 1
+        ok = worst <= TOL_SQRT * np.maximum(1.0, opnorm(b))
     return sq, inv, ok
 
 

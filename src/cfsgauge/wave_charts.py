@@ -91,14 +91,15 @@ def gauge_orbit_witness(psi: WaveChartPoint, psi_tilde: WaveChartPoint):
     _refuse(sv[..., -1] <= 1e-12 * sv[..., 0], NotInvertible,
             "on-image component is singular")
     r1 = realize(psi)
-    tol = ORBIT_TOL * np.maximum(1.0, opnorm(r1))
     u = psi_tilde.on_image @ np.linalg.inv(psi.on_image)
-    on_orbit = (
-        np.all(opnorm(r1 - realize(psi_tilde)) <= tol)
-        and psi.base.krein.is_unitary(
-            u, ORBIT_TOL * np.maximum(1.0, opnorm(u) ** 2))
-        and np.all(opnorm(psi_tilde.on_complement - u @ psi.on_complement)
-                   <= tol))
+    off = (r1 - realize(psi_tilde),
+           psi_tilde.on_complement - u @ psi.on_complement)
+    def within(tol, unitary_tol):
+        return (all(np.all(_krein._norm_bound(r, tol) <= tol) for r in off)
+                and psi.base.krein.is_unitary(u, unitary_tol))
+    on_orbit = within(ORBIT_TOL, ORBIT_TOL) or within(   # unscaled first
+        ORBIT_TOL * np.maximum(1.0, opnorm(r1)),
+        ORBIT_TOL * np.maximum(1.0, opnorm(u) ** 2))
     return u if on_orbit else None
 
 
@@ -154,7 +155,8 @@ def _symmetric_chart(split_y: ImageSplit, base: ImageSplit):
     except TooFarFromBase as exc:
         raise OutOfChartDomain(str(exc)) from exc
     inv_x = np.linalg.inv(base.restricted)
-    _refuse(opnorm(inv_x @ coords.a) > CHART_DOMAIN_RADIUS, OutOfChartDomain,
+    _refuse(_krein._norm_bound(inv_x @ coords.a, CHART_DOMAIN_RADIUS)
+            > CHART_DOMAIN_RADIUS, OutOfChartDomain,
             "chart coordinate exceeds the shared domain radius")
     full = connecting_unitary(base, split_y) @ wave_evaluation(split_y)
     return WaveChartPoint.from_full(full, base), coords
@@ -196,8 +198,8 @@ def charts_coincide_check(base: ImageSplit, sample_points) -> CoincidenceReport:
     split_y = _as_stacked_split(sample_points, base)
     via_polar, coords = _symmetric_chart(split_y, base)
     via_chart = gaussian_wave_map(coords, base)
-    return CoincidenceReport(max_deviation=float(np.max(opnorm(
-        via_polar.full_matrix() - via_chart.full_matrix()))))
+    return CoincidenceReport(max_deviation=_krein.max_opnorm(
+        via_polar.full_matrix() - via_chart.full_matrix()))
 
 
 def _as_stacked_split(points, base: ImageSplit) -> ImageSplit:

@@ -42,6 +42,22 @@ def pytest_unconfigure(config):
     shutil.rmtree(config.hypothesis_home, ignore_errors=True)
 
 
+class DecompositionLog(list):
+    """The (m, n) shape of each recorded input, in call order.
+
+    ``inputs`` keeps each call's function name and full input shape, so a
+    test can count the matrices of a stack; ``clear`` empties both.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.inputs = []
+
+    def clear(self):
+        super().clear()
+        self.inputs.clear()
+
+
 @pytest.fixture
 def decompositions(monkeypatch):
     """Shapes of every eigh / eigvalsh / svd input while the test runs.
@@ -50,15 +66,16 @@ def decompositions(monkeypatch):
     implementation module, so the SVD behind ``numpy.linalg.norm(a, 2)`` is
     recorded too.  Tests clear the list to start counting at a later point.
     """
-    shapes = []
+    shapes = DecompositionLog()
     modules = [np.linalg]
     if hasattr(np.linalg, "_linalg"):
         modules.append(np.linalg._linalg)
     for name in ("eigh", "eigvalsh", "svd"):
         original = getattr(np.linalg, name)
 
-        def recorded(a, *args, _original=original, **kwargs):
+        def recorded(a, *args, _original=original, _name=name, **kwargs):
             shapes.append(tuple(np.shape(a)[-2:]))
+            shapes.inputs.append((_name, np.shape(a)))
             return _original(a, *args, **kwargs)
 
         for module in modules:

@@ -504,7 +504,7 @@ class TestRunReports:
 
     def test_perturb_grid_blocks_keep_the_phase_law(self, monkeypatch):
         config = parse_config({**BASE_CONFIG, "tasks": ["perturb"]})
-        diagonal_stacks, gauge_stacks = [], []
+        diagonal_stacks, gauge_stacks, pair_stacks = [], [], []
         original = cli.pt.mixed_kernel
         original_gauge = cli.pt.perturbed_symmetric_gauge
 
@@ -516,6 +516,8 @@ class TestRunReports:
         def recorded_gauge(waves, perturbed_waves):
             if np.ndim(waves) == 2 and np.ndim(perturbed_waves) == 3:
                 gauge_stacks.append(len(perturbed_waves))
+            if np.ndim(waves) == 3 and np.ndim(perturbed_waves) == 3:
+                pair_stacks.append(len(waves))   # the 10 shifted functions
             return original_gauge(waves, perturbed_waves)
 
         monkeypatch.setattr(cli.pt, "mixed_kernel", recorded)
@@ -524,16 +526,20 @@ class TestRunReports:
         whole = cli.task_perturb(config)
         whole_stacks = collections.Counter(diagonal_stacks)
         assert gauge_stacks == [50]
+        assert pair_stacks == [10]
         diagonal_stacks.clear()
         gauge_stacks.clear()
-        # room for 7 of the 125 grid points, or of the 50 functions, per block
+        pair_stacks.clear()
+        # room for 7 of the 125 grid points, or of the functions, per block
         monkeypatch.setattr(cli, "MAX_DENSE_BYTES",
                             7 * 64 * mode_count(config.box))
         blocked = cli.task_perturb(config)
         blocked_stacks = collections.Counter(diagonal_stacks)
-        assert whole_stacks - blocked_stacks == {125: 1}
-        assert blocked_stacks - whole_stacks == {7: 17, 6: 1}
+        # the gauge factor of each shifted block takes its diagonal kernel
+        assert whole_stacks - blocked_stacks == {125: 1, 10: 1}
+        assert blocked_stacks - whole_stacks == {7: 18, 6: 1, 3: 1}
         assert gauge_stacks == [7] * 7 + [1]
+        assert pair_stacks == [7, 3]
         assert blocked == whole
 
     def test_failed_report_write_keeps_previous_file(self, tmp_path,

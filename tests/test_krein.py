@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from cfsgauge import krein
 from cfsgauge.errors import NotSymmetric, OutOfConvergenceRadius, SingularGram
-from cfsgauge.krein import (SERIES_MAX_TERMS, TOL, KreinSpace,
-                            binomial_sqrt_series, opnorm, polar,
+from cfsgauge.krein import (RADIUS_SERIES, SERIES_MAX_TERMS, TOL, KreinSpace,
+                            binomial_sqrt_series, max_opnorm, opnorm, polar,
                             polar_decompose, sqrt_near_identity)
 from cfsgauge.randoms import random_complex, random_gram, random_unitary
 
@@ -284,6 +284,118 @@ class TestOpnorm:
                 value = opnorm(a)
                 assert type(value) is float
                 assert value == np.linalg.norm(a, 2)
+
+
+class TestCertificates:
+    """Frobenius-certified norms decide as the exact operator norm does."""
+
+    SPINOR = KreinSpace(gram=np.diag([1.0, 1.0, -1.0, -1.0]),
+                        signature=(2, 2))
+
+    @staticmethod
+    def mixed_ranks(rng, count, m, n):
+        """Rank-1 (||.||_2 = ||.||_F) and full-rank elements, spread scales."""
+        full = random_complex(rng, count, m, n)
+        rank_one = (random_complex(rng, count, m, 1)
+                    @ random_complex(rng, count, 1, n))
+        pick = rng.random(count) < 0.5
+        scales = np.exp(rng.uniform(-1.0, 1.0, count))[:, None, None]
+        return scales * np.where(pick[:, None, None], rank_one, full)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 4), (4, 160)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_max_equals_the_plain_maximum(self, shape, seed):
+        a = self.mixed_ranks(np.random.default_rng(seed), 30, *shape)
+        value = max_opnorm(a)
+        assert type(value) is float
+        assert value == np.max(opnorm(a))
+        assert max_opnorm(a[0]) == opnorm(a[0])
+        assert max_opnorm(a.reshape(5, 6, *shape)) == value
+
+    def test_only_possible_maxima_are_decomposed(self, monkeypatch):
+        a = random_complex(np.random.default_rng(6), 20, 4, 4)
+        a[7] *= 100.0
+        decomposed = []
+
+        def recorded(x, _original=krein.opnorm):
+            decomposed.append(np.shape(x))
+            return _original(x)
+
+        monkeypatch.setattr(krein, "opnorm", recorded)
+        assert max_opnorm(a) == np.max(opnorm(a))
+        assert decomposed == [(1, 4, 4)]
+
+    def test_empty_and_non_finite_stacks_take_the_plain_call(self):
+        with pytest.raises(ValueError):
+            np.max(opnorm(np.zeros((0, 4, 4))))
+        with pytest.raises(ValueError):
+            max_opnorm(np.zeros((0, 4, 4)))
+        assert max_opnorm(np.zeros((3, 4, 0))) == 0.0
+        a = random_complex(np.random.default_rng(7), 5, 4, 4)
+        a[2, 1, 1] = np.inf     # the SVD gives NaN, and so does the maximum
+        assert np.isnan(np.max(opnorm(a))) and np.isnan(max_opnorm(a))
+        a[2, 1, 1] = np.nan     # the SVD does not converge, as before
+        with pytest.raises(np.linalg.LinAlgError):
+            max_opnorm(a)
+
+    def test_radius_is_the_operator_norm(self):
+        # ||B - 1||_2 = 0.7 < 0.8 < ||B - 1||_F = 1.4
+        b = np.eye(4) + 0.7 * np.diag([1.0, 1.0, -1.0, -1.0])
+        assert asymmetry(self.SPINOR, b) == 0.0
+        root = sqrt_near_identity(b, self.SPINOR)
+        np.testing.assert_allclose(root.sqrt @ root.sqrt, b, atol=1e-14)
+        assert root.method == "eig"
+
+    def test_radius_refusal_keeps_the_exact_norm(self):
+        b = np.eye(4) + RADIUS_SERIES * np.diag([1.0, 1.0, -1.0, -1.0])
+        with pytest.raises(OutOfConvergenceRadius,
+                           match=r"\|\|B - 1\|\| = 0\.8 >= allowed radius"):
+            sqrt_near_identity(b, self.SPINOR)
+
+    def test_asymmetry_refusal_keeps_the_exact_norm(self):
+        # ||B - B*||_2 = 0.1 and ||B - B*||_F = 0.1 sqrt(2)
+        b = np.eye(2) + np.array([[0.0, 0.1], [0.0, 0.0]])
+        with pytest.raises(NotSymmetric, match=r"= 0\.1 exceeds"):
+            sqrt_near_identity(b, MINKOWSKI_2)
+
+    def test_hermitian_tolerance_grows_with_the_gram(self):
+        # ||g - g^dag|| = 5e-8 lies between TOL and TOL ||g|| = 1e-7
+        gram = np.diag([1e3, -1e3]).astype(complex)
+        gram[0, 1] = 5e-8
+        assert KreinSpace(gram=gram, signature=(1, 1)).dim == 2
+        gram[0, 1] = 2e-7
+        with pytest.raises(ValueError, match="Hermitian"):
+            KreinSpace(gram=gram, signature=(1, 1))
+
+    @pytest.mark.parametrize("size,accepted", [(1.2e-10, True),
+                                               (1.6e-10, False)])
+    def test_symmetry_tolerance_grows_with_the_norm(self, size, accepted):
+        # ||B - B*|| = size against TOL max(1, ||B||) = 1.5e-10
+        b = 1.5 * np.eye(2) + np.array([[0.0, size], [0.0, 0.0]])
+        assert asymmetry(MINKOWSKI_2, b) == pytest.approx(size, rel=1e-6)
+        if accepted:
+            assert sqrt_near_identity(b, MINKOWSKI_2).method == "eig"
+        else:
+            with pytest.raises(NotSymmetric):
+                sqrt_near_identity(b, MINKOWSKI_2)
+
+    @pytest.mark.parametrize("scale,method", [(1.5, "eig"), (1.0, "series")])
+    def test_root_tolerance_grows_with_the_norm(self, monkeypatch, scale,
+                                                method):
+        # an eig root off by 1.2e-9 passes TOL_SQRT max(1, ||B||) at
+        # ||B|| = 1.5, not at ||B|| = 1
+        vals = np.array([scale + 1.2e-9, scale], dtype=complex)
+        monkeypatch.setattr(np.linalg, "eig",
+                            lambda b: (vals, np.eye(2, dtype=complex)))
+        root = sqrt_near_identity(scale * np.eye(2), MINKOWSKI_2)
+        assert root.method == method
+
+    def test_unitarity_past_the_certificate(self):
+        # Frobenius residual 1.5 tol, operator-norm residual 0.75 tol
+        tol = 1e-6
+        u = np.diag([np.sqrt(1.0 + 0.75 * tol)] * 4)
+        assert self.SPINOR.is_unitary(u, tol)
+        assert not self.SPINOR.is_unitary(u, 0.7 * tol)
 
 
 def _stack_case(signature, count, seed, size):

@@ -17,10 +17,11 @@ from conftest import multiset_distance, random_krein_unitary
 
 from cfsgauge import closed_chain as cc
 from cfsgauge import perturbation as pt
-from cfsgauge.cli import load_config, task_perturb
+from cfsgauge import wave_charts as wc
+from cfsgauge.cli import load_config, run_experiment, task_perturb
 from cfsgauge.correlation import spin_space, split_by_image
 from cfsgauge.dirac_box import (DiracBoxConfig, build_correlation_map,
-                                wave_value_matrix)
+                                mode_count, wave_value_matrix)
 from cfsgauge.errors import (NotRegular, OutOfChartDomain, SignatureLost,
                              TooFarFromBase)
 from cfsgauge.krein import KreinSpace
@@ -35,6 +36,7 @@ from cfsgauge.wave_charts import (WaveChartPoint, build_gauge,
                                   gaussian_wave_map, symmetric_wave_chart)
 
 TOL = 1e-13
+EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "example.json"
 BOX = DiracBoxConfig(L=math.pi, eps=0.4, m=0.0)
 X = BOX.point(0.2, (0.4, -0.8, 1.1))
 Y = BOX.point(0.3, (0.55, -0.7, 1.2))
@@ -368,9 +370,72 @@ class TestDecompositionCounts:
 
     def test_perturb_task_has_a_fixed_budget(self, decompositions):
         # 643 eigh / eigvalsh / svd calls when it looped per sample
-        config = load_config(Path(__file__).resolve().parents[1]
-                             / "configs" / "example.json")
+        config = load_config(EXAMPLE)
         decompositions.clear()
         entries = task_perturb(config)
         assert all(e["passed"] for e in entries)
         assert len(decompositions) <= 40
+
+    def test_example_run_svd_budget(self, decompositions, tmp_path):
+        # 129 calls on 4,916 matrices when every norm guard and report
+        # maximum took the SVD of its whole stack
+        config = load_config(EXAMPLE)
+        decompositions.clear()
+        assert run_experiment(config, tmp_path) == 0
+        svd = [shape for name, shape in decompositions.inputs
+               if name == "svd"]
+        assert len(svd) <= 45
+        assert sum(math.prod(shape[:-2]) for shape in svd) <= 1000
+
+
+class TestWaveValueStack:
+    # L = pi makes every lattice momentum an integer; L = 2.9 does not
+    @pytest.mark.parametrize("L,m", [(math.pi, 0.0), (math.pi, 0.3),
+                                     (2.9, 0.0), (2.9, 0.3)])
+    def test_stack_equals_lone_calls(self, L, m):
+        box = DiracBoxConfig(L=L, eps=0.4, m=m)
+        axis = np.linspace(-box.L, box.L, 5, endpoint=False)
+        points = [box.point(t, (a, b, c)) for t in (0.1, -0.35)
+                  for a in axis for b in axis for c in axis]
+        stacked = wave_value_matrix(box, points)
+        assert stacked.shape == (250, 4, mode_count(box))
+        assert np.array_equal(stacked, [wave_value_matrix(box, point)
+                                        for point in points])
+
+
+class TestOrbitCertificate:
+    """The orbit tests decide as they did with an SVD per residual."""
+
+    def case(self, scale):
+        rng = np.random.default_rng(60)
+        base = spin_space(random_correlation(rng, 8, 2), 2)
+        on_image = scale * (np.eye(4) + 0.05 * random_complex(rng, 5, 4, 4))
+        on_complement = random_complement_map(rng, base, 5, 4,
+                                              scale=0.05 * scale)
+        u0 = np.array([random_krein_unitary(rng, base.krein, 0.2)
+                       for _ in range(5)])
+        return (WaveChartPoint(on_image, on_complement, base),
+                WaveChartPoint(u0 @ on_image, u0 @ on_complement, base), u0)
+
+    def test_off_orbit_pair_has_no_witness(self):
+        psi, rotated, _ = self.case(1.0)
+        other, _, _ = self.case(1.1)
+        assert gauge_orbit_witness(psi, other) is None
+        off = WaveChartPoint(rotated.on_image, 1.5 * rotated.on_complement,
+                             psi.base)
+        assert gauge_orbit_witness(psi, off) is None
+
+    def test_scaled_tolerance_where_the_certificate_fails(self, monkeypatch):
+        # ||realization|| ~ 1e9: its rounding exceeds the unscaled ORBIT_TOL
+        psi, rotated, u0 = self.case(3e4)
+        scaled = []
+
+        def recorded(a, _original=wc.opnorm):
+            scaled.append(np.shape(a))
+            return _original(a)
+
+        monkeypatch.setattr(wc, "opnorm", recorded)
+        u = gauge_orbit_witness(psi, rotated)
+        assert scaled    # the tolerance was scaled with the realization
+        assert u is not None
+        assert np.max(np.abs(u - u0)) <= 1e-9
