@@ -415,8 +415,7 @@ def task_spectral(config: ExperimentConfig):
     real_step = np.concatenate([[0.0], 0.5 * rng.standard_normal(3)])
     imag_step = np.concatenate([rng.standard_normal(1),
                                 0.5 * rng.standard_normal(3)])
-    report = cc.unitary_expansion(1.0, real_step, imag_step,
-                                  tau_list=(1e-2, 5e-3, 2.5e-3))
+    report = cc.unitary_expansion(real_step, imag_step)
     entries.append(_entry("spectral", "expansion-coefficient",
                           "gauge-factor-first-order",
                           report.coefficient_deviation,

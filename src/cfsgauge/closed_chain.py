@@ -23,7 +23,7 @@ import numpy as np
 
 from .dirac_box import GAMMA, minkowski_dot, slash
 from .errors import BranchCut, DegenerateChain
-from .krein import _refuse, opnorm
+from .krein import _norm_bound, _refuse, opnorm
 
 #: relative eigenvalue gap below which the chain counts as degenerate
 DEGENERACY_RTOL = 1e-8
@@ -31,6 +31,8 @@ DEGENERACY_RTOL = 1e-8
 BRANCH_CUT_ATOL = 1e-12
 #: relative residual above which a matrix counts as not of vector form
 VECTOR_FORM_RTOL = 1e-10
+#: perturbation sizes tau at which unitary_expansion measures its residuals
+EXPANSION_TAUS = (1e-2, 5e-3, 2.5e-3)
 
 
 def multiset_distance(a, b):
@@ -166,12 +168,13 @@ def spectral_inv_sqrt_kernel(vk: VectorKernel) -> np.ndarray:
     lam_plus, lam_minus = chain_eigenvalues(vk)
     kernel = vk.kernel_matrix()
     degenerate = _degenerate(lam_plus, lam_minus)
-    lam = 0.5 * (lam_plus + lam_minus)
-    chain = chain_from_vectors(vk)
-    _refuse(degenerate & (opnorm(chain - np.asarray(lam)[..., None, None]
-                                 * np.eye(4)) > 1e-10 * (np.abs(lam) + 1.0)),
-            DegenerateChain, "degenerate closed chain with nilpotent part has "
-            "no spectral inverse square root")
+    lam = np.asarray(0.5 * (lam_plus + lam_minus))
+    # an infinite limit decides each distinct chain's bound with no SVD
+    part = chain_from_vectors(vk) - lam[..., None, None] * np.eye(4)
+    limit = np.where(degenerate, 1e-10 * (np.abs(lam) + 1.0), np.inf)
+    _refuse(_norm_bound(part, limit) > limit, DegenerateChain,
+            "degenerate closed chain with nilpotent part has no spectral "
+            "inverse square root")
     # a scalar chain takes its one eigenvalue on both projectors
     inv_plus = _principal_inv_sqrt(np.where(degenerate, lam, lam_plus))
     inv_minus = _principal_inv_sqrt(np.where(degenerate, lam, lam_minus))
@@ -239,13 +242,13 @@ def dual_route_inv_sqrt(vk: VectorKernel) -> DualRouteResult:
 class ExpansionReport:
     """First-order behavior of g(tau) = gamma^0 A^{-1/2} P under perturbation.
 
-    The base kernel is alpha gamma^0; the real and imaginary vector parts are
+    The base kernel is gamma^0; the real and imaginary vector parts are
     perturbed linearly in tau.  ``coefficient_fd`` is the finite-difference
     first derivative of g at tau = 0 (Richardson-extrapolated), and
     ``coefficient_deviation`` its distance to the predicted value
-    -gamma^0 (u1_vec . gamma) + i z1^0 / |alpha|, exact for |alpha| = 1.
-    Residuals are || g(tau) - 1 - tau * predicted || and should scale as
-    tau^2 (ratios near 4 under halving).
+    -gamma^0 (u1_vec . gamma) + i z1^0.  Residuals are
+    || g(tau) - 1 - tau * predicted || at each of ``EXPANSION_TAUS`` and
+    should scale as tau^2 (ratios near 4 under halving).
     """
 
     residuals: tuple
@@ -255,18 +258,8 @@ class ExpansionReport:
     antisymmetry_residual: float
 
 
-def _gauge_factor(alpha: float, real_step, imag_step, tau) -> np.ndarray:
-    """g(tau) = gamma^0 A^{-1/2} P, one per entry of ``tau``."""
-    tau = np.asarray(tau, dtype=float)[..., None]
-    u = np.array([alpha, 0.0, 0.0, 0.0]) + tau * np.asarray(real_step, dtype=float)
-    z = tau * np.asarray(imag_step, dtype=float)
-    vk = VectorKernel(real_vec=u, imag_vec=z)
-    return GAMMA[0] @ spectral_inv_sqrt_kernel(vk)
-
-
-def unitary_expansion(alpha: float, real_step, imag_step,
-                      tau_list=(1e-2, 5e-3, 2.5e-3)) -> ExpansionReport:
-    """Expand the gauge factor g(tau) around the diagonal kernel.
+def unitary_expansion(real_step, imag_step) -> ExpansionReport:
+    """Expand the gauge factor g(tau) around the diagonal kernel gamma^0.
 
     ``real_step`` and ``imag_step`` are the first-order Minkowski vectors of
     the kernel's Hermitian and anti-Hermitian parts.  Only the spatial part
@@ -279,17 +272,17 @@ def unitary_expansion(alpha: float, real_step, imag_step,
     imag_step = np.asarray(imag_step, dtype=float)
     spatial = (real_step[1] * GAMMA[1] + real_step[2] * GAMMA[2]
                + real_step[3] * GAMMA[3])
-    predicted = (-GAMMA[0] @ spatial
-                 + 1j * (imag_step[0] / abs(alpha)) * np.eye(4))
+    predicted = -GAMMA[0] @ spatial + 1j * imag_step[0] * np.eye(4)
 
     # g at every tau, then at +/- tau_fd / 2 and +/- tau_fd for the
     # Richardson-extrapolated central difference of g at tau = 0
-    taus = np.asarray(tau_list, dtype=float)
-    tau_fd = min(tau_list)
+    taus, tau_fd = np.asarray(EXPANSION_TAUS), min(EXPANSION_TAUS)
     steps = (tau_fd / 2.0, tau_fd)
-    g = _gauge_factor(alpha, real_step, imag_step,
-                      np.concatenate([taus, [steps[0], -steps[0],
-                                             steps[1], -steps[1]]]))
+    tau = np.concatenate([taus, [steps[0], -steps[0], steps[1], -steps[1]]])
+    base = np.array([1.0, 0.0, 0.0, 0.0])   # the vector of gamma^0
+    vk = VectorKernel(real_vec=base + tau[:, None] * real_step,
+                      imag_vec=tau[:, None] * imag_step)
+    g = GAMMA[0] @ spectral_inv_sqrt_kernel(vk)
     residuals = opnorm(g[:len(taus)] - np.eye(4)
                        - taus[:, None, None] * predicted).tolist()
     ratios = [ra / rb if rb != 0.0 else float("nan")

@@ -53,14 +53,16 @@ class ImageSplit:
 
     ``basis`` holds eigenvectors of the p+q nonzero eigenvalues (descending
     eigenvalue order, phases fixed deterministically) and ``restricted`` the
-    compression X = basis^dag x basis.  ``krein`` is the spin space, the image
-    with Gram matrix -X, built on first use.  For a stack of operators every
+    compression X = basis^dag x basis, and ``discarded`` the dropped part
+    ||x - basis X basis^dag||_F.  ``krein`` is the spin space, the image with
+    Gram matrix -X, built on first use.  For a stack of operators every
     field has the same leading stack axes.
     """
 
     operator: np.ndarray
     basis: np.ndarray
     restricted: np.ndarray
+    discarded: np.ndarray
     signature: tuple[int, int]
 
     @property
@@ -109,7 +111,7 @@ def _split_from_range(x: np.ndarray, p: int, q: int):
     exactly r eigenvalues above the threshold in magnitude, with the signs of
     eig(B), and the dense route would reach the same verdict.  The threshold
     scales with ||x||, known from max|eig(B)| only to within rho, so both
-    bounds take the unfavorable end.  Returns (basis, restricted, found,
+    bounds take the unfavorable end.  Returns (basis, restricted, rho, found,
     threshold, certified) per element, ``found`` the (p, q) counts.
     """
     frame, rows, ok = _range_basis(x, p + q)
@@ -126,7 +128,7 @@ def _split_from_range(x: np.ndarray, p: int, q: int):
                  & (np.min(np.abs(vals), axis=-1) > tol_high + rho))
     basis = _fix_column_phases(frame @ vecs[..., ::-1])
     coeffs = _adjoint(frame) @ basis
-    return (basis, hermitize(_adjoint(coeffs) @ b @ coeffs),
+    return (basis, hermitize(_adjoint(coeffs) @ b @ coeffs), rho,
             _counts(vals, 0.0), TOL_RANK_FACTOR * np.maximum(scale, 1e-300),
             certified)
 
@@ -134,8 +136,9 @@ def _split_from_range(x: np.ndarray, p: int, q: int):
 def _split_dense(x: np.ndarray, p: int, q: int):
     """Split each x by a full f x f eigendecomposition.
 
-    Returns what ``_split_from_range`` does, every element decided; the basis
-    is meaningful only where ``found`` is (p, q).
+    Returns what ``_split_from_range`` does, every element decided and rho
+    the norm of the dropped eigenvalues; the basis is meaningful only where
+    ``found`` is (p, q).
     """
     vals, vecs = np.linalg.eigh(hermitize(x))
     tol_rank = TOL_RANK_FACTOR * np.maximum(np.max(np.abs(vals), axis=-1),
@@ -145,7 +148,8 @@ def _split_dense(x: np.ndarray, p: int, q: int):
     order = np.argsort(~keep[..., ::-1], axis=-1, kind="stable")[..., :p + q]
     basis = _fix_column_phases(
         np.take_along_axis(vecs[..., ::-1], order[..., None, :], axis=-1))
-    return (basis, hermitize(_adjoint(basis) @ x @ basis),
+    dropped = np.sqrt(np.sum(np.where(keep, 0.0, vals ** 2), axis=-1))
+    return (basis, hermitize(_adjoint(basis) @ x @ basis), dropped,
             _counts(vals, tol_rank), tol_rank, np.ones(x.shape[:-2], bool))
 
 
@@ -170,18 +174,19 @@ def split_by_image(x: np.ndarray, p: int, q: int) -> ImageSplit:
     x = np.asarray(x, dtype=complex)
     # with no range basis every element takes the dense route
     route = _split_from_range if 0 < p + q <= x.shape[-1] else _split_dense
-    basis, restricted, found, tol_rank, done = map(np.asarray, route(x, p, q))
+    basis, restricted, discarded, found, tol_rank, done = map(
+        np.asarray, route(x, p, q))
     rest = ~done
     if rest.any():   # a 0-d mask indexes a lone x as a stack of one
         dense = _split_dense(x[rest], p, q)
-        found[rest], tol_rank[rest] = dense[2], dense[3]
+        found[rest], tol_rank[rest] = dense[3], dense[4]
     _refuse(np.any(found != (p, q), axis=-1), NotRegular,
             "expected signature ({}, {}), found ({}, {}) at threshold {:.3g}",
             p, q, found[..., 0], found[..., 1], tol_rank)
     if rest.any():
-        basis[rest], restricted[rest] = dense[0], dense[1]
+        basis[rest], restricted[rest], discarded[rest] = dense[:3]
     return ImageSplit(operator=x, basis=basis, restricted=restricted,
-                      signature=(p, q))
+                      discarded=discarded, signature=(p, q))
 
 
 def as_split(x, p: int, q: int) -> ImageSplit:

@@ -34,6 +34,8 @@ JACOBIAN_STEP = 1e-5
 JACOBIAN_RANK_RTOL = 1e-6
 #: base step of the Richardson extrapolation in gaussian_check
 RICHARDSON_STEP = 0.05
+#: t values at which gaussian_check measures the quartic residual
+RESIDUAL_T = (0.1, 0.05, 0.025)
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,23 +172,22 @@ def _squared_chart_distance(split: ImageSplit, a1, b1, a2, b2, t):
             + _frobenius(lr1 - lr2) ** 2)
 
 
-def gaussian_check(split: ImageSplit, a1, b1, a2, b2,
-                   t_list=(0.1, 0.05, 0.025)) -> GaussianReport:
+def gaussian_check(split: ImageSplit, a1, b1, a2, b2) -> GaussianReport:
     """Measure the quadratic coefficient and quartic residual of D(t).
 
     The directions may carry leading stack axes, one probe per element; all
     t values of all elements are evaluated in one stack.  The measured c2
     comes from Richardson extrapolation of the even part of D(t)/t^2; the
-    predicted value is the squared Frobenius norm of the first-order block
-    [[a1 - a2, b1 - b2], [(b1 - b2)^dag, 0]].
+    predicted value is the chart metric g(delta, delta) at the base point,
+    delta = (a1 - a2, b1 - b2).  The residuals are taken at ``RESIDUAL_T``.
     """
     a1, b1, a2, b2 = (np.asarray(d, dtype=complex) for d in (a1, b1, a2, b2))
-    predicted = _frobenius(a1 - a2) ** 2 + 2.0 * _frobenius(b1 - b2) ** 2
+    delta = (a1 - a2, b1 - b2)
+    predicted = chart_metric(split, 0.0, np.zeros_like(b1), delta, delta)
 
     steps = RICHARDSON_STEP / np.array([1.0, 2.0, 4.0])
-    t_list = np.asarray(t_list, dtype=float)
     d = _squared_chart_distance(split, a1, b1, a2, b2,
-                                np.concatenate([steps, -steps, t_list]))
+                                np.concatenate([steps, -steps, RESIDUAL_T]))
     # D(t)/t^2 even in t: two Richardson stages kill the t^2 and t^4 terms.
     e0, e1, e2 = np.moveaxis((d[..., :3] + d[..., 3:6]) / (2.0 * steps ** 2),
                              -1, 0)
@@ -194,7 +195,8 @@ def gaussian_check(split: ImageSplit, a1, b1, a2, b2,
     r1b = (4.0 * e2 - e1) / 3.0
     measured = (16.0 * r1b - r1a) / 15.0
 
-    residuals = d[..., 6:] - predicted[..., None] * t_list ** 2
+    residuals = (d[..., 6:]
+                 - np.multiply.outer(predicted, np.square(RESIDUAL_T)))
     ra, rb = residuals[..., :-1], residuals[..., 1:]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(rb != 0.0, ra / rb, np.nan)
@@ -204,27 +206,26 @@ def gaussian_check(split: ImageSplit, a1, b1, a2, b2,
                           residuals=residuals, residual_ratios=ratios)
 
 
-def chart_metric(split: ImageSplit, a, b, dir1, dir2) -> float:
+def chart_metric(split: ImageSplit, a, b, dir1, dir2):
     """Pullback of the metric to the chart, evaluated at coordinates (a, b).
 
     ``dir1`` and ``dir2`` are coordinate directions (da, db); the differential
     of the parametrization is applied analytically and traced against itself.
+    Points and directions may carry leading stack axes: a float, or an array
+    of them for a stack.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    core = split.restricted + a
-    solve = np.linalg.solve
-    rb = solve(core, b)
+    rb = np.linalg.solve(split.restricted + np.asarray(a, dtype=complex),
+                         np.asarray(b, dtype=complex))
 
     def differential(da, db):
-        da = np.asarray(da, dtype=complex)
-        db = np.asarray(db, dtype=complex)
-        lower = db.conj().T @ rb + rb.conj().T @ db - rb.conj().T @ da @ rb
-        return da, db, lower
+        da, db = np.asarray(da, dtype=complex), np.asarray(db, dtype=complex)
+        return da, db, (_adjoint(db) @ rb + _adjoint(rb) @ db
+                        - _adjoint(rb) @ da @ rb)
 
-    p1, q1, s1 = differential(*dir1)
-    p2, q2, s2 = differential(*dir2)
-    value = (np.trace(p1 @ p2)
-             + 2.0 * np.real(np.trace(q1.conj().T @ q2))
-             + np.trace(s1 @ s2))
-    return float(np.real(value))
+    def trace(u, v):   # tr(u v) over the last two axes
+        return np.einsum("...ij,...ji->...", u, v)
+
+    (p1, q1, s1), (p2, q2, s2) = differential(*dir1), differential(*dir2)
+    value = np.real(trace(p1, p2) + 2.0 * np.real(trace(_adjoint(q1), q2))
+                    + trace(s1, s2))
+    return float(value) if value.ndim == 0 else value

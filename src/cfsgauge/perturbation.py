@@ -5,10 +5,11 @@ the local phase exp(i Lambda(x)).  The correlation operators are exactly
 invariant, the mixed kernel picks up the conjugate phase, and the
 distinguished gauge built from the closed chain cancels the phases
 altogether.  The gauge is the Krein polar decomposition of the 4 x 4
-factor B = P(x~, x) P(x, x)^{-1} in the spinor space, so it holds at every
-mass.  The operations here act on stacks of 4 x f wave-value matrices, each
-at one spacetime point, so the exact phase law applies with no expansion; a
-stack of gauge functions or gauge values is one call.
+factor B = P(x~, x) P(x, x)^{-1} in the spinor space, by the wave chart's
+``connecting_unitary``, so it holds at every mass.  The operations here act
+on stacks of 4 x f wave-value matrices, each at one spacetime point, so the
+exact phase law applies with no expansion; a stack of gauge functions or
+gauge values is one call.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import numpy as np
 
 from .dirac_box import (SPINOR_GRAM, DiracBoxConfig, SpacetimePoint,
                         kernel_mode_sum, mixed_kernel, wave_value_matrix)
-from .krein import KreinSpace, opnorm, polar_decompose
+from .krein import KreinSpace, opnorm
+from .wave_charts import connecting_unitary
 
 #: the spinor space as a Krein space of signature (2, 2)
 SPINOR_KREIN = KreinSpace(gram=SPINOR_GRAM, signature=(2, 2))
@@ -67,16 +69,16 @@ def apply_local_phase(waves: np.ndarray, gauge_fn: GaugeFunction,
 
 
 def _gauge_factor(waves, perturbed_waves):
-    """V^x and S of the Krein polar decomposition B = V S, stacked.
+    """V^x and S of B = V S, V^x the connecting unitary of the spinor frame.
 
     B = P(x~, x) P(x, x)^{-1} in the spinor space; V^x B = S.  Raises
     OutOfConvergenceRadius when B^x B is too far from the identity.
     """
-    diagonal = mixed_kernel(waves, waves).swapaxes(-1, -2)
-    mixed = mixed_kernel(perturbed_waves, waves).swapaxes(-1, -2)
-    v, s = polar_decompose(np.linalg.solve(diagonal, mixed).swapaxes(-1, -2),
-                           SPINOR_KREIN)
-    return SPINOR_KREIN.adjoint(v), s
+    v_adj, root = connecting_unitary(mixed_kernel(waves, waves),
+                                     mixed_kernel(waves, perturbed_waves),
+                                     mixed_kernel(perturbed_waves, waves),
+                                     SPINOR_KREIN)
+    return v_adj, root.sqrt
 
 
 def perturbed_symmetric_gauge(waves: np.ndarray,

@@ -10,14 +10,15 @@ the image of x be symmetric with respect to the spin inner product.  Two
 constructions of this distinguished section are provided:
 
 * ``symmetric_wave_chart`` follows the polar-decomposition route through the
-  two-point kernels, psi = (X^{-1} A_xy X^{-1})^{-1/2} X^{-1} P(x, y) Psi(y);
+  two-point kernels, psi = (X^{-1} A_xy X^{-1})^{-1/2} X^{-1} P(x, y) Psi(y),
+  whose ``connecting_unitary`` also serves the spinor frame of the sea;
 * ``gaussian_wave_map`` transports the operator-manifold chart coordinates
   (a, b), psi = (sqrt(1 + X^{-1} a), (1 + X^{-1} a)^{-1/2} X^{-1} b).
 
 They coincide on their common domain, which ``charts_coincide_check``
 quantifies.  ``build_gauge`` evaluates the chart over a whole point set,
 producing a gauge into the spin space of the base point that is unique up to
-a single global unitary.
+a single global unitary, and its condition residuals from the image splits.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .correlation import (ImageSplit, _adjoint, as_split, hermitize, kernel,
                           wave_evaluation)
 from .errors import (NotInvertible, OutOfChartDomain, OutOfConvergenceRadius,
                      TooFarFromBase)
-from .krein import RADIUS_SERIES, _frobenius, _refuse, opnorm
+from .krein import RADIUS_SERIES, _refuse, opnorm
 from .manifold import ChartCoordinates, chart_inverse
 
 #: bound on ||X^{-1} a|| shared by both wave-chart constructions; it is the
@@ -119,20 +120,16 @@ def symmetrize(psi: WaveChartPoint) -> WaveChartPoint:
                           base=psi.base)
 
 
-def connecting_unitary(base: ImageSplit, sp_y: ImageSplit) -> np.ndarray:
-    """Spin-space unitary transporting the spin space at y onto the base.
+def connecting_unitary(diagonal, p_xy, p_yx, space: _krein.KreinSpace):
+    """Unitary U transporting the spin space at y onto ``space`` at x.
 
-    U = (X^{-1} A_xy X^{-1})^{-1/2} X^{-1} P(x, y), the polar factor of
-    T = X^{-1} P(x, y), whose adjoint is T* = P(y, x) X^{-1}.  Satisfies
-    U U* = 1 across the two spin inner products.  ``sp_y`` may be a stacked
-    split, giving a stack of unitaries.
+    U = (D^{-1} A_xy D^{-1})^{-1/2} D^{-1} P(x, y), D = P(x, x), is the polar
+    factor of T = D^{-1} P(x, y), whose adjoint is T* = P(y, x) D^{-1}, in
+    any frame (spin space: D = X; spinors: the sea's P(x, x)).  Returns U and
+    the root of T T*; its ``sqrt`` is the symmetric factor.  Stacks broadcast.
     """
-    inv_x = np.linalg.inv(base.restricted)
-    try:
-        return _krein.polar(inv_x @ kernel(base, sp_y),
-                            kernel(sp_y, base) @ inv_x, base.krein)[0]
-    except OutOfConvergenceRadius as exc:
-        raise OutOfChartDomain(str(exc)) from exc
+    inv_x = np.linalg.inv(diagonal)
+    return _krein.polar(inv_x @ p_xy, p_yx @ inv_x, space)
 
 
 def symmetric_wave_chart(y, base: ImageSplit) -> WaveChartPoint:
@@ -158,7 +155,12 @@ def _symmetric_chart(split_y: ImageSplit, base: ImageSplit):
     _refuse(_krein._norm_bound(inv_x @ coords.a, CHART_DOMAIN_RADIUS)
             > CHART_DOMAIN_RADIUS, OutOfChartDomain,
             "chart coordinate exceeds the shared domain radius")
-    full = connecting_unitary(base, split_y) @ wave_evaluation(split_y)
+    try:
+        u, _ = connecting_unitary(base.restricted, kernel(base, split_y),
+                                  kernel(split_y, base), base.krein)
+    except OutOfConvergenceRadius as exc:
+        raise OutOfChartDomain(str(exc)) from exc
+    full = u @ wave_evaluation(split_y)
     return WaveChartPoint.from_full(full, base), coords
 
 
@@ -247,21 +249,16 @@ def build_gauge(base: ImageSplit, points) -> GaugeMap:
 
 def condition_residual_bound(split_y: ImageSplit, value: np.ndarray,
                              gram: np.ndarray) -> float:
-    """Upper bound on ||y + value^dag gram value|| at O(f^2 r) cost.
+    """Upper bound on ||y + value^dag gram value|| at O(f r^2) cost.
 
-    The residual R = y + value^dag gram value lives, up to rounding and the
-    discarded spectrum of y, on the span of the image of y and the range of
-    value^dag.  With Z an orthonormal basis of that span and P = Z Z^dag,
-    R = P R P + (R - P R P), so ||R|| <= ||Z^dag R Z|| + ||R - P R P||_F.
-    The last norm splits into ||(1 - P) R||_F and ||Z^dag R (1 - P)||_F,
-    both computed directly rather than by subtracting squared norms.  For
-    a stacked split and stacked values it returns one bound per element.
+    With V the image basis of y, X its compression and E = y - V X V^dag
+    the part the split dropped, the residual is M D M^dag + E, where
+    M = [V, value^dag] and D = diag(X, gram).  M = Q [T1 T2] with Q of
+    orthonormal columns, so ||M D M^dag|| = ||T1 X T1^dag + T2 gram T2^dag||
+    exactly, and ||E|| <= ||E||_F is the split's ``discarded``.  For a
+    stacked split and stacked values it returns one bound per element.
     """
-    value_h = _adjoint(value)
-    residual = split_y.operator + value_h @ gram @ value
-    z, _ = np.linalg.qr(np.concatenate([split_y.basis, value_h], axis=-1))
-    z_residual = _adjoint(z) @ residual
-    core = z_residual @ z
-    outside = np.hypot(_frobenius(residual - z @ z_residual),
-                       _frobenius(z_residual - core @ _adjoint(z)))
-    return opnorm(core) + outside
+    m = np.concatenate([split_y.basis, _adjoint(value)], axis=-1)
+    t1, t2 = np.split(np.linalg.qr(m, mode="r"), [split_y.rank], axis=-1)
+    core = t1 @ split_y.restricted @ _adjoint(t1) + t2 @ gram @ _adjoint(t2)
+    return opnorm(core) + split_y.discarded

@@ -72,8 +72,7 @@ def test_criterion_03_gaussian_property():
     ratios = []
     for _ in range(20):
         dir1, dir2 = rnd.random_direction_pair(rng, split)
-        report = mf.gaussian_check(split, dir1[0], dir1[1], dir2[0], dir2[1],
-                                   t_list=(0.1, 0.05, 0.025))
+        report = mf.gaussian_check(split, dir1[0], dir1[1], dir2[0], dir2[1])
         scale = max(1.0, report.predicted_coefficient)
         worst_rel = max(worst_rel, abs(report.quadratic_coefficient
                                        - report.predicted_coefficient) / scale)
@@ -249,8 +248,7 @@ def test_criterion_09_first_order_expansion():
                                     0.5 * rng.standard_normal(3)])
         imag_step = np.concatenate([rng.standard_normal(1),
                                     0.5 * rng.standard_normal(3)])
-        report = cc.unitary_expansion(1.0, real_step, imag_step,
-                                      tau_list=(1e-2, 5e-3, 2.5e-3))
+        report = cc.unitary_expansion(real_step, imag_step)
         worst_coeff = max(worst_coeff, report.coefficient_deviation)
         ratios.extend(report.residual_ratios)
     ok = worst_coeff <= 1e-6 and all(3.0 <= r <= 5.0 for r in ratios)

@@ -143,6 +143,35 @@ class TestInvSqrtKernel:
         with pytest.raises(BranchCut):
             spectral_inv_sqrt_kernel(vk)
 
+    def test_nilpotent_chain_rejected(self):
+        # u^2 = 0 and u z = 0: both eigenvalues are -1, but A + 1 != 0
+        vk = VectorKernel(real_vec=[1.0, 1.0, 0.0, 0.0],
+                          imag_vec=[0.0, 0.0, 1.0, 0.0])
+        with pytest.raises(DegenerateChain, match="nilpotent part"):
+            spectral_inv_sqrt_kernel(vk)
+
+    def test_nilpotent_element_is_named(self):
+        vk = VectorKernel(real_vec=[[2.0, 0.1, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]],
+                          imag_vec=[[0.0, 0.0, 0.3, 0.0], [0.0, 0.0, 1.0, 0.0]])
+        with pytest.raises(DegenerateChain, match=r"stack element \[1\]"):
+            spectral_inv_sqrt_kernel(vk)
+
+    def test_nan_element_raises(self):
+        vk = VectorKernel(real_vec=[[2.0, 0.1, 0.0, 0.0],
+                                    [np.nan, 1.0, 0.0, 0.0]],
+                          imag_vec=[[0.0, 0.0, 0.3, 0.0], [0.0, 0.0, 1.0, 0.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            spectral_inv_sqrt_kernel(vk)
+
+    def test_degeneracy_guard_decomposes_nothing(self, decompositions):
+        # distinct chains and a scalar chain are decided without an SVD
+        rng = np.random.default_rng(8)
+        samples = [right_half_plane_sample(rng) for _ in range(6)]
+        u = np.array([s.real_vec for s in samples] + [[1.5, 0.3, 0.1, -0.2]])
+        z = np.array([s.imag_vec for s in samples] + [np.zeros(4)])
+        spectral_inv_sqrt_kernel(VectorKernel(real_vec=u, imag_vec=z))
+        assert not decompositions
+
     def test_unitarity_of_spectral_route(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
@@ -231,21 +260,20 @@ class TestVectorDecomposition:
 
 class TestUnitaryExpansion:
     def test_no_perturbation(self):
-        report = unitary_expansion(1.0, np.zeros(4), np.zeros(4))
+        report = unitary_expansion(np.zeros(4), np.zeros(4))
         assert all(r <= 1e-12 for r in report.residuals)
 
     def test_pure_time_imaginary_perturbation(self):
-        # only a phase appears: first-order term i z^0 / |alpha|
-        for alpha in (1.0, 2.0):
-            report = unitary_expansion(alpha, np.zeros(4), [0.5, 0, 0, 0])
+        # only a phase appears: first-order term i z^0
+        for z0 in (0.5, 0.25):
+            report = unitary_expansion(np.zeros(4), [z0, 0, 0, 0])
             assert report.coefficient_deviation <= 1e-10
-            expected = 1j * (0.5 / alpha) * np.eye(4)
+            expected = 1j * z0 * np.eye(4)
             assert opnorm(report.coefficient_fd - expected) <= 1e-10
 
     def test_mixed_perturbation_first_order(self):
-        report = unitary_expansion(1.0, [0.2, 0.3, -0.1, 0.4],
-                                   [0.25, -0.3, 0.2, 0.1],
-                                   tau_list=(1e-2, 5e-3, 2.5e-3))
+        report = unitary_expansion([0.2, 0.3, -0.1, 0.4],
+                                   [0.25, -0.3, 0.2, 0.1])
         assert report.coefficient_deviation <= 1e-6
         assert report.antisymmetry_residual <= 1e-6
         for ratio in report.residual_ratios:
@@ -254,7 +282,7 @@ class TestUnitaryExpansion:
     def test_only_spatial_real_and_time_imag_enter(self):
         # time component of the real step and spatial components of the
         # imaginary step drop out of the first order
-        base = unitary_expansion(1.0, [0.0, 0.3, -0.1, 0.2], [0.4, 0, 0, 0])
-        shifted = unitary_expansion(1.0, [0.7, 0.3, -0.1, 0.2],
+        base = unitary_expansion([0.0, 0.3, -0.1, 0.2], [0.4, 0, 0, 0])
+        shifted = unitary_expansion([0.7, 0.3, -0.1, 0.2],
                                     [0.4, 0.5, -0.6, 0.2])
         assert opnorm(base.coefficient_fd - shifted.coefficient_fd) <= 1e-8

@@ -193,6 +193,48 @@ class TestSplitParity:
         assert (6, 6) not in decompositions
 
 
+def dense_discarded(split, x):
+    """||x - V X V^dag||_F of a split, computed from the dense operator."""
+    kept = split.basis @ split.restricted @ split.basis.conj().T
+    return np.linalg.norm(x - kept)
+
+
+class TestDiscarded:
+    """``ImageSplit.discarded`` is the Frobenius norm of what the split drops."""
+
+    def test_range_route_certificate(self, decompositions):
+        rng = np.random.default_rng(60)
+        for f in (6, 9, 12):
+            for size in (0.0, 1e-12, 1e-10):
+                x = random_correlation(rng, f, 2)
+                h = random_complex(rng, f, f)
+                x = x + size * opnorm(x) * (h + h.conj().T) / opnorm(h)
+                decompositions.clear()
+                split = split_by_image(x, 2, 2)
+                assert (f, f) not in decompositions
+                assert abs(split.discarded - dense_discarded(split, x)) <= (
+                    1e-13 * np.linalg.norm(x))
+                if size:
+                    assert split.discarded >= 0.5 * size * opnorm(x)
+
+    @pytest.mark.parametrize("m", [0.0, 0.3])
+    def test_box_operators(self, m):
+        cfg = DiracBoxConfig(L=math.pi, eps=0.4, m=m)
+        for x in build_correlation_map(cfg, [cfg.point(0.0, (0.0, 0.0, 0.0)),
+                                             cfg.point(0.2, (0.4, -0.8, 1.1))]):
+            split = split_by_image(x, 2, 2)
+            assert abs(split.discarded - dense_discarded(split, x)) <= (
+                1e-13 * np.linalg.norm(x))
+
+    def test_dense_route_drops_the_small_eigenvalue(self, decompositions):
+        x = diag_operator([1.0, -1.0, -0.5, 1.5e-8, 0.8e-8], 6)
+        split = split_by_image(x, 2, 2)
+        assert (6, 6) in decompositions
+        assert split.discarded == pytest.approx(0.8e-8, rel=1e-12)
+        assert split.discarded == pytest.approx(dense_discarded(split, x),
+                                                rel=1e-6)
+
+
 class TestWaveEvaluation:
     def test_diagonal_case(self):
         x = diag_operator([1.0, -1.0], 5)

@@ -163,8 +163,7 @@ class TestGaussianCheck:
         checked = 0
         for _ in range(20):
             (a1, b1), (a2, b2) = random_direction_pair(rng, split)
-            report = gaussian_check(split, a1, b1, a2, b2,
-                                    t_list=(0.1, 0.05, 0.025))
+            report = gaussian_check(split, a1, b1, a2, b2)
             rel = abs(report.quadratic_coefficient - report.predicted_coefficient)
             assert rel <= 1e-8 * max(1.0, report.predicted_coefficient)
             for ratio in report.residual_ratios:

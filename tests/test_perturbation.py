@@ -9,7 +9,7 @@ from cfsgauge.correlation import local_correlation
 from cfsgauge.dirac_box import (SPINOR_GRAM, DiracBoxConfig,
                                 SpacetimePoint, kernel_mode_sum,
                                 wave_value_matrix)
-from cfsgauge.krein import opnorm, polar
+from cfsgauge.krein import opnorm, polar, polar_decompose
 from cfsgauge.perturbation import (GaugeFunction, apply_local_phase,
                                    basis_waves, gauged_basis, mixed_kernel,
                                    perturbed_symmetric_gauge)
@@ -176,6 +176,21 @@ class TestSymmetricGaugeValue:
         expected = -SPINOR_GRAM @ u @ perturbed
         got = perturbed_symmetric_gauge(waves, perturbed)
         assert np.max(opnorm(got - expected)) <= 1e-12 * opnorm(waves)
+
+    def test_gauge_factor_is_the_polar_decomposition_of_b(self):
+        # V^x and S of B = P(y, x) P(x, x)^{-1} = V S, by krein.polar_decompose
+        w = wave_value_matrix(MASSIVE, POINT)
+        w_y = wave_value_matrix(MASSIVE, SpacetimePoint(t=0.3,
+                                                        x_vec=(0.5, -0.7, 1.1)))
+        b = mixed_kernel(w_y, w) @ np.linalg.inv(mixed_kernel(w, w))
+        v, s = polar_decompose(b, SPINOR_KREIN)
+        assert opnorm(s - np.eye(4)) > 1e-2
+        got = perturbed_symmetric_gauge(w, w_y)
+        assert opnorm(got - SPINOR_KREIN.adjoint(v) @ w_y) <= 1e-12 * opnorm(w)
+        coeffs = np.linalg.qr(w.conj().T)[0]
+        via_gauge, via_chain = gauged_basis(w, w_y, coeffs)
+        assert opnorm(via_chain - s @ w @ coeffs) <= 1e-12 * opnorm(w)
+        assert opnorm(via_gauge - via_chain) <= 1e-12 * opnorm(w)
 
     def test_zero_gauge_function_reproduces_unperturbed(self, waves):
         v0 = perturbed_symmetric_gauge(waves, waves)

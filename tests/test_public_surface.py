@@ -23,8 +23,6 @@ PACKAGE = ROOT / "src" / "cfsgauge"
 ALLOWED = {
     "dirac_box.MomentumMode.four_momentum":
         "the sea mode's k = (-omega, k_vec); a test copy would be as long",
-    "manifold.chart_metric":
-        "the only evaluation of the metric pulled back to a chart",
     "perturbation.basis_waves":
         "the only construction of the distinguished basis waves",
     "perturbation.gauged_basis":

@@ -81,6 +81,24 @@ class TestSplitStack:
         assert_matches_loop(stacked.basis, [s.basis for s in lone])
         assert_matches_loop(stacked.restricted, [s.restricted for s in lone])
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_discarded_matches_lone_splits(self, seed):
+        rng = np.random.default_rng(seed)
+        xs = np.array([random_correlation(rng, 8, 2) for _ in range(6)])
+        h = random_complex(rng, 8, 8)
+        xs[1] += 1e-10 * (h + h.conj().T)
+        # one element the certificate cannot decide: it takes the dense route
+        xs[3] = diag_operator([1.0, -1.0, -0.5, 1.5e-8, 0.8e-8], 8)
+        stacked = split_by_image(xs, 2, 2)
+        lone = [split_by_image(x, 2, 2) for x in xs]
+        assert stacked.discarded.shape == (6,)
+        assert_matches_loop(stacked.discarded, [s.discarded for s in lone])
+        kept = (stacked.basis @ stacked.restricted
+                @ np.swapaxes(stacked.basis.conj(), -1, -2))
+        dense = np.linalg.norm(xs - kept, axis=(-2, -1))
+        assert_matches_loop(stacked.discarded, dense)
+        assert stacked.discarded[3] == pytest.approx(0.8e-8, rel=1e-12)
+
     def test_box_operators_match_by_projector(self):
         # box spectra are doubly degenerate: compare projectors, not bases
         cfg = DiracBoxConfig(L=math.pi, eps=0.4, m=0.0)

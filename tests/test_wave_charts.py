@@ -1,6 +1,8 @@
 """Wave charts, the realization map, gauge orbits and gauge construction."""
 
+import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,11 +10,13 @@ import pytest
 from conftest import random_krein_unitary
 
 from cfsgauge import cli, correlation, wave_charts
-from cfsgauge.correlation import spin_space, split_by_image
-from cfsgauge.dirac_box import DiracBoxConfig, build_correlation_map
+from cfsgauge.correlation import kernel, spin_space, split_by_image
+from cfsgauge.dirac_box import (DiracBoxConfig, build_correlation_map,
+                                wave_value_matrix)
 from cfsgauge.errors import NotInvertible, OutOfChartDomain
 from cfsgauge.krein import opnorm
 from cfsgauge.manifold import ChartCoordinates, chart_forward, chart_inverse
+from cfsgauge.perturbation import perturbed_symmetric_gauge
 from cfsgauge.randoms import (random_chart_coords, random_complement_map,
                               random_complex, random_correlation)
 from cfsgauge.wave_charts import (WaveChartPoint, build_gauge,
@@ -171,7 +175,8 @@ class TestSymmetricWaveChart:
         base = spin_space(random_correlation(rng, 8, 2), 2)
         y = nearby_operator(rng, base)
         sp_y = spin_space(y, 2)
-        u = connecting_unitary(base, sp_y)
+        u, _ = connecting_unitary(base.restricted, kernel(base, sp_y),
+                                  kernel(sp_y, base), base.krein)
         # adjoint across the two spin products: S_x -> S_y
         u_star = np.linalg.solve(sp_y.krein.gram, u.conj().T @ base.krein.gram)
         assert opnorm(u @ u_star - np.eye(4)) <= 1e-9
@@ -434,3 +439,61 @@ class TestConditionResidualBound:
         dense = opnorm(shifted.operator + value.conj().T @ base.krein.gram @ value)
         bound = condition_residual_bound(shifted, value, base.krein.gram)
         assert dense <= bound <= dense + 1e-12
+
+    def test_reads_only_the_split(self):
+        rng = np.random.default_rng(32)
+        base = spin_space(random_correlation(rng, 10, 2), 2)
+        ys = np.array([nearby_operator(rng, base) for _ in range(3)])
+        split_y = split_by_image(ys, 2, 2)
+        values = symmetric_wave_chart(split_y, base).full_matrix()
+        bound = condition_residual_bound(split_y, values, base.krein.gram)
+        without = condition_residual_bound(
+            dataclasses.replace(split_y, operator=None), values,
+            base.krein.gram)
+        np.testing.assert_array_equal(without, bound)
+
+
+class TestSpinorFrameBridge:
+    """The dense wave chart and the spinor-frame gauge are one map.
+
+    iota_x = W(x) V_x maps the spin space at x onto the spinors, so
+    iota_x psi_dense(y) is the gauge value V^x W(y) of the spinor frame.
+    The box spectra are doubly degenerate, so bases are never compared.
+    """
+
+    @pytest.fixture(scope="class", params=[(0.4, 0.0), (0.4, 0.3),
+                                           (0.2, 0.0), (0.2, 0.3)],
+                    ids=["f160", "f162", "f968", "f970"])
+    def sea(self, request):
+        eps, m = request.param
+        cfg = DiracBoxConfig(L=math.pi, eps=eps, m=m)
+        config = Path(__file__).resolve().parents[1] / "configs/example.json"
+        # the example's points[0] (the base) and points[1], and one more
+        points = [cfg.point(p.t, p.x_vec)
+                  for p in cli.load_config(config).points[:2]]
+        points.append(cfg.point(0.25, (0.45, -0.75, 1.15)))
+        operators = build_correlation_map(cfg, points)
+        waves = wave_value_matrix(cfg, points)
+        return spin_space(operators[0], 2), operators[1:], waves
+
+    def test_dense_chart_equals_spinor_gauge(self, sea):
+        base, ys, waves = sea
+        iota = waves[0] @ base.basis
+        for y, w_y in zip(ys, waves[1:]):
+            dense = iota @ symmetric_wave_chart(y, base).full_matrix()
+            spinor = perturbed_symmetric_gauge(waves[0], w_y)
+            assert opnorm(dense - spinor) <= 1e-12 * opnorm(spinor)
+
+    def test_residual_bound_makes_no_dense_array(self, sea):
+        base, ys, _ = sea
+        split_y = split_by_image(np.array(ys), 2, 2)
+        values = symmetric_wave_chart(split_y, base).full_matrix()
+        tracemalloc.start()
+        try:
+            condition_residual_bound(split_y, values, base.krein.gram)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        f = base.basis.shape[0]
+        # one f x f complex array would take 16 f^2 bytes
+        assert peak < min(16 * f * f, 1 << 20)
