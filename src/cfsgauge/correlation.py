@@ -12,7 +12,8 @@ basis V and the compression X = V^dag x V, from which the spin space, the
 wave evaluation V^dag and the kernel P(x, y) = V_x^dag V_y X_y are all read
 at O(f r^2) cost.  Code that needs the orthogonal complement projects off
 the image with 1 - V V^dag; only ``manifold.chart_jacobian_rank`` builds a
-basis of it, the range basis of that projector.
+basis of it, the range basis of that projector.  A dense x is built and
+split with no f x f temporary: each pass writes into x or ``BLOCK_ROWS`` rows.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .krein import KreinSpace, _frobenius, _refuse
 
 #: relative threshold separating genuine eigenvalues from numerical zeros
 TOL_RANK_FACTOR = 1e-8
+BLOCK_ROWS = 32  #: rows per cache-sized block of a dense f x f pass
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -86,7 +88,9 @@ def _range_basis(x: np.ndarray, r: int):
     stack, f = x.shape[:-2], x.shape[-1]
     frame = np.zeros((*stack, f, r), dtype=complex)
     rows = np.zeros((*stack, r, f), dtype=complex)
-    norms2 = np.einsum("...ij,...ij->...j", x.conj(), x).real
+    pairs = (x if x.strides[-1] == x.itemsize else x.copy()).view(float)
+    norms2 = np.einsum("...ij,...ij->...j", pairs, pairs)   # no x.conj()
+    norms2 = norms2[..., 0::2] + norms2[..., 1::2]
     ok = np.ones(stack, dtype=bool)
     for k in range(r):
         pivot = np.argmax(norms2, axis=-1)[..., None, None]
@@ -118,9 +122,13 @@ def _split_from_range(x: np.ndarray, p: int, q: int):
     b = np.where(ok[..., None, None], rows @ frame, 0.0)
     vals, vecs = np.linalg.eigh(hermitize(b))
     # x - Q B Q^dag = (1 - P) x + Q (Q^dag x)(1 - P), orthogonal in Frobenius
-    outside = frame @ rows
-    np.subtract(x, outside, out=outside)
-    rho = np.hypot(_frobenius(outside), _frobenius(rows - b @ _adjoint(frame)))
+    outside2 = np.zeros(x.shape[:-2])
+    for top in range(0, x.shape[-2], BLOCK_ROWS):
+        part = frame[..., top:top + BLOCK_ROWS, :] @ rows
+        np.subtract(x[..., top:top + BLOCK_ROWS, :], part, out=part)
+        flat = part.view(float).reshape(*part.shape[:-2], -1)
+        outside2 += (flat[..., None, :] @ flat[..., :, None])[..., 0, 0]
+    rho = np.hypot(np.sqrt(outside2), _frobenius(rows - b @ _adjoint(frame)))
     scale = np.max(np.abs(vals), axis=-1)
     tol_low = TOL_RANK_FACTOR * np.maximum(scale - rho, 1e-300)
     tol_high = TOL_RANK_FACTOR * np.maximum(scale + rho, 1e-300)
@@ -215,11 +223,16 @@ def local_correlation(wave_values: np.ndarray,
 
     ``wave_values`` has one column per basis vector of the ensemble (assumed
     orthonormal); entry (i, j) of the result is minus the indefinite inner
-    product of values i and j, giving a Hermitian matrix.
+    product of values i and j, giving a Hermitian matrix: the product is
+    hermitized in place, a row block and its mirrored column block at a time.
     """
     w = np.asarray(wave_values, dtype=complex)
-    g = np.asarray(spinor_gram, dtype=complex)
-    return hermitize(-(w.conj().T @ g @ w))
+    x = w.conj().T @ -np.asarray(spinor_gram, dtype=complex) @ w
+    for i in range(0, len(x), BLOCK_ROWS):
+        rows, cols = x[i:i + BLOCK_ROWS, i:], x[i:, i:i + BLOCK_ROWS]
+        np.multiply(np.add(rows, np.conjugate(cols.T, order="C")), 0.5, out=rows)
+        np.conjugate(rows.T, out=cols)
+    return x
 
 
 def wave_evaluation(sp: ImageSplit) -> np.ndarray:

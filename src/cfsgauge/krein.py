@@ -38,6 +38,8 @@ RADIUS_SERIES = 0.8
 #: truncation controls for the binomial square-root series
 SERIES_MAX_TERMS = 200
 SERIES_TERM_TOL = 1e-15
+#: cap on the bytes of one dense array: an f x f operator (f <= 8192), a block
+MAX_DENSE_BYTES = 1 << 30
 
 
 def opnorm(a: np.ndarray):
@@ -65,12 +67,18 @@ def _norm_bound(a: np.ndarray, limit):
 def max_opnorm(a: np.ndarray) -> float:
     """``np.max(opnorm(a))``, decomposing only the elements that can hold it.
 
-    Those reach max ||.||_F / sqrt(min(m, n)), a floor of the maximum; a
-    lone, empty or non-finite stack is decomposed whole.
+    Those reach max ||.||_F / sqrt(min(m, n)), a floor of the maximum, and are
+    gathered MAX_DENSE_BYTES at a time; a stack of only those, or a lone,
+    empty or non-finite one, is decomposed whole, in place.
     """
     frobenius = _frobenius(a) if a.ndim > 2 and a.size else np.nan
     if np.all(np.isfinite(frobenius)):
-        a = a[frobenius >= np.max(frobenius) / np.sqrt(min(a.shape[-2:]))]
+        held = frobenius >= np.max(frobenius) / np.sqrt(min(a.shape[-2:]))
+        if not held.all():
+            at = np.nonzero(held)
+            step = max(1, MAX_DENSE_BYTES * held.size // a.nbytes)
+            return float(max(np.max(opnorm(a[tuple(i[s:s + step] for i in at)]))
+                             for s in range(0, len(at[0]), step)))
     return float(np.max(opnorm(a)))
 
 

@@ -32,7 +32,7 @@ from .correlation import (ImageSplit, _adjoint, as_split, hermitize, kernel,
                           wave_evaluation)
 from .errors import (NotInvertible, OutOfChartDomain, OutOfConvergenceRadius,
                      TooFarFromBase)
-from .krein import RADIUS_SERIES, _refuse, opnorm
+from .krein import RADIUS_SERIES, _frobenius, _refuse, opnorm
 from .manifold import ChartCoordinates, chart_inverse
 
 #: bound on ||X^{-1} a|| shared by both wave-chart constructions; it is the
@@ -255,10 +255,15 @@ def condition_residual_bound(split_y: ImageSplit, value: np.ndarray,
     the part the split dropped, the residual is M D M^dag + E, where
     M = [V, value^dag] and D = diag(X, gram).  M = Q [T1 T2] with Q of
     orthonormal columns, so ||M D M^dag|| = ||T1 X T1^dag + T2 gram T2^dag||
-    exactly, and ||E|| <= ||E||_F is the split's ``discarded``.  For a
-    stacked split and stacked values it returns one bound per element.
+    exactly, and ||E|| <= ||E||_F is the split's ``discarded``.  Forming the
+    dense residual rounds it by at most gamma_{2r+1} (||X||_F + ``discarded``
+    + ||gram||_F ||value||_F^2), which is added too.  For a stacked split and
+    stacked values it returns one bound per element.
     """
     m = np.concatenate([split_y.basis, _adjoint(value)], axis=-1)
     t1, t2 = np.split(np.linalg.qr(m, mode="r"), [split_y.rank], axis=-1)
     core = t1 @ split_y.restricted @ _adjoint(t1) + t2 @ gram @ _adjoint(t2)
-    return opnorm(core) + split_y.discarded
+    nu = (2 * split_y.rank + 1) * np.finfo(float).eps / 2
+    return opnorm(core) + split_y.discarded + nu / (1.0 - nu) * (
+        _frobenius(split_y.restricted) + split_y.discarded
+        + _frobenius(gram) * _frobenius(value) ** 2)

@@ -1,6 +1,7 @@
 """Correlation operators, spin spaces, kernels and the closed chain."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from conftest import multiset_distance, random_krein_unitary
 from cfsgauge import correlation
 from cfsgauge.correlation import (closed_chain, kernel, local_correlation,
                                   spin_space, split_by_image, wave_evaluation)
-from cfsgauge.dirac_box import DiracBoxConfig, build_correlation_map
+from cfsgauge.dirac_box import (SPINOR_GRAM, DiracBoxConfig,
+                                build_correlation_map, wave_value_matrix)
 from cfsgauge.errors import NotRegular
 from cfsgauge.krein import opnorm
 from cfsgauge.randoms import random_complex, random_correlation
@@ -233,6 +235,90 @@ class TestDiscarded:
         assert split.discarded == pytest.approx(0.8e-8, rel=1e-12)
         assert split.discarded == pytest.approx(dense_discarded(split, x),
                                                 rel=1e-6)
+
+
+def traced_peak(call):
+    """Peak bytes tracemalloc sees while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestDensePasses:
+    """The dense route writes into F itself or into row blocks of it."""
+
+    @pytest.fixture(scope="class", params=[(0.4, 0.0), (0.4, 0.3),
+                                           (0.2, 0.0), (0.2, 0.3)],
+                    ids=["f160", "f162", "f968", "f970"])
+    def box(self, request):
+        eps, m = request.param
+        cfg = DiracBoxConfig(L=math.pi, eps=eps, m=m)
+        points = [cfg.point(0.0, (0.0, 0.0, 0.0)),
+                  cfg.point(0.1, (0.1, -0.05, 0.0)),
+                  cfg.point(-0.05, (0.0, 0.12, 0.08))]
+        return cfg, points, build_correlation_map(cfg, points)
+
+    def test_local_correlation_is_the_hermitian_part(self, box):
+        cfg, points, _ = box
+        for point in points:
+            w = wave_value_matrix(cfg, point)
+            x = local_correlation(w, SPINOR_GRAM)
+            # bit for bit the whole-array formula, and exactly Hermitian
+            reference = correlation.hermitize(-(w.conj().T @ SPINOR_GRAM @ w))
+            np.testing.assert_array_equal(x, reference)
+            np.testing.assert_array_equal(x, x.conj().T)
+
+    def test_blocked_residual_matches_the_whole_array(self, box):
+        _, _, operators = box
+        for x in operators:
+            frame, rows, ok = correlation._range_basis(x, 4)
+            b = rows @ frame
+            whole = np.hypot(np.linalg.norm(x - frame @ rows),
+                             np.linalg.norm(rows - b @ frame.conj().T))
+            split = split_by_image(x, 2, 2)
+            assert ok
+            assert abs(split.discarded - whole) <= 1e-13 * whole
+
+    def test_non_contiguous_stack_splits_as_its_copy(self, box):
+        _, _, operators = box
+        f = operators[0].shape[0]
+        padded = np.zeros((len(operators), f + 3, f + 3), dtype=complex)
+        padded[:, :f, :f] = operators
+        # a strided stack axis and strided rows: the same split, bit for bit
+        for view in (np.array(operators + operators)[::2], padded[:, :f, :f]):
+            assert not view.flags.c_contiguous
+            split = split_by_image(view, 2, 2)
+            copy = split_by_image(np.ascontiguousarray(view), 2, 2)
+            for field in ("basis", "restricted", "discarded"):
+                np.testing.assert_array_equal(getattr(split, field),
+                                              getattr(copy, field))
+        # a transposed last axis (x^T conj = x) rounds differently, and the
+        # box spectra are doubly degenerate: compare the image projectors
+        view = np.swapaxes(np.array(operators), -1, -2).conj()
+        split = split_by_image(view, 2, 2)
+        copy = split_by_image(np.ascontiguousarray(view), 2, 2)
+        for one in (split, copy):
+            kept = (one.basis @ one.restricted
+                    @ np.swapaxes(one.basis.conj(), -1, -2))
+            scale = np.linalg.norm(kept)
+            np.testing.assert_allclose(kept, view, rtol=0,
+                                       atol=1e-13 * scale)
+        np.testing.assert_allclose(split.discarded, copy.discarded, rtol=0,
+                                   atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("m", [0.0, 0.3])
+    def test_peaks_stay_near_one_operator(self, m):
+        # f = 968 at m = 0 and 970 at m = 0.3
+        cfg = DiracBoxConfig(L=math.pi, eps=0.2, m=m)
+        point = [cfg.point(0.1, (0.1, -0.05, 0.0))]
+        x = build_correlation_map(cfg, point)[0]   # the sea table is cached
+        one = 16 * x.shape[0] ** 2
+        assert traced_peak(lambda: build_correlation_map(cfg, point)) <= (
+            1.25 * one)
+        assert traced_peak(lambda: split_by_image(x, 2, 2)) <= 0.25 * one
 
 
 class TestWaveEvaluation:

@@ -345,7 +345,9 @@ class TestBoxGauge:
 
         def recorded(a, mode="reduced"):
             result = original_qr(a, mode=mode)
-            factorized.append((mode, result[0].shape))
+            # the width of Q, or of the input where only R is formed
+            factorized.append((mode, np.shape(a) if mode == "r"
+                               else result[0].shape))
             return result
 
         monkeypatch.setattr(np.linalg, "qr", recorded)
@@ -422,6 +424,23 @@ class TestConditionResidualBound:
                     bound = condition_residual_bound(split_y, value,
                                                      base.krein.gram)
                     assert dense <= bound * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("m", [0.0, 0.3])
+    def test_bounds_computed_dense_norm_on_box_grid(self, m):
+        # seeded box points within 0.12 of the base at f = 160 / 162: the
+        # dense residual is rounding alone, of the size of the exact bound,
+        # so it holds only with the allowance for forming y + value^dag G value
+        cfg = DiracBoxConfig(L=math.pi, eps=0.4, m=m)
+        base = spin_space(build_correlation_map(
+            cfg, [cfg.point(0.0, (0.0, 0.0, 0.0))])[0], 2)
+        deltas = np.random.default_rng(40 + int(10 * m)).uniform(
+            -0.12, 0.12, size=(12, 4))
+        ys = build_correlation_map(cfg, [cfg.point(d[0], tuple(d[1:]))
+                                         for d in deltas])
+        gauge = build_gauge(base, ys)
+        for y, value, bound in zip(ys, gauge.values,
+                                   gauge.condition_residuals):
+            assert opnorm(y + value.conj().T @ base.krein.gram @ value) <= bound
 
     def test_tight_when_residual_lies_in_the_span(self):
         rng = np.random.default_rng(31)
