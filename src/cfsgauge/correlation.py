@@ -13,7 +13,7 @@ wave evaluation V^dag and the kernel P(x, y) = V_x^dag V_y X_y are all read
 at O(f r^2) cost.  Code that needs the orthogonal complement projects off
 the image with 1 - V V^dag; only ``manifold.chart_jacobian_rank`` builds a
 basis of it, the range basis of that projector.  A dense x is built and
-split with no f x f temporary: each pass writes into x or ``BLOCK_ROWS`` rows.
+split with no f x f temporary, each pass writing into x or into a row block.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ def _range_basis(x: np.ndarray, r: int):
     frame = np.zeros((*stack, f, r), dtype=complex)
     rows = np.zeros((*stack, r, f), dtype=complex)
     pairs = (x if x.strides[-1] == x.itemsize else x.copy()).view(float)
-    norms2 = np.einsum("...ij,...ij->...j", pairs, pairs)   # no x.conj()
+    norms2 = np.einsum("...ij,...ij->...j", pairs, pairs)   # no f x f copy
     norms2 = norms2[..., 0::2] + norms2[..., 1::2]
     ok = np.ones(stack, dtype=bool)
     for k in range(r):

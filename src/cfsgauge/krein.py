@@ -38,7 +38,7 @@ RADIUS_SERIES = 0.8
 #: truncation controls for the binomial square-root series
 SERIES_MAX_TERMS = 200
 SERIES_TERM_TOL = 1e-15
-#: cap on the bytes of one dense array: an f x f operator (f <= 8192), a block
+#: cap on the bytes of a dense f x f operator (f <= 8192) or a gathered block
 MAX_DENSE_BYTES = 1 << 30
 
 

@@ -314,7 +314,7 @@ class TestDensePasses:
         # f = 968 at m = 0 and 970 at m = 0.3
         cfg = DiracBoxConfig(L=math.pi, eps=0.2, m=m)
         point = [cfg.point(0.1, (0.1, -0.05, 0.0))]
-        x = build_correlation_map(cfg, point)[0]   # the sea table is cached
+        x = build_correlation_map(cfg, point)[0]   # fills the sea table cache
         one = 16 * x.shape[0] ** 2
         assert traced_peak(lambda: build_correlation_map(cfg, point)) <= (
             1.25 * one)
