@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotRegular
-from .krein import KreinSpace, _frobenius, _refuse
+from .krein import KreinSpace, _frobenius, _frobenius2, _refuse
 
 #: relative threshold separating genuine eigenvalues from numerical zeros
 TOL_RANK_FACTOR = 1e-8
@@ -90,7 +90,7 @@ def _range_basis(x: np.ndarray, r: int):
     rows = np.zeros((*stack, r, f), dtype=complex)
     pairs = (x if x.strides[-1] == x.itemsize else x.copy()).view(float)
     norms2 = np.einsum("...ij,...ij->...j", pairs, pairs)   # no f x f copy
-    norms2 = norms2[..., 0::2] + norms2[..., 1::2]
+    norms2 = norms2.reshape(*stack, f, 2).sum(axis=-1)
     ok = np.ones(stack, dtype=bool)
     for k in range(r):
         pivot = np.argmax(norms2, axis=-1)[..., None, None]
@@ -126,8 +126,7 @@ def _split_from_range(x: np.ndarray, p: int, q: int):
     for top in range(0, x.shape[-2], BLOCK_ROWS):
         part = frame[..., top:top + BLOCK_ROWS, :] @ rows
         np.subtract(x[..., top:top + BLOCK_ROWS, :], part, out=part)
-        flat = part.view(float).reshape(*part.shape[:-2], -1)
-        outside2 += (flat[..., None, :] @ flat[..., :, None])[..., 0, 0]
+        outside2 += _frobenius2(part)
     rho = np.hypot(np.sqrt(outside2), _frobenius(rows - b @ _adjoint(frame)))
     scale = np.max(np.abs(vals), axis=-1)
     tol_low = TOL_RANK_FACTOR * np.maximum(scale - rho, 1e-300)
@@ -223,15 +222,16 @@ def local_correlation(wave_values: np.ndarray,
 
     ``wave_values`` has one column per basis vector of the ensemble (assumed
     orthonormal); entry (i, j) of the result is minus the indefinite inner
-    product of values i and j, giving a Hermitian matrix: the product is
-    hermitized in place, a row block and its mirrored column block at a time.
+    product of values i and j, giving a Hermitian matrix: ``hermitize``'s
+    formula, applied in place to one row block and its column block at a time.
     """
     w = np.asarray(wave_values, dtype=complex)
-    x = w.conj().T @ -np.asarray(spinor_gram, dtype=complex) @ w
-    for i in range(0, len(x), BLOCK_ROWS):
-        rows, cols = x[i:i + BLOCK_ROWS, i:], x[i:, i:i + BLOCK_ROWS]
-        np.multiply(np.add(rows, np.conjugate(cols.T, order="C")), 0.5, out=rows)
-        np.conjugate(rows.T, out=cols)
+    x = w.conj().T @ np.asarray(spinor_gram, dtype=complex) @ w
+    for i in range(0, len(x), BLOCK_ROWS):  # (-a) - b^dag == (-a) + (-b)^dag
+        j = i + BLOCK_ROWS
+        rows, cols = x[i:j, i:], x[i:, i:j].T.copy()
+        x[j:, i:j] = (0.5 * (-cols[:, j - i:] - rows[:, j - i:].conj())).T
+        rows[...] = 0.5 * (-rows - cols.conj())
     return x
 
 

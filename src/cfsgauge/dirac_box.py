@@ -23,7 +23,6 @@ import numpy as np
 
 from .correlation import _fix_column_phases, hermitize, local_correlation
 from .errors import EmptyCutoff, TooFewModes, TooManyModes
-from .krein import MAX_DENSE_BYTES
 
 _SIGMA = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -79,6 +78,8 @@ def minkowski_dot(a, b):
 
 #: cap on 2 (2 nmax + 1)^3, the lattice cube's bound on the mode count
 MAX_MODES = 1 << 20  # nmax <= 39, f up to ~5e5
+#: cap on 16 f^2, the bytes of one dense complex f x f correlation operator
+MAX_DENSE_BYTES = 1 << 30  # f <= 8192
 #: largest half-length L whose mode normalization 2 pi (2 L)^3 is finite
 MAX_L = 0.5 * (sys.float_info.max / (2.0 * math.pi)) ** (1.0 / 3.0)
 #: smallest half-length L whose squared lattice step (pi / L)^2 is finite:

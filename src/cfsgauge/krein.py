@@ -38,8 +38,6 @@ RADIUS_SERIES = 0.8
 #: truncation controls for the binomial square-root series
 SERIES_MAX_TERMS = 200
 SERIES_TERM_TOL = 1e-15
-#: cap on the bytes of a dense f x f operator (f <= 8192) or a gathered block
-MAX_DENSE_BYTES = 1 << 30
 
 
 def opnorm(a: np.ndarray):
@@ -49,10 +47,15 @@ def opnorm(a: np.ndarray):
     return float(top) if top.ndim == 0 else top
 
 
+def _frobenius2(a: np.ndarray):
+    """Squared Frobenius norm of each stacked matrix: one BLAS dot each."""
+    flat = np.ascontiguousarray(a).view(float).reshape(*a.shape[:-2], -1)
+    return (flat[..., None, :] @ flat[..., :, None])[..., 0, 0]
+
+
 def _frobenius(a: np.ndarray):
     """Frobenius norm of each stacked matrix: one BLAS dot each, no copy."""
-    flat = np.ascontiguousarray(a).view(float).reshape(*a.shape[:-2], -1)
-    return np.sqrt(flat[..., None, :] @ flat[..., :, None])[..., 0, 0]
+    return np.sqrt(_frobenius2(a))
 
 
 def _norm_bound(a: np.ndarray, limit):
@@ -67,18 +70,13 @@ def _norm_bound(a: np.ndarray, limit):
 def max_opnorm(a: np.ndarray) -> float:
     """``np.max(opnorm(a))``, decomposing only the elements that can hold it.
 
-    Those reach max ||.||_F / sqrt(min(m, n)), a floor of the maximum, and are
-    gathered MAX_DENSE_BYTES at a time; a stack of only those, or a lone,
-    empty or non-finite one, is decomposed whole, in place.
+    Those reach max ||.||_F / sqrt(min(m, n)), a floor of the maximum; a
+    lone, empty, non-finite or all-candidate stack is decomposed uncopied.
     """
     frobenius = _frobenius(a) if a.ndim > 2 and a.size else np.nan
     if np.all(np.isfinite(frobenius)):
         held = frobenius >= np.max(frobenius) / np.sqrt(min(a.shape[-2:]))
-        if not held.all():
-            at = np.nonzero(held)
-            step = max(1, MAX_DENSE_BYTES * held.size // a.nbytes)
-            return float(max(np.max(opnorm(a[tuple(i[s:s + step] for i in at)]))
-                             for s in range(0, len(at[0]), step)))
+        a = a if held.all() else a[held]
     return float(np.max(opnorm(a)))
 
 

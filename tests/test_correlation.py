@@ -266,9 +266,11 @@ class TestDensePasses:
         for point in points:
             w = wave_value_matrix(cfg, point)
             x = local_correlation(w, SPINOR_GRAM)
-            # bit for bit the whole-array formula, and exactly Hermitian
+            # bit for bit the whole-array formula, signed zeros included,
+            # and exactly Hermitian
             reference = correlation.hermitize(-(w.conj().T @ SPINOR_GRAM @ w))
-            np.testing.assert_array_equal(x, reference)
+            np.testing.assert_array_equal(x.view(np.uint64),
+                                          reference.view(np.uint64))
             np.testing.assert_array_equal(x, x.conj().T)
 
     def test_blocked_residual_matches_the_whole_array(self, box):

@@ -327,8 +327,8 @@ class TestCertificates:
         assert max_opnorm(a) == np.max(opnorm(a))
         assert decomposed == [(1, 4, 4)]
 
-    def test_candidates_are_decomposed_without_a_whole_copy(self,
-                                                            monkeypatch):
+    def test_all_candidates_are_decomposed_without_a_copy(self,
+                                                          monkeypatch):
         a = random_complex(np.random.default_rng(8), 50, 4, 4936)
         decomposed = []
 
@@ -336,26 +336,16 @@ class TestCertificates:
             decomposed.append(np.shape(x))
             return _original(x)
 
-        def traced_max():
-            tracemalloc.start()
-            try:
-                return max_opnorm(a), tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         monkeypatch.setattr(krein, "opnorm", recorded)
         # near-equal norms make every element a candidate: no gather at all
-        value, peak = traced_max()
+        tracemalloc.start()
+        try:
+            value = max_opnorm(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert decomposed == [a.shape]
         assert peak < a[0].nbytes
-        assert value == np.max(opnorm(a))
-        # five candidates, gathered at most two elements at a time
-        a[[3, 11, 17, 29, 41]] *= 100.0
-        monkeypatch.setattr(krein, "MAX_DENSE_BYTES", 2 * a[0].nbytes + 1)
-        decomposed.clear()
-        value, peak = traced_max()
-        assert decomposed == [(2, 4, 4936), (2, 4, 4936), (1, 4, 4936)]
-        assert peak < 3 * a[0].nbytes
         assert value == np.max(opnorm(a))
 
     def test_empty_and_non_finite_stacks_take_the_plain_call(self):
