@@ -12,8 +12,9 @@ basis V and the compression X = V^dag x V, from which the spin space, the
 wave evaluation V^dag and the kernel P(x, y) = V_x^dag V_y X_y are all read
 at O(f r^2) cost.  Code that needs the orthogonal complement projects off
 the image with 1 - V V^dag; only ``manifold.chart_jacobian_rank`` builds a
-basis of it, the range basis of that projector.  A dense x is built and
-split with no f x f temporary, each pass writing into x or into a row block.
+basis of it, the range basis of that projector.  A dense x is built with no
+f x f temporary and keeps its factor (W, G), from which it is split at
+O(f r^2); any other x is split in passes over row blocks of it.
 """
 
 from __future__ import annotations
@@ -32,8 +33,10 @@ BLOCK_ROWS = 32  #: rows per cache-sized block of a dense f x f pass
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Project onto the Hermitian part (of each stacked matrix)."""
-    return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
+    """Project onto the Hermitian part (of each stacked matrix), in one buffer."""
+    a = np.asarray(a, dtype=np.result_type(a, 0.5))
+    out = np.conjugate(np.swapaxes(a, -1, -2), out=np.empty_like(a))
+    return np.multiply(np.add(a, out, out=out), 0.5, out=out)
 
 
 def _fix_column_phases(v: np.ndarray) -> np.ndarray:
@@ -106,21 +109,12 @@ def _range_basis(x: np.ndarray, r: int):
 
 
 def _split_from_range(x: np.ndarray, p: int, q: int):
-    """Split each x from a rank-(p+q) range basis, where certified.
+    """Split each x from a rank-(p+q) range basis Q, where certified.
 
-    With Q from ``_range_basis`` and B = Q^dag x Q, the residual
-    rho = ||x - Q B Q^dag||_F bounds how far every eigenvalue of x lies from
-    the spectrum of Q B Q^dag (eig(B) and f - r zeros).  If rho is below the
-    rank threshold and every |eig(B)| exceeds threshold + rho, then x has
-    exactly r eigenvalues above the threshold in magnitude, with the signs of
-    eig(B), and the dense route would reach the same verdict.  The threshold
-    scales with ||x||, known from max|eig(B)| only to within rho, so both
-    bounds take the unfavorable end.  Returns (basis, restricted, rho, found,
-    threshold, certified) per element, ``found`` the (p, q) counts.
+    B = Q^dag x Q, and rho = ||x - Q B Q^dag||_F takes one more blocked pass.
     """
     frame, rows, ok = _range_basis(x, p + q)
-    b = np.where(ok[..., None, None], rows @ frame, 0.0)
-    vals, vecs = np.linalg.eigh(hermitize(b))
+    b = rows @ frame
     # x - Q B Q^dag = (1 - P) x + Q (Q^dag x)(1 - P), orthogonal in Frobenius
     outside2 = np.zeros(x.shape[:-2])
     for top in range(0, x.shape[-2], BLOCK_ROWS):
@@ -128,22 +122,72 @@ def _split_from_range(x: np.ndarray, p: int, q: int):
         np.subtract(x[..., top:top + BLOCK_ROWS, :], part, out=part)
         outside2 += _frobenius2(part)
     rho = np.hypot(np.sqrt(outside2), _frobenius(rows - b @ _adjoint(frame)))
+    return _certified_split(frame, b, ok, lambda *_: rho)
+
+
+def _split_from_factor(w: np.ndarray, g: np.ndarray):
+    """Split each x = ``local_correlation(W, G)`` from W alone, where certified.
+
+    W^dag = Q R gives B = -R G R^dag at O(f r^2), reading no entry of x.
+    rho is ||-W^dag G W - V X V^dag||_F, read from [W^dag, V] by
+    ``frame_form``, plus gamma_13 ||G||_F ||W||_F^2 for the rounding of x:
+    (W^dag G) W is two complex products of inner dimension 4, each within
+    gamma_6 (gamma_{n+2} for complex data), so within gamma_12 |W|^T |G| |W|
+    entrywise; the Hermitian part 0.5 ((-a) - conj(b)) rounds once more
+    (negation, conjugation and halving are exact), which gives gamma_13.
+    """
+    frame, r = np.linalg.qr(_adjoint(w))
+    b = -(r @ g @ _adjoint(r))
+    nu = 13 * np.finfo(float).eps / 2
+    def residual(basis, restricted):
+        core = frame_form(_adjoint(w), g, basis, restricted)
+        return _frobenius(core) + nu / (1 - nu) * (
+            _frobenius(g) * _frobenius(w) ** 2)
+    return _certified_split(frame, b, np.isfinite(b).all(axis=(-2, -1)),
+                            residual)
+
+
+def frame_form(a, a_gram, b, b_gram) -> np.ndarray:
+    """a A a^dag + b B b^dag, with its norms, as T1 A T1^dag + T2 B T2^dag.
+
+    [a, b] = Q [T1 T2] with orthonormal Q, at O(f r^2).
+    """
+    t1, t2 = np.split(np.linalg.qr(np.concatenate([a, b], axis=-1), mode="r"),
+                      [a.shape[-1]], axis=-1)
+    return t1 @ a_gram @ _adjoint(t1) + t2 @ b_gram @ _adjoint(t2)
+
+
+def _certified_split(frame, b, ok, residual):
+    """The image split from an f x r frame Q and B = Q^dag x Q, certified.
+
+    rho = ``residual(basis, restricted)`` >= ||x - V X V^dag||_F, so every
+    eigenvalue of x lies within rho of eig(B) or of 0.  If rho is below the
+    rank threshold and every |eig(B)| exceeds threshold + rho, x has exactly
+    r eigenvalues above it, with the signs of eig(B): the dense verdict.
+    The threshold scales with ||x||, known from max|eig(B)| only to within
+    rho, so both bounds take the unfavorable end.  Returns (basis,
+    restricted, rho, found, threshold, certified) per element, ``found`` the
+    (p, q) counts; an element that is not ``ok`` is never certified.
+    """
+    b = np.where(ok[..., None, None], b, 0.0)
+    vals, vecs = np.linalg.eigh(hermitize(b))
+    basis = _fix_column_phases(frame @ vecs[..., ::-1])
+    coeffs = _adjoint(frame) @ basis
+    restricted = hermitize(_adjoint(coeffs) @ b @ coeffs)
+    rho = residual(basis, restricted)
     scale = np.max(np.abs(vals), axis=-1)
     tol_low = TOL_RANK_FACTOR * np.maximum(scale - rho, 1e-300)
     tol_high = TOL_RANK_FACTOR * np.maximum(scale + rho, 1e-300)
     certified = (ok & (rho < tol_low)
                  & (np.min(np.abs(vals), axis=-1) > tol_high + rho))
-    basis = _fix_column_phases(frame @ vecs[..., ::-1])
-    coeffs = _adjoint(frame) @ basis
-    return (basis, hermitize(_adjoint(coeffs) @ b @ coeffs), rho,
-            _counts(vals, 0.0), TOL_RANK_FACTOR * np.maximum(scale, 1e-300),
-            certified)
+    return (basis, restricted, rho, _counts(vals, 0.0),
+            TOL_RANK_FACTOR * np.maximum(scale, 1e-300), certified)
 
 
 def _split_dense(x: np.ndarray, p: int, q: int):
     """Split each x by a full f x f eigendecomposition.
 
-    Returns what ``_split_from_range`` does, every element decided and rho
+    Returns what ``_certified_split`` does, every element decided and rho
     the norm of the dropped eigenvalues; the basis is meaningful only where
     ``found`` is (p, q).
     """
@@ -173,25 +217,30 @@ def split_by_image(x: np.ndarray, p: int, q: int) -> ImageSplit:
     ``x`` may be a stack of operators, split element by element.  Raises
     NotRegular when the counts of eigenvalues above +tol / below -tol
     differ from (p, q); every other eigenvalue is discarded as numerically
-    zero.  The threshold is ``TOL_RANK_FACTOR`` times ||x||.  The
-    image comes from an f x (p+q) range basis at O(f^2 (p+q)) cost; a full
-    eigendecomposition runs only for an element whose residual certificate
-    cannot decide.
+    zero.  The threshold is ``TOL_RANK_FACTOR`` times ||x||.  Three routes
+    reach the same verdict, each element taking the first that certifies
+    it: an x that keeps a factor (W, G) with p + q rows is split from W
+    alone at O(f (p+q)^2), reading no entry of x; any x from an f x (p+q)
+    range basis at O(f^2 (p+q)); and a full eigendecomposition decides what
+    is left.
     """
+    factor = getattr(x, "factor", None)
     x = np.asarray(x, dtype=complex)
-    # with no range basis every element takes the dense route
-    route = _split_from_range if 0 < p + q <= x.shape[-1] else _split_dense
-    basis, restricted, discarded, found, tol_rank, done = map(
-        np.asarray, route(x, p, q))
-    rest = ~done
-    if rest.any():   # a 0-d mask indexes a lone x as a stack of one
-        dense = _split_dense(x[rest], p, q)
-        found[rest], tol_rank[rest] = dense[3], dense[4]
+    ranged = 0 < p + q <= x.shape[-1]   # else there is no range basis
+    routes = [_split_from_range, _split_dense] if ranged else [_split_dense]
+    if ranged and factor is not None and factor[0].shape[-2] == p + q:
+        routes.insert(0, lambda *_: _split_from_factor(*factor))
+    split = list(map(np.asarray, routes[0](x, p, q)))
+    for route in routes[1:]:   # each element takes the first that certifies
+        rest = ~split[5]
+        if rest.any():   # a 0-d mask indexes a lone x as a stack of one
+            part = route(x if rest.all() else x[rest], p, q)   # no copy
+            for field, value in zip(split, part):
+                field[rest] = value
+    basis, restricted, discarded, found, tol_rank, _ = split
     _refuse(np.any(found != (p, q), axis=-1), NotRegular,
             "expected signature ({}, {}), found ({}, {}) at threshold {:.3g}",
             p, q, found[..., 0], found[..., 1], tol_rank)
-    if rest.any():
-        basis[rest], restricted[rest], discarded[rest] = dense[:3]
     return ImageSplit(operator=x, basis=basis, restricted=restricted,
                       discarded=discarded, signature=(p, q))
 
@@ -216,23 +265,44 @@ def spin_space(x, n: int) -> ImageSplit:
     return as_split(x, n, n)
 
 
+class FactoredOperator(np.ndarray):
+    """A read-only operator x = hermitize(-W^dag G W) that keeps (W, G).
+
+    ``factor`` holds the r x f wave values W and the r x r Gram G (stacked
+    alike for a stack of x); ``split_by_image`` reads them instead of x.
+    Views, copies, arithmetic results and ``np.asarray(x)`` keep no factor.
+    """
+
+    def __new__(cls, x: np.ndarray, w: np.ndarray, g: np.ndarray):
+        self = np.asarray(x).view(cls)
+        self.factor = (w, g)
+        self.flags.writeable = False
+        return self
+
+    def __array_finalize__(self, obj):
+        self.factor = None
+
+
 def local_correlation(wave_values: np.ndarray,
-                      spinor_gram: np.ndarray) -> np.ndarray:
+                      spinor_gram: np.ndarray) -> FactoredOperator:
     """Correlation operator of an ensemble of wave values at one point.
 
     ``wave_values`` has one column per basis vector of the ensemble (assumed
     orthonormal); entry (i, j) of the result is minus the indefinite inner
     product of values i and j, giving a Hermitian matrix: ``hermitize``'s
     formula, applied in place to one row block and its column block at a time.
+    The result is read-only and keeps copies of its factor (W, G), from
+    which ``split_by_image`` splits it without reading its f x f entries.
     """
-    w = np.asarray(wave_values, dtype=complex)
-    x = w.conj().T @ np.asarray(spinor_gram, dtype=complex) @ w
+    w = np.array(wave_values, dtype=complex)
+    g = np.array(spinor_gram, dtype=complex)
+    x = w.conj().T @ g @ w
     for i in range(0, len(x), BLOCK_ROWS):  # (-a) - b^dag == (-a) + (-b)^dag
         j = i + BLOCK_ROWS
         rows, cols = x[i:j, i:], x[i:, i:j].T.copy()
         x[j:, i:j] = (0.5 * (-cols[:, j - i:] - rows[:, j - i:].conj())).T
         rows[...] = 0.5 * (-rows - cols.conj())
-    return x
+    return FactoredOperator(x, w, g)
 
 
 def wave_evaluation(sp: ImageSplit) -> np.ndarray:

@@ -260,7 +260,8 @@ def build_correlation_map(cfg: DiracBoxConfig, points) -> list[np.ndarray]:
 
     F(x)_ij = -psi_i(x)^dag gamma^0 psi_j(x) over the ordered mode basis;
     every F(x) is Hermitian of rank 4 and signature (2, 2) once at least two
-    momenta are occupied.  Raises TooFewModes when dim H < 4 and TooManyModes
+    momenta are occupied, and keeps its wave values, from which
+    ``split_by_image`` splits it without reading its f x f entries.  Raises TooFewModes when dim H < 4 and TooManyModes
     when one dense operator would take over MAX_DENSE_BYTES.
     """
     f = mode_count(cfg)

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import krein as _krein
-from .correlation import (ImageSplit, _adjoint, as_split, hermitize, kernel,
-                          wave_evaluation)
+from .correlation import (FactoredOperator, ImageSplit, _adjoint, as_split,
+                          frame_form, hermitize, kernel, wave_evaluation)
 from .errors import (NotInvertible, OutOfChartDomain, OutOfConvergenceRadius,
                      TooFarFromBase)
 from .krein import RADIUS_SERIES, _frobenius, _refuse, opnorm
@@ -208,11 +208,15 @@ def _as_stacked_split(points, base: ImageSplit) -> ImageSplit:
     """The stacked split of a sequence or stack of points.
 
     A single operator in a sequence becomes a view with a stack axis, so a
-    large one is not copied.
+    large one is not copied.  When every operator keeps its factor (W, G),
+    the stack keeps the stacked factors, so the split need not read it.
     """
     if not isinstance(points, (ImageSplit, np.ndarray)):
+        factors = [getattr(x, "factor", None) for x in points]
         points = (np.asarray(points[0])[None] if len(points) == 1
                   else np.stack(points))
+        if all(factor is not None for factor in factors):
+            points = FactoredOperator(points, *map(np.stack, zip(*factors)))
     return as_split(points, *base.signature)
 
 
@@ -252,17 +256,14 @@ def condition_residual_bound(split_y: ImageSplit, value: np.ndarray,
     """Upper bound on ||y + value^dag gram value|| at O(f r^2) cost.
 
     With V the image basis of y, X its compression and E = y - V X V^dag
-    the part the split dropped, the residual is M D M^dag + E, where
-    M = [V, value^dag] and D = diag(X, gram).  M = Q [T1 T2] with Q of
-    orthonormal columns, so ||M D M^dag|| = ||T1 X T1^dag + T2 gram T2^dag||
-    exactly, and ||E|| <= ||E||_F is the split's ``discarded``.  Forming the
+    the part the split dropped, the residual is V X V^dag + value^dag gram
+    value + E: ``frame_form`` gives the norm of the first two terms exactly,
+    and ||E|| <= ||E||_F is the split's ``discarded``.  Forming the
     dense residual rounds it by at most gamma_{2r+1} (||X||_F + ``discarded``
     + ||gram||_F ||value||_F^2), which is added too.  For a stacked split and
     stacked values it returns one bound per element.
     """
-    m = np.concatenate([split_y.basis, _adjoint(value)], axis=-1)
-    t1, t2 = np.split(np.linalg.qr(m, mode="r"), [split_y.rank], axis=-1)
-    core = t1 @ split_y.restricted @ _adjoint(t1) + t2 @ gram @ _adjoint(t2)
+    core = frame_form(split_y.basis, split_y.restricted, _adjoint(value), gram)
     nu = (2 * split_y.rank + 1) * np.finfo(float).eps / 2
     return opnorm(core) + split_y.discarded + nu / (1.0 - nu) * (
         _frobenius(split_y.restricted) + split_y.discarded

@@ -15,7 +15,8 @@ from cfsgauge.dirac_box import (SPINOR_GRAM, DiracBoxConfig,
 from cfsgauge.errors import NotRegular
 from cfsgauge.krein import opnorm
 from cfsgauge.randoms import random_complex, random_correlation
-from cfsgauge.wave_charts import WaveChartPoint, realize
+from cfsgauge.wave_charts import (WaveChartPoint, build_gauge,
+                                  charts_coincide_check, realize)
 
 
 def diag_operator(values, f):
@@ -136,9 +137,16 @@ def assert_matches_dense(x, p, q):
                                np.zeros((f, p + q)), rtol=0, atol=1e-12)
 
 
+#: box masses, each with the factored operator ``build_correlation_map``
+#: returns (ids as before) and with its plain view ``np.asarray(x)``
+FACTORED_OR_PLAIN = pytest.mark.parametrize(
+    "m, view", [(0.0, None), (0.3, None), (0.0, np.asarray), (0.3, np.asarray)],
+    ids=["0.0", "0.3", "0.0-plain", "0.3-plain"])
+
+
 class TestSplitParity:
-    @pytest.mark.parametrize("m", [0.0, 0.3])
-    def test_box_operators_use_range_basis(self, m, decompositions):
+    @FACTORED_OR_PLAIN
+    def test_box_operators_use_range_basis(self, m, view, decompositions):
         # f = 160 modes at m = 0, 162 at m = 0.3 (the zero mode is added)
         cfg = DiracBoxConfig(L=math.pi, eps=0.4, m=m)
         points = [cfg.point(0.0, (0.0, 0.0, 0.0)),
@@ -147,6 +155,7 @@ class TestSplitParity:
         operators = build_correlation_map(cfg, points)
         assert operators[0].shape[0] == (160 if m == 0.0 else 162)
         for x in operators:
+            x = x if view is None else view(x)
             decompositions.clear()
             split = split_by_image(x, 2, 2)
             assert all(min(shape) <= 4 for shape in decompositions)
@@ -219,11 +228,12 @@ class TestDiscarded:
                 if size:
                     assert split.discarded >= 0.5 * size * opnorm(x)
 
-    @pytest.mark.parametrize("m", [0.0, 0.3])
-    def test_box_operators(self, m):
+    @FACTORED_OR_PLAIN
+    def test_box_operators(self, m, view):
         cfg = DiracBoxConfig(L=math.pi, eps=0.4, m=m)
         for x in build_correlation_map(cfg, [cfg.point(0.0, (0.0, 0.0, 0.0)),
                                              cfg.point(0.2, (0.4, -0.8, 1.1))]):
+            x = x if view is None else view(x)
             split = split_by_image(x, 2, 2)
             assert abs(split.discarded - dense_discarded(split, x)) <= (
                 1e-13 * np.linalg.norm(x))
@@ -247,19 +257,21 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
+@pytest.fixture(scope="module", params=[(0.4, 0.0), (0.4, 0.3),
+                                        (0.2, 0.0), (0.2, 0.3)],
+                ids=["f160", "f162", "f968", "f970"])
+def box(request):
+    """Config, three points and their factored F at f = 160/162/968/970."""
+    eps, m = request.param
+    cfg = DiracBoxConfig(L=math.pi, eps=eps, m=m)
+    points = [cfg.point(0.0, (0.0, 0.0, 0.0)),
+              cfg.point(0.1, (0.1, -0.05, 0.0)),
+              cfg.point(-0.05, (0.0, 0.12, 0.08))]
+    return cfg, points, build_correlation_map(cfg, points)
+
+
 class TestDensePasses:
     """The dense route writes into F itself or into row blocks of it."""
-
-    @pytest.fixture(scope="class", params=[(0.4, 0.0), (0.4, 0.3),
-                                           (0.2, 0.0), (0.2, 0.3)],
-                    ids=["f160", "f162", "f968", "f970"])
-    def box(self, request):
-        eps, m = request.param
-        cfg = DiracBoxConfig(L=math.pi, eps=eps, m=m)
-        points = [cfg.point(0.0, (0.0, 0.0, 0.0)),
-                  cfg.point(0.1, (0.1, -0.05, 0.0)),
-                  cfg.point(-0.05, (0.0, 0.12, 0.08))]
-        return cfg, points, build_correlation_map(cfg, points)
 
     def test_local_correlation_is_the_hermitian_part(self, box):
         cfg, points, _ = box
@@ -275,7 +287,7 @@ class TestDensePasses:
 
     def test_blocked_residual_matches_the_whole_array(self, box):
         _, _, operators = box
-        for x in operators:
+        for x in map(np.asarray, operators):   # the range route, not the factor
             frame, rows, ok = correlation._range_basis(x, 4)
             b = rows @ frame
             whole = np.hypot(np.linalg.norm(x - frame @ rows),
@@ -321,6 +333,122 @@ class TestDensePasses:
         assert traced_peak(lambda: build_correlation_map(cfg, point)) <= (
             1.25 * one)
         assert traced_peak(lambda: split_by_image(x, 2, 2)) <= 0.25 * one
+
+
+class TestFactorRoute:
+    """A box F that keeps its factor (W, G) is split from W, not from F."""
+
+    def test_agrees_with_range_and_dense_routes(self, box):
+        _, _, operators = box
+        for x in operators:
+            split = split_by_image(x, 2, 2)
+            by_range = split_by_image(np.asarray(x), 2, 2)
+            projector, spectrum = dense_split(np.asarray(x), 2, 2)
+            scale = np.max(np.abs(spectrum))
+            for other in (by_range.basis @ by_range.basis.conj().T, projector):
+                np.testing.assert_allclose(
+                    split.basis @ split.basis.conj().T, other, rtol=0,
+                    atol=1e-12)
+            for other in (np.linalg.eigvalsh(by_range.restricted), spectrum):
+                np.testing.assert_allclose(np.linalg.eigvalsh(split.restricted),
+                                           other, rtol=0, atol=1e-12 * scale)
+            # a wrong signature of the right rank: both routes decide it
+            for p, q in ((3, 1), (1, 3)):
+                for operator in (x, np.asarray(x)):
+                    with pytest.raises(NotRegular, match=r"found \(2, 2\)"):
+                        split_by_image(operator, p, q)
+
+    def test_discarded_bounds_the_dense_residual(self, box):
+        _, _, operators = box
+        for x in operators:
+            split = split_by_image(x, 2, 2)
+            dense = dense_discarded(split, np.asarray(x))
+            assert dense <= split.discarded <= 50 * dense
+
+    def test_views_copies_and_results_drop_the_factor(self, box):
+        _, _, operators = box
+        x = operators[0]
+        assert x.factor is not None
+        for derived in (x.copy(), x[None], x + 0, np.asarray(x), x.T, x[:2]):
+            assert getattr(derived, "factor", None) is None
+
+    def test_read_only(self, box):
+        _, _, operators = box
+        x = operators[0]
+        with pytest.raises(ValueError):
+            x[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            x += 0.0
+
+    def test_wrong_rank_still_rejected(self, box):
+        _, _, operators = box
+        with pytest.raises(NotRegular):
+            spin_space(operators[1], 1)
+
+
+def nan_entries(x):
+    """An operator with x's factor and all-NaN dense entries."""
+    dense = np.full(x.shape, np.nan, dtype=complex)
+    dense = dense.view(correlation.FactoredOperator)
+    dense.factor = x.factor
+    return dense
+
+
+class TestNoDensePass:
+    """Nothing on the factor route reads an f x f entry of F."""
+
+    def test_all_nan_entries_split_and_gauge_as_the_real_operator(self, box):
+        _, _, (x0, *operators) = box
+        base = spin_space(x0, 2)
+        blind = [nan_entries(x) for x in operators]
+        for x, y in zip(operators, blind):
+            for split, same in ((split_by_image(y, 2, 2),
+                                 split_by_image(x, 2, 2)),
+                                (spin_space(y, 2), spin_space(x, 2))):
+                for field in ("basis", "restricted", "discarded"):
+                    assert np.all(np.isfinite(getattr(split, field)))
+                    np.testing.assert_array_equal(getattr(split, field),
+                                                  getattr(same, field))
+        for points, same in (([blind[0]], [operators[0]]), (blind, operators)):
+            gauge, real = build_gauge(base, points), build_gauge(base, same)
+            assert np.all(np.isfinite(gauge.values))
+            np.testing.assert_array_equal(gauge.values, real.values)
+            assert gauge.condition_residuals == real.condition_residuals
+            deviation = charts_coincide_check(base, points).max_deviation
+            assert np.isfinite(deviation)
+            assert deviation == charts_coincide_check(base, same).max_deviation
+
+    @pytest.mark.parametrize("m", [0.0, 0.3])
+    def test_split_peak_stays_small(self, m):
+        cfg = DiracBoxConfig(L=math.pi, eps=0.2, m=m)
+        y = nan_entries(build_correlation_map(cfg, [cfg.point(0.1, (0.1, -0.05, 0.0))])[0])
+        assert y.shape[0] >= 968
+        assert traced_peak(lambda: split_by_image(y, 2, 2)) < 1e6
+
+
+class TestHermitize:
+    def test_bit_identical_to_the_whole_array_formula(self):
+        rng = np.random.default_rng(70)
+        for a in (random_complex(rng, 7, 7), random_complex(rng, 3, 5, 5),
+                  rng.standard_normal((6, 6))):
+            reference = 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
+            out = correlation.hermitize(a)
+            assert out.dtype == reference.dtype
+            np.testing.assert_array_equal(out.view(np.uint64),
+                                          reference.view(np.uint64))
+
+    def test_dense_fallback_peak(self):
+        # a rank-3 operator at f = 968: the range certificate refuses it and
+        # the dense route decides, with one f x f buffer for hermitize
+        f = 968
+        rng = np.random.default_rng(71)
+        v = np.linalg.qr(random_complex(rng, f, 3))[0]
+        x = correlation.hermitize((v * [1.0, -1.0, 0.5]) @ v.conj().T)
+
+        def split():
+            with pytest.raises(NotRegular, match=r"found \(2, 1\)"):
+                split_by_image(x, 2, 2)
+        assert traced_peak(split) <= 2.1 * 16 * f * f
 
 
 class TestWaveEvaluation:
