@@ -421,7 +421,8 @@ class TestNoDensePass:
     @pytest.mark.parametrize("m", [0.0, 0.3])
     def test_split_peak_stays_small(self, m):
         cfg = DiracBoxConfig(L=math.pi, eps=0.2, m=m)
-        y = nan_entries(build_correlation_map(cfg, [cfg.point(0.1, (0.1, -0.05, 0.0))])[0])
+        point = cfg.point(0.1, (0.1, -0.05, 0.0))
+        y = nan_entries(build_correlation_map(cfg, [point])[0])
         assert y.shape[0] >= 968
         assert traced_peak(lambda: split_by_image(y, 2, 2)) < 1e6
 
