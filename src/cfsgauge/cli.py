@@ -523,7 +523,7 @@ def task_perturb(config: ExperimentConfig):
     for start in range(0, len(grid), block):
         points = grid[start:start + block]
         w = wave_value_matrix(box, points)
-        phases = np.array([lam(point) for point in points])[:, None, None]
+        phases = lam(points)[:, None, None]
         expected = np.exp(-1j * phases) * pt.mixed_kernel(w, w)
         worst_mixed = np.maximum(worst_mixed, max_opnorm(
             pt.mixed_kernel(w, np.exp(1j * phases) * w) - expected))

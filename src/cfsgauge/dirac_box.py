@@ -167,7 +167,7 @@ def _lattice_extent(cfg: DiracBoxConfig) -> tuple[float, float, int]:
 
 @functools.lru_cache(maxsize=8)
 def _lattice(cfg: DiracBoxConfig) -> tuple[np.ndarray, ...]:
-    """Momenta (n, k, omega) of ``momentum_modes``, read-only; no spinors."""
+    """Momenta (n, k, omega), ``_phases`` and mode-sum tables; read-only."""
     step, cutoff_sq, nmax = _lattice_extent(cfg)
     if cutoff_sq <= 0.0:
         raise EmptyCutoff("energy cutoff lies below the mass gap")
@@ -181,15 +181,22 @@ def _lattice(cfg: DiracBoxConfig) -> tuple[np.ndarray, ...]:
     n, n_sq = n[keep][order], n_sq[keep][order]
     k = step * n
     omega = np.sqrt((step * step) * n_sq + cfg.m ** 2)
-    for array in (n, k, omega):
+    shells, shell = np.unique(omega, return_inverse=True)
+    freqs = np.concatenate([shells, *3 * [step * np.arange(-nmax, nmax + 1)]])
+    slots = np.repeat(np.arange(4), [len(shells)] + 3 * [2 * nmax + 1])
+    index = np.vstack([shell, (n + nmax).T + len(shells)
+                       + (2 * nmax + 1) * np.arange(3)[:, None]])
+    weights = (np.column_stack([-omega, k, np.ones_like(omega)])
+               / (4.0 * math.pi * omega)[:, None])
+    for array in (n, k, omega, freqs, slots, index, weights):
         array.setflags(write=False)
-    return n, k, omega
+    return n, k, omega, freqs, slots, index, weights
 
 
 @functools.lru_cache(maxsize=8)
 def _sea_table(cfg: DiracBoxConfig) -> tuple[np.ndarray, ...]:
     """``_lattice`` plus the 4 x 2N wave values at the origin, read-only."""
-    n, k, omega = _lattice(cfg)
+    n, k, omega = _lattice(cfg)[:3]
     scale = 1.0 / math.sqrt(2.0 * math.pi * (2.0 * cfg.L) ** 3)
     spin = (scale * _sea_spinor_table(k, omega, cfg.m)).transpose(1, 0, 2)
     spin = spin.reshape(4, -1)
@@ -210,7 +217,7 @@ def momentum_modes(cfg: DiracBoxConfig) -> list[MomentumMode]:
     excluded.  Ordering is lexicographic in (|k|^2, k1, k2, k3, a).  Raises
     EmptyCutoff when no mode satisfies the bound.
     """
-    n, k, omega = _lattice(cfg)
+    n, k, omega = _lattice(cfg)[:3]
     return [MomentumMode(n_vec=tuple(n_i), k_vec=tuple(k_i), omega=w, a=a)
             for n_i, k_i, w in zip(n.tolist(), k.tolist(), omega.tolist())
             for a in (1, 2)]
@@ -232,13 +239,20 @@ def _sea_spinor_table(k: np.ndarray, omega: np.ndarray, m: float) -> np.ndarray:
     return _fix_column_phases(vecs[..., :2])
 
 
-def _phases(k: np.ndarray, omega, point) -> np.ndarray:
-    """exp(-i k x), k x = -omega t - k_vec . x_vec, per momentum (and point)."""
-    t, x_vec = ((point.t, point.x_vec) if isinstance(point, SpacetimePoint)
-                else (np.array([p.t for p in point])[:, None],
-                      np.array([p.x_vec for p in point]).T[..., None]))
-    kx = -omega * t - sum(k[..., i] * c for i, c in enumerate(x_vec))
-    return np.exp(-1j * kx)
+def _coordinates(point) -> np.ndarray:
+    """(t, x1, x2, x3) of a point, or an n x 4 array of them for a stack."""
+    if isinstance(point, SpacetimePoint):
+        return np.array([point.t, *point.x_vec], dtype=float)
+    return np.array([(p.t, *p.x_vec) for p in point], dtype=float).reshape(-1, 4)
+
+
+def _phases(cfg: DiracBoxConfig, coords: np.ndarray) -> np.ndarray:
+    """exp(-i k x) per mode at (..., 4) coordinates, as exp(i omega t) prod_i
+    exp(i k_i x_i): one exponential per omega shell and per axis coordinate."""
+    freqs, slots, index = _lattice(cfg)[3:6]
+    table = np.exp(1j * (coords[..., slots] * freqs))
+    return (table[..., index[0]] * table[..., index[1]] * table[..., index[2]]
+            * table[..., index[3]])
 
 
 def wave_value_matrix(cfg: DiracBoxConfig, point) -> np.ndarray:
@@ -250,9 +264,9 @@ def wave_value_matrix(cfg: DiracBoxConfig, point) -> np.ndarray:
     solution scalar product; any other orthonormal basis of the same
     eigenspaces gives a unitarily equivalent ensemble.
     """
-    _, k, omega, spin = _sea_table(cfg)
+    phases = _phases(cfg, _coordinates(point))
     # phase first: numpy's complex product rounds differently per operand order
-    return np.repeat(_phases(k, omega, point), 2, axis=-1)[..., None, :] * spin
+    return np.repeat(phases, 2, axis=-1)[..., None, :] * _sea_table(cfg)[3]
 
 
 def build_correlation_map(cfg: DiracBoxConfig, points) -> list[np.ndarray]:
@@ -279,15 +293,14 @@ def kernel_mode_sum(cfg: DiracBoxConfig, x: SpacetimePoint,
     """Two-point kernel of the sea ensemble as an explicit mode sum.
 
     (2L)^{-3} sum_k (4 pi omega)^{-1} exp(-i k (x - y)) (kslash + m) over the
-    occupied lattice momenta, with k = (-omega, k_vec).  Agrees with the
-    bra/ket sum over the basis waves.  Linear in kslash, so it takes three
-    contractions of the weights c_k: with omega, with k_vec, and their sum.
+    occupied lattice momenta, with k = (-omega, k_vec); x - y is not reduced.
+    Agrees with the bra/ket sum.  One real product of the phases with the
+    weights [-omega, k_vec, 1] / (4 pi omega) gives all five sums.
     """
-    _, k, omega = _lattice(cfg)
-    diff = SpacetimePoint(t=x.t - y.t, x_vec=tuple(np.subtract(x.x_vec, y.x_vec)))
-    c = _phases(k, omega, diff) / (4.0 * math.pi * omega)
-    total = (slash(np.concatenate([[-(c @ omega)], c @ k]))
-             + cfg.m * np.sum(c) * np.eye(4))
+    phases = _phases(cfg, _coordinates(x) - _coordinates(y))
+    re, im = phases.view(float).reshape(-1, 2).T @ _lattice(cfg)[6]
+    c = re + 1j * im   # the four-vector of kslash, then the sum for m
+    total = slash(c[:4]) + cfg.m * c[4] * np.eye(4)
     return total / (2.0 * cfg.L) ** 3
 
 

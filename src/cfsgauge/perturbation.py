@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dirac_box import (SPINOR_GRAM, DiracBoxConfig, SpacetimePoint,
-                        kernel_mode_sum, mixed_kernel, wave_value_matrix)
+                        _coordinates, kernel_mode_sum, mixed_kernel,
+                        wave_value_matrix)
 from .krein import KreinSpace, opnorm
 from .wave_charts import connecting_unitary
 
@@ -42,11 +43,12 @@ class GaugeFunction:
     terms: np.ndarray
     L: float
 
-    def __call__(self, point: SpacetimePoint):
-        """Value at ``point``: a float, or an array over the stack axes."""
-        terms = self.terms
-        spatial = (math.pi / self.L) * (terms[..., 1:4] @ point.x_vec)
-        argument = spatial - terms[..., 4] * point.t + terms[..., 5]
+    def __call__(self, point):
+        """Values over the stack axes, then over the points of a stack."""
+        coords = _coordinates(point)
+        terms = self.terms if coords.ndim == 1 else self.terms[..., None, :, :]
+        spatial = (math.pi / self.L) * (terms[..., 1:4] @ coords[..., 1:, None])
+        argument = spatial[..., 0] - terms[..., 4] * coords[..., :1] + terms[..., 5]
         return np.sum(terms[..., 0] * np.cos(argument), axis=-1)
 
     def shifted_to_vanish_at(self, point: SpacetimePoint) -> "GaugeFunction":

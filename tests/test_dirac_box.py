@@ -11,7 +11,8 @@ from cfsgauge.correlation import kernel, spin_space
 from cfsgauge.dirac_box import (ETA, GAMMA, MAX_DENSE_BYTES, MAX_L, MAX_MODES,
                                 MIN_LENGTH, MIN_MASS, SPINOR_GRAM,
                                 DiracBoxConfig, SpacetimePoint,
-                                _lattice, _sea_spinor_table, _sea_table,
+                                _coordinates, _lattice, _phases,
+                                _sea_spinor_table, _sea_table,
                                 build_correlation_map, kernel_braket_sum,
                                 kernel_mode_sum, mode_count, momentum_modes,
                                 momentum_points, slash, wave_value_matrix)
@@ -153,7 +154,7 @@ class TestChiSpinors:
 class TestSeaSpinors:
     def test_orthonormal_and_solve_dirac(self):
         for cfg in (CFG, CFG_MASSLESS):
-            _, k, omega = _lattice(cfg)
+            _, k, omega = _lattice(cfg)[:3]
             sea = _sea_spinor_table(k[:8], omega[:8], cfg.m)
             for mode, chi in zip(momentum_points(cfg), sea):
                 np.testing.assert_allclose(chi.conj().T @ chi, np.eye(2),
@@ -442,6 +443,102 @@ class TestSeaTableParity:
             for y in PARITY_POINTS:
                 assert relative_error(kernel_mode_sum(cfg, x, y),
                                       reference_kernel(cfg, x, y)) <= 1e-14
+
+
+def extended_phases(cfg, coords):
+    """exp(-i k x) per mode in extended precision, for the stored k and omega."""
+    _, k, omega = _lattice(cfg)[:3]
+    c = np.asarray(coords, dtype=np.longdouble)
+    kx = (-omega.astype(np.longdouble) * c[..., :1]
+          - sum(k[:, i].astype(np.longdouble) * c[..., i + 1:i + 2]
+                for i in range(3)))
+    return np.exp(-1j * kx.astype(np.clongdouble))
+
+
+def extended_kernel(cfg, x, y):
+    """The mode sum in extended precision, x - y not reduced into the box."""
+    _, k, omega = _lattice(cfg)[:3]
+    diff = (np.array([x.t, *x.x_vec], dtype=np.longdouble)
+            - np.array([y.t, *y.x_vec], dtype=np.longdouble))
+    c = extended_phases(cfg, diff) / (4 * np.pi * omega.astype(np.longdouble))
+    v = np.concatenate([[-(c @ omega.astype(np.longdouble))],
+                        c @ k.astype(np.longdouble)])
+    total = slash(v) + np.longdouble(cfg.m) * np.sum(c) * np.eye(4)
+    return total / (2 * np.longdouble(cfg.L)) ** 3
+
+
+@pytest.mark.parametrize("m", (0.0, 0.3, 1.0))
+@pytest.mark.parametrize("eps", (0.4, 0.2, 0.08), ids=("f160", "f970", "f16432"))
+class TestPhaseAccuracy:
+    """Phases and mode sums against an extended-precision reference.
+
+    One complex exponential per mode of the rounded k x errs by up to
+    1.8e-14 at f = 16432; the product of per-shell and per-axis factors stays
+    below 1e-14 at every cutoff of the sweep.
+    """
+
+    def points(self, cfg):
+        rng = np.random.default_rng(5)
+        coords = rng.uniform(-cfg.L, cfg.L, size=(20, 4))
+        return [SpacetimePoint(t=float(c[0]), x_vec=tuple(map(float, c[1:])))
+                for c in coords]
+
+    def test_phases(self, eps, m):
+        cfg = DiracBoxConfig(L=math.pi, eps=eps, m=m)
+        coords = _coordinates(self.points(cfg))
+        error = np.max(np.abs(_phases(cfg, coords) - extended_phases(cfg, coords)))
+        assert float(error) <= 1e-14
+
+    def test_mode_sum(self, eps, m):
+        cfg = DiracBoxConfig(L=math.pi, eps=eps, m=m)
+        points = self.points(cfg)
+        # the spatial difference of the last pair lies outside [-L, L)^3
+        pairs = [*zip(points[::2], points[1::2]),
+                 (SpacetimePoint(t=0.1, x_vec=(3.0, -3.0, 2.9)),
+                  SpacetimePoint(t=-0.2, x_vec=(-3.0, 3.1, -3.0)))]
+        for x, y in pairs:
+            reference = extended_kernel(cfg, x, y)
+            error = np.max(np.abs(kernel_mode_sum(cfg, x, y) - reference))
+            assert float(error / np.max(np.abs(reference))) <= 1e-14
+
+
+class TestPhaseTables:
+    """Exponentials per point: one per omega shell and per axis coordinate."""
+
+    CFG = DiracBoxConfig(L=math.pi, eps=0.08, m=0.0)
+    X = SpacetimePoint(t=0.7, x_vec=(0.3, -2.2, 1.9))
+    Y = SpacetimePoint(t=-0.4, x_vec=(-2.9, 1.0, 0.6))
+
+    def test_exponentials_per_point(self, monkeypatch):
+        n = np.array([mode.n_vec for mode in momentum_points(self.CFG)])
+        shells = len(np.unique(np.sum(n * n, axis=1)))
+        bound = shells + 3 * (2 * int(np.max(np.abs(n))) + 1)
+        assert bound <= 210 < mode_count(self.CFG) // 2 == 8216
+        wave_value_matrix(self.CFG, self.X)   # fill the caches first
+        counted = []
+        exp = np.exp
+
+        def counting_exp(z, *args, **kwargs):
+            counted.append(np.size(z))
+            return exp(z, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counting_exp)
+        for call, points in ((lambda: wave_value_matrix(self.CFG, self.X), 1),
+                             (lambda: kernel_mode_sum(self.CFG, self.X, self.Y), 1),
+                             (lambda: wave_value_matrix(self.CFG, [self.X] * 3), 3)):
+            counted.clear()
+            call()
+            assert 0 < sum(counted) <= points * bound
+
+    @pytest.mark.parametrize("m", (0.0, 0.3))
+    def test_empty_stack_and_nan_time(self, m):
+        cfg = DiracBoxConfig(L=math.pi, eps=0.4, m=m)
+        assert wave_value_matrix(cfg, []).shape == (0, 4, mode_count(cfg))
+        nan_time = SpacetimePoint(t=math.nan, x_vec=(0.1, 0.2, 0.3))
+        assert np.all(np.isnan(wave_value_matrix(cfg, nan_time)))
+        stacked = wave_value_matrix(cfg, [self.X, nan_time])
+        assert np.all(np.isnan(stacked[1])) and np.all(np.isfinite(stacked[0]))
+        assert np.all(np.isnan(kernel_mode_sum(cfg, nan_time, self.X)))
 
 
 class TestSeaTableCache:

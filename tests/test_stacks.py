@@ -262,6 +262,13 @@ class TestPerturbationStack:
         assert shifted.terms.shape == (2, 3, 4, 6)
         assert_matches_loop(shifted(Y).ravel(),
                             [g.shifted_to_vanish_at(X)(Y) for g in lone])
+        # a stack of points, as wave_value_matrix takes: bit-equal values
+        points = [X, Y, BOX.point(-0.4, (3.0, -2.9, 0.1))]
+        assert lam(points).shape == (2, 3, 3) and lam([]).shape == (2, 3, 0)
+        assert np.array_equal(lam(points),
+                              np.stack([lam(p) for p in points], axis=-1))
+        for g in lone:
+            assert np.array_equal(g(points), [g(p) for p in points])
         waves = wave_value_matrix(BOX, X)
         stacked = pt.apply_local_phase(waves, lam, X)
         assert stacked.shape == (2, 3, *waves.shape)
