@@ -37,10 +37,9 @@ from . import manifold as mf
 from . import perturbation as pt
 from . import randoms as rnd
 from . import wave_charts as wc
-from .correlation import spin_space
-from .dirac_box import (MAX_DENSE_BYTES, MIN_MASS, DiracBoxConfig,
-                        kernel_braket_sum, kernel_mode_sum, mode_count,
-                        wave_value_matrix)
+from .correlation import MAX_DENSE_BYTES, spin_space
+from .dirac_box import (MIN_MASS, DiracBoxConfig, kernel_braket_sum,
+                        kernel_mode_sum, mode_count, wave_value_matrix)
 from .errors import CfsGaugeError, ConfigError, TaskError, TooManyModes
 from .krein import KreinSpace, max_opnorm, opnorm
 

@@ -12,9 +12,9 @@ basis V and the compression X = V^dag x V, from which the spin space, the
 wave evaluation V^dag and the kernel P(x, y) = V_x^dag V_y X_y are all read
 at O(f r^2) cost.  Code that needs the orthogonal complement projects off
 the image with 1 - V V^dag; only ``manifold.chart_jacobian_rank`` builds a
-basis of it, the range basis of that projector.  A dense x is built with no
-f x f temporary and keeps its factor (W, G), from which it is split at
-O(f r^2); any other x is split in passes over row blocks of it.
+basis of it, the range basis of that projector.  A point given by its wave
+values W (x = -W^dag G W) is split from W alone at O(f r^2), with no f x f
+array; a dense x is split in passes over row blocks of it.
 """
 
 from __future__ import annotations
@@ -24,12 +24,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NotRegular
+from .errors import NotRegular, TooManyModes
 from .krein import KreinSpace, _frobenius, _frobenius2, _refuse
 
 #: relative threshold separating genuine eigenvalues from numerical zeros
 TOL_RANK_FACTOR = 1e-8
 BLOCK_ROWS = 32  #: rows per cache-sized block of a dense f x f pass
+#: cap on 16 f^2, the bytes of one dense complex f x f correlation operator
+MAX_DENSE_BYTES = 1 << 30  # f <= 8192
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -56,15 +58,15 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
 class ImageSplit:
     """A regular point: the image of x and the compression of x onto it.
 
-    ``basis`` holds eigenvectors of the p+q nonzero eigenvalues (descending
-    eigenvalue order, phases fixed deterministically) and ``restricted`` the
-    compression X = basis^dag x basis, and ``discarded`` the dropped part
-    ||x - basis X basis^dag||_F.  ``krein`` is the spin space, the image with
-    Gram matrix -X, built on first use.  For a stack of operators every
-    field has the same leading stack axes.
+    ``operator`` is the dense x, or None where none was read; ``basis``
+    holds eigenvectors of the p+q nonzero eigenvalues (descending order,
+    phases fixed deterministically), ``restricted`` the compression
+    X = basis^dag x basis and ``discarded`` ||x - basis X basis^dag||_F.
+    ``krein`` is the spin space, the image with Gram matrix -X, built on
+    first use.  For a stack every field has the same leading stack axes.
     """
 
-    operator: np.ndarray
+    operator: np.ndarray | None
     basis: np.ndarray
     restricted: np.ndarray
     discarded: np.ndarray
@@ -217,19 +219,14 @@ def split_by_image(x: np.ndarray, p: int, q: int) -> ImageSplit:
     ``x`` may be a stack of operators, split element by element.  Raises
     NotRegular when the counts of eigenvalues above +tol / below -tol
     differ from (p, q); every other eigenvalue is discarded as numerically
-    zero.  The threshold is ``TOL_RANK_FACTOR`` times ||x||.  Three routes
+    zero.  The threshold is ``TOL_RANK_FACTOR`` times ||x||.  Two routes
     reach the same verdict, each element taking the first that certifies
-    it: an x that keeps a factor (W, G) with p + q rows is split from W
-    alone at O(f (p+q)^2), reading no entry of x; any x from an f x (p+q)
-    range basis at O(f^2 (p+q)); and a full eigendecomposition decides what
-    is left.
+    it: an f x (p+q) range basis at O(f^2 (p+q)), and a full
+    eigendecomposition for what is left.
     """
-    factor = getattr(x, "factor", None)
     x = np.asarray(x, dtype=complex)
     ranged = 0 < p + q <= x.shape[-1]   # else there is no range basis
     routes = [_split_from_range, _split_dense] if ranged else [_split_dense]
-    if ranged and factor is not None and factor[0].shape[-2] == p + q:
-        routes.insert(0, lambda *_: _split_from_factor(*factor))
     split = list(map(np.asarray, routes[0](x, p, q)))
     for route in routes[1:]:   # each element takes the first that certifies
         rest = ~split[5]
@@ -237,11 +234,31 @@ def split_by_image(x: np.ndarray, p: int, q: int) -> ImageSplit:
             part = route(x if rest.all() else x[rest], p, q)   # no copy
             for field, value in zip(split, part):
                 field[rest] = value
+    return _decided_split(split, p, q, x)
+
+
+def split_wave_values(w, g, p: int, q: int) -> ImageSplit:
+    """The split of x = ``local_correlation(w, g)`` for one r x f ``w``.
+
+    Where r = p + q and the certificate of ``_split_from_factor`` decides,
+    it reads w alone at O(f r^2).  Otherwise x is rendered and
+    ``split_by_image`` decides, so the verdict is the dense one.
+    """
+    if np.shape(w)[-2] == p + q:
+        split = _split_from_factor(np.asarray(w, dtype=complex),
+                                   np.asarray(g, dtype=complex))
+        if split[5]:
+            return _decided_split(split, p, q, None)
+    return split_by_image(local_correlation(w, g), p, q)
+
+
+def _decided_split(split, p: int, q: int, operator) -> ImageSplit:
+    """The ``ImageSplit`` of a decided split; NotRegular off (p, q)."""
     basis, restricted, discarded, found, tol_rank, _ = split
     _refuse(np.any(found != (p, q), axis=-1), NotRegular,
             "expected signature ({}, {}), found ({}, {}) at threshold {:.3g}",
             p, q, found[..., 0], found[..., 1], tol_rank)
-    return ImageSplit(operator=x, basis=basis, restricted=restricted,
+    return ImageSplit(operator=operator, basis=basis, restricted=restricted,
                       discarded=discarded, signature=(p, q))
 
 
@@ -265,35 +282,21 @@ def spin_space(x, n: int) -> ImageSplit:
     return as_split(x, n, n)
 
 
-class FactoredOperator(np.ndarray):
-    """A read-only operator x = hermitize(-W^dag G W) that keeps (W, G).
-
-    ``factor`` holds the r x f wave values W and the r x r Gram G (stacked
-    alike for a stack of x); ``split_by_image`` reads them instead of x.
-    Views, copies, arithmetic results and ``np.asarray(x)`` keep no factor.
-    """
-
-    def __new__(cls, x: np.ndarray, w: np.ndarray, g: np.ndarray):
-        self = np.asarray(x).view(cls)
-        self.factor = (w, g)
-        self.flags.writeable = False
-        return self
-
-    def __array_finalize__(self, obj):
-        self.factor = None
-
-
 def local_correlation(wave_values: np.ndarray,
-                      spinor_gram: np.ndarray) -> FactoredOperator:
+                      spinor_gram: np.ndarray) -> np.ndarray:
     """Correlation operator of an ensemble of wave values at one point.
 
     ``wave_values`` has one column per basis vector of the ensemble (assumed
     orthonormal); entry (i, j) of the result is minus the indefinite inner
     product of values i and j, giving a Hermitian matrix: ``hermitize``'s
     formula, applied in place to one row block and its column block at a time.
-    The result is read-only and keeps copies of its factor (W, G), from
-    which ``split_by_image`` splits it without reading its f x f entries.
+    Raises TooManyModes, before any f x f array exists, when the result would
+    take over MAX_DENSE_BYTES.
     """
+    f = np.shape(wave_values)[-1]
+    if 16 * f * f > MAX_DENSE_BYTES:
+        raise TooManyModes(f"a dense correlation operator at f = {f} modes "
+                           f"takes over MAX_DENSE_BYTES = {MAX_DENSE_BYTES} B")
     w = np.array(wave_values, dtype=complex)
     g = np.array(spinor_gram, dtype=complex)
     x = w.conj().T @ g @ w
@@ -302,7 +305,7 @@ def local_correlation(wave_values: np.ndarray,
         rows, cols = x[i:j, i:], x[i:, i:j].T.copy()
         x[j:, i:j] = (0.5 * (-cols[:, j - i:] - rows[:, j - i:].conj())).T
         rows[...] = 0.5 * (-rows - cols.conj())
-    return FactoredOperator(x, w, g)
+    return x
 
 
 def wave_evaluation(sp: ImageSplit) -> np.ndarray:

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import _fix_column_phases, hermitize, local_correlation
+from .correlation import (ImageSplit, _fix_column_phases, hermitize,
+                          split_wave_values)
 from .errors import EmptyCutoff, TooFewModes, TooManyModes
 
 _SIGMA = (
@@ -78,8 +79,6 @@ def minkowski_dot(a, b):
 
 #: cap on 2 (2 nmax + 1)^3, the lattice cube's bound on the mode count
 MAX_MODES = 1 << 20  # nmax <= 39, f up to ~5e5
-#: cap on 16 f^2, the bytes of one dense complex f x f correlation operator
-MAX_DENSE_BYTES = 1 << 30  # f <= 8192
 #: largest half-length L whose mode normalization 2 pi (2 L)^3 is finite
 MAX_L = 0.5 * (sys.float_info.max / (2.0 * math.pi)) ** (1.0 / 3.0)
 #: smallest half-length L whose squared lattice step (pi / L)^2 is finite:
@@ -269,22 +268,19 @@ def wave_value_matrix(cfg: DiracBoxConfig, point) -> np.ndarray:
     return np.repeat(phases, 2, axis=-1)[..., None, :] * _sea_table(cfg)[3]
 
 
-def build_correlation_map(cfg: DiracBoxConfig, points) -> list[np.ndarray]:
-    """Local correlation operators F(x) of the sea ensemble at given points.
+def build_correlation_map(cfg: DiracBoxConfig, points) -> list[ImageSplit]:
+    """Regular points F(x) of the sea ensemble, as image splits.
 
-    F(x)_ij = -psi_i(x)^dag gamma^0 psi_j(x) over the ordered mode basis;
-    every F(x) is Hermitian of rank 4 and signature (2, 2) once at least two
-    momenta are occupied, and keeps its wave values, from which
-    ``split_by_image`` splits it without reading its f x f entries.  Raises TooFewModes when dim H < 4 and TooManyModes
-    when one dense operator would take over MAX_DENSE_BYTES.
+    F(x)_ij = -psi_i(x)^dag gamma^0 psi_j(x) over the ordered mode basis is
+    Hermitian of rank 4 and signature (2, 2) once at least two momenta are
+    occupied.  Each is split from its 4 x f wave values by
+    ``split_wave_values``, with no f x f array.  Raises TooFewModes when
+    dim H < 4.
     """
     f = mode_count(cfg)
     if f < 4:
         raise TooFewModes(f"ensemble has only {f} modes, need >= 4")
-    if 16 * f * f > MAX_DENSE_BYTES:
-        raise TooManyModes(f"a dense correlation operator at f = {f} modes "
-                           f"takes over MAX_DENSE_BYTES = {MAX_DENSE_BYTES} B")
-    return [local_correlation(wave_value_matrix(cfg, p), SPINOR_GRAM)
+    return [split_wave_values(wave_value_matrix(cfg, p), SPINOR_GRAM, 2, 2)
             for p in points]
 
 

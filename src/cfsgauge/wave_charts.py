@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import krein as _krein
-from .correlation import (FactoredOperator, ImageSplit, _adjoint, as_split,
-                          frame_form, hermitize, kernel, wave_evaluation)
+from .correlation import (ImageSplit, _adjoint, as_split, frame_form,
+                          hermitize, kernel, wave_evaluation)
 from .errors import (NotInvertible, OutOfChartDomain, OutOfConvergenceRadius,
                      TooFarFromBase)
 from .krein import RADIUS_SERIES, _frobenius, _refuse, opnorm
@@ -207,17 +207,16 @@ def charts_coincide_check(base: ImageSplit, sample_points) -> CoincidenceReport:
 def _as_stacked_split(points, base: ImageSplit) -> ImageSplit:
     """The stacked split of a sequence or stack of points.
 
-    A single operator in a sequence becomes a view with a stack axis, so a
-    large one is not copied.  When every operator keeps its factor (W, G),
-    the stack keeps the stacked factors, so the split need not read it.
+    A sequence of operators and splits is split element by element and the
+    bases, compressions and dropped norms are stacked, so no (n, f, f) array
+    is formed.
     """
-    if not isinstance(points, (ImageSplit, np.ndarray)):
-        factors = [getattr(x, "factor", None) for x in points]
-        points = (np.asarray(points[0])[None] if len(points) == 1
-                  else np.stack(points))
-        if all(factor is not None for factor in factors):
-            points = FactoredOperator(points, *map(np.stack, zip(*factors)))
-    return as_split(points, *base.signature)
+    if isinstance(points, (ImageSplit, np.ndarray)):
+        return as_split(points, *base.signature)
+    splits = [as_split(x, *base.signature) for x in points]
+    return ImageSplit(None, *(np.stack([getattr(s, name) for s in splits])
+                              for name in ("basis", "restricted", "discarded")),
+                      signature=base.signature)
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,6 +10,8 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from scipy.linalg import expm
 
 from cfsgauge.closed_chain import multiset_distance  # noqa: F401 (for tests)
+from cfsgauge.correlation import local_correlation
+from cfsgauge.dirac_box import SPINOR_GRAM, wave_value_matrix
 from cfsgauge.randoms import random_complex
 
 # Property tests draw the same examples on every run and keep no example
@@ -17,6 +19,12 @@ from cfsgauge.randoms import random_complex
 settings.register_profile("tier1", derandomize=True, deadline=None,
                           database=None, max_examples=100)
 settings.load_profile("tier1")
+
+
+def dense_correlation_map(cfg, points):
+    """The dense box operator F(x) at each point, rendered from its wave values."""
+    return [local_correlation(wave_value_matrix(cfg, p), SPINOR_GRAM)
+            for p in points]
 
 
 def random_krein_unitary(rng, space, scale=0.1):

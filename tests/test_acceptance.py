@@ -9,7 +9,7 @@ import math
 import time
 
 import numpy as np
-from conftest import multiset_distance
+from conftest import dense_correlation_map, multiset_distance
 
 import cfsgauge.closed_chain as cc
 import cfsgauge.krein as kr
@@ -19,10 +19,9 @@ import cfsgauge.randoms as rnd
 import cfsgauge.wave_charts as wc
 from cfsgauge.correlation import spin_space
 from cfsgauge.dirac_box import (GAMMA, SPINOR_GRAM, DiracBoxConfig,
-                                SpacetimePoint, build_correlation_map,
-                                kernel_braket_sum, kernel_mode_sum,
-                                momentum_modes, momentum_points,
-                                wave_value_matrix)
+                                SpacetimePoint, kernel_braket_sum,
+                                kernel_mode_sum, momentum_modes,
+                                momentum_points, wave_value_matrix)
 from cfsgauge.krein import KreinSpace, opnorm
 
 
@@ -166,7 +165,7 @@ def test_criterion_06_dirac_box_construction():
     rank_ok = True
     for box in (cfg, DiracBoxConfig(L=math.pi, eps=1.0 / 1.5, m=1.0),
                 DiracBoxConfig(L=math.pi, eps=1.0 / 2.5, m=0.0)):
-        for x in build_correlation_map(box, points):
+        for x in dense_correlation_map(box, points):
             vals = np.abs(np.linalg.eigvalsh(x))
             rank = int(np.sum(vals > 1e-8 * vals.max()))
             rank_ok = rank_ok and rank == 4

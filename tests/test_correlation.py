@@ -5,14 +5,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import multiset_distance, random_krein_unitary
+from conftest import (dense_correlation_map, multiset_distance,
+                      random_krein_unitary)
 
 from cfsgauge import correlation
 from cfsgauge.correlation import (closed_chain, kernel, local_correlation,
-                                  spin_space, split_by_image, wave_evaluation)
+                                  spin_space, split_by_image,
+                                  split_wave_values, wave_evaluation)
 from cfsgauge.dirac_box import (SPINOR_GRAM, DiracBoxConfig,
                                 build_correlation_map, wave_value_matrix)
-from cfsgauge.errors import NotRegular
+from cfsgauge.errors import NotRegular, TooManyModes
 from cfsgauge.krein import opnorm
 from cfsgauge.randoms import random_complex, random_correlation
 from cfsgauge.wave_charts import (WaveChartPoint, build_gauge,
@@ -137,27 +139,36 @@ def assert_matches_dense(x, p, q):
                                np.zeros((f, p + q)), rtol=0, atol=1e-12)
 
 
-#: box masses, each with the factored operator ``build_correlation_map``
-#: returns (ids as before) and with its plain view ``np.asarray(x)``
-FACTORED_OR_PLAIN = pytest.mark.parametrize(
-    "m, view", [(0.0, None), (0.3, None), (0.0, np.asarray), (0.3, np.asarray)],
+def box_split(cfg, point, x, from_waves):
+    """The split of the box operator x at a point: from its wave values by
+    ``split_wave_values``, or from x itself by ``split_by_image``."""
+    if from_waves:
+        return split_wave_values(wave_value_matrix(cfg, point), SPINOR_GRAM,
+                                 2, 2)
+    return split_by_image(x, 2, 2)
+
+
+#: box masses, each split from the wave values (ids as before) and from the
+#: plain dense operator
+WAVES_OR_PLAIN = pytest.mark.parametrize(
+    "m, from_waves", [(0.0, True), (0.3, True), (0.0, False), (0.3, False)],
     ids=["0.0", "0.3", "0.0-plain", "0.3-plain"])
 
 
 class TestSplitParity:
-    @FACTORED_OR_PLAIN
-    def test_box_operators_use_range_basis(self, m, view, decompositions):
+    @WAVES_OR_PLAIN
+    def test_box_operators_use_range_basis(self, m, from_waves,
+                                           decompositions):
         # f = 160 modes at m = 0, 162 at m = 0.3 (the zero mode is added)
         cfg = DiracBoxConfig(L=math.pi, eps=0.4, m=m)
         points = [cfg.point(0.0, (0.0, 0.0, 0.0)),
                   cfg.point(0.2, (0.4, -0.8, 1.1)),
                   cfg.point(-1.3, (2.9, 0.05, -3.0))]
-        operators = build_correlation_map(cfg, points)
+        operators = dense_correlation_map(cfg, points)
         assert operators[0].shape[0] == (160 if m == 0.0 else 162)
-        for x in operators:
-            x = x if view is None else view(x)
+        for point, x in zip(points, operators):
             decompositions.clear()
-            split = split_by_image(x, 2, 2)
+            split = box_split(cfg, point, x, from_waves)
             assert all(min(shape) <= 4 for shape in decompositions)
             assert split.signature == (2, 2)
             assert_matches_dense(x, 2, 2)
@@ -228,13 +239,13 @@ class TestDiscarded:
                 if size:
                     assert split.discarded >= 0.5 * size * opnorm(x)
 
-    @FACTORED_OR_PLAIN
-    def test_box_operators(self, m, view):
+    @WAVES_OR_PLAIN
+    def test_box_operators(self, m, from_waves):
         cfg = DiracBoxConfig(L=math.pi, eps=0.4, m=m)
-        for x in build_correlation_map(cfg, [cfg.point(0.0, (0.0, 0.0, 0.0)),
-                                             cfg.point(0.2, (0.4, -0.8, 1.1))]):
-            x = x if view is None else view(x)
-            split = split_by_image(x, 2, 2)
+        points = [cfg.point(0.0, (0.0, 0.0, 0.0)),
+                  cfg.point(0.2, (0.4, -0.8, 1.1))]
+        for point, x in zip(points, dense_correlation_map(cfg, points)):
+            split = box_split(cfg, point, x, from_waves)
             assert abs(split.discarded - dense_discarded(split, x)) <= (
                 1e-13 * np.linalg.norm(x))
 
@@ -261,13 +272,13 @@ def traced_peak(call):
                                         (0.2, 0.0), (0.2, 0.3)],
                 ids=["f160", "f162", "f968", "f970"])
 def box(request):
-    """Config, three points and their factored F at f = 160/162/968/970."""
+    """Config, three points and their dense F at f = 160/162/968/970."""
     eps, m = request.param
     cfg = DiracBoxConfig(L=math.pi, eps=eps, m=m)
     points = [cfg.point(0.0, (0.0, 0.0, 0.0)),
               cfg.point(0.1, (0.1, -0.05, 0.0)),
               cfg.point(-0.05, (0.0, 0.12, 0.08))]
-    return cfg, points, build_correlation_map(cfg, points)
+    return cfg, points, dense_correlation_map(cfg, points)
 
 
 class TestDensePasses:
@@ -287,7 +298,7 @@ class TestDensePasses:
 
     def test_blocked_residual_matches_the_whole_array(self, box):
         _, _, operators = box
-        for x in map(np.asarray, operators):   # the range route, not the factor
+        for x in operators:
             frame, rows, ok = correlation._range_basis(x, 4)
             b = rows @ frame
             whole = np.hypot(np.linalg.norm(x - frame @ rows),
@@ -328,22 +339,23 @@ class TestDensePasses:
         # f = 968 at m = 0 and 970 at m = 0.3
         cfg = DiracBoxConfig(L=math.pi, eps=0.2, m=m)
         point = [cfg.point(0.1, (0.1, -0.05, 0.0))]
-        x = build_correlation_map(cfg, point)[0]   # fills the sea table cache
+        x = dense_correlation_map(cfg, point)[0]   # fills the sea table cache
         one = 16 * x.shape[0] ** 2
-        assert traced_peak(lambda: build_correlation_map(cfg, point)) <= (
+        assert traced_peak(lambda: dense_correlation_map(cfg, point)) <= (
             1.25 * one)
         assert traced_peak(lambda: split_by_image(x, 2, 2)) <= 0.25 * one
 
 
 class TestFactorRoute:
-    """A box F that keeps its factor (W, G) is split from W, not from F."""
+    """A box F given by its wave values W is split from W, not from F."""
 
     def test_agrees_with_range_and_dense_routes(self, box):
-        _, _, operators = box
-        for x in operators:
-            split = split_by_image(x, 2, 2)
-            by_range = split_by_image(np.asarray(x), 2, 2)
-            projector, spectrum = dense_split(np.asarray(x), 2, 2)
+        cfg, points, operators = box
+        for w, x in zip(wave_value_matrix(cfg, points), operators):
+            split = split_wave_values(w, SPINOR_GRAM, 2, 2)
+            assert split.operator is None
+            by_range = split_by_image(x, 2, 2)
+            projector, spectrum = dense_split(x, 2, 2)
             scale = np.max(np.abs(spectrum))
             for other in (by_range.basis @ by_range.basis.conj().T, projector):
                 np.testing.assert_allclose(
@@ -354,77 +366,85 @@ class TestFactorRoute:
                                            other, rtol=0, atol=1e-12 * scale)
             # a wrong signature of the right rank: both routes decide it
             for p, q in ((3, 1), (1, 3)):
-                for operator in (x, np.asarray(x)):
-                    with pytest.raises(NotRegular, match=r"found \(2, 2\)"):
-                        split_by_image(operator, p, q)
+                with pytest.raises(NotRegular, match=r"found \(2, 2\)"):
+                    split_wave_values(w, SPINOR_GRAM, p, q)
+                with pytest.raises(NotRegular, match=r"found \(2, 2\)"):
+                    split_by_image(x, p, q)
 
     def test_discarded_bounds_the_dense_residual(self, box):
-        _, _, operators = box
-        for x in operators:
-            split = split_by_image(x, 2, 2)
-            dense = dense_discarded(split, np.asarray(x))
+        cfg, points, operators = box
+        for w, x in zip(wave_value_matrix(cfg, points), operators):
+            split = split_wave_values(w, SPINOR_GRAM, 2, 2)
+            dense = dense_discarded(split, x)
             assert dense <= split.discarded <= 50 * dense
 
-    def test_views_copies_and_results_drop_the_factor(self, box):
-        _, _, operators = box
-        x = operators[0]
-        assert x.factor is not None
-        for derived in (x.copy(), x[None], x + 0, np.asarray(x), x.T, x[:2]):
-            assert getattr(derived, "factor", None) is None
-
-    def test_read_only(self, box):
-        _, _, operators = box
-        x = operators[0]
-        with pytest.raises(ValueError):
-            x[0, 0] = 0.0
-        with pytest.raises(ValueError):
-            x += 0.0
-
     def test_wrong_rank_still_rejected(self, box):
-        _, _, operators = box
+        cfg, points, operators = box
         with pytest.raises(NotRegular):
             spin_space(operators[1], 1)
+        with pytest.raises(NotRegular):
+            split_wave_values(wave_value_matrix(cfg, points[1]), SPINOR_GRAM,
+                              1, 1)
 
 
-def nan_entries(x):
-    """An operator with x's factor and all-NaN dense entries."""
-    dense = np.full(x.shape, np.nan, dtype=complex)
-    dense = dense.view(correlation.FactoredOperator)
-    dense.factor = x.factor
-    return dense
+def rank_three_waves():
+    """f = 160 wave values whose last row repeats the third: rank 3."""
+    cfg = DiracBoxConfig(L=math.pi, eps=0.4, m=0.0)
+    w = wave_value_matrix(cfg, cfg.point(0.1, (0.1, -0.05, 0.0)))
+    w[3] = w[2]
+    return w
+
+
+class TestWaveValueFallback:
+    """Only W the certificate refuses is rendered, and only under the cap."""
+
+    def test_refused_waves_take_the_dense_route(self, decompositions):
+        w = rank_three_waves()
+        f = w.shape[1]
+        with pytest.raises(NotRegular, match=r"found \(1, 2\)"):
+            split_wave_values(w, SPINOR_GRAM, 2, 2)
+        assert (f, f) in decompositions
+
+    def test_render_past_the_cap_raises_before_allocating(self, monkeypatch):
+        w = rank_three_waves()
+        f = w.shape[1]
+        monkeypatch.setattr(correlation, "MAX_DENSE_BYTES", 16 * f * f - 1)
+
+        def split():
+            with pytest.raises(TooManyModes, match="MAX_DENSE_BYTES"):
+                split_wave_values(w, SPINOR_GRAM, 2, 2)
+        assert traced_peak(split) < 16 * f * f
 
 
 class TestNoDensePass:
-    """Nothing on the factor route reads an f x f entry of F."""
+    """Nothing on the wave-value route renders an f x f array."""
 
-    def test_all_nan_entries_split_and_gauge_as_the_real_operator(self, box):
-        _, _, (x0, *operators) = box
-        base = spin_space(x0, 2)
-        blind = [nan_entries(x) for x in operators]
-        for x, y in zip(operators, blind):
-            for split, same in ((split_by_image(y, 2, 2),
-                                 split_by_image(x, 2, 2)),
-                                (spin_space(y, 2), spin_space(x, 2))):
-                for field in ("basis", "restricted", "discarded"):
-                    assert np.all(np.isfinite(getattr(split, field)))
-                    np.testing.assert_array_equal(getattr(split, field),
-                                                  getattr(same, field))
-        for points, same in (([blind[0]], [operators[0]]), (blind, operators)):
-            gauge, real = build_gauge(base, points), build_gauge(base, same)
-            assert np.all(np.isfinite(gauge.values))
-            np.testing.assert_array_equal(gauge.values, real.values)
-            assert gauge.condition_residuals == real.condition_residuals
-            deviation = charts_coincide_check(base, points).max_deviation
-            assert np.isfinite(deviation)
-            assert deviation == charts_coincide_check(base, same).max_deviation
+    def test_gauge_renders_no_dense_operator(self, box, monkeypatch):
+        cfg, points, operators = box
+        base = spin_space(operators[0], 2)
+
+        def refuse(*args):
+            raise AssertionError("a dense operator was rendered")
+        monkeypatch.setattr(correlation, "local_correlation", refuse)
+        splits = build_correlation_map(cfg, points)
+        for split in splits:
+            assert split.operator is None and split.signature == (2, 2)
+        for ys, dense in ((splits[1:2], operators[1:2]),
+                          (splits[1:], operators[1:])):
+            gauge = build_gauge(base, ys)
+            assert max(gauge.condition_residuals) <= 1e-9
+            for value, same in zip(gauge.values,
+                                   build_gauge(base, dense).values):
+                assert opnorm(value - same) <= 1e-12 * opnorm(same)
+            deviation = charts_coincide_check(base, ys).max_deviation
+            assert deviation <= 1e-8
 
     @pytest.mark.parametrize("m", [0.0, 0.3])
     def test_split_peak_stays_small(self, m):
         cfg = DiracBoxConfig(L=math.pi, eps=0.2, m=m)
-        point = cfg.point(0.1, (0.1, -0.05, 0.0))
-        y = nan_entries(build_correlation_map(cfg, [point])[0])
-        assert y.shape[0] >= 968
-        assert traced_peak(lambda: split_by_image(y, 2, 2)) < 1e6
+        w = wave_value_matrix(cfg, cfg.point(0.1, (0.1, -0.05, 0.0)))
+        assert w.shape[1] >= 968
+        assert traced_peak(lambda: split_wave_values(w, SPINOR_GRAM, 2, 2)) < 1e6
 
 
 class TestHermitize:
@@ -515,8 +535,8 @@ class TestKernel:
         points = [cfg.point(0.0, (0.0, 0.0, 0.0)),
                   cfg.point(0.1, (0.1, -0.05, 0.0)),
                   cfg.point(-0.7, (1.3, 0.4, -2.2))]
-        operators = build_correlation_map(cfg, points)
-        spaces = [spin_space(x, 2) for x in operators]
+        operators = dense_correlation_map(cfg, points)
+        spaces = build_correlation_map(cfg, points)
         for sp_x in spaces:
             for y, sp_y in zip(operators, spaces):
                 dense = sp_x.basis.conj().T @ y @ sp_y.basis

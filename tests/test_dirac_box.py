@@ -3,12 +3,15 @@
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import dense_correlation_map
 
+from cfsgauge.cli import DEFAULT_TOLERANCES
 from cfsgauge.correlation import kernel, spin_space
-from cfsgauge.dirac_box import (ETA, GAMMA, MAX_DENSE_BYTES, MAX_L, MAX_MODES,
+from cfsgauge.dirac_box import (ETA, GAMMA, MAX_L, MAX_MODES,
                                 MIN_LENGTH, MIN_MASS, SPINOR_GRAM,
                                 DiracBoxConfig, SpacetimePoint,
                                 _coordinates, _lattice, _phases,
@@ -18,6 +21,7 @@ from cfsgauge.dirac_box import (ETA, GAMMA, MAX_DENSE_BYTES, MAX_L, MAX_MODES,
                                 momentum_points, slash, wave_value_matrix)
 from cfsgauge.errors import EmptyCutoff, TooFewModes, TooManyModes
 from cfsgauge.krein import opnorm
+from cfsgauge.wave_charts import build_gauge
 
 CFG = DiracBoxConfig(L=math.pi, eps=1.0 / 2.5, m=1.0)
 CFG_SMALL = DiracBoxConfig(L=math.pi, eps=1.0 / 1.5, m=1.0)
@@ -252,20 +256,29 @@ class TestCorrelationMap:
     def test_translation_invariant_spectra(self):
         points = [SpacetimePoint(t=0.0, x_vec=(0.0, 0.0, 0.0)),
                   SpacetimePoint(t=1.3, x_vec=(-0.7, 0.1, 0.9))]
-        ops = build_correlation_map(CFG_SMALL, points)
+        ops = dense_correlation_map(CFG_SMALL, points)
         spectra = [np.sort(np.linalg.eigvalsh(x))[[0, 1, -2, -1]] for x in ops]
         np.testing.assert_allclose(spectra[0], spectra[1], atol=1e-12)
 
-    def test_dense_operator_too_large(self):
-        # f = 16432 would take 4.3 GB per operator
+    def test_sea_gauge_at_16432_modes(self):
+        # one dense operator would take 4.3 GB; the splits read wave values
         cfg = DiracBoxConfig(L=math.pi, eps=0.08, m=0.0)
-        assert 16 * 968 ** 2 <= MAX_DENSE_BYTES < 16 * 16432 ** 2
-        cached = _sea_table.cache_info().currsize
         start = time.perf_counter()
-        with pytest.raises(TooManyModes, match="f = 16432"):
-            build_correlation_map(cfg, [SpacetimePoint(t=0.0, x_vec=(0, 0, 0))])
+        base = build_correlation_map(cfg, [cfg.point(0.0, (0.0, 0.0, 0.0))])[0]
         assert time.perf_counter() - start < 1.0
-        assert _sea_table.cache_info().currsize == cached
+        assert base.signature == (2, 2) and base.basis.shape == (16432, 4)
+        deltas = np.random.default_rng(16432).uniform(-0.024, 0.024, (5, 4))
+        points = [cfg.point(d[0], tuple(d[1:])) for d in deltas]
+        tracemalloc.start()
+        try:
+            gauge = build_gauge(base, build_correlation_map(cfg, points))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(gauge.values) == 5
+        assert max(gauge.condition_residuals) <= (
+            DEFAULT_TOLERANCES["gauge_condition"])
+        assert peak < 100e6
 
     def test_too_few_modes(self):
         # a single lattice momentum gives f = 2 < 4
@@ -278,8 +291,8 @@ class TestCorrelationMap:
         point = SpacetimePoint(t=0.2, x_vec=(0.3, 0.1, -0.2))
         x = build_correlation_map(CFG_SMALL, [point])[0]
         w = wave_value_matrix(CFG_SMALL, point)
-        np.testing.assert_allclose(x, -(w.conj().T @ SPINOR_GRAM @ w),
-                                   atol=1e-14)
+        np.testing.assert_allclose(x.basis @ x.restricted @ x.basis.conj().T,
+                                   -(w.conj().T @ SPINOR_GRAM @ w), atol=1e-14)
 
 
 class TestKernelModeSum:
@@ -547,12 +560,13 @@ class TestSeaTableCache:
         _sea_table.cache_clear()
         wave_value_matrix(cfg, PARITY_POINTS[1])
         assert decompositions == [(4, 4)]   # one batched eigh, 4 x 4 each
-        decompositions.clear()
+        misses = _sea_table.cache_info().misses
         wave_value_matrix(cfg, PARITY_POINTS[2])
         kernel_mode_sum(cfg, PARITY_POINTS[1], PARITY_POINTS[2])
         build_correlation_map(cfg, PARITY_POINTS[:1])
         momentum_modes(cfg)
-        assert decompositions == []
+        # the split's own 4 x 4 eigh has the shape of a spinor solve
+        assert _sea_table.cache_info().misses == misses
 
     def test_mode_count_solves_no_spinor(self):
         # counting modes reads the lattice alone, at any m

@@ -13,15 +13,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import multiset_distance, random_krein_unitary
+from conftest import (dense_correlation_map, multiset_distance,
+                      random_krein_unitary)
 
 from cfsgauge import closed_chain as cc
 from cfsgauge import perturbation as pt
 from cfsgauge import wave_charts as wc
 from cfsgauge.cli import load_config, run_experiment, task_perturb
 from cfsgauge.correlation import spin_space, split_by_image
-from cfsgauge.dirac_box import (DiracBoxConfig, build_correlation_map,
-                                mode_count, wave_value_matrix)
+from cfsgauge.dirac_box import DiracBoxConfig, mode_count, wave_value_matrix
 from cfsgauge.errors import (NotRegular, OutOfChartDomain, SignatureLost,
                              TooFarFromBase)
 from cfsgauge.krein import KreinSpace
@@ -105,7 +105,7 @@ class TestSplitStack:
         points = [cfg.point(0.0, (0.0, 0.0, 0.0)),
                   cfg.point(0.2, (0.4, -0.8, 1.1)),
                   cfg.point(-1.3, (2.9, 0.05, -3.0))]
-        xs = np.array(build_correlation_map(cfg, points))
+        xs = np.array(dense_correlation_map(cfg, points))
         stacked = split_by_image(xs, 2, 2)
         lone = [split_by_image(x, 2, 2) for x in xs]
         assert_matches_loop(projector(stacked), [projector(s) for s in lone])

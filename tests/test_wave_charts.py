@@ -7,12 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import random_krein_unitary
+from conftest import dense_correlation_map, random_krein_unitary
 
 from cfsgauge import cli, correlation, wave_charts
-from cfsgauge.correlation import kernel, spin_space, split_by_image
-from cfsgauge.dirac_box import (DiracBoxConfig, build_correlation_map,
-                                wave_value_matrix)
+from cfsgauge.correlation import (kernel, local_correlation, spin_space,
+                                  split_by_image)
+from cfsgauge.dirac_box import (SPINOR_GRAM, DiracBoxConfig,
+                                build_correlation_map, wave_value_matrix)
 from cfsgauge.errors import NotInvertible, OutOfChartDomain
 from cfsgauge.krein import opnorm
 from cfsgauge.manifold import ChartCoordinates, chart_forward, chart_inverse
@@ -323,11 +324,12 @@ class TestBoxGauge:
         points = [cfg.point(0.0, (0.0, 0.0, 0.0)),
                   cfg.point(0.1, (0.1, -0.05, 0.0)),
                   cfg.point(-0.05, (0.0, 0.12, 0.08))]
-        operators = build_correlation_map(cfg, points)
-        return spin_space(operators[0], 2), operators[1:]
+        operators = dense_correlation_map(cfg, points)
+        return (spin_space(operators[0], 2), operators[1:],
+                build_correlation_map(cfg, points[1:]))
 
     def test_no_dense_decomposition_per_point(self, box, decompositions):
-        base, ys = box
+        base, ys, _ = box
         decompositions.clear()
         gauge = build_gauge(base, ys)
         report = charts_coincide_check(base, ys)
@@ -338,7 +340,7 @@ class TestBoxGauge:
         assert report.max_deviation <= 1e-8
 
     def test_no_complement_basis(self, box, monkeypatch, tmp_path):
-        base, ys = box
+        base, ys, _ = box
         f, r = base.basis.shape
         factorized = []
         original_qr = np.linalg.qr
@@ -367,7 +369,7 @@ class TestBoxGauge:
         assert all(mode != "complete" for mode, _ in factorized)
 
     def test_each_point_split_once(self, box, monkeypatch):
-        base, ys = box
+        base, ys, splits = box
         calls = []
 
         def counted(x, p, q):
@@ -376,15 +378,20 @@ class TestBoxGauge:
 
         monkeypatch.setattr(correlation, "split_by_image", counted)
         f = base.basis.shape[0]
-        # all points in one stacked split
+        # a sequence is split element by element, with no (n, f, f) stack
         build_gauge(base, ys)
-        assert calls == [(len(ys), f, f)]
+        assert calls == [(f, f)] * len(ys)
         calls.clear()
         charts_coincide_check(base, ys)
-        assert calls == [(len(ys), f, f)]
+        assert calls == [(f, f)] * len(ys)
+        calls.clear()
+        # box points are splits already
+        build_gauge(base, splits)
+        charts_coincide_check(base, splits)
+        assert calls == []
 
     def test_coincidence_inverts_each_chart_once(self, box, monkeypatch):
-        base, ys = box
+        base, ys, _ = box
         calls = []
 
         def counted(y, base_split):
@@ -398,12 +405,37 @@ class TestBoxGauge:
         assert calls[0].basis.shape[0] == len(ys)
 
     def test_residual_bound_covers_dense_norm(self, box):
-        base, ys = box
-        gauge = build_gauge(base, ys)
+        base, ys, splits = box
+        gauge = build_gauge(base, splits)
         for y, value, bound in zip(ys, gauge.values,
                                    gauge.condition_residuals):
             dense = opnorm(y + value.conj().T @ gauge.base.krein.gram @ value)
             assert dense <= bound * (1.0 + 1e-12)
+
+
+class TestGaugeMemory:
+    """A gauge over a sequence of points copies no (n, f, f) stack."""
+
+    @pytest.mark.parametrize("source", ["splits", "dense"])
+    def test_three_point_gauge_peak(self, source):
+        cfg = DiracBoxConfig(L=math.pi, eps=0.2, m=0.0)
+        base = spin_space(build_correlation_map(
+            cfg, [cfg.point(0.0, (0.0, 0.0, 0.0))])[0], 2)
+        points = [cfg.point(0.1, (0.1, -0.05, 0.0)),
+                  cfg.point(-0.05, (0.0, 0.12, 0.08)),
+                  cfg.point(0.08, (-0.1, 0.0, 0.1))]
+        ys = (build_correlation_map(cfg, points) if source == "splits"
+              else dense_correlation_map(cfg, points))
+        f = base.basis.shape[0]
+        assert f == 968
+        tracemalloc.start()
+        try:
+            gauge = build_gauge(base, ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(gauge.condition_residuals) <= 1e-9
+        assert peak < 0.25 * 16 * f * f
 
 
 class TestConditionResidualBound:
@@ -435,9 +467,9 @@ class TestConditionResidualBound:
             cfg, [cfg.point(0.0, (0.0, 0.0, 0.0))])[0], 2)
         deltas = np.random.default_rng(40 + int(10 * m)).uniform(
             -0.12, 0.12, size=(12, 4))
-        ys = build_correlation_map(cfg, [cfg.point(d[0], tuple(d[1:]))
-                                         for d in deltas])
-        gauge = build_gauge(base, ys)
+        points = [cfg.point(d[0], tuple(d[1:])) for d in deltas]
+        ys = dense_correlation_map(cfg, points)
+        gauge = build_gauge(base, build_correlation_map(cfg, points))
         for y, value, bound in zip(ys, gauge.values,
                                    gauge.condition_residuals):
             assert opnorm(y + value.conj().T @ base.krein.gram @ value) <= bound
@@ -504,8 +536,10 @@ class TestSpinorFrameBridge:
             assert opnorm(dense - spinor) <= 1e-12 * opnorm(spinor)
 
     def test_residual_bound_makes_no_dense_array(self, sea):
-        base, ys, _ = sea
-        split_y = split_by_image(np.array(ys), 2, 2)
+        base, _, waves = sea
+        split_y = split_by_image(
+            np.array([local_correlation(w, SPINOR_GRAM) for w in waves[1:]]),
+            2, 2)
         values = symmetric_wave_chart(split_y, base).full_matrix()
         tracemalloc.start()
         try:
