@@ -523,9 +523,9 @@ class TestSpinorFrameBridge:
         points = [cfg.point(p.t, p.x_vec)
                   for p in cli.load_config(config).points[:2]]
         points.append(cfg.point(0.25, (0.45, -0.75, 1.15)))
-        operators = build_correlation_map(cfg, points)
+        splits = build_correlation_map(cfg, points)
         waves = wave_value_matrix(cfg, points)
-        return spin_space(operators[0], 2), operators[1:], waves
+        return splits[0], splits[1:], waves
 
     def test_dense_chart_equals_spinor_gauge(self, sea):
         base, ys, waves = sea
