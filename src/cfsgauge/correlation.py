@@ -12,9 +12,10 @@ basis V and the compression X = V^dag x V, from which the spin space, the
 wave evaluation V^dag and the kernel P(x, y) = V_x^dag V_y X_y are all read
 at O(f r^2) cost.  Code that needs the orthogonal complement projects off
 the image with 1 - V V^dag; only ``manifold.chart_jacobian_rank`` builds a
-basis of it, the range basis of that projector.  A point given by its wave
-values W (x = -W^dag G W) is split from W alone at O(f r^2), with no f x f
-array; a dense x is split in passes over row blocks of it.
+basis of it, from the eigenvectors of that projector.  There is one route
+per representation: a point given by its wave values W (x = -W^dag G W) is
+split from W alone at O(f r^2), with no f x f array, and a dense x by one
+f x f ``eigh``.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotRegular, TooManyModes
-from .krein import KreinSpace, _frobenius, _frobenius2, _refuse
+from .krein import KreinSpace, _frobenius, _refuse
 
 #: relative threshold separating genuine eigenvalues from numerical zeros
 TOL_RANK_FACTOR = 1e-8
-BLOCK_ROWS = 32  #: rows per cache-sized block of a dense f x f pass
+BLOCK_ROWS = 32  #: rows per cache-sized block of the dense render
 #: cap on 16 f^2, the bytes of one dense complex f x f correlation operator
 MAX_DENSE_BYTES = 1 << 30  # f <= 8192
 
@@ -81,72 +82,46 @@ class ImageSplit:
         return KreinSpace(gram=-self.restricted, signature=self.signature[::-1])
 
 
-def _range_basis(x: np.ndarray, r: int):
-    """Orthonormal f x r basis Q of the dominant column space of each x.
-
-    r steps of Gram-Schmidt with column pivoting: each step takes the column
-    of largest remaining norm, orthogonalizes it twice against the basis so
-    far and downdates the column norms.  Returns (Q, Q^dag x, ok), ok false
-    where a pivot column had nothing left (x has rank below r, or is not
-    finite); such an element's Q is meaningless.
-    """
-    stack, f = x.shape[:-2], x.shape[-1]
-    frame = np.zeros((*stack, f, r), dtype=complex)
-    rows = np.zeros((*stack, r, f), dtype=complex)
-    pairs = (x if x.strides[-1] == x.itemsize else x.copy()).view(float)
-    norms2 = np.einsum("...ij,...ij->...j", pairs, pairs)   # no f x f copy
-    norms2 = norms2.reshape(*stack, f, 2).sum(axis=-1)
-    ok = np.ones(stack, dtype=bool)
-    for k in range(r):
-        pivot = np.argmax(norms2, axis=-1)[..., None, None]
-        v = np.take_along_axis(x, pivot, axis=-1)
-        for _ in range(2):
-            v = v - frame[..., :k] @ (_adjoint(frame[..., :k]) @ v)
-        length = np.linalg.norm(v[..., 0], axis=-1)
-        ok &= length > 0.0
-        frame[..., k] = v[..., 0] / np.where(ok, length, 1.0)[..., None]
-        rows[..., k, :] = (_adjoint(frame[..., k:k + 1]) @ x)[..., 0, :]
-        norms2 -= np.abs(rows[..., k, :]) ** 2
-    return frame, rows, ok
-
-
-def _split_from_range(x: np.ndarray, p: int, q: int):
-    """Split each x from a rank-(p+q) range basis Q, where certified.
-
-    B = Q^dag x Q, and rho = ||x - Q B Q^dag||_F takes one more blocked pass.
-    """
-    frame, rows, ok = _range_basis(x, p + q)
-    b = rows @ frame
-    # x - Q B Q^dag = (1 - P) x + Q (Q^dag x)(1 - P), orthogonal in Frobenius
-    outside2 = np.zeros(x.shape[:-2])
-    for top in range(0, x.shape[-2], BLOCK_ROWS):
-        part = frame[..., top:top + BLOCK_ROWS, :] @ rows
-        np.subtract(x[..., top:top + BLOCK_ROWS, :], part, out=part)
-        outside2 += _frobenius2(part)
-    rho = np.hypot(np.sqrt(outside2), _frobenius(rows - b @ _adjoint(frame)))
-    return _certified_split(frame, b, ok, lambda *_: rho)
-
-
 def _split_from_factor(w: np.ndarray, g: np.ndarray):
-    """Split each x = ``local_correlation(W, G)`` from W alone, where certified.
+    """Split each x = ``local_correlation(W, G)`` from W alone, certified.
 
     W^dag = Q R gives B = -R G R^dag at O(f r^2), reading no entry of x.
-    rho is ||-W^dag G W - V X V^dag||_F, read from [W^dag, V] by
-    ``frame_form``, plus gamma_13 ||G||_F ||W||_F^2 for the rounding of x:
-    (W^dag G) W is two complex products of inner dimension 4, each within
-    gamma_6 (gamma_{n+2} for complex data), so within gamma_12 |W|^T |G| |W|
-    entrywise; the Hermitian part 0.5 ((-a) - conj(b)) rounds once more
-    (negation, conjugation and halving are exact), which gives gamma_13.
+    One r x r ``eigh`` of B gives the image basis (descending eigenvalues,
+    phases fixed) and the scale max|eig(B)| that stands in for ||x||.
+    rho bounds ||x - V X V^dag||_F: ||-W^dag G W - V X V^dag||_F, read from
+    [W^dag, V] by ``frame_form``, plus gamma_13 ||G||_F ||W||_F^2 for the
+    rounding of x: (W^dag G) W is two complex products of inner dimension
+    4, each within gamma_6 (gamma_{n+2} for complex data), so within
+    gamma_12 |W|^T |G| |W| entrywise; the Hermitian part 0.5 ((-a) -
+    conj(b)) rounds once more (negation, conjugation and halving are
+    exact), which gives gamma_13.
+
+    Every eigenvalue of x lies within rho of eig(B) or of 0.  If rho is
+    below the rank threshold and every |eig(B)| exceeds threshold + rho, x
+    has exactly r eigenvalues above it, with the signs of eig(B): the dense
+    verdict.  The threshold scales with ||x||, known from max|eig(B)| only
+    to within rho, so both bounds take the unfavorable end.  Returns what
+    ``_split_dense`` does and whether each element is certified; a
+    non-finite B is never certified.
     """
     frame, r = np.linalg.qr(_adjoint(w))
     b = -(r @ g @ _adjoint(r))
+    ok = np.isfinite(b).all(axis=(-2, -1))
+    b = np.where(ok[..., None, None], b, 0.0)
+    vals, vecs = np.linalg.eigh(hermitize(b))
+    basis = _fix_column_phases(frame @ vecs[..., ::-1])
+    coeffs = _adjoint(frame) @ basis
+    restricted = hermitize(_adjoint(coeffs) @ b @ coeffs)
     nu = 13 * np.finfo(float).eps / 2
-    def residual(basis, restricted):
-        core = frame_form(_adjoint(w), g, basis, restricted)
-        return _frobenius(core) + nu / (1 - nu) * (
-            _frobenius(g) * _frobenius(w) ** 2)
-    return _certified_split(frame, b, np.isfinite(b).all(axis=(-2, -1)),
-                            residual)
+    rho = (_frobenius(frame_form(_adjoint(w), g, basis, restricted))
+           + nu / (1 - nu) * _frobenius(g) * _frobenius(w) ** 2)
+    scale = np.max(np.abs(vals), axis=-1)
+    tol_low = TOL_RANK_FACTOR * np.maximum(scale - rho, 1e-300)
+    tol_high = TOL_RANK_FACTOR * np.maximum(scale + rho, 1e-300)
+    certified = (ok & (rho < tol_low)
+                 & (np.min(np.abs(vals), axis=-1) > tol_high + rho))
+    return (basis, restricted, rho, _counts(vals, 0.0),
+            TOL_RANK_FACTOR * np.maximum(scale, 1e-300)), certified
 
 
 def frame_form(a, a_gram, b, b_gram) -> np.ndarray:
@@ -159,39 +134,13 @@ def frame_form(a, a_gram, b, b_gram) -> np.ndarray:
     return t1 @ a_gram @ _adjoint(t1) + t2 @ b_gram @ _adjoint(t2)
 
 
-def _certified_split(frame, b, ok, residual):
-    """The image split from an f x r frame Q and B = Q^dag x Q, certified.
-
-    rho = ``residual(basis, restricted)`` >= ||x - V X V^dag||_F, so every
-    eigenvalue of x lies within rho of eig(B) or of 0.  If rho is below the
-    rank threshold and every |eig(B)| exceeds threshold + rho, x has exactly
-    r eigenvalues above it, with the signs of eig(B): the dense verdict.
-    The threshold scales with ||x||, known from max|eig(B)| only to within
-    rho, so both bounds take the unfavorable end.  Returns (basis,
-    restricted, rho, found, threshold, certified) per element, ``found`` the
-    (p, q) counts; an element that is not ``ok`` is never certified.
-    """
-    b = np.where(ok[..., None, None], b, 0.0)
-    vals, vecs = np.linalg.eigh(hermitize(b))
-    basis = _fix_column_phases(frame @ vecs[..., ::-1])
-    coeffs = _adjoint(frame) @ basis
-    restricted = hermitize(_adjoint(coeffs) @ b @ coeffs)
-    rho = residual(basis, restricted)
-    scale = np.max(np.abs(vals), axis=-1)
-    tol_low = TOL_RANK_FACTOR * np.maximum(scale - rho, 1e-300)
-    tol_high = TOL_RANK_FACTOR * np.maximum(scale + rho, 1e-300)
-    certified = (ok & (rho < tol_low)
-                 & (np.min(np.abs(vals), axis=-1) > tol_high + rho))
-    return (basis, restricted, rho, _counts(vals, 0.0),
-            TOL_RANK_FACTOR * np.maximum(scale, 1e-300), certified)
-
-
 def _split_dense(x: np.ndarray, p: int, q: int):
     """Split each x by a full f x f eigendecomposition.
 
-    Returns what ``_certified_split`` does, every element decided and rho
-    the norm of the dropped eigenvalues; the basis is meaningful only where
-    ``found`` is (p, q).
+    Returns (basis, restricted, discarded, found, threshold) per element:
+    ``discarded`` the norm of the dropped eigenvalues and ``found`` the
+    (p, q) counts above +threshold and below -threshold; the basis is
+    meaningful only where ``found`` is (p, q).
     """
     vals, vecs = np.linalg.eigh(hermitize(x))
     tol_rank = TOL_RANK_FACTOR * np.maximum(np.max(np.abs(vals), axis=-1),
@@ -203,7 +152,7 @@ def _split_dense(x: np.ndarray, p: int, q: int):
         np.take_along_axis(vecs[..., ::-1], order[..., None, :], axis=-1))
     dropped = np.sqrt(np.sum(np.where(keep, 0.0, vals ** 2), axis=-1))
     return (basis, hermitize(_adjoint(basis) @ x @ basis), dropped,
-            _counts(vals, tol_rank), tol_rank, np.ones(x.shape[:-2], bool))
+            _counts(vals, tol_rank), tol_rank)
 
 
 def _counts(vals: np.ndarray, tol) -> np.ndarray:
@@ -216,45 +165,39 @@ def _counts(vals: np.ndarray, tol) -> np.ndarray:
 def split_by_image(x: np.ndarray, p: int, q: int) -> ImageSplit:
     """Eigen-split a Hermitian operator of expected signature (p, q).
 
-    ``x`` may be a stack of operators, split element by element.  Raises
+    ``x`` may be a stack of operators, split element by element by one full
+    f x f ``eigh``, at O(f^3): meant for small f and for test references; a
+    point given by its wave values takes ``split_wave_values``.  Raises
     NotRegular when the counts of eigenvalues above +tol / below -tol
     differ from (p, q); every other eigenvalue is discarded as numerically
-    zero.  The threshold is ``TOL_RANK_FACTOR`` times ||x||.  Two routes
-    reach the same verdict, each element taking the first that certifies
-    it: an f x (p+q) range basis at O(f^2 (p+q)), and a full
-    eigendecomposition for what is left.
+    zero.  The threshold is ``TOL_RANK_FACTOR`` times ||x||.
     """
     x = np.asarray(x, dtype=complex)
-    ranged = 0 < p + q <= x.shape[-1]   # else there is no range basis
-    routes = [_split_from_range, _split_dense] if ranged else [_split_dense]
-    split = list(map(np.asarray, routes[0](x, p, q)))
-    for route in routes[1:]:   # each element takes the first that certifies
-        rest = ~split[5]
-        if rest.any():   # a 0-d mask indexes a lone x as a stack of one
-            part = route(x if rest.all() else x[rest], p, q)   # no copy
-            for field, value in zip(split, part):
-                field[rest] = value
-    return _decided_split(split, p, q, x)
+    return _decided_split(_split_dense(x, p, q), p, q, x)
 
 
 def split_wave_values(w, g, p: int, q: int) -> ImageSplit:
     """The split of x = ``local_correlation(w, g)`` for one r x f ``w``.
 
-    Where r = p + q and the certificate of ``_split_from_factor`` decides,
-    it reads w alone at O(f r^2).  Otherwise x is rendered and
+    Raises NotRegular, before anything is rendered, when ``w`` is not
+    finite.  Where r = p + q and the certificate of ``_split_from_factor``
+    decides, it reads w alone at O(f r^2).  Otherwise x is rendered and
     ``split_by_image`` decides, so the verdict is the dense one.
     """
-    if np.shape(w)[-2] == p + q:
-        split = _split_from_factor(np.asarray(w, dtype=complex),
-                                   np.asarray(g, dtype=complex))
-        if split[5]:
+    w = np.asarray(w, dtype=complex)
+    bad = ~np.isfinite(w)
+    _refuse(bad.any(), NotRegular, "wave values are not finite: {} of {} "
+            "entries", np.count_nonzero(bad), w.size)
+    if w.shape[-2] == p + q:
+        split, certified = _split_from_factor(w, np.asarray(g, dtype=complex))
+        if certified:
             return _decided_split(split, p, q, None)
     return split_by_image(local_correlation(w, g), p, q)
 
 
 def _decided_split(split, p: int, q: int, operator) -> ImageSplit:
     """The ``ImageSplit`` of a decided split; NotRegular off (p, q)."""
-    basis, restricted, discarded, found, tol_rank, _ = split
+    basis, restricted, discarded, found, tol_rank = split
     _refuse(np.any(found != (p, q), axis=-1), NotRegular,
             "expected signature ({}, {}), found ({}, {}) at threshold {:.3g}",
             p, q, found[..., 0], found[..., 1], tol_rank)

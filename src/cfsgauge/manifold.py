@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import (ImageSplit, _adjoint, _range_basis, as_split,
-                          hermitize)
+from .correlation import ImageSplit, _adjoint, as_split, hermitize
 from .errors import InvalidSignature, SignatureLost, TooFarFromBase
 from .krein import _frobenius, _refuse
 
@@ -113,8 +112,9 @@ def chart_jacobian_rank(split: ImageSplit) -> int:
 
     Central finite differences over a real parameter basis of (a, b), all
     taken in one stacked ``chart_forward``: r^2 for a and 2 r (f - r) for b
-    along the range basis of 1 - V V^dag, one per real dimension.  The rank
-    counts singular values above ``JACOBIAN_RANK_RTOL`` times the largest one.
+    along the f - r eigenvectors of eigenvalue 1 of the projector 1 - V V^dag,
+    one per real dimension.  The rank counts singular values above
+    ``JACOBIAN_RANK_RTOL`` times the largest one.
     """
     r, f = split.rank, split.basis.shape[0]
     units = np.eye(r)
@@ -123,8 +123,8 @@ def chart_jacobian_rank(split: ImageSplit) -> int:
         e = np.outer(units[i], units[j])
         a_dirs += [e + e.T, 1j * (e - e.T)]
     # b along e_i (x) (unit * q_j^dag): i outer, complement vector, unit 1, i
-    complement, _, _ = _range_basis(
-        np.eye(f) - split.basis @ _adjoint(split.basis), f - r)
+    complement = np.linalg.eigh(
+        np.eye(f) - split.basis @ _adjoint(split.basis))[1][:, r:]
     b_dirs = np.einsum("ik,u,jl->ijukl", units, [1.0, 1.0j],
                        _adjoint(complement)).reshape(-1, r, f)
     da = np.concatenate([a_dirs, np.zeros((len(b_dirs), r, r))])

@@ -156,10 +156,10 @@ WAVES_OR_PLAIN = pytest.mark.parametrize(
 
 
 class TestSplitParity:
-    @WAVES_OR_PLAIN
-    def test_box_operators_use_range_basis(self, m, from_waves,
-                                           decompositions):
-        # f = 160 modes at m = 0, 162 at m = 0.3 (the zero mode is added)
+    @pytest.mark.parametrize("m", [0.0, 0.3], ids=["0.0", "0.3"])
+    def test_box_operators_use_range_basis(self, m, decompositions):
+        # f = 160 modes at m = 0, 162 at m = 0.3 (the zero mode is added);
+        # each point is split from its wave values with no f x f eigh
         cfg = DiracBoxConfig(L=math.pi, eps=0.4, m=m)
         points = [cfg.point(0.0, (0.0, 0.0, 0.0)),
                   cfg.point(0.2, (0.4, -0.8, 1.1)),
@@ -168,7 +168,8 @@ class TestSplitParity:
         assert operators[0].shape[0] == (160 if m == 0.0 else 162)
         for point, x in zip(points, operators):
             decompositions.clear()
-            split = box_split(cfg, point, x, from_waves)
+            split = split_wave_values(wave_value_matrix(cfg, point),
+                                      SPINOR_GRAM, 2, 2)
             assert all(min(shape) <= 4 for shape in decompositions)
             assert split.signature == (2, 2)
             assert_matches_dense(x, 2, 2)
@@ -192,27 +193,24 @@ class TestSplitParity:
             a = random_complex(rng, f, f)
             assert_matches_dense(a + a.conj().T, 2, 2)
 
-    def test_small_discarded_eigenvalue_certified(self, decompositions):
+    def test_small_discarded_eigenvalue_certified(self):
         x = diag_operator([1.0, -1.0, 0.5, -0.5, 5e-9], 6)
         split = split_by_image(x, 2, 2)
-        assert (6, 6) not in decompositions
         assert split.signature == (2, 2)
         assert_matches_dense(x, 2, 2)
 
     def test_near_threshold_takes_dense_route(self, decompositions):
-        # kept 1.5e-8 and discarded 0.8e-8 both lie within the certificate's
-        # margin of the threshold 1e-8, so only the dense route decides
+        # kept 1.5e-8 and discarded 0.8e-8 straddle the threshold 1e-8
         x = diag_operator([1.0, -1.0, -0.5, 1.5e-8, 0.8e-8], 6)
         split = split_by_image(x, 2, 2)
         assert (6, 6) in decompositions
         assert split.signature == (2, 2)
         assert_matches_dense(x, 2, 2)
 
-    def test_certified_wrong_signature_rejected(self, decompositions):
+    def test_certified_wrong_signature_rejected(self):
         x = diag_operator([1.0, 0.5, -1.0, 2.0], 6)
         with pytest.raises(NotRegular, match=r"found \(3, 1\)"):
             split_by_image(x, 2, 2)
-        assert (6, 6) not in decompositions
 
 
 def dense_discarded(split, x):
@@ -224,20 +222,23 @@ def dense_discarded(split, x):
 class TestDiscarded:
     """``ImageSplit.discarded`` is the Frobenius norm of what the split drops."""
 
-    def test_range_route_certificate(self, decompositions):
+    def test_range_route_certificate(self):
         rng = np.random.default_rng(60)
         for f in (6, 9, 12):
             for size in (0.0, 1e-12, 1e-10):
                 x = random_correlation(rng, f, 2)
                 h = random_complex(rng, f, f)
-                x = x + size * opnorm(x) * (h + h.conj().T) / opnorm(h)
-                decompositions.clear()
+                e = size * opnorm(x) * (h + h.conj().T) / opnorm(h)
+                outside = np.eye(f) - dense_split(x, 2, 2)[0]
+                x = x + e
                 split = split_by_image(x, 2, 2)
-                assert (f, f) not in decompositions
                 assert abs(split.discarded - dense_discarded(split, x)) <= (
                     1e-13 * np.linalg.norm(x))
-                if size:
-                    assert split.discarded >= 0.5 * size * opnorm(x)
+                # the dropped eigenvalues are, to first order in e, those of
+                # e compressed to the kernel of the unperturbed x
+                dropped = np.linalg.norm(outside @ e @ outside)
+                assert abs(split.discarded - dropped) <= (
+                    1e-13 * np.linalg.norm(x))
 
     @WAVES_OR_PLAIN
     def test_box_operators(self, m, from_waves):
@@ -281,6 +282,19 @@ def box(request):
     return cfg, points, dense_correlation_map(cfg, points)
 
 
+@pytest.fixture(scope="module")
+def dense_splits(box):
+    """The dense route's split of each F of ``box``: one f x f eigh each,
+    shared by the tests of a module."""
+    return [split_by_image(x, 2, 2) for x in box[2]]
+
+
+#: the f = 160/162 operators alone, for a check of the dense route that
+#: would run the same eigh, only slower, at f = 968/970
+SMALL_BOX = pytest.mark.parametrize("box", [(0.4, 0.0), (0.4, 0.3)],
+                                    ids=["f160", "f162"], indirect=True)
+
+
 class TestDensePasses:
     """The dense route writes into F itself or into row blocks of it."""
 
@@ -296,17 +310,7 @@ class TestDensePasses:
                                           reference.view(np.uint64))
             np.testing.assert_array_equal(x, x.conj().T)
 
-    def test_blocked_residual_matches_the_whole_array(self, box):
-        _, _, operators = box
-        for x in operators:
-            frame, rows, ok = correlation._range_basis(x, 4)
-            b = rows @ frame
-            whole = np.hypot(np.linalg.norm(x - frame @ rows),
-                             np.linalg.norm(rows - b @ frame.conj().T))
-            split = split_by_image(x, 2, 2)
-            assert ok
-            assert abs(split.discarded - whole) <= 1e-13 * whole
-
+    @SMALL_BOX
     def test_non_contiguous_stack_splits_as_its_copy(self, box):
         _, _, operators = box
         f = operators[0].shape[0]
@@ -343,33 +347,27 @@ class TestDensePasses:
         one = 16 * x.shape[0] ** 2
         assert traced_peak(lambda: dense_correlation_map(cfg, point)) <= (
             1.25 * one)
-        assert traced_peak(lambda: split_by_image(x, 2, 2)) <= 0.25 * one
 
 
 class TestFactorRoute:
     """A box F given by its wave values W is split from W, not from F."""
 
-    def test_agrees_with_range_and_dense_routes(self, box):
-        cfg, points, operators = box
-        for w, x in zip(wave_value_matrix(cfg, points), operators):
+    def test_agrees_with_range_and_dense_routes(self, box, dense_splits):
+        cfg, points, _ = box
+        for w, dense in zip(wave_value_matrix(cfg, points), dense_splits):
             split = split_wave_values(w, SPINOR_GRAM, 2, 2)
             assert split.operator is None
-            by_range = split_by_image(x, 2, 2)
-            projector, spectrum = dense_split(x, 2, 2)
-            scale = np.max(np.abs(spectrum))
-            for other in (by_range.basis @ by_range.basis.conj().T, projector):
-                np.testing.assert_allclose(
-                    split.basis @ split.basis.conj().T, other, rtol=0,
-                    atol=1e-12)
-            for other in (np.linalg.eigvalsh(by_range.restricted), spectrum):
-                np.testing.assert_allclose(np.linalg.eigvalsh(split.restricted),
-                                           other, rtol=0, atol=1e-12 * scale)
-            # a wrong signature of the right rank: both routes decide it
+            spectrum = np.linalg.eigvalsh(dense.restricted)
+            np.testing.assert_allclose(split.basis @ split.basis.conj().T,
+                                       dense.basis @ dense.basis.conj().T,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(np.linalg.eigvalsh(split.restricted),
+                                       spectrum, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(spectrum)))
+            # a wrong signature of the right rank is decided from W
             for p, q in ((3, 1), (1, 3)):
                 with pytest.raises(NotRegular, match=r"found \(2, 2\)"):
                     split_wave_values(w, SPINOR_GRAM, p, q)
-                with pytest.raises(NotRegular, match=r"found \(2, 2\)"):
-                    split_by_image(x, p, q)
 
     def test_discarded_bounds_the_dense_residual(self, box):
         cfg, points, operators = box
@@ -419,9 +417,10 @@ class TestWaveValueFallback:
 class TestNoDensePass:
     """Nothing on the wave-value route renders an f x f array."""
 
-    def test_gauge_renders_no_dense_operator(self, box, monkeypatch):
-        cfg, points, operators = box
-        base = spin_space(operators[0], 2)
+    def test_gauge_renders_no_dense_operator(self, box, dense_splits,
+                                             monkeypatch):
+        cfg, points, _ = box
+        base = dense_splits[0]
 
         def refuse(*args):
             raise AssertionError("a dense operator was rendered")
@@ -429,8 +428,8 @@ class TestNoDensePass:
         splits = build_correlation_map(cfg, points)
         for split in splits:
             assert split.operator is None and split.signature == (2, 2)
-        for ys, dense in ((splits[1:2], operators[1:2]),
-                          (splits[1:], operators[1:])):
+        for ys, dense in ((splits[1:2], dense_splits[1:2]),
+                          (splits[1:], dense_splits[1:])):
             gauge = build_gauge(base, ys)
             assert max(gauge.condition_residuals) <= 1e-9
             for value, same in zip(gauge.values,
@@ -459,8 +458,8 @@ class TestHermitize:
                                           reference.view(np.uint64))
 
     def test_dense_fallback_peak(self):
-        # a rank-3 operator at f = 968: the range certificate refuses it and
-        # the dense route decides, with one f x f buffer for hermitize
+        # a rank-3 operator at f = 968: the dense route decides it with one
+        # f x f buffer for hermitize and the eigenvectors of one eigh
         f = 968
         rng = np.random.default_rng(71)
         v = np.linalg.qr(random_complex(rng, f, 3))[0]

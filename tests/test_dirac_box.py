@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from conftest import dense_correlation_map
 
+from cfsgauge import correlation
 from cfsgauge.cli import DEFAULT_TOLERANCES
 from cfsgauge.correlation import kernel, spin_space
 from cfsgauge.dirac_box import (ETA, GAMMA, MAX_L, MAX_MODES,
@@ -19,7 +20,8 @@ from cfsgauge.dirac_box import (ETA, GAMMA, MAX_L, MAX_MODES,
                                 build_correlation_map, kernel_braket_sum,
                                 kernel_mode_sum, mode_count, momentum_modes,
                                 momentum_points, slash, wave_value_matrix)
-from cfsgauge.errors import EmptyCutoff, TooFewModes, TooManyModes
+from cfsgauge.errors import (EmptyCutoff, NotRegular, TooFewModes,
+                             TooManyModes)
 from cfsgauge.krein import opnorm
 from cfsgauge.wave_charts import build_gauge
 
@@ -279,6 +281,19 @@ class TestCorrelationMap:
         assert max(gauge.condition_residuals) <= (
             DEFAULT_TOLERANCES["gauge_condition"])
         assert peak < 100e6
+
+    @pytest.mark.parametrize("eps, f", [(0.4, 160), (0.08, 16432)],
+                             ids=["f160", "f16432"])
+    def test_nonfinite_point_refused_before_any_render(self, eps, f,
+                                                       monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a dense operator was rendered")
+        monkeypatch.setattr(correlation, "local_correlation", refuse)
+        cfg = DiracBoxConfig(L=math.pi, eps=eps, m=0.0)
+        point = cfg.point(math.nan, (0.1, -0.05, 0.0))
+        with pytest.raises(NotRegular, match=(
+                rf"^wave values are not finite: {4 * f} of {4 * f} entries$")):
+            build_correlation_map(cfg, [point])
 
     def test_too_few_modes(self):
         # a single lattice momentum gives f = 2 < 4

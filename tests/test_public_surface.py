@@ -8,7 +8,9 @@ acceptance suite.  A parameter with a default counts as used when one call
 from those sources passes it, by name or by position.  An annotated field of
 a public class counts as used when those sources read an attribute of its
 name.  Unit tests alone do not keep a helper, an option or a field alive: a
-claim they check goes through the code the program runs.  The package root
+claim they check goes through the code the program runs.  Likewise every
+module-level private function is read by the package outside its own
+definition, so no helper lives on for a test alone.  The package root
 binds no name, so each one is imported from the module that defines it.
 Every error type is raised or caught somewhere in the package.
 """
@@ -87,17 +89,21 @@ def read_attributes():
             and isinstance(node.ctx, ast.Load)}
 
 
-def referenced_names():
+def names_in(tree):
+    """Every name, attribute and imported name referenced under ``tree``."""
     names = set()
-    for tree in caller_trees():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
     return names
+
+
+def referenced_names():
+    return set().union(*map(names_in, caller_trees()))
 
 
 def defaulted_parameters(node):
@@ -143,6 +149,17 @@ def test_every_public_function_has_a_caller():
               if node.name not in used}
     assert not unused - set(ALLOWED), "public without a caller"
     assert not set(ALLOWED) - unused, "allowed name is used or gone"
+
+
+def test_every_private_function_has_a_reader():
+    statements = [node for path in PACKAGE.glob("*.py")
+                  for node in ast.parse(path.read_text(encoding="utf-8")).body]
+    unread = [own.name for own in statements
+              if isinstance(own, ast.FunctionDef)
+              and own.name.startswith("_") and not own.name.startswith("__")
+              and not any(own.name in names_in(node)
+                          for node in statements if node is not own)]
+    assert not unread, "private helpers only tests call"
 
 
 def test_package_root_binds_no_name():

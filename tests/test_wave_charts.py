@@ -10,10 +10,9 @@ import pytest
 from conftest import dense_correlation_map, random_krein_unitary
 
 from cfsgauge import cli, correlation, wave_charts
-from cfsgauge.correlation import (kernel, local_correlation, spin_space,
-                                  split_by_image)
-from cfsgauge.dirac_box import (SPINOR_GRAM, DiracBoxConfig,
-                                build_correlation_map, wave_value_matrix)
+from cfsgauge.correlation import kernel, spin_space, split_by_image
+from cfsgauge.dirac_box import (DiracBoxConfig, build_correlation_map,
+                                wave_value_matrix)
 from cfsgauge.errors import NotInvertible, OutOfChartDomain
 from cfsgauge.krein import opnorm
 from cfsgauge.manifold import ChartCoordinates, chart_forward, chart_inverse
@@ -329,7 +328,7 @@ class TestBoxGauge:
                 build_correlation_map(cfg, points[1:]))
 
     def test_no_dense_decomposition_per_point(self, box, decompositions):
-        base, ys, _ = box
+        base, _, ys = box
         decompositions.clear()
         gauge = build_gauge(base, ys)
         report = charts_coincide_check(base, ys)
@@ -416,7 +415,7 @@ class TestBoxGauge:
 class TestGaugeMemory:
     """A gauge over a sequence of points copies no (n, f, f) stack."""
 
-    @pytest.mark.parametrize("source", ["splits", "dense"])
+    @pytest.mark.parametrize("source", ["splits"])   # box points' splits
     def test_three_point_gauge_peak(self, source):
         cfg = DiracBoxConfig(L=math.pi, eps=0.2, m=0.0)
         base = spin_space(build_correlation_map(
@@ -424,8 +423,7 @@ class TestGaugeMemory:
         points = [cfg.point(0.1, (0.1, -0.05, 0.0)),
                   cfg.point(-0.05, (0.0, 0.12, 0.08)),
                   cfg.point(0.08, (-0.1, 0.0, 0.1))]
-        ys = (build_correlation_map(cfg, points) if source == "splits"
-              else dense_correlation_map(cfg, points))
+        ys = build_correlation_map(cfg, points)
         f = base.basis.shape[0]
         assert f == 968
         tracemalloc.start()
@@ -536,10 +534,8 @@ class TestSpinorFrameBridge:
             assert opnorm(dense - spinor) <= 1e-12 * opnorm(spinor)
 
     def test_residual_bound_makes_no_dense_array(self, sea):
-        base, _, waves = sea
-        split_y = split_by_image(
-            np.array([local_correlation(w, SPINOR_GRAM) for w in waves[1:]]),
-            2, 2)
+        base, ys, _ = sea
+        split_y = wave_charts._as_stacked_split(ys, base)   # a stack of two
         values = symmetric_wave_chart(split_y, base).full_matrix()
         tracemalloc.start()
         try:
