@@ -37,7 +37,7 @@ from . import manifold as mf
 from . import perturbation as pt
 from . import randoms as rnd
 from . import wave_charts as wc
-from .correlation import MAX_DENSE_BYTES, spin_space
+from .correlation import spin_space
 from .dirac_box import (MIN_MASS, DiracBoxConfig, kernel_braket_sum,
                         kernel_mode_sum, mode_count, wave_value_matrix)
 from .errors import CfsGaugeError, ConfigError, TaskError, TooManyModes
@@ -48,6 +48,8 @@ MAX_GRID_POINTS = 1 << 16
 #: cap on 2 |t| / eps, which bounds every phase omega (t_x - t_y) since
 #: omega < 1 / eps: past 2^52 a float phase keeps no digit below one radian
 MAX_PHASE = 2.0 ** 52
+#: cap on the bytes of each (block, 4, f) wave stack ``task_perturb`` forms
+MAX_DENSE_BYTES = 1 << 30
 #: largest s = ||A - 1|| of the gauge task's polar draws.  Gram moduli in
 #: randoms.SPREAD = (0.5, 2) give the Krein adjoint a norm factor k <= 4,
 #: so ||A* A - 1|| <= (1 + k) s + k s^2 = 5s + 4s^2 = 0.778, inside
@@ -474,7 +476,6 @@ def task_perturb(config: ExperimentConfig):
                           tol["kernel_consistency"]))
 
     waves = wave_value_matrix(box, x)
-    # (block, 4, f) stacks of functions or points fit MAX_DENSE_BYTES
     block = max(1, MAX_DENSE_BYTES // waves.nbytes)
     reference = pt.perturbed_symmetric_gauge(waves, waves)
     lam = rnd.random_gauge_function(rng, box.L, 50)

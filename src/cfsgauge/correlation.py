@@ -14,8 +14,8 @@ at O(f r^2) cost.  Code that needs the orthogonal complement projects off
 the image with 1 - V V^dag; only ``manifold.chart_jacobian_rank`` builds a
 basis of it, from the eigenvectors of that projector.  There is one route
 per representation: a point given by its wave values W (x = -W^dag G W) is
-split from W alone at O(f r^2), with no f x f array, and a dense x by one
-f x f ``eigh``.
+decided from W alone at O(f r^2), with no f x f array, whatever the
+verdict, and a dense x is split by one f x f ``eigh``.
 """
 
 from __future__ import annotations
@@ -25,14 +25,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NotRegular, TooManyModes
+from .errors import NotRegular
 from .krein import KreinSpace, _frobenius, _refuse
 
 #: relative threshold separating genuine eigenvalues from numerical zeros
 TOL_RANK_FACTOR = 1e-8
-BLOCK_ROWS = 32  #: rows per cache-sized block of the dense render
-#: cap on 16 f^2, the bytes of one dense complex f x f correlation operator
-MAX_DENSE_BYTES = 1 << 30  # f <= 8192
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -83,12 +80,13 @@ class ImageSplit:
 
 
 def _split_from_factor(w: np.ndarray, g: np.ndarray):
-    """Split each x = ``local_correlation(W, G)`` from W alone, certified.
+    """Split each x = -W^dag G W from W alone, and decide its signature.
 
     W^dag = Q R gives B = -R G R^dag at O(f r^2), reading no entry of x.
     One r x r ``eigh`` of B gives the image basis (descending eigenvalues,
     phases fixed) and the scale max|eig(B)| that stands in for ||x||.
-    rho bounds ||x - V X V^dag||_F: ||-W^dag G W - V X V^dag||_F, read from
+    rho bounds ||x - V X V^dag||_F for x rendered densely as
+    ``hermitize(-(W^dag G W))``: ||-W^dag G W - V X V^dag||_F, read from
     [W^dag, V] by ``frame_form``, plus gamma_13 ||G||_F ||W||_F^2 for the
     rounding of x: (W^dag G) W is two complex products of inner dimension
     4, each within gamma_6 (gamma_{n+2} for complex data), so within
@@ -96,13 +94,17 @@ def _split_from_factor(w: np.ndarray, g: np.ndarray):
     conj(b)) rounds once more (negation, conjugation and halving are
     exact), which gives gamma_13.
 
-    Every eigenvalue of x lies within rho of eig(B) or of 0.  If rho is
-    below the rank threshold and every |eig(B)| exceeds threshold + rho, x
-    has exactly r eigenvalues above it, with the signs of eig(B): the dense
-    verdict.  The threshold scales with ||x||, known from max|eig(B)| only
+    Every eigenvalue of x lies within rho of eig(B) or of 0; more, the
+    eigenvalues of x match eig(B) and f - r zeros one to one within rho
+    (Weyl).  An element is decided when B is finite, rho is below the rank
+    threshold and every |eig(B)| lies above threshold + rho or below
+    threshold - rho.  Each eigenvalue of x then falls on the side of the
+    threshold of its partner, with its sign, so counting eig(B) at the
+    threshold gives the dense verdict for kept and dropped eigenvalues
+    alike.  The threshold scales with ||x||, known from max|eig(B)| only
     to within rho, so both bounds take the unfavorable end.  Returns what
-    ``_split_dense`` does and whether each element is certified; a
-    non-finite B is never certified.
+    ``_split_dense`` does, ``found`` counted at the threshold, and whether
+    each element is decided.
     """
     frame, r = np.linalg.qr(_adjoint(w))
     b = -(r @ g @ _adjoint(r))
@@ -118,10 +120,12 @@ def _split_from_factor(w: np.ndarray, g: np.ndarray):
     scale = np.max(np.abs(vals), axis=-1)
     tol_low = TOL_RANK_FACTOR * np.maximum(scale - rho, 1e-300)
     tol_high = TOL_RANK_FACTOR * np.maximum(scale + rho, 1e-300)
-    certified = (ok & (rho < tol_low)
-                 & (np.min(np.abs(vals), axis=-1) > tol_high + rho))
-    return (basis, restricted, rho, _counts(vals, 0.0),
-            TOL_RANK_FACTOR * np.maximum(scale, 1e-300)), certified
+    size = np.abs(vals)
+    decided = (ok & (rho < tol_low)
+               & np.all((size > (tol_high + rho)[..., None])
+                        | (size < (tol_low - rho)[..., None]), axis=-1))
+    tol_rank = TOL_RANK_FACTOR * np.maximum(scale, 1e-300)
+    return (basis, restricted, rho, _counts(vals, tol_rank), tol_rank), decided
 
 
 def frame_form(a, a_gram, b, b_gram) -> np.ndarray:
@@ -177,22 +181,23 @@ def split_by_image(x: np.ndarray, p: int, q: int) -> ImageSplit:
 
 
 def split_wave_values(w, g, p: int, q: int) -> ImageSplit:
-    """The split of x = ``local_correlation(w, g)`` for one r x f ``w``.
+    """The split of x = -w^dag g w for one (p + q) x f ``w``, from w alone.
 
-    Raises NotRegular, before anything is rendered, when ``w`` is not
-    finite.  Where r = p + q and the certificate of ``_split_from_factor``
-    decides, it reads w alone at O(f r^2).  Otherwise x is rendered and
-    ``split_by_image`` decides, so the verdict is the dense one.
+    Reads w at O(f r^2) and renders no f x f array.  Raises NotRegular when
+    w is not finite or lacks p + q rows (before any product), when
+    ``_split_from_factor`` leaves the signature undecided, and when the
+    decided signature, the dense verdict, is not (p, q).
     """
     w = np.asarray(w, dtype=complex)
     bad = ~np.isfinite(w)
     _refuse(bad.any(), NotRegular, "wave values are not finite: {} of {} "
             "entries", np.count_nonzero(bad), w.size)
-    if w.shape[-2] == p + q:
-        split, certified = _split_from_factor(w, np.asarray(g, dtype=complex))
-        if certified:
-            return _decided_split(split, p, q, None)
-    return split_by_image(local_correlation(w, g), p, q)
+    _refuse(w.shape[-2] != p + q, NotRegular, "expected p + q = {} rows of "
+            "wave values, found {}", p + q, w.shape[-2])
+    split, decided = _split_from_factor(w, np.asarray(g, dtype=complex))
+    _refuse(~decided, NotRegular, "signature undecided at threshold {:.3g} "
+            "within the rounding bound {:.3g}", split[4], split[2])
+    return _decided_split(split, p, q, None)
 
 
 def _decided_split(split, p: int, q: int, operator) -> ImageSplit:
@@ -223,32 +228,6 @@ def spin_space(x, n: int) -> ImageSplit:
     numerically zero.
     """
     return as_split(x, n, n)
-
-
-def local_correlation(wave_values: np.ndarray,
-                      spinor_gram: np.ndarray) -> np.ndarray:
-    """Correlation operator of an ensemble of wave values at one point.
-
-    ``wave_values`` has one column per basis vector of the ensemble (assumed
-    orthonormal); entry (i, j) of the result is minus the indefinite inner
-    product of values i and j, giving a Hermitian matrix: ``hermitize``'s
-    formula, applied in place to one row block and its column block at a time.
-    Raises TooManyModes, before any f x f array exists, when the result would
-    take over MAX_DENSE_BYTES.
-    """
-    f = np.shape(wave_values)[-1]
-    if 16 * f * f > MAX_DENSE_BYTES:
-        raise TooManyModes(f"a dense correlation operator at f = {f} modes "
-                           f"takes over MAX_DENSE_BYTES = {MAX_DENSE_BYTES} B")
-    w = np.array(wave_values, dtype=complex)
-    g = np.array(spinor_gram, dtype=complex)
-    x = w.conj().T @ g @ w
-    for i in range(0, len(x), BLOCK_ROWS):  # (-a) - b^dag == (-a) + (-b)^dag
-        j = i + BLOCK_ROWS
-        rows, cols = x[i:j, i:], x[i:, i:j].T.copy()
-        x[j:, i:j] = (0.5 * (-cols[:, j - i:] - rows[:, j - i:].conj())).T
-        rows[...] = 0.5 * (-rows - cols.conj())
-    return x
 
 
 def wave_evaluation(sp: ImageSplit) -> np.ndarray:

@@ -47,15 +47,10 @@ def opnorm(a: np.ndarray):
     return float(top) if top.ndim == 0 else top
 
 
-def _frobenius2(a: np.ndarray):
-    """Squared Frobenius norm of each stacked matrix: one BLAS dot each."""
-    flat = np.ascontiguousarray(a).view(float).reshape(*a.shape[:-2], -1)
-    return (flat[..., None, :] @ flat[..., :, None])[..., 0, 0]
-
-
 def _frobenius(a: np.ndarray):
     """Frobenius norm of each stacked matrix: one BLAS dot each, no copy."""
-    return np.sqrt(_frobenius2(a))
+    flat = np.ascontiguousarray(a).view(float).reshape(*a.shape[:-2], -1)
+    return np.sqrt((flat[..., None, :] @ flat[..., :, None])[..., 0, 0])
 
 
 def _norm_bound(a: np.ndarray, limit):

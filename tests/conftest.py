@@ -10,7 +10,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from scipy.linalg import expm
 
 from cfsgauge.closed_chain import multiset_distance  # noqa: F401 (for tests)
-from cfsgauge.correlation import local_correlation
+from cfsgauge.correlation import hermitize
 from cfsgauge.dirac_box import SPINOR_GRAM, wave_value_matrix
 from cfsgauge.randoms import random_complex
 
@@ -19,6 +19,12 @@ from cfsgauge.randoms import random_complex
 settings.register_profile("tier1", derandomize=True, deadline=None,
                           database=None, max_examples=100)
 settings.load_profile("tier1")
+
+
+def local_correlation(w, g):
+    """The dense correlation operator -w^dag g w of wave values w, Hermitian
+    to the last bit: the reference the wave-value split is checked against."""
+    return hermitize(-(np.conjugate(w).T @ g @ w))
 
 
 def dense_correlation_map(cfg, points):

@@ -5,16 +5,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import (dense_correlation_map, multiset_distance,
-                      random_krein_unitary)
+from conftest import (dense_correlation_map, local_correlation,
+                      multiset_distance, random_krein_unitary)
 
 from cfsgauge import correlation
-from cfsgauge.correlation import (closed_chain, kernel, local_correlation,
-                                  spin_space, split_by_image,
-                                  split_wave_values, wave_evaluation)
+from cfsgauge.correlation import (closed_chain, kernel, spin_space,
+                                  split_by_image, split_wave_values,
+                                  wave_evaluation)
 from cfsgauge.dirac_box import (SPINOR_GRAM, DiracBoxConfig,
                                 build_correlation_map, wave_value_matrix)
-from cfsgauge.errors import NotRegular, TooManyModes
+from cfsgauge.errors import NotRegular
 from cfsgauge.krein import opnorm
 from cfsgauge.randoms import random_complex, random_correlation
 from cfsgauge.wave_charts import (WaveChartPoint, build_gauge,
@@ -28,24 +28,35 @@ def diag_operator(values, f):
 
 
 class TestLocalCorrelation:
+    """The correlation operator -W^dag G W at one point, split from W."""
+
     def test_zero_waves(self):
         w = np.zeros((4, 6))
-        np.testing.assert_allclose(local_correlation(w, np.diag([1.0, -1.0, 1.0, -1.0])),
-                                   np.zeros((6, 6)))
+        with pytest.raises(NotRegular, match=r"found \(0, 0\)"):
+            split_wave_values(w, np.diag([1.0, -1.0, 1.0, -1.0]), 2, 2)
 
     def test_single_wave_scalar(self):
-        # one basis vector whose value has indefinite square c
+        # one basis vector whose value has indefinite square c: x = [[-c]]
         gram = np.diag([1.0, -1.0])
         w = np.array([[2.0], [1.0]])
         c = 2.0 ** 2 - 1.0 ** 2
-        np.testing.assert_allclose(local_correlation(w, gram), [[-c]])
+        with pytest.raises(NotRegular, match=(
+                r"expected signature \(1, 1\), found \(0, 1\) at "
+                r"threshold 3e-08$")):
+            split_wave_values(w, gram, 1, 1)
+        split = split_wave_values([[np.sqrt(c)]], [[1.0]], 0, 1)
+        np.testing.assert_allclose(split.restricted, [[-c]], rtol=1e-15)
 
     def test_hermitian(self):
         rng = np.random.default_rng(0)
         w = random_complex(rng, 4, 7)
         gram = np.diag([1.0, 1.0, -1.0, -1.0])
-        f = local_correlation(w, gram)
-        np.testing.assert_allclose(f, f.conj().T)
+        split = split_wave_values(w, gram, 2, 2)
+        np.testing.assert_array_equal(split.restricted,
+                                      split.restricted.conj().T)
+        kept = split.basis @ split.restricted @ split.basis.conj().T
+        np.testing.assert_allclose(kept, local_correlation(w, gram),
+                                   rtol=0, atol=1e-14)
 
 
 class TestSpinSpace:
@@ -296,19 +307,7 @@ SMALL_BOX = pytest.mark.parametrize("box", [(0.4, 0.0), (0.4, 0.3)],
 
 
 class TestDensePasses:
-    """The dense route writes into F itself or into row blocks of it."""
-
-    def test_local_correlation_is_the_hermitian_part(self, box):
-        cfg, points, _ = box
-        for point in points:
-            w = wave_value_matrix(cfg, point)
-            x = local_correlation(w, SPINOR_GRAM)
-            # bit for bit the whole-array formula, signed zeros included,
-            # and exactly Hermitian
-            reference = correlation.hermitize(-(w.conj().T @ SPINOR_GRAM @ w))
-            np.testing.assert_array_equal(x.view(np.uint64),
-                                          reference.view(np.uint64))
-            np.testing.assert_array_equal(x, x.conj().T)
+    """The dense route splits a strided stack as its contiguous copy."""
 
     @SMALL_BOX
     def test_non_contiguous_stack_splits_as_its_copy(self, box):
@@ -337,16 +336,6 @@ class TestDensePasses:
                                        atol=1e-13 * scale)
         np.testing.assert_allclose(split.discarded, copy.discarded, rtol=0,
                                    atol=1e-13 * scale)
-
-    @pytest.mark.parametrize("m", [0.0, 0.3])
-    def test_peaks_stay_near_one_operator(self, m):
-        # f = 968 at m = 0 and 970 at m = 0.3
-        cfg = DiracBoxConfig(L=math.pi, eps=0.2, m=m)
-        point = [cfg.point(0.1, (0.1, -0.05, 0.0))]
-        x = dense_correlation_map(cfg, point)[0]   # fills the sea table cache
-        one = 16 * x.shape[0] ** 2
-        assert traced_peak(lambda: dense_correlation_map(cfg, point)) <= (
-            1.25 * one)
 
 
 class TestFactorRoute:
@@ -385,46 +374,65 @@ class TestFactorRoute:
                               1, 1)
 
 
-def rank_three_waves():
-    """f = 160 wave values whose last row repeats the third: rank 3."""
-    cfg = DiracBoxConfig(L=math.pi, eps=0.4, m=0.0)
+def rank_three_waves(eps=0.4):
+    """Wave values whose last row repeats the third: rank 3 (f = 160 at
+    eps = 0.4)."""
+    cfg = DiracBoxConfig(L=math.pi, eps=eps, m=0.0)
     w = wave_value_matrix(cfg, cfg.point(0.1, (0.1, -0.05, 0.0)))
     w[3] = w[2]
     return w
 
 
-class TestWaveValueFallback:
-    """Only W the certificate refuses is rendered, and only under the cap."""
+class TestVerdictFromFactor:
+    """Every W is decided from its factor: no f x f array, any verdict."""
 
-    def test_refused_waves_take_the_dense_route(self, decompositions):
-        w = rank_three_waves()
-        f = w.shape[1]
-        with pytest.raises(NotRegular, match=r"found \(1, 2\)"):
-            split_wave_values(w, SPINOR_GRAM, 2, 2)
-        assert (f, f) in decompositions
-
-    def test_render_past_the_cap_raises_before_allocating(self, monkeypatch):
-        w = rank_three_waves()
-        f = w.shape[1]
-        monkeypatch.setattr(correlation, "MAX_DENSE_BYTES", 16 * f * f - 1)
+    @pytest.mark.parametrize("eps, f", [(0.4, 160), (0.08, 16432)],
+                             ids=["f160", "f16432"])
+    def test_rank_three_refused(self, eps, f, decompositions):
+        w = rank_three_waves(eps)
+        assert w.shape == (4, f)
 
         def split():
-            with pytest.raises(TooManyModes, match="MAX_DENSE_BYTES"):
+            with pytest.raises(NotRegular, match=(
+                    r"expected signature \(2, 2\), found \(1, 2\) at "
+                    r"threshold")):
                 split_wave_values(w, SPINOR_GRAM, 2, 2)
-        assert traced_peak(split) < 16 * f * f
+        assert traced_peak(split) < 16 * f * f / 4
+        assert decompositions and all(max(shape) <= 8
+                                      for shape in decompositions)
+
+    def test_threshold_on_an_eigenvalue_is_undecided(self, monkeypatch):
+        cfg = DiracBoxConfig(L=math.pi, eps=0.4, m=0.0)
+        w = wave_value_matrix(cfg, cfg.point(0.1, (0.1, -0.05, 0.0)))
+        size = np.abs(np.linalg.eigvalsh(
+            split_wave_values(w, SPINOR_GRAM, 2, 2).restricted))
+        monkeypatch.setattr(correlation, "TOL_RANK_FACTOR",
+                            size.min() / size.max())
+        with pytest.raises(NotRegular, match=(
+                r"^signature undecided at threshold \S+ within the rounding "
+                r"bound \S+$")):
+            split_wave_values(w, SPINOR_GRAM, 2, 2)
+
+    @pytest.mark.parametrize("rows", [3, 5])
+    def test_rows_other_than_p_plus_q_refused(self, rows, decompositions):
+        rng = np.random.default_rng(rows)
+        w = random_complex(rng, rows, 160)
+        gram = np.diag([1.0, -1.0, 1.0, -1.0, 1.0][:rows])
+        with pytest.raises(NotRegular, match=(
+                rf"^expected p \+ q = 4 rows of wave values, found {rows}$")):
+            split_wave_values(w, gram, 2, 2)
+        assert not decompositions
 
 
 class TestNoDensePass:
     """Nothing on the wave-value route renders an f x f array."""
 
     def test_gauge_renders_no_dense_operator(self, box, dense_splits,
-                                             monkeypatch):
+                                             decompositions):
         cfg, points, _ = box
         base = dense_splits[0]
-
-        def refuse(*args):
-            raise AssertionError("a dense operator was rendered")
-        monkeypatch.setattr(correlation, "local_correlation", refuse)
+        f = base.basis.shape[0]
+        decompositions.clear()
         splits = build_correlation_map(cfg, points)
         for split in splits:
             assert split.operator is None and split.signature == (2, 2)
@@ -437,6 +445,7 @@ class TestNoDensePass:
                 assert opnorm(value - same) <= 1e-12 * opnorm(same)
             deviation = charts_coincide_check(base, ys).max_deviation
             assert deviation <= 1e-8
+        assert (f, f) not in decompositions
 
     @pytest.mark.parametrize("m", [0.0, 0.3])
     def test_split_peak_stays_small(self, m):

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import local_correlation
 
-from cfsgauge.correlation import local_correlation
+from cfsgauge.correlation import split_wave_values
 from cfsgauge.dirac_box import (SPINOR_GRAM, DiracBoxConfig,
                                 SpacetimePoint, kernel_mode_sum,
                                 wave_value_matrix)
@@ -88,14 +89,24 @@ class TestLocalPhase:
         assert 3.5 <= residuals[0] / residuals[1] <= 4.5
 
 
+def projector(split):
+    return split.basis @ split.basis.conj().T
+
+
 class TestCorrelationInvariance:
     def test_pure_gauge_exact(self, waves):
         rng = np.random.default_rng(4)
+        split = split_wave_values(waves, SPINOR_GRAM, 2, 2)
+        spectrum = np.linalg.eigvalsh(split.restricted)
         for _ in range(10):
             lam = random_gauge_function(rng, CFG.L)
             perturbed = apply_local_phase(waves, lam, POINT)
             assert opnorm(local_correlation(perturbed, SPINOR_GRAM)
                           - local_correlation(waves, SPINOR_GRAM)) <= 1e-12
+            moved = split_wave_values(perturbed, SPINOR_GRAM, 2, 2)
+            assert opnorm(projector(moved) - projector(split)) <= 1e-12
+            np.testing.assert_allclose(np.linalg.eigvalsh(moved.restricted),
+                                       spectrum, rtol=0, atol=1e-12)
 
     def test_signature_preserved(self, waves):
         rng = np.random.default_rng(5)
@@ -105,6 +116,10 @@ class TestCorrelationInvariance:
         tol = 1e-8 * max(abs(vals))
         assert int(np.sum(vals > tol)) == 2
         assert int(np.sum(vals < -tol)) == 2
+        split = split_wave_values(perturbed, SPINOR_GRAM, 2, 2)
+        assert split.signature == (2, 2)
+        kept = np.linalg.eigvalsh(split.restricted)
+        assert int(np.sum(kept > 0)) == 2 and int(np.sum(kept < 0)) == 2
 
 
 class TestMixedKernel:
