@@ -17,8 +17,11 @@ the documents differ from it, with the SHA-256 of that difference (``git diff
 --binary HEAD -- . ':!*.md' ':!BENCH_*.json'``, which the same command
 between the parent and the committed change reproduces); the settings; and
 per workload and end-to-end metric each side's values, median and
-quartiles, and how many pairs the change won, tied and lost, "better" read
-from BENCHMARK.json.  Quartiles are ``statistics.quantiles(n=4)``.
+quartiles, how many pairs the change won, tied and lost, "better" read
+from BENCHMARK.json, and two verdicts: ``gain`` (at least 9 in 10 pairs
+won and a median gap wider than the parent's IQR) and ``over_bound`` (the
+change's median worse than the metric's relative ``bound``).  Quartiles are
+``statistics.quantiles(n=4)``.
 Only the standard library is used.
 """
 
@@ -73,6 +76,33 @@ def summarize(values: list[float]) -> dict:
             "iqr": q3 - q1, "values": values}
 
 
+def compare(old: list[float], new: list[float], better: str,
+            bound: float) -> dict:
+    """One metric's pairs: each side's summary, wins, ties and losses, and
+    the two verdicts.
+
+    ``gain``: the change wins at least 9 in 10 pairs and its median beats
+    the parent's by more than the parent's IQR.  ``over_bound``: the
+    change's median is worse than the parent's by more than ``bound`` times
+    the parent's median, the relative reading of ``median_change_rel``.
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    diffs = [sign * (o - n) for o, n in zip(old, new)]
+    entry = {"better": better, "bound": bound,
+             "parent": summarize(old), "change": summarize(new),
+             "change_wins": sum(d > 0 for d in diffs),
+             "ties": sum(d == 0 for d in diffs),
+             "change_losses": sum(d < 0 for d in diffs)}
+    base = entry["parent"]["median"]
+    gap = sign * (base - entry["change"]["median"])   # > 0: the change is better
+    entry["median_change_rel"] = ((entry["change"]["median"] - base) / base
+                                  if base else None)
+    entry["gain"] = (10 * entry["change_wins"] >= 9 * len(diffs)
+                     and gap > entry["parent"]["iqr"])
+    entry["over_bound"] = -gap > bound * abs(base)
+    return entry
+
+
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -110,23 +140,11 @@ def main(argv=None) -> int:
                     print(f"pair {pair + 1} {workload} {side}: op_p50_ms "
                           f"{metrics['op_p50_ms']:.4g}", file=sys.stderr)
 
-    summary = {}
-    for workload, sides in runs.items():
-        summary[workload] = {}
-        for name, direction in better.items():
-            old = [m[name] for m in sides["parent"]]
-            new = [m[name] for m in sides["change"]]
-            sign = 1.0 if direction == "lower" else -1.0
-            diffs = [sign * (o - n) for o, n in zip(old, new)]
-            entry = {"better": direction, "bound": bounds[name],
-                     "parent": summarize(old), "change": summarize(new),
-                     "change_wins": sum(d > 0 for d in diffs),
-                     "ties": sum(d == 0 for d in diffs),
-                     "change_losses": sum(d < 0 for d in diffs)}
-            base = entry["parent"]["median"]
-            entry["median_change_rel"] = ((entry["change"]["median"] - base) / base
-                                          if base else None)
-            summary[workload][name] = entry
+    summary = {workload: {name: compare([m[name] for m in sides["parent"]],
+                                        [m[name] for m in sides["change"]],
+                                        direction, bounds[name])
+                          for name, direction in better.items()}
+               for workload, sides in runs.items()}
     document = {"environment": environment, "parent": parent,
                 "change": change, "pairs": args.pairs, "seconds": seconds,
                 "seeds": list(range(1, args.pairs + 1)),

@@ -49,7 +49,7 @@ MAX_GRID_POINTS = 1 << 16
 #: omega < 1 / eps: past 2^52 a float phase keeps no digit below one radian
 MAX_PHASE = 2.0 ** 52
 #: cap on the bytes of each (block, 4, f) wave stack ``task_perturb`` forms
-MAX_DENSE_BYTES = 1 << 30
+MAX_DENSE_BYTES = 1 << 22
 #: largest s = ||A - 1|| of the gauge task's polar draws.  Gram moduli in
 #: randoms.SPREAD = (0.5, 2) give the Krein adjoint a norm factor k <= 4,
 #: so ||A* A - 1|| <= (1 + k) s + k s^2 = 5s + 4s^2 = 0.778, inside

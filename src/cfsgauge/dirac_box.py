@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import (ImageSplit, _fix_column_phases, hermitize,
-                          split_wave_values)
+from .correlation import ImageSplit, split_wave_values
 from .errors import EmptyCutoff, TooFewModes, TooManyModes
 
 _SIGMA = (
@@ -194,11 +193,14 @@ def _lattice(cfg: DiracBoxConfig) -> tuple[np.ndarray, ...]:
 
 @functools.lru_cache(maxsize=8)
 def _sea_table(cfg: DiracBoxConfig) -> tuple[np.ndarray, ...]:
-    """``_lattice`` plus the 4 x 2N wave values at the origin, read-only."""
+    """``_lattice`` plus the 4 x f wave values at the origin, read-only.
+
+    The spinors are ``_sea_spinor_table``'s closed form, scaled by
+    1 / sqrt(2 pi (2L)^3): each column's (omega + m) entry is real positive.
+    """
     n, k, omega = _lattice(cfg)[:3]
     scale = 1.0 / math.sqrt(2.0 * math.pi * (2.0 * cfg.L) ** 3)
-    spin = (scale * _sea_spinor_table(k, omega, cfg.m)).transpose(1, 0, 2)
-    spin = spin.reshape(4, -1)
+    spin = _sea_spinor_table(k, omega, cfg.m, scale)
     spin.setflags(write=False)
     return n, k, omega, spin
 
@@ -227,15 +229,24 @@ def momentum_points(cfg: DiracBoxConfig) -> list[MomentumMode]:
     return momentum_modes(cfg)[::2]
 
 
-def _sea_spinor_table(k: np.ndarray, omega: np.ndarray, m: float) -> np.ndarray:
-    """Sea spinors for any m >= 0 from one batched eigh, N x 4 x 2."""
-    k = k[..., None, None]
-    hamiltonian = GAMMA[0] @ (k[:, 0] * GAMMA[1] + k[:, 1] * GAMMA[2]
-                              + k[:, 2] * GAMMA[3]) + m * GAMMA[0]
-    vals, vecs = np.linalg.eigh(hermitize(hamiltonian))
-    if not np.all(np.abs(vals[:, :2].T + omega) <= 1e-10 * (1.0 + omega)):
-        raise ValueError("momentum-space Hamiltonian has unexpected spectrum")
-    return _fix_column_phases(vecs[..., :2])
+def _sea_spinor_table(k: np.ndarray, omega: np.ndarray, m: float,
+                      scale: float) -> np.ndarray:
+    """Sea spinors of every momentum in closed form, scaled, 4 x 2N.
+
+    Column a of momentum k is (-(sigma . k) e_a, (omega + m) e_a) / sqrt(2
+    omega (omega + m)): the Euclidean-orthonormal eigenvectors of the
+    Hamiltonian gamma^0 (k_vec . gamma + m) for the eigenvalue -omega, in
+    the phase whose (omega + m) entry is real and positive.  Columns 2i and
+    2i + 1 belong to momentum i, as in ``momentum_modes``.
+    """
+    norm = scale / np.sqrt(2.0 * omega * (omega + m))
+    k1, k2, k3 = (k * norm[:, None]).T
+    table = np.zeros((4, len(omega), 2), dtype=complex)
+    part = table.view(float).reshape(4, -1, 2, 2)   # row, momentum, a, re/im
+    part[0, :, 0, 0], part[1, :, 0, 0], part[1, :, 0, 1] = -k3, -k1, -k2
+    part[0, :, 1, 0], part[0, :, 1, 1], part[1, :, 1, 0] = -k1, k2, k3
+    part[2, :, 0, 0] = part[3, :, 1, 0] = (omega + m) * norm
+    return table.reshape(4, -1)
 
 
 def _coordinates(point) -> np.ndarray:
@@ -259,9 +270,11 @@ def wave_value_matrix(cfg: DiracBoxConfig, point) -> np.ndarray:
 
     Columns follow the mode ordering of ``momentum_modes``.  For every m the
     two spinors of a momentum are the Euclidean-orthonormal negative-energy
-    eigenvectors of its Hamiltonian, so the basis is orthonormal in the
-    solution scalar product; any other orthonormal basis of the same
-    eigenspaces gives a unitarily equivalent ensemble.
+    eigenvectors of its Hamiltonian in closed form, column a being
+    (-(sigma . k) e_a, (omega + m) e_a) / sqrt(2 omega (omega + m)) with its
+    (omega + m) entry real and positive at the origin, so the basis is
+    orthonormal in the solution scalar product; any other orthonormal basis
+    of the same eigenspaces gives a unitarily equivalent ensemble.
     """
     phases = _phases(cfg, _coordinates(point))
     # phase first: numpy's complex product rounds differently per operand order

@@ -3,8 +3,9 @@
 ``scripts/bench_pairs.py`` backs every speed claim, so its bookkeeping is
 checked here without a subprocess or a ``git archive``: ``git``, ``extract``
 and ``run_once`` are replaced by scripted stand-ins, and the summary must
-count wins, ties and losses and the median change by each metric's
-``better`` in BENCHMARK.json.
+count wins, ties and losses, the median change and the ``gain`` and
+``over_bound`` verdicts by each metric's ``better`` and ``bound`` in
+BENCHMARK.json.
 """
 
 import hashlib
@@ -17,6 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 BETTER = {m["name"]: m["better"] for m in SPEC["end_to_end"]}
+BOUNDS = {m["name"]: m["bound"] for m in SPEC["end_to_end"]}
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 
 #: per metric, the parent's and the change's value in pairs 1..4
@@ -25,6 +27,10 @@ SCRIPT = {
     "op_p50_ms": ([10.0, 10.0, 10.0, 10.0], [8.0, 10.0, 12.0, 7.0]),
     # higher is better: only pair 2 loses
     "ok_ratio": ([1.0, 1.0, 1.0, 1.0], [1.0, 0.9, 1.0, 1.0]),
+    # every pair wins, by more than the parent's IQR of 0: a gain
+    "peak_rss_mb": ([50.0, 50.0, 50.0, 50.0], [49.0, 49.5, 49.0, 48.0]),
+    # the median is 30% worse, past the bound of 25%
+    "wall_s": ([1.0, 1.0, 1.0, 1.0], [1.3, 1.2, 1.3, 1.4]),
 }
 
 
@@ -88,6 +94,40 @@ def test_wins_ties_and_losses_follow_better(bench_pairs, tmp_path):
         setup = summary["setup_s"]
         assert (setup["change_wins"], setup["ties"]) == (0, 4)
         assert setup["parent"]["iqr"] == 0.0
+
+
+def test_gain_and_over_bound_verdicts(bench_pairs, tmp_path):
+    document = run(bench_pairs, tmp_path)
+    assert BOUNDS["wall_s"] == 0.25
+    for workload in WORKLOADS:
+        summary = document["workloads"][workload]
+        verdicts = {name: (entry["gain"], entry["over_bound"])
+                    for name, entry in summary.items()}
+        assert verdicts == {"op_p50_ms": (False, False),   # 2 of 4 won
+                            "ok_ratio": (False, False),
+                            "peak_rss_mb": (True, False),
+                            "wall_s": (False, True),
+                            "setup_s": (False, False)}
+        assert summary["wall_s"]["median_change_rel"] == pytest.approx(0.3)
+
+
+@pytest.mark.parametrize("old, new, better, bound, gain, over_bound", [
+    # 4 of 4 won, but the median gap 0.5 lies within the parent's IQR of 5
+    ([10, 12, 14, 16], [9.5, 11.5, 13.5, 15.5], "lower", 0.25, False, False),
+    ([10, 12, 14, 16], [4.5, 6.5, 8.5, 10.5], "lower", 0.25, True, False),
+    # 9 of 10 pairs won is a gain, 8 of 10 is not
+    ([2.0] * 10, [1.0] * 9 + [3.0], "lower", 0.25, True, False),
+    ([2.0] * 10, [1.0] * 8 + [3.0] * 2, "lower", 0.25, False, False),
+    ([1.0] * 4, [0.98] * 4, "higher", 0.01, False, True),
+    ([1.0] * 4, [0.995] * 4, "higher", 0.01, False, False),
+    ([1.0] * 4, [1.02] * 4, "higher", 0.01, True, False),
+    # against a parent median of 0, any worse median is past the bound
+    ([0.0] * 4, [0.1] * 4, "lower", 0.25, False, True),
+])
+def test_compare_verdicts(bench_pairs, old, new, better, bound, gain,
+                          over_bound):
+    entry = bench_pairs.compare(old, new, better, bound)
+    assert (entry["gain"], entry["over_bound"]) == (gain, over_bound)
 
 
 def test_pairs_alternate_order_and_share_seeds(bench_pairs, tmp_path):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -541,6 +542,22 @@ class TestRunReports:
         assert gauge_stacks == [7] * 7 + [1]
         assert pair_stacks == [7, 3]
         assert blocked == whole
+
+    def test_perturb_working_set_stays_in_its_budget(self, monkeypatch):
+        # f = 4936: blocks of 13 points or functions; one block of all 125
+        # grid points traced 138 MB and grows as 29 kB x f
+        config = parse_config({**BASE_CONFIG, "tasks": ["perturb"],
+                               "box": {"L": math.pi, "eps": 0.12, "m": 0.0}})
+        assert mode_count(config.box) == 4936
+        tracemalloc.start()
+        try:
+            blocked = cli.task_perturb(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30e6
+        monkeypatch.setattr(cli, "MAX_DENSE_BYTES", 1 << 30)
+        assert cli.task_perturb(config) == blocked
 
     def test_failed_report_write_keeps_previous_file(self, tmp_path,
                                                      monkeypatch):

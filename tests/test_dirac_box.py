@@ -161,7 +161,8 @@ class TestSeaSpinors:
     def test_orthonormal_and_solve_dirac(self):
         for cfg in (CFG, CFG_MASSLESS):
             _, k, omega = _lattice(cfg)[:3]
-            sea = _sea_spinor_table(k[:8], omega[:8], cfg.m)
+            sea = _sea_spinor_table(k[:8], omega[:8], cfg.m, 1.0)
+            sea = sea.reshape(4, -1, 2).transpose(1, 0, 2)   # per momentum
             for mode, chi in zip(momentum_points(cfg), sea):
                 np.testing.assert_allclose(chi.conj().T @ chi, np.eye(2),
                                            atol=1e-12)
@@ -399,16 +400,12 @@ def reference_modes(cfg):
 
 
 def reference_spinors(k_vec, omega, m):
-    """Normalized sea spinors of one momentum, solved on their own (4 x 2)."""
-    hamiltonian = GAMMA[0] @ (k_vec[0] * GAMMA[1] + k_vec[1] * GAMMA[2]
-                              + k_vec[2] * GAMMA[3]) + m * GAMMA[0]
-    vals, vecs = np.linalg.eigh(0.5 * (hamiltonian + hamiltonian.conj().T))
-    np.testing.assert_allclose(vals[:2], -omega, atol=1e-12)
-    columns = []
-    for col in vecs[:, :2].T:
-        pivot = col[np.argmax(np.abs(col))]
-        columns.append(col * abs(pivot) / pivot)
-    return np.column_stack(columns)
+    """Normalized sea spinors of one momentum in closed form (4 x 2): column
+    a is (-(sigma . k) e_a, (omega + m) e_a) / sqrt(2 omega (omega + m))."""
+    k1, k2, k3 = k_vec
+    sigma_k = np.array([[k3, k1 - 1j * k2], [k1 + 1j * k2, -k3]])
+    return (np.vstack([-sigma_k, (omega + m) * np.eye(2)])
+            / math.sqrt(2.0 * omega * (omega + m)))
 
 
 def reference_scale(cfg):
@@ -567,19 +564,70 @@ class TestPhaseTables:
         assert np.all(np.isnan(kernel_mode_sum(cfg, nan_time, self.X)))
 
 
+@pytest.mark.parametrize("m", (0.0, 0.3, 1e-16))
+@pytest.mark.parametrize("eps", (0.4, 0.08), ids=("f160", "f16432"))
+class TestSeaSpinorChecks:
+    """The closed-form table against checks that do not share its formula."""
+
+    def spinors(self, eps, m):
+        """Hamiltonians, frequencies and unscaled spinors, per momentum."""
+        cfg = DiracBoxConfig(L=math.pi, eps=eps, m=m)
+        _, k, omega, spin = _sea_table(cfg)
+        kk = k[:, :, None, None]
+        hamiltonian = (GAMMA[0] @ (kk[:, 0] * GAMMA[1] + kk[:, 1] * GAMMA[2]
+                                   + kk[:, 2] * GAMMA[3]) + m * GAMMA[0])
+        blocks = spin.reshape(4, -1, 2).transpose(1, 0, 2)
+        return hamiltonian, omega, blocks / reference_scale(cfg)
+
+    def test_projector_is_the_eigenspace_projector(self, eps, m):
+        hamiltonian, _, v = self.spinors(eps, m)
+        vecs = np.linalg.eigh(hamiltonian)[1][..., :2]
+        expected = vecs @ vecs.conj().swapaxes(-1, -2)
+        assert np.max(np.abs(v @ v.conj().swapaxes(-1, -2) - expected)) <= 1e-13
+
+    def test_negative_energy_eigenvectors(self, eps, m):
+        hamiltonian, omega, v = self.spinors(eps, m)
+        residual = hamiltonian @ v + omega[:, None, None] * v
+        assert np.max(np.abs(residual)) <= 1e-13 * np.max(omega)
+
+    def test_columns_orthonormal(self, eps, m):
+        _, _, v = self.spinors(eps, m)
+        gram = v.conj().swapaxes(-1, -2) @ v
+        assert np.max(np.abs(gram - np.eye(2))) <= 1e-13
+
+    def test_omega_plus_m_entry_real_positive(self, eps, m):
+        _, _, v = self.spinors(eps, m)
+        entries = np.stack([v[:, 2, 0], v[:, 3, 1]])
+        assert np.all(entries.imag == 0.0) and np.all(entries.real > 0.0)
+
+
 class TestSeaTableCache:
     def test_second_config_use_solves_no_spinor(self, decompositions):
         cfg = PARITY_CONFIGS[0]
         _sea_table.cache_clear()
         wave_value_matrix(cfg, PARITY_POINTS[1])
-        assert decompositions == [(4, 4)]   # one batched eigh, 4 x 4 each
+        assert not decompositions   # the spinors have a closed form
         misses = _sea_table.cache_info().misses
         wave_value_matrix(cfg, PARITY_POINTS[2])
         kernel_mode_sum(cfg, PARITY_POINTS[1], PARITY_POINTS[2])
         build_correlation_map(cfg, PARITY_POINTS[:1])
         momentum_modes(cfg)
-        # the split's own 4 x 4 eigh has the shape of a spinor solve
         assert _sea_table.cache_info().misses == misses
+
+    def test_cold_table_decomposes_nothing_and_stays_small(self,
+                                                           decompositions):
+        # f = 16432: the 4 x f table is 1.05 MB; the lattice adds its own
+        cfg = DiracBoxConfig(L=math.pi, eps=0.08, m=0.0)
+        _lattice.cache_clear()
+        _sea_table.cache_clear()
+        tracemalloc.start()
+        try:
+            spin = _sea_table(cfg)[3]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spin.shape == (4, 16432) and not decompositions
+        assert peak <= 3e6
 
     def test_mode_count_solves_no_spinor(self):
         # counting modes reads the lattice alone, at any m
