@@ -544,8 +544,9 @@ class TestRunReports:
         assert blocked == whole
 
     def test_perturb_working_set_stays_in_its_budget(self, monkeypatch):
-        # f = 4936: blocks of 13 points or functions; one block of all 125
-        # grid points traced 138 MB and grows as 29 kB x f
+        # f = 4936: blocks of 13 points or functions keep each (block, 4, f)
+        # stack under 4 MiB, where one block of all 125 grid points grows as
+        # 29 kB x f
         config = parse_config({**BASE_CONFIG, "tasks": ["perturb"],
                                "box": {"L": math.pi, "eps": 0.12, "m": 0.0}})
         assert mode_count(config.box) == 4936

@@ -565,7 +565,7 @@ class TestPhaseTables:
 
 
 @pytest.mark.parametrize("m", (0.0, 0.3, 1e-16))
-@pytest.mark.parametrize("eps", (0.4, 0.08), ids=("f160", "f16432"))
+@pytest.mark.parametrize("eps", (0.4, 0.08), ids=("eps0.4", "eps0.08"))
 class TestSeaSpinorChecks:
     """The closed-form table against checks that do not share its formula."""
 
