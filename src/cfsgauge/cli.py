@@ -37,7 +37,6 @@ from . import manifold as mf
 from . import perturbation as pt
 from . import randoms as rnd
 from . import wave_charts as wc
-from .correlation import spin_space
 from .dirac_box import (MIN_MASS, DiracBoxConfig, kernel_braket_sum,
                         kernel_mode_sum, mode_count, wave_value_matrix)
 from .errors import CfsGaugeError, ConfigError, TaskError, TooManyModes
@@ -274,7 +273,7 @@ def task_charts(config: ExperimentConfig):
 
     worst = 0.0
     for p, q, f in ((1, 1, 6), (2, 2, 8)):
-        split = spin_space(rnd.random_correlation(rng, f, p), p)
+        split = rnd.random_correlation(rng, f, p)
         coords = rnd.random_chart_coords(rng, split, 50, scale=0.05)
         back = mf.chart_inverse(mf.chart_forward(coords), split)
         worst = max(worst, max_opnorm(back.a - coords.a),
@@ -284,16 +283,14 @@ def task_charts(config: ExperimentConfig):
                           tol["chart_roundtrip"]))
 
     for p, q, f in ((1, 1, 4), (2, 2, 8), (2, 2, 12)):
-        x = rnd.random_correlation(rng, f, p)
-        split = spin_space(x, p)
+        split = rnd.random_correlation(rng, f, p)
         rank = mf.chart_jacobian_rank(split)
         entries.append(_entry(
             "charts", f"jacobian-rank-{p}{q}-{f}",
             "manifold-dimension-formula",
             abs(rank - mf.manifold_dim(p, q, f)), 0.0))
 
-    x = rnd.random_correlation(rng, 8, 2)
-    split = spin_space(x, 2)
+    split = rnd.random_correlation(rng, 8, 2)
     dir1, dir2 = rnd.random_direction_pair(rng, split, 5)
     report = mf.gaussian_check(split, *dir1, *dir2)
     worst_rel = np.max(np.abs(report.quadratic_coefficient
@@ -339,7 +336,7 @@ def task_gauge(config: ExperimentConfig):
              "sqrt_series_agreement"))):
         entries.append(_entry("gauge", name, ref, value, tol[key]))
 
-    base = spin_space(rnd.random_correlation(rng, 8, 2), 2)
+    base = rnd.random_correlation(rng, 8, 2)
     on_image = np.eye(4) + 0.05 * rnd.random_complex(rng, 25, 4, 4)
     on_complement = rnd.random_complement_map(rng, base, 25, 4, scale=0.05)
     m = 0.2 * rnd.random_complex(rng, 25, 4, 4)
@@ -359,7 +356,7 @@ def task_gauge(config: ExperimentConfig):
 
     worst_coincide = 0.0
     for f in (8, 12):
-        base_f = spin_space(rnd.random_correlation(rng, f, 2), 2)
+        base_f = rnd.random_correlation(rng, f, 2)
         samples = mf.chart_forward(
             rnd.random_chart_coords(rng, base_f, 25, scale=0.04))
         report = wc.charts_coincide_check(base_f, samples)

@@ -12,10 +12,10 @@ basis V and the compression X = V^dag x V, from which the spin space, the
 wave evaluation V^dag and the kernel P(x, y) = V_x^dag V_y X_y are all read
 at O(f r^2) cost.  Code that needs the orthogonal complement projects off
 the image with 1 - V V^dag; only ``manifold.chart_jacobian_rank`` builds a
-basis of it, from the eigenvectors of that projector.  There is one route
-per representation: a point given by its wave values W (x = -W^dag G W) is
-decided from W alone at O(f r^2), with no f x f array, whatever the
-verdict, and a dense x is split by one f x f ``eigh``.
+basis of it, from a complete QR of V.  Every point is given by a rank-r
+factor, its wave values W with x = -W^dag G W, and ``split_wave_values``
+decides it from W alone at O(f r^2), with no f x f array, whatever the
+verdict.
 """
 
 from __future__ import annotations
@@ -56,15 +56,14 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
 class ImageSplit:
     """A regular point: the image of x and the compression of x onto it.
 
-    ``operator`` is the dense x, or None where none was read; ``basis``
-    holds eigenvectors of the p+q nonzero eigenvalues (descending order,
-    phases fixed deterministically), ``restricted`` the compression
-    X = basis^dag x basis and ``discarded`` ||x - basis X basis^dag||_F.
+    ``basis`` holds eigenvectors of the p+q nonzero eigenvalues (descending
+    order, phases fixed deterministically), ``restricted`` the compression
+    X = basis^dag x basis and ``discarded`` a bound on
+    ||x - basis X basis^dag||_F.
     ``krein`` is the spin space, the image with Gram matrix -X, built on
     first use.  For a stack every field has the same leading stack axes.
     """
 
-    operator: np.ndarray | None
     basis: np.ndarray
     restricted: np.ndarray
     discarded: np.ndarray
@@ -102,9 +101,10 @@ def _split_from_factor(w: np.ndarray, g: np.ndarray):
     threshold of its partner, with its sign, so counting eig(B) at the
     threshold gives the dense verdict for kept and dropped eigenvalues
     alike.  The threshold scales with ||x||, known from max|eig(B)| only
-    to within rho, so both bounds take the unfavorable end.  Returns what
-    ``_split_dense`` does, ``found`` counted at the threshold, and whether
-    each element is decided.
+    to within rho, so both bounds take the unfavorable end.  Returns
+    (basis, restricted, rho, found, threshold) per element, ``found`` the
+    (p, q) counts of eig(B) above +threshold and below -threshold, and
+    whether each element is decided.
     """
     frame, r = np.linalg.qr(_adjoint(w))
     b = -(r @ g @ _adjoint(r))
@@ -138,27 +138,6 @@ def frame_form(a, a_gram, b, b_gram) -> np.ndarray:
     return t1 @ a_gram @ _adjoint(t1) + t2 @ b_gram @ _adjoint(t2)
 
 
-def _split_dense(x: np.ndarray, p: int, q: int):
-    """Split each x by a full f x f eigendecomposition.
-
-    Returns (basis, restricted, discarded, found, threshold) per element:
-    ``discarded`` the norm of the dropped eigenvalues and ``found`` the
-    (p, q) counts above +threshold and below -threshold; the basis is
-    meaningful only where ``found`` is (p, q).
-    """
-    vals, vecs = np.linalg.eigh(hermitize(x))
-    tol_rank = TOL_RANK_FACTOR * np.maximum(np.max(np.abs(vals), axis=-1),
-                                            1e-300)
-    keep = np.abs(vals) > tol_rank[..., None]
-    # the kept columns first, in descending eigenvalue order
-    order = np.argsort(~keep[..., ::-1], axis=-1, kind="stable")[..., :p + q]
-    basis = _fix_column_phases(
-        np.take_along_axis(vecs[..., ::-1], order[..., None, :], axis=-1))
-    dropped = np.sqrt(np.sum(np.where(keep, 0.0, vals ** 2), axis=-1))
-    return (basis, hermitize(_adjoint(basis) @ x @ basis), dropped,
-            _counts(vals, tol_rank), tol_rank)
-
-
 def _counts(vals: np.ndarray, tol) -> np.ndarray:
     """(count above +tol, count below -tol) of each stacked spectrum."""
     tol = np.asarray(tol)[..., None]
@@ -166,22 +145,8 @@ def _counts(vals: np.ndarray, tol) -> np.ndarray:
                      np.sum(vals < -tol, axis=-1)], axis=-1)
 
 
-def split_by_image(x: np.ndarray, p: int, q: int) -> ImageSplit:
-    """Eigen-split a Hermitian operator of expected signature (p, q).
-
-    ``x`` may be a stack of operators, split element by element by one full
-    f x f ``eigh``, at O(f^3): meant for small f and for test references; a
-    point given by its wave values takes ``split_wave_values``.  Raises
-    NotRegular when the counts of eigenvalues above +tol / below -tol
-    differ from (p, q); every other eigenvalue is discarded as numerically
-    zero.  The threshold is ``TOL_RANK_FACTOR`` times ||x||.
-    """
-    x = np.asarray(x, dtype=complex)
-    return _decided_split(_split_dense(x, p, q), p, q, x)
-
-
 def split_wave_values(w, g, p: int, q: int) -> ImageSplit:
-    """The split of x = -w^dag g w for one (p + q) x f ``w``, from w alone.
+    """The split of x = -w^dag g w for a (p + q) x f ``w`` or a stack of them.
 
     Reads w at O(f r^2) and renders no f x f array.  Raises NotRegular when
     w is not finite or lacks p + q rows (before any product), when
@@ -197,35 +162,32 @@ def split_wave_values(w, g, p: int, q: int) -> ImageSplit:
     split, decided = _split_from_factor(w, np.asarray(g, dtype=complex))
     _refuse(~decided, NotRegular, "signature undecided at threshold {:.3g} "
             "within the rounding bound {:.3g}", split[4], split[2])
-    return _decided_split(split, p, q, None)
+    return _decided_split(split, p, q)
 
 
-def _decided_split(split, p: int, q: int, operator) -> ImageSplit:
+def _decided_split(split, p: int, q: int) -> ImageSplit:
     """The ``ImageSplit`` of a decided split; NotRegular off (p, q)."""
     basis, restricted, discarded, found, tol_rank = split
     _refuse(np.any(found != (p, q), axis=-1), NotRegular,
             "expected signature ({}, {}), found ({}, {}) at threshold {:.3g}",
             p, q, found[..., 0], found[..., 1], tol_rank)
-    return ImageSplit(operator=operator, basis=basis, restricted=restricted,
+    return ImageSplit(basis=basis, restricted=restricted,
                       discarded=discarded, signature=(p, q))
 
 
-def as_split(x, p: int, q: int) -> ImageSplit:
-    """The image split of an operator, or the given split itself."""
-    if isinstance(x, ImageSplit):
-        if x.signature != (p, q):
-            raise NotRegular(f"expected signature ({p}, {q}), found "
-                             f"{tuple(x.signature)}")
-        return x
-    return split_by_image(x, p, q)
+def as_split(x: ImageSplit, p: int, q: int) -> ImageSplit:
+    """The given split, after checking that its signature is (p, q)."""
+    if x.signature != (p, q):
+        raise NotRegular(f"expected signature ({p}, {q}), found "
+                         f"{tuple(x.signature)}")
+    return x
 
 
-def spin_space(x, n: int) -> ImageSplit:
+def spin_space(x: ImageSplit, n: int) -> ImageSplit:
     """The spin space of a regular correlation operator, as its image split.
 
-    ``x`` is the operator or its image split.  Raises NotRegular unless x
-    has exactly n eigenvalues above +tol and n below -tol, the rest being
-    numerically zero.
+    ``x`` is the image split of the operator.  Raises NotRegular unless its
+    signature is (n, n).
     """
     return as_split(x, n, n)
 

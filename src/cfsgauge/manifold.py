@@ -9,6 +9,8 @@ points are parametrized by a Hermitian block ``a`` on the image and a map
     (a, b)  ->  V (X + a) V^dag + V b + b^dag V^dag + b^dag (X + a)^{-1} b,
 
 the block matrix [[X + a, b], [b^dag, b^dag (X + a)^{-1} b]] along H = I + J.
+That point is -W^dag G W with W = V^dag + (X + a)^{-1} b and G = -(X + a),
+so ``chart_forward`` returns its image split, read from W at O(f r^2).
 The Hilbert-Schmidt scalar product induces a Riemannian metric tr(u v) on the
 Hermitian tangent matrices; in the chart above the metric is constant to first
 order at the base point, which the ``gaussian_check`` report quantifies.
@@ -21,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import ImageSplit, _adjoint, as_split, hermitize
+from .correlation import (ImageSplit, _adjoint, as_split, hermitize,
+                          split_wave_values)
 from .errors import InvalidSignature, SignatureLost, TooFarFromBase
 from .krein import _frobenius, _refuse
 
@@ -59,13 +62,12 @@ def manifold_dim(p: int, q: int, f: int) -> int:
     return 2 * r * f - r * r
 
 
-def chart_forward(coords: ChartCoordinates) -> np.ndarray:
-    """Assemble the operator parametrized by chart coordinates.
+def _chart_factor(coords: ChartCoordinates):
+    """W = V^dag + (X + a)^{-1} b and X + a, so the point is W^dag (X + a) W.
 
-    ``coords`` may hold a stack of (a, b) around its one base, giving a stack
-    of operators.  Raises SignatureLost when X + a leaves the domain where the
-    signature of the base point is guaranteed (inertia changed, or its
-    smallest eigenvalue magnitude dropped below half that of X).
+    Raises SignatureLost when X + a leaves the domain where the signature of
+    the base point is guaranteed (inertia changed, or its smallest
+    eigenvalue magnitude dropped below half that of X).
     """
     split = coords.split
     p, q = split.signature
@@ -77,17 +79,26 @@ def chart_forward(coords: ChartCoordinates) -> np.ndarray:
             | (np.min(np.abs(core_eigs), axis=-1) <= floor), SignatureLost,
             "X + a does not retain the signature of the base point")
     b = np.asarray(coords.b, dtype=complex)
-    v = split.basis
-    vb = v @ b
-    m = (v @ core @ _adjoint(v) + vb + _adjoint(vb)
-         + _adjoint(b) @ np.linalg.solve(core, b))
-    return hermitize(m)
+    return _adjoint(split.basis) + np.linalg.solve(core, b), core
+
+
+def chart_forward(coords: ChartCoordinates) -> ImageSplit:
+    """The image split of the point parametrized by chart coordinates.
+
+    The point V (X + a) V^dag + V b + b^dag V^dag + b^dag (X + a)^{-1} b is
+    -W^dag G W with W = V^dag + (X + a)^{-1} b and G = -(X + a), so it is
+    split from W at O(f r^2) with no f x f array.  ``coords`` may hold a
+    stack of (a, b) around its one base, giving a stacked split.  Raises
+    SignatureLost as ``_chart_factor`` does.
+    """
+    w, core = _chart_factor(coords)
+    return split_wave_values(w, -core, *coords.split.signature)
 
 
 def chart_inverse(y, split: ImageSplit) -> ChartCoordinates:
     """Read off chart coordinates of an operator near the base point.
 
-    ``y`` is the operator or its image split, or a stack of them, giving
+    ``y`` is the image split of the operator, or a stacked split, giving
     stacked coordinates.  With the overlap O = V^dag V_y,
     a = O X_y O^dag - X and b = O X_y (V_y^dag - O^dag V^dag).  O must be
     safely invertible (smallest singular value >= MIN_OVERLAP_SV), otherwise
@@ -111,9 +122,10 @@ def chart_jacobian_rank(split: ImageSplit) -> int:
     """Numeric rank of the chart differential at the origin.
 
     Central finite differences over a real parameter basis of (a, b), all
-    taken in one stacked ``chart_forward``: r^2 for a and 2 r (f - r) for b
-    along the f - r eigenvectors of eigenvalue 1 of the projector 1 - V V^dag,
-    one per real dimension.  The rank counts singular values above
+    rendered densely from one stacked ``_chart_factor``: r^2 for a and
+    2 r (f - r) for b along an orthonormal basis of the complement of the
+    image, the last f - r columns of a complete QR of V, one per real
+    dimension.  The rank counts singular values above
     ``JACOBIAN_RANK_RTOL`` times the largest one.
     """
     r, f = split.rank, split.basis.shape[0]
@@ -123,16 +135,16 @@ def chart_jacobian_rank(split: ImageSplit) -> int:
         e = np.outer(units[i], units[j])
         a_dirs += [e + e.T, 1j * (e - e.T)]
     # b along e_i (x) (unit * q_j^dag): i outer, complement vector, unit 1, i
-    complement = np.linalg.eigh(
-        np.eye(f) - split.basis @ _adjoint(split.basis))[1][:, r:]
+    complement = np.linalg.qr(split.basis, mode="complete")[0][:, r:]
     b_dirs = np.einsum("ik,u,jl->ijukl", units, [1.0, 1.0j],
                        _adjoint(complement)).reshape(-1, r, f)
     da = np.concatenate([a_dirs, np.zeros((len(b_dirs), r, r))])
     db = np.concatenate([np.zeros((len(a_dirs), r, f)), b_dirs])
     step = JACOBIAN_STEP
-    both = chart_forward(ChartCoordinates(a=step * np.concatenate([da, -da]),
-                                          b=step * np.concatenate([db, -db]),
-                                          split=split))
+    w, core = _chart_factor(ChartCoordinates(
+        a=step * np.concatenate([da, -da]), b=step * np.concatenate([db, -db]),
+        split=split))
+    both = hermitize(_adjoint(w) @ core @ w)
     diff = (both[:len(da)] - both[len(da):]) / (2.0 * step)
     jac = np.concatenate([diff.real.reshape(len(da), -1),
                           diff.imag.reshape(len(da), -1)], axis=1).T

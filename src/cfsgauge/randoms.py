@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .correlation import _adjoint, hermitize
+from .correlation import ImageSplit, _adjoint, hermitize, split_wave_values
 from .dirac_box import SpacetimePoint
 from .krein import _frobenius
 from .manifold import ChartCoordinates
@@ -52,12 +52,17 @@ def random_gram(rng: np.random.Generator, p: int, q: int,
     return hermitize((u * vals[..., None, :]) @ _adjoint(u))
 
 
-def random_correlation(rng: np.random.Generator, f: int, n: int) -> np.ndarray:
-    """Random regular correlation operator: rank 2n, signature (n, n)."""
+def random_correlation(rng: np.random.Generator, f: int,
+                       n: int) -> ImageSplit:
+    """Image split of a random regular correlation operator of rank 2n.
+
+    The operator is V diag(vals) V^dag = -W^dag G W with orthonormal V,
+    W = V^dag and G = -diag(vals), signature (n, n), split from W.
+    """
     basis, _ = np.linalg.qr(random_complex(rng, f, 2 * n))
     vals = np.concatenate([np.sort(rng.uniform(*SPREAD, size=n))[::-1],
                            -np.sort(rng.uniform(*SPREAD, size=n))])
-    return hermitize((basis * vals) @ basis.conj().T)
+    return split_wave_values(_adjoint(basis), -np.diag(vals), n, n)
 
 
 def random_complement_map(rng: np.random.Generator, split, *shape,

@@ -135,7 +135,7 @@ def connecting_unitary(diagonal, p_xy, p_yx, space: _krein.KreinSpace):
 def symmetric_wave_chart(y, base: ImageSplit) -> WaveChartPoint:
     """Wave coordinates of y in the symmetric wave chart around the base.
 
-    ``y`` is the operator or its image split, or a stack of them.  The
+    ``y`` is the image split of the operator, or a stacked split.  The
     on-image component comes out symmetric with respect to the spin inner
     product, and realizing the result returns y.  Raises OutOfChartDomain
     when y leaves the shared domain of the two wave-chart constructions
@@ -193,7 +193,7 @@ def charts_coincide_check(base: ImageSplit, sample_points) -> CoincidenceReport:
     """Compare the symmetric and transported wave charts on sample operators.
 
     Both wave-coordinate constructions are evaluated over the whole stack of
-    samples (a sequence or stack of operators, or a stacked split) and the
+    samples (a sequence of image splits, or a stacked split) and the
     largest operator norm of their difference (as maps from the ambient
     space) is recorded.  Domain errors propagate.
     """
@@ -205,17 +205,16 @@ def charts_coincide_check(base: ImageSplit, sample_points) -> CoincidenceReport:
 
 
 def _as_stacked_split(points, base: ImageSplit) -> ImageSplit:
-    """The stacked split of a sequence or stack of points.
+    """The stacked split of a sequence of splits, or a stacked split itself.
 
-    A sequence of operators and splits is split element by element and the
-    bases, compressions and dropped norms are stacked, so no (n, f, f) array
-    is formed.
+    The bases, compressions and dropped-norm bounds of a sequence are
+    stacked, so no (n, f, f) array is formed.
     """
-    if isinstance(points, (ImageSplit, np.ndarray)):
+    if isinstance(points, ImageSplit):
         return as_split(points, *base.signature)
     splits = [as_split(x, *base.signature) for x in points]
-    return ImageSplit(None, *(np.stack([getattr(s, name) for s in splits])
-                              for name in ("basis", "restricted", "discarded")),
+    return ImageSplit(*(np.stack([getattr(s, name) for s in splits])
+                        for name in ("basis", "restricted", "discarded")),
                       signature=base.signature)
 
 
@@ -237,7 +236,7 @@ class GaugeMap:
 def build_gauge(base: ImageSplit, points) -> GaugeMap:
     """Construct the distinguished gauge over a set of operators.
 
-    ``points`` is a sequence or stack of operators, or a stacked split.
+    ``points`` is a sequence of image splits, or a stacked split.
     Every value is ``symmetric_wave_chart(y, base)``, a map into the spin
     space of the base point, all taken in one stacked call.  Any other gauge
     over the same points that satisfies the gauge condition is one global
@@ -257,7 +256,7 @@ def condition_residual_bound(split_y: ImageSplit, value: np.ndarray,
     With V the image basis of y, X its compression and E = y - V X V^dag
     the part the split dropped, the residual is V X V^dag + value^dag gram
     value + E: ``frame_form`` gives the norm of the first two terms exactly,
-    and ||E|| <= ||E||_F is the split's ``discarded``.  Forming the
+    and ||E|| <= ||E||_F <= ``discarded``, the split's bound.  Forming the
     dense residual rounds it by at most gamma_{2r+1} (||X||_F + ``discarded``
     + ||gram||_F ||value||_F^2), which is added too.  For a stacked split and
     stacked values it returns one bound per element.

@@ -1,9 +1,14 @@
 """Charts on the fixed-signature operator manifold and its metric."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from conftest import (box_chart_coords, dense_split, diagonal_waves, render,
+                      unstack)
 
-from cfsgauge.correlation import split_by_image
+from cfsgauge.cli import load_config, run_experiment
+from cfsgauge.correlation import _adjoint, split_wave_values
 from cfsgauge.errors import InvalidSignature, SignatureLost, TooFarFromBase
 from cfsgauge.krein import opnorm
 from cfsgauge.manifold import (ChartCoordinates, chart_forward, chart_inverse,
@@ -18,9 +23,7 @@ def random_split(rng, f, p, q):
     basis, _ = np.linalg.qr(random_complex(rng, f, p + q))
     vals = np.concatenate([np.sort(rng.uniform(0.5, 2.0, size=p))[::-1],
                            -np.sort(rng.uniform(0.5, 2.0, size=q))])
-    x = (basis * vals) @ basis.conj().T
-    x = 0.5 * (x + x.conj().T)
-    return split_by_image(x, p, q)
+    return split_wave_values(basis.conj().T, -np.diag(vals), p, q)
 
 
 class TestManifoldDim:
@@ -44,24 +47,25 @@ class TestChartForward:
         split = random_split(rng, 7, 1, 2)
         coords = ChartCoordinates(a=np.zeros((3, 3)), b=np.zeros((3, 7)),
                                   split=split)
-        np.testing.assert_allclose(chart_forward(coords), split.operator,
-                                   atol=1e-12)
+        np.testing.assert_allclose(render(chart_forward(coords)),
+                                   render(split), atol=1e-12)
 
     def test_pure_a_block(self):
         rng = np.random.default_rng(1)
         split = random_split(rng, 6, 1, 1)
         a = random_hermitian(rng, 2, scale=0.05)
         coords = ChartCoordinates(a=a, b=np.zeros((2, 6)), split=split)
-        expected = (split.operator
-                    + split.basis @ a @ split.basis.conj().T)
-        np.testing.assert_allclose(chart_forward(coords), expected, atol=1e-12)
+        expected = render(split) + split.basis @ a @ split.basis.conj().T
+        np.testing.assert_allclose(render(chart_forward(coords)), expected,
+                                   atol=1e-12)
 
     @pytest.mark.parametrize("p,q,f", [(1, 1, 6), (2, 2, 8)])
     def test_rank_and_signature_preserved(self, p, q, f):
         rng = np.random.default_rng(10 + p + f)
         split = random_split(rng, f, p, q)
         for _ in range(25):
-            m = chart_forward(random_chart_coords(rng, split, scale=0.05))
+            m = render(chart_forward(random_chart_coords(rng, split,
+                                                         scale=0.05)))
             vals = np.linalg.eigvalsh(m)
             tol = 1e-8 * opnorm(m)
             assert int(np.sum(vals > tol)) == p
@@ -81,7 +85,7 @@ class TestChartInverse:
     def test_base_maps_to_origin(self):
         rng = np.random.default_rng(3)
         split = random_split(rng, 8, 2, 2)
-        coords = chart_inverse(split.operator, split)
+        coords = chart_inverse(split, split)
         assert opnorm(coords.a) <= 1e-10
         assert opnorm(coords.b) <= 1e-10
 
@@ -101,12 +105,12 @@ class TestChartInverse:
         split = random_split(rng, 9, 2, 2)
         y = chart_forward(random_chart_coords(rng, split, scale=0.08))
         coords = chart_inverse(y, split)
-        np.testing.assert_allclose(chart_forward(coords), y, atol=1e-10)
+        np.testing.assert_allclose(render(chart_forward(coords)), render(y),
+                                   atol=1e-10)
 
     def test_orthogonal_image_rejected(self):
-        x = np.diag([1.0, -1.0, 0.0, 0.0, 0.0, 0.0]).astype(complex)
-        y = np.diag([0.0, 0.0, 1.0, -1.0, 0.0, 0.0]).astype(complex)
-        split = split_by_image(x, 1, 1)
+        split = split_wave_values(*diagonal_waves([1.0, -1.0], 6), 1, 1)
+        y = split_wave_values(*diagonal_waves([1.0, -1.0], 6, 2), 1, 1)
         with pytest.raises(TooFarFromBase):
             chart_inverse(y, split)
 
@@ -198,3 +202,43 @@ class TestMetricInChart:
         expected = float(np.real(np.trace(dir1[0] @ dir2[0]))
                          + 2 * np.real(np.trace(dir1[1].conj().T @ dir2[1])))
         assert abs(value - expected) <= 1e-12
+
+
+def projector(split):
+    return split.basis @ _adjoint(split.basis)
+
+
+class TestChartFactor:
+    """A chart point is split from its factor W, with no f x f array."""
+
+    @pytest.mark.parametrize("eps, f", [(0.4, 162), (0.2, 970)],
+                             ids=["f162", "f970"])
+    def test_split_matches_dense_split_of_the_formula(self, eps, f):
+        coords = box_chart_coords(eps, 0.3, 3, seed=f)
+        base = coords.split
+        assert base.basis.shape[0] == f
+        v = base.basis
+        for a, b, y in zip(coords.a, coords.b, unstack(chart_forward(coords))):
+            # V (X + a) V^dag + V b + b^dag V^dag + b^dag (X + a)^{-1} b
+            core = base.restricted + a
+            dense = dense_split(v @ core @ _adjoint(v) + v @ b + _adjoint(v @ b)
+                                + _adjoint(b) @ np.linalg.solve(core, b), 2, 2)
+            np.testing.assert_allclose(projector(y), projector(dense), rtol=0,
+                                       atol=1e-14)
+            spectrum = np.linalg.eigvalsh(dense.restricted)
+            np.testing.assert_allclose(np.linalg.eigvalsh(y.restricted),
+                                       spectrum, rtol=0,
+                                       atol=1e-14 * np.max(np.abs(spectrum)))
+
+    def test_no_wide_eigh(self, decompositions, tmp_path):
+        # a whole example run and a 10-point round trip at f = 970: every
+        # eigh / eigvalsh input is at most 2 r = 8 wide
+        config = Path(__file__).resolve().parents[1] / "configs/example.json"
+        assert run_experiment(load_config(config), tmp_path) == 0
+        coords = box_chart_coords(0.2, 0.3, 10, seed=970)
+        back = chart_inverse(chart_forward(coords), coords.split)
+        assert opnorm(back.a - coords.a).max() <= 1e-12
+        assert opnorm(back.b - coords.b).max() <= 1e-12
+        widths = [max(shape[-2:]) for name, shape in decompositions.inputs
+                  if name in ("eigh", "eigvalsh")]
+        assert widths and max(widths) <= 8

@@ -13,15 +13,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import (dense_correlation_map, multiset_distance,
-                      random_krein_unitary)
+from conftest import (diagonal_waves, local_correlation,
+                      multiset_distance, random_krein_unitary, render,
+                      unstack)
 
 from cfsgauge import closed_chain as cc
 from cfsgauge import perturbation as pt
 from cfsgauge import wave_charts as wc
 from cfsgauge.cli import load_config, run_experiment, task_perturb
-from cfsgauge.correlation import spin_space, split_by_image
-from cfsgauge.dirac_box import DiracBoxConfig, mode_count, wave_value_matrix
+from cfsgauge.correlation import spin_space, split_wave_values
+from cfsgauge.dirac_box import (SPINOR_GRAM, DiracBoxConfig, mode_count,
+                                wave_value_matrix)
 from cfsgauge.errors import (NotRegular, OutOfChartDomain, SignatureLost,
                              TooFarFromBase)
 from cfsgauge.krein import KreinSpace
@@ -54,6 +56,14 @@ def projector(split):
     return split.basis @ np.swapaxes(split.basis.conj(), -1, -2)
 
 
+def diagonal_stack(values, f, offsets):
+    """The stacked split of diag(values) placed at each offset in C^f."""
+    waves = [diagonal_waves(values, f, offset) for offset in offsets]
+    return split_wave_values(np.array([w for w, _ in waves]), waves[0][1],
+                             *(np.sum(np.asarray(values) > 0),
+                               np.sum(np.asarray(values) < 0)))
+
+
 def stacked_coords(rng, split, count, scale):
     """``count`` random chart coordinates, as one stack and as a list."""
     coords = random_chart_coords(rng, split, count, scale=scale)
@@ -61,21 +71,25 @@ def stacked_coords(rng, split, count, scale):
                     for a, b in zip(coords.a, coords.b)]
 
 
-def diag_operator(values, f):
-    m = np.zeros((f, f), dtype=complex)
-    m[:len(values), :len(values)] = np.diag(values)
-    return m
+def random_waves(rng, count, f):
+    """``count`` random 4 x f wave values, one near the rank threshold."""
+    ws = random_complex(rng, count, 4, f)
+    # a kept eigenvalue 1.5e-8 just above the threshold 1e-8
+    ws[3] = diagonal_waves([1.0, 1.0, 0.5, 1.5e-8], f)[0]
+    return ws
+
+
+#: the Gram of ``random_waves``: signature (2, 2)
+GRAM = np.diag([-1.0, -1.0, 1.0, 1.0])
 
 
 class TestSplitStack:
     @pytest.mark.parametrize("seed", range(4))
     def test_random_operators_match_lone_splits(self, seed):
         rng = np.random.default_rng(seed)
-        xs = np.array([random_correlation(rng, 8, 2) for _ in range(6)])
-        # one element the certificate cannot decide: it takes the dense route
-        xs[3] = diag_operator([1.0, -1.0, -0.5, 1.5e-8, 0.8e-8], 8)
-        stacked = split_by_image(xs, 2, 2)
-        lone = [split_by_image(x, 2, 2) for x in xs]
+        ws = random_waves(rng, 6, 8)
+        stacked = split_wave_values(ws, GRAM, 2, 2)
+        lone = [split_wave_values(w, GRAM, 2, 2) for w in ws]
         assert stacked.rank == 4
         assert stacked.basis.shape == (6, 8, 4)
         assert_matches_loop(stacked.basis, [s.basis for s in lone])
@@ -84,20 +98,15 @@ class TestSplitStack:
     @pytest.mark.parametrize("seed", range(4))
     def test_discarded_matches_lone_splits(self, seed):
         rng = np.random.default_rng(seed)
-        xs = np.array([random_correlation(rng, 8, 2) for _ in range(6)])
-        h = random_complex(rng, 8, 8)
-        xs[1] += 1e-10 * (h + h.conj().T)
-        # one element the certificate cannot decide: it takes the dense route
-        xs[3] = diag_operator([1.0, -1.0, -0.5, 1.5e-8, 0.8e-8], 8)
-        stacked = split_by_image(xs, 2, 2)
-        lone = [split_by_image(x, 2, 2) for x in xs]
+        ws = random_waves(rng, 6, 8)
+        stacked = split_wave_values(ws, GRAM, 2, 2)
+        lone = [split_wave_values(w, GRAM, 2, 2) for w in ws]
         assert stacked.discarded.shape == (6,)
         assert_matches_loop(stacked.discarded, [s.discarded for s in lone])
-        kept = (stacked.basis @ stacked.restricted
-                @ np.swapaxes(stacked.basis.conj(), -1, -2))
-        dense = np.linalg.norm(xs - kept, axis=(-2, -1))
-        assert_matches_loop(stacked.discarded, dense)
-        assert stacked.discarded[3] == pytest.approx(0.8e-8, rel=1e-12)
+        # each bound covers the dense residual of the rendered operator
+        dense = np.linalg.norm([local_correlation(w, GRAM) for w in ws]
+                               - render(stacked), axis=(-2, -1))
+        assert np.all(dense <= stacked.discarded)
 
     def test_box_operators_match_by_projector(self):
         # box spectra are doubly degenerate: compare projectors, not bases
@@ -105,21 +114,20 @@ class TestSplitStack:
         points = [cfg.point(0.0, (0.0, 0.0, 0.0)),
                   cfg.point(0.2, (0.4, -0.8, 1.1)),
                   cfg.point(-1.3, (2.9, 0.05, -3.0))]
-        xs = np.array(dense_correlation_map(cfg, points))
-        stacked = split_by_image(xs, 2, 2)
-        lone = [split_by_image(x, 2, 2) for x in xs]
+        ws = wave_value_matrix(cfg, points)
+        stacked = split_wave_values(ws, SPINOR_GRAM, 2, 2)
+        lone = [split_wave_values(w, SPINOR_GRAM, 2, 2) for w in ws]
         assert_matches_loop(projector(stacked), [projector(s) for s in lone])
         assert_matches_loop(np.linalg.eigvalsh(stacked.restricted),
                             [np.linalg.eigvalsh(s.restricted) for s in lone])
 
     def test_failing_element_is_named(self):
         rng = np.random.default_rng(5)
-        full = random_complex(rng, 6, 6)
-        xs = np.array([random_correlation(rng, 6, 2), full + full.conj().T,
-                       random_correlation(rng, 6, 2)])
+        ws = random_complex(rng, 3, 4, 6)
+        ws[1, 3] = ws[1, 2]   # rank 3
         with pytest.raises(NotRegular,
                            match=r"stack element \[1\]: expected signature"):
-            split_by_image(xs, 2, 2)
+            split_wave_values(ws, GRAM, 2, 2)
 
 
 class TestChartStack:
@@ -129,9 +137,10 @@ class TestChartStack:
         split = spin_space(random_correlation(rng, f, p), p)
         coords, drawn = stacked_coords(rng, split, 7, scale=0.05)
         ys = chart_forward(coords)
-        assert_matches_loop(ys, [chart_forward(c) for c in drawn])
+        assert_matches_loop(render(ys), [render(chart_forward(c))
+                                         for c in drawn])
         back = chart_inverse(ys, split)
-        lone = [chart_inverse(y, split) for y in ys]
+        lone = [chart_inverse(y, split) for y in unstack(ys)]
         assert_matches_loop(back.a, [c.a for c in lone])
         assert_matches_loop(back.b, [c.b for c in lone])
 
@@ -145,10 +154,9 @@ class TestChartStack:
                                            split=split))
 
     def test_far_element_is_named(self):
-        base = spin_space(diag_operator([1.0, -1.0], 6), 1)
-        far = diag_operator([0.0, 0.0, 0.0, 0.0, 1.0, -1.0], 6)
+        points = diagonal_stack([1.0, -1.0], 6, offsets=(0, 4))
         with pytest.raises(TooFarFromBase, match=r"stack element \[1\]"):
-            chart_inverse(np.array([base.operator, far]), base)
+            chart_inverse(points, unstack(points)[0])
 
 
 class TestWaveChartStack:
@@ -158,7 +166,7 @@ class TestWaveChartStack:
         coords, drawn = stacked_coords(rng, base, 6, scale=0.04)
         ys = chart_forward(coords)
         stacked = symmetric_wave_chart(ys, base)
-        lone = [symmetric_wave_chart(y, base) for y in ys]
+        lone = [symmetric_wave_chart(y, base) for y in unstack(ys)]
         assert_matches_loop(stacked.full_matrix(),
                             [w.full_matrix() for w in lone])
         stacked = gaussian_wave_map(coords, base)
@@ -172,7 +180,7 @@ class TestWaveChartStack:
         base = spin_space(random_correlation(rng, 8, 2), 2)
         ys = chart_forward(stacked_coords(rng, base, 5, scale=0.05)[0])
         gauge = build_gauge(base, ys)
-        lone = [build_gauge(base, [y]) for y in ys]
+        lone = [build_gauge(base, [y]) for y in unstack(ys)]
         assert_matches_loop(gauge.values, [g.values[0] for g in lone])
         assert_matches_loop(gauge.condition_residuals,
                             [g.condition_residuals[0] for g in lone],
@@ -196,15 +204,16 @@ class TestWaveChartStack:
         assert gauge_orbit_witness(psi, off) is None
 
     def test_element_outside_the_domain_is_named(self):
-        base = spin_space(diag_operator([1.0, -1.0], 6), 1)
-        far = diag_operator([0.0, 0.0, 0.0, 0.0, 1.0, -1.0], 6)
+        points = diagonal_stack([1.0, -1.0], 6, offsets=(0, 4))
+        base = unstack(points)[0]
         with pytest.raises(OutOfChartDomain, match=r"stack element \[1\]"):
-            symmetric_wave_chart(np.array([base.operator, far]), base)
+            symmetric_wave_chart(points, base)
         # same image, but X^{-1} a = 1.5 lies beyond the chart radius 0.8
         with pytest.raises(OutOfChartDomain,
                            match=r"stack element \[2\]: chart coordinate"):
-            charts_coincide_check(base, [base.operator, 1.1 * base.operator,
-                                         2.5 * base.operator])
+            charts_coincide_check(base, [
+                split_wave_values(*diagonal_waves([scale, -scale], 6), 1, 1)
+                for scale in (1.0, 1.1, 2.5)])
 
 
 class TestDrawStack:

@@ -1,20 +1,21 @@
 """Wave charts, the realization map, gauge orbits and gauge construction."""
 
-import dataclasses
 import math
+import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import dense_correlation_map, random_krein_unitary
+from conftest import (box_chart_coords, dense_correlation_map, dense_split,
+                      diagonal_waves, random_krein_unitary, render, unstack)
 
-from cfsgauge import cli, correlation, wave_charts
-from cfsgauge.correlation import kernel, spin_space, split_by_image
+from cfsgauge import cli, correlation, manifold, wave_charts
+from cfsgauge.correlation import kernel, spin_space, split_wave_values
 from cfsgauge.dirac_box import (DiracBoxConfig, build_correlation_map,
                                 wave_value_matrix)
 from cfsgauge.errors import NotInvertible, OutOfChartDomain
-from cfsgauge.krein import opnorm
+from cfsgauge.krein import max_opnorm, opnorm
 from cfsgauge.manifold import ChartCoordinates, chart_forward, chart_inverse
 from cfsgauge.perturbation import perturbed_symmetric_gauge
 from cfsgauge.randoms import (random_chart_coords, random_complement_map,
@@ -43,11 +44,10 @@ def nearby_operator(rng, base, scale=0.05):
 class TestRealize:
     def test_identity_point_realizes_base(self):
         rng = np.random.default_rng(0)
-        x = random_correlation(rng, 8, 2)
-        base = spin_space(x, 2)
+        base = spin_space(random_correlation(rng, 8, 2), 2)
         # the wave coordinates (1, 0) of the base point are its evaluation
         identity = WaveChartPoint.from_full(base.basis.conj().T, base)
-        np.testing.assert_allclose(realize(identity), x, atol=1e-12)
+        np.testing.assert_allclose(realize(identity), render(base), atol=1e-12)
 
     def test_orbit_invariance(self):
         rng = np.random.default_rng(1)
@@ -156,7 +156,7 @@ class TestSymmetricWaveChart:
     def test_base_point_gives_identity_coordinates(self):
         rng = np.random.default_rng(10)
         base = spin_space(random_correlation(rng, 8, 2), 2)
-        phi = symmetric_wave_chart(base.operator, base)
+        phi = symmetric_wave_chart(base, base)
         assert opnorm(phi.on_image - np.eye(4)) <= 1e-9
         assert opnorm(phi.on_complement) <= 1e-9
 
@@ -166,15 +166,14 @@ class TestSymmetricWaveChart:
         for _ in range(50):
             y = nearby_operator(rng, base)
             phi = symmetric_wave_chart(y, base)
-            assert opnorm(realize(phi) - y) <= 1e-9
+            assert opnorm(realize(phi) - render(y)) <= 1e-9
             assert opnorm(phi.on_image
                           - base.krein.adjoint(phi.on_image)) <= 1e-9
 
     def test_connecting_unitary_is_unitary_across_spaces(self):
         rng = np.random.default_rng(12)
         base = spin_space(random_correlation(rng, 8, 2), 2)
-        y = nearby_operator(rng, base)
-        sp_y = spin_space(y, 2)
+        sp_y = spin_space(nearby_operator(rng, base), 2)
         u, _ = connecting_unitary(base.restricted, kernel(base, sp_y),
                                   kernel(sp_y, base), base.krein)
         # adjoint across the two spin products: S_x -> S_y
@@ -187,13 +186,15 @@ class TestSymmetricWaveChart:
         base = spin_space(random_correlation(rng, 8, 2), 2)
         for _ in range(20):
             sym = symmetrize(perturbed_point(rng, base, scale=0.05))
-            phi = symmetric_wave_chart(realize(sym), base)
+            # realize(sym) = -W^dag G W with W = sym's full matrix, G = -X
+            phi = symmetric_wave_chart(split_wave_values(
+                sym.full_matrix(), -base.restricted, 2, 2), base)
             assert opnorm(phi.on_image - sym.on_image) <= 1e-8
             assert opnorm(phi.on_complement - sym.on_complement) <= 1e-8
 
     def test_far_point_rejected(self):
-        base = spin_space(np.diag([1.0, -1.0, 0, 0, 0, 0]).astype(complex), 1)
-        far = np.diag([0.0, 0.0, 0.0, 0.0, 1.0, -1.0]).astype(complex)
+        base = split_wave_values(*diagonal_waves([1.0, -1.0], 6), 1, 1)
+        far = split_wave_values(*diagonal_waves([1.0, -1.0], 6, 4), 1, 1)
         with pytest.raises(OutOfChartDomain):
             symmetric_wave_chart(far, base)
 
@@ -223,7 +224,8 @@ class TestGaussianWaveMap:
         for _ in range(50):
             coords = random_chart_coords(rng, base, scale=0.05)
             point = gaussian_wave_map(coords, base)
-            assert opnorm(chart_forward(coords) - realize(point)) <= 1e-9
+            assert opnorm(render(chart_forward(coords))
+                          - realize(point)) <= 1e-9
             assert opnorm(point.on_image
                           - base.krein.adjoint(point.on_image)) <= 1e-9
 
@@ -232,18 +234,18 @@ class TestCoincidence:
     def test_base_point_deviation_zero(self):
         rng = np.random.default_rng(17)
         base = spin_space(random_correlation(rng, 8, 2), 2)
-        report = charts_coincide_check(base, [base.operator])
+        report = charts_coincide_check(base, [base])
         assert report.max_deviation <= 1e-10
 
     @pytest.mark.parametrize("f", [8, 12])
     def test_random_samples(self, f):
         rng = np.random.default_rng(18 + f)
-        x = random_correlation(rng, f, 2)
-        base = spin_space(x, 2)
+        base = spin_space(random_correlation(rng, f, 2), 2)
+        x = render(base)
         samples = []
         while len(samples) < 25:
             y = nearby_operator(rng, base, scale=0.04)
-            if opnorm(y - x) <= 0.1 * opnorm(x):
+            if opnorm(render(y) - x) <= 0.1 * opnorm(x):
                 samples.append(y)
         report = charts_coincide_check(base, samples)
         assert report.max_deviation <= 1e-8
@@ -268,7 +270,7 @@ class TestBuildGauge:
     def test_single_point_identity(self):
         rng = np.random.default_rng(20)
         base = spin_space(random_correlation(rng, 8, 2), 2)
-        gauge = build_gauge(base, [base.operator])
+        gauge = build_gauge(base, [base])
         np.testing.assert_allclose(gauge.values[0],
                                    base.basis.conj().T, atol=1e-9)
 
@@ -319,13 +321,14 @@ class TestBoxGauge:
 
     @pytest.fixture(scope="class")
     def box(self):
+        """The base split, the dense F of the other points and their splits."""
         cfg = DiracBoxConfig(L=math.pi, eps=0.4, m=0.0)
         points = [cfg.point(0.0, (0.0, 0.0, 0.0)),
                   cfg.point(0.1, (0.1, -0.05, 0.0)),
                   cfg.point(-0.05, (0.0, 0.12, 0.08))]
-        operators = dense_correlation_map(cfg, points)
-        return (spin_space(operators[0], 2), operators[1:],
-                build_correlation_map(cfg, points[1:]))
+        splits = build_correlation_map(cfg, points)
+        return (splits[0], dense_correlation_map(cfg, points[1:]),
+                splits[1:])
 
     def test_no_dense_decomposition_per_point(self, box, decompositions):
         base, _, ys = box
@@ -339,7 +342,7 @@ class TestBoxGauge:
         assert report.max_deviation <= 1e-8
 
     def test_no_complement_basis(self, box, monkeypatch, tmp_path):
-        base, ys, _ = box
+        base, _, ys = box
         f, r = base.basis.shape
         factorized = []
         original_qr = np.linalg.qr
@@ -359,38 +362,42 @@ class TestBoxGauge:
             assert mode != "complete"
             assert shape[-1] not in (f - r, f)
         assert max(gauge.condition_residuals) <= 1e-9
-        # a whole example run draws each block in one stack: a handful of
-        # QRs, none of them complete
+        # a whole example run draws and splits each block in one stack, so
+        # the count of QRs does not grow with it; the only complete ones
+        # are the f x f complements of the three Jacobian ranks
         factorized.clear()
         config = Path(__file__).resolve().parents[1] / "configs/example.json"
         assert cli.main(["run", str(config), "--out", str(tmp_path)]) == 0
-        assert 0 < len(factorized) <= 12
-        assert all(mode != "complete" for mode, _ in factorized)
+        assert 0 < len(factorized) <= 45
+        assert [shape for mode, shape in factorized if mode == "complete"] == [
+            (4, 4), (8, 8), (12, 12)]
 
     def test_each_point_split_once(self, box, monkeypatch):
-        base, ys, splits = box
+        base, _, splits = box
         calls = []
 
-        def counted(x, p, q):
-            calls.append(x.shape)
-            return split_by_image(x, p, q)
+        def counted(w, g, p, q):
+            calls.append(np.shape(w))
+            return split_wave_values(w, g, p, q)
 
-        monkeypatch.setattr(correlation, "split_by_image", counted)
-        f = base.basis.shape[0]
-        # a sequence is split element by element, with no (n, f, f) stack
-        build_gauge(base, ys)
-        assert calls == [(f, f)] * len(ys)
-        calls.clear()
-        charts_coincide_check(base, ys)
-        assert calls == [(f, f)] * len(ys)
-        calls.clear()
-        # box points are splits already
+        for module in (correlation, manifold):
+            monkeypatch.setattr(module, "split_wave_values", counted)
+        # box points are splits already: the gauge and the check split
+        # nothing more, and stack the sequence with no (n, f, f) array
         build_gauge(base, splits)
         charts_coincide_check(base, splits)
         assert calls == []
+        # chart points are split once, as one stack from their factors
+        f = base.basis.shape[0]
+        ys = manifold.chart_forward(random_chart_coords(
+            np.random.default_rng(24), base, 3, scale=1e-4))
+        assert calls == [(3, 4, f)]
+        build_gauge(base, ys)
+        charts_coincide_check(base, ys)
+        assert calls == [(3, 4, f)]
 
     def test_coincidence_inverts_each_chart_once(self, box, monkeypatch):
-        base, ys, _ = box
+        base, _, ys = box
         calls = []
 
         def counted(y, base_split):
@@ -435,6 +442,35 @@ class TestGaugeMemory:
         assert max(gauge.condition_residuals) <= 1e-9
         assert peak < 0.25 * 16 * f * f
 
+    def test_chart_round_trip_and_gauge_at_f16434(self):
+        # ten chart points split from their factors, read back and gauged:
+        # one dense f x f render would take 4.3 GB
+        coords = box_chart_coords(0.08, 0.3, 10, seed=16434)
+        base = coords.split
+        assert base.basis.shape[0] == 16434
+
+        def run():
+            ys = chart_forward(coords)
+            return chart_inverse(ys, base), build_gauge(base, ys)
+
+        tracemalloc.start()
+        try:
+            back, gauge = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100e6
+        best = math.inf
+        for _ in range(2):
+            started = time.perf_counter()
+            run()
+            best = min(best, time.perf_counter() - started)
+        assert best < 0.5
+        assert max_opnorm(back.a - coords.a) <= 1e-12
+        assert max_opnorm(back.b - coords.b) <= 1e-12
+        assert max(gauge.condition_residuals) <= (
+            cli.DEFAULT_TOLERANCES["gauge_condition"])
+
 
 class TestConditionResidualBound:
     def test_bounds_dense_norm(self):
@@ -443,11 +479,11 @@ class TestConditionResidualBound:
         rng = np.random.default_rng(30)
         for f in (6, 9, 12):
             for _ in range(20):
-                x = random_correlation(rng, f, 2)
-                base = spin_space(x, 2)
+                base = spin_space(random_correlation(rng, f, 2), 2)
+                x = render(base)
                 h = random_complex(rng, f, f)
                 y = x + 1e-10 * opnorm(x) * (h + h.conj().T) / opnorm(h)
-                split_y = split_by_image(y, 2, 2)
+                split_y = dense_split(y, 2, 2)
                 for value in (symmetric_wave_chart(split_y, base).full_matrix(),
                               random_complex(rng, 4, f)):
                     dense = opnorm(y + value.conj().T @ base.krein.gram @ value)
@@ -475,31 +511,31 @@ class TestConditionResidualBound:
     def test_tight_when_residual_lies_in_the_span(self):
         rng = np.random.default_rng(31)
         base = spin_space(random_correlation(rng, 10, 2), 2)
-        y = nearby_operator(rng, base)
-        split_y = split_by_image(y, 2, 2)
+        split_y = nearby_operator(rng, base)
         value = symmetric_wave_chart(split_y, base).full_matrix()
         # a Hermitian shift on the image below half of min |eig X_y| moves
         # no eigenvalue across zero, so the signature is kept
         h = random_complex(rng, 4, 4)
         h = (h + h.conj().T) / opnorm(h + h.conj().T)
         size = 0.4 * np.min(np.abs(np.linalg.eigvalsh(split_y.restricted)))
-        shift = size * split_y.basis @ h @ split_y.basis.conj().T
-        shifted = split_by_image(y + shift, 2, 2)
-        dense = opnorm(shifted.operator + value.conj().T @ base.krein.gram @ value)
+        shifted = split_wave_values(split_y.basis.conj().T,
+                                    -(split_y.restricted + size * h), 2, 2)
+        dense = opnorm(render(shifted)
+                       + value.conj().T @ base.krein.gram @ value)
         bound = condition_residual_bound(shifted, value, base.krein.gram)
         assert dense <= bound <= dense + 1e-12
 
     def test_reads_only_the_split(self):
         rng = np.random.default_rng(32)
         base = spin_space(random_correlation(rng, 10, 2), 2)
-        ys = np.array([nearby_operator(rng, base) for _ in range(3)])
-        split_y = split_by_image(ys, 2, 2)
+        split_y = chart_forward(random_chart_coords(rng, base, 3, scale=0.05))
         values = symmetric_wave_chart(split_y, base).full_matrix()
         bound = condition_residual_bound(split_y, values, base.krein.gram)
-        without = condition_residual_bound(
-            dataclasses.replace(split_y, operator=None), values,
-            base.krein.gram)
-        np.testing.assert_array_equal(without, bound)
+        # the same fields restacked from the lone splits: the same bounds
+        restacked = wave_charts._as_stacked_split(unstack(split_y), base)
+        np.testing.assert_array_equal(
+            condition_residual_bound(restacked, values, base.krein.gram),
+            bound)
 
 
 class TestSpinorFrameBridge:
