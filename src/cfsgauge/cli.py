@@ -47,8 +47,9 @@ MAX_GRID_POINTS = 1 << 16
 #: cap on 2 |t| / eps, which bounds every phase omega (t_x - t_y) since
 #: omega < 1 / eps: past 2^52 a float phase keeps no digit below one radian
 MAX_PHASE = 2.0 ** 52
-#: cap on the bytes of each (block, 4, f) wave stack ``task_perturb`` forms
-MAX_DENSE_BYTES = 1 << 22
+#: cap on the bytes of each (block, 4, f) wave stack ``task_perturb`` forms;
+#: a block keeps a few such stacks alive at once (waves, their phased copy)
+MAX_DENSE_BYTES = 1 << 19
 #: largest s = ||A - 1|| of the gauge task's polar draws.  Gram moduli in
 #: randoms.SPREAD = (0.5, 2) give the Krein adjoint a norm factor k <= 4,
 #: so ||A* A - 1|| <= (1 + k) s + k s^2 = 5s + 4s^2 = 0.778, inside
@@ -593,8 +594,8 @@ def run_experiment(config: ExperimentConfig, out_dir):
         "all_passed": all_passed,
     }
     with _replacing(out_path / "report.json") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True, allow_nan=False)
-        handle.write("\n")
+        handle.write(json.dumps(report, indent=2, sort_keys=True,
+                                allow_nan=False) + "\n")
 
     kernels_file = out_path / "kernels.csv"
     if kernel_blocks is None:

@@ -54,11 +54,12 @@ def mixed_kernel(waves: np.ndarray, perturbed_waves: np.ndarray) -> np.ndarray:
     With waves at x and at y this is the two-point kernel P(x, y); with
     perturbed waves at x it is the mixed kernel of a perturbation, equal to
     exp(-i Lambda(x)) P(x, x) for a pure gauge.  ``mixed_kernel(w, w)`` is
-    the diagonal kernel P(x, x) itself.  Stacks (..., 4, f) broadcast.
+    the diagonal kernel P(x, x) itself.  Stacks (..., 4, f) broadcast.  No
+    operand is copied: ``vecdot`` conjugates Psi~ as it contracts over f.
     """
     w = np.asarray(waves, dtype=complex)
     wt = np.asarray(perturbed_waves, dtype=complex)
-    return -(w @ wt.conj().swapaxes(-1, -2) @ SPINOR_GRAM)
+    return -(np.vecdot(wt[..., None, :, :], w[..., :, None, :]) @ SPINOR_GRAM)
 
 
 def slash(v) -> np.ndarray:
@@ -261,8 +262,10 @@ def _phases(cfg: DiracBoxConfig, coords: np.ndarray) -> np.ndarray:
     exp(i k_i x_i): one exponential per omega shell and per axis coordinate."""
     freqs, slots, index = _lattice(cfg)[3:6]
     table = np.exp(1j * (coords[..., slots] * freqs))
-    return (table[..., index[0]] * table[..., index[1]] * table[..., index[2]]
-            * table[..., index[3]])
+    out = table[..., index[0]]
+    for column in index[1:]:   # in place, in the order of the plain product
+        out *= table[..., column]
+    return out
 
 
 def wave_value_matrix(cfg: DiracBoxConfig, point) -> np.ndarray:

@@ -524,6 +524,8 @@ class TestRunReports:
         monkeypatch.setattr(cli.pt, "mixed_kernel", recorded)
         monkeypatch.setattr(cli.pt, "perturbed_symmetric_gauge",
                             recorded_gauge)
+        # the default limit splits the 125-point grid; 2^30 holds it whole
+        monkeypatch.setattr(cli, "MAX_DENSE_BYTES", 1 << 30)
         whole = cli.task_perturb(config)
         whole_stacks = collections.Counter(diagonal_stacks)
         assert gauge_stacks == [50]
@@ -544,21 +546,25 @@ class TestRunReports:
         assert blocked == whole
 
     def test_perturb_working_set_stays_in_its_budget(self, monkeypatch):
-        # f = 4936: blocks of 13 points or functions keep each (block, 4, f)
-        # stack under 4 MiB, where one block of all 125 grid points grows as
-        # 29 kB x f
-        config = parse_config({**BASE_CONFIG, "tasks": ["perturb"],
-                               "box": {"L": math.pi, "eps": 0.12, "m": 0.0}})
-        assert mode_count(config.box) == 4936
-        tracemalloc.start()
-        try:
-            blocked = cli.task_perturb(config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 30e6
-        monkeypatch.setattr(cli, "MAX_DENSE_BYTES", 1 << 30)
-        assert cli.task_perturb(config) == blocked
+        # blocks of 8,192 / f points or functions keep each (block, 4, f)
+        # stack under 512 KiB, where one block of all 125 grid points grows
+        # as 29 kB x f
+        for eps, f, budget in ((0.4, 160, 3 << 20), (0.2, 968, 3 << 20),
+                               (0.12, 4936, 4 << 20)):
+            config = parse_config({**BASE_CONFIG, "tasks": ["perturb"],
+                                   "box": {"L": math.pi, "eps": eps,
+                                           "m": 0.0}})
+            assert mode_count(config.box) == f
+            tracemalloc.start()
+            try:
+                blocked = cli.task_perturb(config)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= budget, f
+            with monkeypatch.context() as whole:
+                whole.setattr(cli, "MAX_DENSE_BYTES", 1 << 30)
+                assert cli.task_perturb(config) == blocked
 
     def test_failed_report_write_keeps_previous_file(self, tmp_path,
                                                      monkeypatch):

@@ -18,8 +18,9 @@ from cfsgauge.dirac_box import (ETA, GAMMA, MAX_L, MAX_MODES,
                                 _coordinates, _lattice, _phases,
                                 _sea_spinor_table, _sea_table,
                                 build_correlation_map, kernel_braket_sum,
-                                kernel_mode_sum, mode_count, momentum_modes,
-                                momentum_points, slash, wave_value_matrix)
+                                kernel_mode_sum, mixed_kernel, mode_count,
+                                momentum_modes, momentum_points, slash,
+                                wave_value_matrix)
 from cfsgauge.errors import (EmptyCutoff, NotRegular, TooFewModes,
                              TooManyModes)
 from cfsgauge.krein import opnorm
@@ -352,6 +353,40 @@ class TestKernelModeSum:
         y2 = SpacetimePoint(t=-0.2, x_vec=(0.9 - 2 * CFG.L, -0.1, 2 * CFG.L))
         np.testing.assert_allclose(kernel_mode_sum(CFG, x, y1),
                                    kernel_mode_sum(CFG, x, y2), atol=1e-12)
+
+
+class TestMixedKernel:
+    @staticmethod
+    def reference(w, wt):
+        return -(w @ wt.conj().swapaxes(-1, -2) @ SPINOR_GRAM)
+
+    @staticmethod
+    def pair():
+        """Wave values on the perturb task's 125-point grid, and a phased copy."""
+        axis = np.linspace(-math.pi, math.pi, 5, endpoint=False)
+        grid = [SpacetimePoint(t=0.1, x_vec=(a, b, c))
+                for a, b, c in itertools.product(axis, repeat=3)]
+        w = wave_value_matrix(CFG_MASSLESS, grid)
+        phases = np.random.default_rng(5).uniform(-math.pi, math.pi, 125)
+        return w, np.exp(1j * phases)[:, None, None] * w
+
+    def test_matches_the_matmul_form(self):
+        w, wt = self.pair()
+        assert w.shape == (125, 4, 160)
+        for args in ((w, wt), (w[3], wt[7]), (w[3], wt), (w, wt[7])):
+            assert relative_error(mixed_kernel(*args),
+                                  self.reference(*args)) <= 1e-14
+
+    def test_copies_no_operand(self):
+        w, wt = self.pair()
+        mixed_kernel(w, wt)
+        tracemalloc.start()
+        try:
+            mixed_kernel(w, wt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.2e6   # each operand is 1.28 MB
 
 
 class TestSpinSpinorIdentification:
