@@ -325,7 +325,7 @@ def task_gauge(config: ExperimentConfig):
         series = kr.binomial_sqrt_series(space.adjoint(a) @ a - np.eye(dim),
                                          0.5)
         residuals = (a - u @ s,
-                     u.conj().swapaxes(1, 2) @ space.gram @ u - space.gram,
+                     kr._adjoint(u) @ space.gram @ u - space.gram,
                      s - space.adjoint(s), s - series)
         worst = np.maximum(worst, [max_opnorm(r) for r in residuals])
     for value, (name, ref, key) in zip(worst.tolist(), (

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac_box import GAMMA, minkowski_dot, slash
+from .dirac_box import GAMMA, SPINOR_KREIN, minkowski_dot, slash
 from .errors import BranchCut, DegenerateChain
 from .krein import _norm_bound, _refuse, opnorm
 
@@ -226,8 +226,7 @@ class DualRouteResult:
 def dual_route_inv_sqrt(vk: VectorKernel) -> DualRouteResult:
     """Evaluate A^{-1/2} P on both routes and report their deviation."""
     spectral = spectral_inv_sqrt_kernel(vk)
-    adjoint = GAMMA[0] @ np.swapaxes(spectral.conj(), -1, -2) @ GAMMA[0]
-    unitarity = opnorm(spectral @ adjoint - np.eye(4))
+    unitarity = opnorm(spectral @ SPINOR_KREIN.adjoint(spectral) - np.eye(4))
     # the formula is undefined on degenerate chains: evaluate it on the rest
     defined = ~_degenerate(*chain_eigenvalues(vk))
     deviation = np.full(np.shape(defined), np.nan)
@@ -290,8 +289,7 @@ def unitary_expansion(real_step, imag_step) -> ExpansionReport:
     near, far = ((g[len(taus) + 2 * k] - g[len(taus) + 2 * k + 1])
                  / (2.0 * t) for k, t in enumerate(steps))
     coeff_fd = (4.0 * near - far) / 3.0
-
-    adjoint = GAMMA[0] @ coeff_fd.conj().T @ GAMMA[0]
+    adjoint = SPINOR_KREIN.adjoint(coeff_fd)
     return ExpansionReport(
         residuals=tuple(residuals),
         residual_ratios=tuple(float(r) for r in ratios),

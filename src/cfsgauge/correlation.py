@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotRegular
-from .krein import KreinSpace, _frobenius, _refuse
+from .krein import KreinSpace, _adjoint, _frobenius, _refuse
 
 #: relative threshold separating genuine eigenvalues from numerical zeros
 TOL_RANK_FACTOR = 1e-8
@@ -45,11 +45,6 @@ def _fix_column_phases(v: np.ndarray) -> np.ndarray:
     pivot = np.take_along_axis(v, rows, axis=-2)
     size = np.hypot(pivot.real, pivot.imag)   # rounds as scalar abs() does
     return v * np.where(size > 0.0, size / np.where(size > 0.0, pivot, 1), 1)
-
-
-def _adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of each stacked matrix."""
-    return np.swapaxes(a.conj(), -1, -2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,11 +185,6 @@ def spin_space(x: ImageSplit, n: int) -> ImageSplit:
     signature is (n, n).
     """
     return as_split(x, n, n)
-
-
-def wave_evaluation(sp: ImageSplit) -> np.ndarray:
-    """Projection onto the spin space, expressed in its basis (2n x f)."""
-    return _adjoint(sp.basis).copy()
 
 
 def kernel(sp_x: ImageSplit, sp_y: ImageSplit) -> np.ndarray:

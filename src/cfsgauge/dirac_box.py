@@ -23,6 +23,7 @@ import numpy as np
 
 from .correlation import ImageSplit, split_wave_values
 from .errors import EmptyCutoff, TooFewModes, TooManyModes
+from .krein import KreinSpace
 
 _SIGMA = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -43,9 +44,8 @@ GAMMA = (
 
 #: Gram matrix of the spinor inner product psi^dag gamma^0 phi
 SPINOR_GRAM = GAMMA[0]
-
-#: Minkowski metric diag(1, -1, -1, -1)
-ETA = np.diag([1.0, -1.0, -1.0, -1.0])
+#: the spinor space as a Krein space of signature (2, 2)
+SPINOR_KREIN = KreinSpace(gram=SPINOR_GRAM, signature=(2, 2))
 
 
 def mixed_kernel(waves: np.ndarray, perturbed_waves: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Linear algebra on finite-dimensional indefinite inner product (Krein) spaces.
 
+This bottom layer owns every adjoint the package takes: ``_adjoint`` is the
+one conjugate transpose, and ``KreinSpace.adjoint`` the one Krein adjoint.
 A Krein space is described here by an invertible Hermitian Gram matrix G of
 signature (p, q) in a fixed basis, so that the inner product of two vectors is
 u^dag G v.  Adjoints, unitarity and symmetry are always meant with respect to
@@ -12,8 +14,9 @@ this indefinite product:
 Matrix square roots are provided only in a neighborhood of the identity, where
 the principal branch is unambiguous; this is exactly the regime needed for the
 unique polar decomposition A = U S with U unitary and S symmetric close to 1.
-Every routine also takes stacks (..., n, n), a space a stack of Grams of one
-signature; each element gets every check, and errors name its stack index.
+Every routine also takes stacks (..., n, n), empty ones included, a space a
+stack of Grams of one signature; each element gets every check, and errors
+name its stack index.
 Norm checks decide by the bound ||a||_2 <= ||a||_F first and take the SVD of
 ``opnorm`` only where it cannot decide, as ``max_opnorm`` does for a maximum.
 """
@@ -47,9 +50,15 @@ def opnorm(a: np.ndarray):
     return float(top) if top.ndim == 0 else top
 
 
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each stacked matrix."""
+    return np.swapaxes(a.conj(), -1, -2)
+
+
 def _frobenius(a: np.ndarray):
     """Frobenius norm of each stacked matrix: one BLAS dot each, no copy."""
-    flat = np.ascontiguousarray(a).view(float).reshape(*a.shape[:-2], -1)
+    flat = np.ascontiguousarray(a).view(float)
+    flat = flat.reshape(*a.shape[:-2], flat.shape[-2] * flat.shape[-1])
     return np.sqrt((flat[..., None, :] @ flat[..., :, None])[..., 0, 0])
 
 
@@ -105,7 +114,7 @@ class KreinSpace:
         # for Hermitian g the singular values are the moduli of the eigenvalues
         scale = np.max(np.abs(eigs), axis=-1)
         limit = TOL * np.maximum(1.0, scale)
-        _refuse(_norm_bound(g - g.conj().swapaxes(-1, -2), limit) > limit,
+        _refuse(_norm_bound(g - _adjoint(g), limit) > limit,
                 ValueError, "gram must be Hermitian")
         _refuse(np.min(np.abs(eigs), axis=-1) <= SINGULAR_FACTOR * scale,
                 SingularGram, "gram matrix is singular to working precision")
@@ -113,21 +122,17 @@ class KreinSpace:
         _refuse((p != self.signature[0]) | (q != self.signature[1]), ValueError,
                 "gram has signature ({}, {}), declared ({}, {})", p, q, *self.signature)
 
-    @property
-    def dim(self) -> int:
-        return self.gram.shape[-1]
-
     def adjoint(self, a: np.ndarray) -> np.ndarray:
         """Adjoint with respect to the indefinite product, G^{-1} A^dag G."""
         a = np.asarray(a, dtype=complex)
         if a.shape[-2:] != self.gram.shape[-2:]:
             raise ValueError("operator shape does not match the space dimension")
-        return np.linalg.solve(self.gram, a.conj().swapaxes(-1, -2) @ self.gram)
+        return np.linalg.solve(self.gram, _adjoint(a) @ self.gram)
 
     def is_unitary(self, u: np.ndarray, tol: float = TOL) -> bool:
         """Whether U^dag G U = G within ``tol`` (operator norm), for each."""
         u = np.asarray(u, dtype=complex)
-        residual = u.conj().swapaxes(-1, -2) @ self.gram @ u - self.gram
+        residual = _adjoint(u) @ self.gram @ u - self.gram
         return bool(np.all(_norm_bound(residual, tol) <= tol))
 
 

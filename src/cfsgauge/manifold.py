@@ -23,10 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import (ImageSplit, _adjoint, as_split, hermitize,
-                          split_wave_values)
+from .correlation import ImageSplit, as_split, hermitize, split_wave_values
 from .errors import InvalidSignature, SignatureLost, TooFarFromBase
-from .krein import _frobenius, _refuse
+from .krein import _adjoint, _frobenius, _refuse
 
 #: smallest singular value of the image-overlap block accepted by chart_inverse
 MIN_OVERLAP_SV = 0.5

@@ -19,14 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac_box import (SPINOR_GRAM, DiracBoxConfig, SpacetimePoint,
+from .dirac_box import (SPINOR_KREIN, DiracBoxConfig, SpacetimePoint,
                         _coordinates, kernel_mode_sum, mixed_kernel,
                         wave_value_matrix)
-from .krein import KreinSpace, opnorm
+from .krein import _adjoint, opnorm
 from .wave_charts import connecting_unitary
-
-#: the spinor space as a Krein space of signature (2, 2)
-SPINOR_KREIN = KreinSpace(gram=SPINOR_GRAM, signature=(2, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +127,7 @@ def basis_waves(cfg: DiracBoxConfig, point: SpacetimePoint,
     ``tol``.
     """
     waves = wave_value_matrix(cfg, point)
-    coeffs, _ = np.linalg.qr(waves.conj().T)
+    coeffs, _ = np.linalg.qr(_adjoint(waves))
     chi = np.linalg.solve(mixed_kernel(waves, waves), waves @ coeffs)
     bw = BasisWaves(cfg=cfg, point=point, coeffs=coeffs, chi=chi)
     for other in check_points:

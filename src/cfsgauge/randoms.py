@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .correlation import ImageSplit, _adjoint, hermitize, split_wave_values
+from .correlation import ImageSplit, hermitize, split_wave_values
 from .dirac_box import SpacetimePoint
-from .krein import _frobenius
+from .krein import _adjoint, _frobenius
 from .manifold import ChartCoordinates
 from .perturbation import GaugeFunction
 

@@ -28,11 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import krein as _krein
-from .correlation import (ImageSplit, _adjoint, as_split, frame_form,
-                          hermitize, kernel, wave_evaluation)
+from .correlation import ImageSplit, as_split, frame_form, hermitize, kernel
 from .errors import (NotInvertible, OutOfChartDomain, OutOfConvergenceRadius,
                      TooFarFromBase)
-from .krein import RADIUS_SERIES, _frobenius, _refuse, opnorm
+from .krein import RADIUS_SERIES, _adjoint, _frobenius, _refuse, opnorm
 from .manifold import ChartCoordinates, chart_inverse
 
 #: bound on ||X^{-1} a|| shared by both wave-chart constructions; it is the
@@ -160,7 +159,7 @@ def _symmetric_chart(split_y: ImageSplit, base: ImageSplit):
                                   kernel(split_y, base), base.krein)
     except OutOfConvergenceRadius as exc:
         raise OutOfChartDomain(str(exc)) from exc
-    full = u @ wave_evaluation(split_y)
+    full = u @ _adjoint(split_y.basis)
     return WaveChartPoint.from_full(full, base), coords
 
 

@@ -11,10 +11,10 @@ from scipy.linalg import expm
 
 from cfsgauge import correlation
 from cfsgauge.closed_chain import multiset_distance  # noqa: F401 (for tests)
-from cfsgauge.correlation import _adjoint, hermitize
+from cfsgauge.correlation import hermitize
 from cfsgauge.dirac_box import (SPINOR_GRAM, DiracBoxConfig,
                                 build_correlation_map, wave_value_matrix)
-from cfsgauge.krein import opnorm
+from cfsgauge.krein import _adjoint, opnorm
 from cfsgauge.manifold import ChartCoordinates
 from cfsgauge.randoms import (random_complement_map, random_complex,
                               random_hermitian)
@@ -108,13 +108,13 @@ def box_chart_coords(eps, m, count, seed):
 
 def random_krein_unitary(rng, space, scale=0.1):
     """Unitary of the indefinite product near 1, exp of an antisymmetric op."""
-    m = scale * random_complex(rng, space.dim, space.dim)
+    m = scale * random_complex(rng, *space.gram.shape[-2:])
     return expm(0.5 * (m - space.adjoint(m)))
 
 
 def random_krein_symmetric(rng, space, scale=0.1):
     """Symmetric operator of the indefinite product with norm ~ scale."""
-    m = scale * random_complex(rng, space.dim, space.dim)
+    m = scale * random_complex(rng, *space.gram.shape[-2:])
     return 0.5 * (m + space.adjoint(m))
 
 

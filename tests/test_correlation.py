@@ -11,11 +11,11 @@ from conftest import (dense_correlation_map, dense_split, diagonal_waves,
 
 from cfsgauge import correlation
 from cfsgauge.correlation import (closed_chain, kernel, spin_space,
-                                  split_wave_values, wave_evaluation)
+                                  split_wave_values)
 from cfsgauge.dirac_box import (SPINOR_GRAM, DiracBoxConfig,
                                 build_correlation_map, wave_value_matrix)
 from cfsgauge.errors import NotRegular
-from cfsgauge.krein import opnorm
+from cfsgauge.krein import _adjoint, opnorm
 from cfsgauge.randoms import random_complex, random_correlation
 from cfsgauge.wave_charts import (WaveChartPoint, build_gauge,
                                   charts_coincide_check, realize)
@@ -424,7 +424,7 @@ class TestHermitize:
 class TestWaveEvaluation:
     def test_diagonal_case(self):
         sp = spin_space(diag_split([1.0, -1.0], 5, 1, 1), 1)
-        psi = wave_evaluation(sp)
+        psi = _adjoint(sp.basis)
         np.testing.assert_allclose(np.abs(psi), np.eye(2, 5), atol=1e-12)
 
     def test_kernel_vector_annihilated(self):
@@ -432,7 +432,7 @@ class TestWaveEvaluation:
         x = random_correlation(rng, 8, 2)
         sp = spin_space(x, 2)
         u = (np.eye(8) - sp.basis @ sp.basis.conj().T) @ random_complex(rng, 8)
-        np.testing.assert_allclose(wave_evaluation(sp) @ u, np.zeros(4),
+        np.testing.assert_allclose(_adjoint(sp.basis) @ u, np.zeros(4),
                                    atol=1e-12)
 
     @pytest.mark.parametrize("f", [4, 8, 16])
@@ -444,7 +444,7 @@ class TestWaveEvaluation:
         for _ in range(100):
             sp = spin_space(random_correlation(rng, f, n), n)
             # the base point's own wave coordinates Psi realize Psi^dag X Psi
-            own = WaveChartPoint.from_full(wave_evaluation(sp), sp)
+            own = WaveChartPoint.from_full(_adjoint(sp.basis), sp)
             assert opnorm(realize(own) - render(sp)) <= 1e-10
 
 

@@ -12,7 +12,7 @@ from conftest import dense_correlation_map
 from cfsgauge import correlation
 from cfsgauge.cli import DEFAULT_TOLERANCES
 from cfsgauge.correlation import kernel, spin_space
-from cfsgauge.dirac_box import (ETA, GAMMA, MAX_L, MAX_MODES,
+from cfsgauge.dirac_box import (GAMMA, MAX_L, MAX_MODES,
                                 MIN_LENGTH, MIN_MASS, SPINOR_GRAM,
                                 DiracBoxConfig, SpacetimePoint,
                                 _coordinates, _lattice, _phases,
@@ -62,9 +62,10 @@ def table_spinors(cfg):
 
 class TestGammaMatrices:
     def test_clifford_relations(self):
+        eta = np.diag([1, -1, -1, -1])
         for i, j in itertools.product(range(4), repeat=2):
             anti = GAMMA[i] @ GAMMA[j] + GAMMA[j] @ GAMMA[i]
-            np.testing.assert_allclose(anti, 2.0 * ETA[i, j] * np.eye(4),
+            np.testing.assert_allclose(anti, 2.0 * eta[i, j] * np.eye(4),
                                        atol=1e-14)
 
     def test_time_gamma_squares_to_identity(self):

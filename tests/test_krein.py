@@ -385,7 +385,7 @@ class TestCertificates:
         # ||g - g^dag|| = 5e-8 lies between TOL and TOL ||g|| = 1e-7
         gram = np.diag([1e3, -1e3]).astype(complex)
         gram[0, 1] = 5e-8
-        assert KreinSpace(gram=gram, signature=(1, 1)).dim == 2
+        assert KreinSpace(gram=gram, signature=(1, 1)).gram.shape[-1] == 2
         gram[0, 1] = 2e-7
         with pytest.raises(ValueError, match="Hermitian"):
             KreinSpace(gram=gram, signature=(1, 1))

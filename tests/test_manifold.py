@@ -8,9 +8,9 @@ from conftest import (box_chart_coords, dense_split, diagonal_waves, render,
                       unstack)
 
 from cfsgauge.cli import load_config, run_experiment
-from cfsgauge.correlation import _adjoint, split_wave_values
+from cfsgauge.correlation import split_wave_values
 from cfsgauge.errors import InvalidSignature, SignatureLost, TooFarFromBase
-from cfsgauge.krein import opnorm
+from cfsgauge.krein import _adjoint, opnorm
 from cfsgauge.manifold import (ChartCoordinates, chart_forward, chart_inverse,
                                chart_jacobian_rank, chart_metric,
                                gaussian_check, manifold_dim)

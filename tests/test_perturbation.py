@@ -7,7 +7,7 @@ import pytest
 from conftest import local_correlation
 
 from cfsgauge.correlation import split_wave_values
-from cfsgauge.dirac_box import (SPINOR_GRAM, DiracBoxConfig,
+from cfsgauge.dirac_box import (SPINOR_GRAM, SPINOR_KREIN, DiracBoxConfig,
                                 SpacetimePoint, kernel_mode_sum,
                                 wave_value_matrix)
 from cfsgauge.krein import opnorm, polar, polar_decompose
@@ -15,7 +15,6 @@ from cfsgauge.perturbation import (GaugeFunction, apply_local_phase,
                                    basis_waves, gauged_basis, mixed_kernel,
                                    perturbed_symmetric_gauge)
 from cfsgauge.randoms import random_box_point, random_gauge_function
-from cfsgauge.perturbation import SPINOR_KREIN
 
 CFG = DiracBoxConfig(L=math.pi, eps=1.0 / 2.5, m=0.0)
 MASSIVE = DiracBoxConfig(L=math.pi, eps=1.0 / 2.5, m=0.3)

@@ -1,10 +1,12 @@
 """Every public function, option and field of the package has a caller
 outside the unit tests, and every name has one import path.
 
-A public function or method counts as used when its name is referenced
-(called, read as an attribute or imported) by a module of the package other
-than ``__init__``, by the benchmark under ``perfbench/``, or by the
-acceptance suite.  A parameter with a default counts as used when one call
+A public function counts as used when its name is read (called, read as
+an attribute or imported) by a module of the package other than
+``__init__``, by the benchmark under ``perfbench/``, or by the acceptance
+suite; a method or property of a class only when those sources read an
+attribute of its name, and a public module-level constant only when they
+read its name.  A parameter with a default counts as used when one call
 from those sources passes it, by name or by position.  An annotated field of
 a public class counts as used when those sources read an attribute of its
 name.  Unit tests alone do not keep a helper, an option or a field alive: a
@@ -12,7 +14,9 @@ claim they check goes through the code the program runs.  Likewise every
 module-level private function is read by the package outside its own
 definition, so no helper lives on for a test alone.  The package root
 binds no name, so each one is imported from the module that defines it.
-Every error type is raised or caught somewhere in the package.
+Every error type is raised or caught somewhere in the package.  Only
+``krein._adjoint`` spells a conjugate transpose, and ``hermitize`` its
+in-place form; every other module takes adjoints through ``krein``.
 """
 
 import ast
@@ -63,6 +67,18 @@ def public_functions():
     return found
 
 
+def public_constants():
+    """``module.NAME`` for each public module-level assignment."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            targets = node.targets if isinstance(node, ast.Assign) else []
+            found |= {f"{path.stem}.{target.id}" for target in targets
+                      if isinstance(target, ast.Name)
+                      and not target.id.startswith("_")}
+    return found
+
+
 def caller_trees():
     sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     sources += list((ROOT / "perfbench").glob("*.py"))
@@ -90,10 +106,10 @@ def read_attributes():
 
 
 def names_in(tree):
-    """Every name, attribute and imported name referenced under ``tree``."""
+    """Every name and attribute read, and every name imported, under ``tree``."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -144,11 +160,18 @@ def passed_arguments():
 
 
 def test_every_public_function_has_a_caller():
-    used = referenced_names()
+    used, read = referenced_names(), read_attributes()
     unused = {qualname for qualname, node in public_functions().items()
-              if node.name not in used}
+              if node.name not in (read if qualname.count(".") == 2 else used)}
     assert not unused - set(ALLOWED), "public without a caller"
     assert not set(ALLOWED) - unused, "allowed name is used or gone"
+
+
+def test_every_public_constant_is_read():
+    used = referenced_names()
+    unread = {name for name in public_constants()
+              if name.rsplit(".", 1)[1] not in used}
+    assert not unread, "public constants nothing reads"
 
 
 def test_every_private_function_has_a_reader():
@@ -222,3 +245,54 @@ def test_every_error_type_is_raised_or_caught():
     assert defined, "errors.py defines no error type"
     dead = sorted(defined - raised_or_caught_names())
     assert not dead, f"never raised or caught: {dead}"
+
+
+#: the top-level functions that spell a conjugate transpose
+TRANSPOSE_OWNERS = {"krein._adjoint", "correlation.hermitize"}
+CONJUGATES = {"conj", "conjugate"}
+TRANSPOSES = {"T", "mT", "swapaxes", "transpose"}
+
+
+def acted_on(node, names):
+    """The operand of ``x.name``, ``x.name(...)`` or ``np.name(x, ...)``."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        if getattr(func, "id", None) in names or (
+                getattr(func, "attr", None) in names
+                and getattr(func.value, "id", None) == "np"):
+            return node.args[0] if node.args else None
+        node = func
+    if (isinstance(node, ast.Attribute) and node.attr in names
+            and getattr(node.value, "id", None) != "np"):
+        return node.value
+    return None
+
+
+def is_conjugate_transpose(node) -> bool:
+    """Whether ``node`` transposes a conjugate or conjugates a transpose."""
+    for outer, inner in ((TRANSPOSES, CONJUGATES), (CONJUGATES, TRANSPOSES)):
+        operand = acted_on(node, outer)
+        if operand is not None and acted_on(operand, inner) is not None:
+            return True
+    return False
+
+
+def conjugate_transposes():
+    """(``module.owner``, line) of each conjugate transpose, the owner its
+    top-level definition."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            found |= {(owner, node.lineno) for node in ast.walk(top)
+                      if is_conjugate_transpose(node)}
+    return found
+
+
+def test_only_krein_spells_a_conjugate_transpose():
+    found = conjugate_transposes()
+    strays = sorted(f"{owner}:{line}" for owner, line in found
+                    if owner not in TRANSPOSE_OWNERS)
+    assert not strays, "take adjoints through krein._adjoint"
+    assert {owner for owner, _ in found} == TRANSPOSE_OWNERS, \
+        "an owner no longer spells the transpose"

@@ -26,7 +26,7 @@ from cfsgauge.dirac_box import (SPINOR_GRAM, DiracBoxConfig, mode_count,
                                 wave_value_matrix)
 from cfsgauge.errors import (NotRegular, OutOfChartDomain, SignatureLost,
                              TooFarFromBase)
-from cfsgauge.krein import KreinSpace
+from cfsgauge.krein import KreinSpace, sqrt_near_identity
 from cfsgauge.manifold import (ChartCoordinates, chart_forward, chart_inverse,
                                chart_jacobian_rank, gaussian_check)
 from cfsgauge.randoms import (random_chart_coords, random_complement_map,
@@ -435,6 +435,33 @@ class TestWaveValueStack:
         assert stacked.shape == (250, 4, mode_count(box))
         assert np.array_equal(stacked, [wave_value_matrix(box, point)
                                         for point in points])
+
+
+class TestEmptyStack:
+    """A stack of no elements passes every check and gives empty results."""
+
+    def test_split_of_no_wave_values(self):
+        split = split_wave_values(np.zeros((0, 4, 160)), SPINOR_GRAM, 2, 2)
+        assert split.basis.shape == (0, 160, 4)
+        assert split.restricted.shape == (0, 4, 4)
+
+    def test_chart_forward_of_no_coordinates(self):
+        base = random_correlation(np.random.default_rng(70), 8, 2)
+        coords = ChartCoordinates(a=np.zeros((0, 4, 4)),
+                                  b=np.zeros((0, 4, 8)), split=base)
+        assert chart_forward(coords).basis.shape == (0, 8, 4)
+
+    def test_space_and_roots_of_no_grams(self):
+        space = KreinSpace(gram=np.zeros((0, 2, 2)), signature=(1, 1))
+        root = sqrt_near_identity(np.zeros((0, 2, 2)), space)
+        assert root.sqrt.shape == root.inv_sqrt.shape == (0, 2, 2)
+
+    def test_gauge_over_no_points(self):
+        base = split_wave_values(wave_value_matrix(BOX, X), SPINOR_GRAM, 2, 2)
+        none = split_wave_values(np.zeros((0, 4, mode_count(BOX))),
+                                 SPINOR_GRAM, 2, 2)
+        gauge = build_gauge(base, none)
+        assert gauge.values == () and gauge.condition_residuals == ()
 
 
 class TestOrbitCertificate:
