@@ -38,7 +38,8 @@ from . import perturbation as pt
 from . import randoms as rnd
 from . import wave_charts as wc
 from .dirac_box import (MIN_MASS, DiracBoxConfig, kernel_braket_sum,
-                        kernel_mode_sum, mode_count, wave_value_matrix)
+                        kernel_mode_sum, mixed_kernel, mode_count,
+                        wave_value_matrix)
 from .errors import CfsGaugeError, ConfigError, TaskError, TooManyModes
 from .krein import KreinSpace, max_opnorm, opnorm
 
@@ -489,8 +490,8 @@ def task_perturb(config: ExperimentConfig):
                           tol["phase_cancellation"]))
 
     waves_y = wave_value_matrix(box, y)
-    p_xy = pt.mixed_kernel(waves, waves_y)
-    chain = p_xy @ pt.mixed_kernel(waves_y, waves)
+    p_xy = mixed_kernel(waves, waves_y)
+    chain = p_xy @ mixed_kernel(waves_y, waves)
     reference_y = pt.perturbed_symmetric_gauge(waves, waves_y)
     lam = rnd.random_gauge_function(rng, box.L, 10).shifted_to_vanish_at(x)
     worst = np.zeros(3)   # phase law, chain and gauge value residuals
@@ -498,10 +499,10 @@ def task_perturb(config: ExperimentConfig):
         part = pt.GaugeFunction(terms=lam.terms[start:start + block], L=lam.L)
         wx_t = pt.apply_local_phase(waves, part, x)
         wy_t = pt.apply_local_phase(waves_y, part, y)
-        p_xy_t = pt.mixed_kernel(wx_t, wy_t)
+        p_xy_t = mixed_kernel(wx_t, wy_t)
         phase = np.exp(1j * (part(x) - part(y)))[:, None, None]
         residuals = (p_xy_t - phase * p_xy,
-                     p_xy_t @ pt.mixed_kernel(wy_t, wx_t) - chain,
+                     p_xy_t @ mixed_kernel(wy_t, wx_t) - chain,
                      pt.perturbed_symmetric_gauge(wx_t, wy_t) - reference_y)
         worst = np.maximum(worst, [max_opnorm(r) for r in residuals])
     for value, (name, ref, key) in zip(worst.tolist(), (
@@ -522,9 +523,9 @@ def task_perturb(config: ExperimentConfig):
         points = grid[start:start + block]
         w = wave_value_matrix(box, points)
         phases = lam(points)[:, None, None]
-        expected = np.exp(-1j * phases) * pt.mixed_kernel(w, w)
+        expected = np.exp(-1j * phases) * mixed_kernel(w, w)
         worst_mixed = np.maximum(worst_mixed, max_opnorm(
-            pt.mixed_kernel(w, np.exp(1j * phases) * w) - expected))
+            mixed_kernel(w, np.exp(1j * phases) * w) - expected))
     entries.append(_entry("perturb", "mixed-kernel-phase-law",
                           "mixed-kernel-phase-law", worst_mixed,
                           tol["mixed_kernel_law"]))

@@ -28,15 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import krein as _krein
-from .correlation import ImageSplit, as_split, frame_form, hermitize, kernel
+from .correlation import ImageSplit, as_split, frame_form, kernel
 from .errors import (NotInvertible, OutOfChartDomain, OutOfConvergenceRadius,
                      TooFarFromBase)
-from .krein import RADIUS_SERIES, _adjoint, _frobenius, _refuse, opnorm
+from .krein import _adjoint, _frobenius, _refuse, opnorm
 from .manifold import ChartCoordinates, chart_inverse
 
-#: bound on ||X^{-1} a|| shared by both wave-chart constructions; it is the
-#: radius within which sqrt_near_identity roots 1 + X^{-1} a
-CHART_DOMAIN_RADIUS = RADIUS_SERIES
 #: relative tolerance when comparing realizations in the orbit test
 ORBIT_TOL = 1e-8
 
@@ -68,16 +65,6 @@ class WaveChartPoint:
                    base=base)
 
 
-def realize(psi: WaveChartPoint) -> np.ndarray:
-    """Realization map psi -> -psi* psi, a Hermitian operator on H.
-
-    With the spin Gram -X this is psi^dag X psi; the wave coordinates of the
-    base point realize the base point itself.
-    """
-    full = psi.full_matrix()
-    return hermitize(_adjoint(full) @ psi.base.restricted @ full)
-
-
 def gauge_orbit_witness(psi: WaveChartPoint, psi_tilde: WaveChartPoint):
     """Unitary connecting two wave-coordinate points on the same orbit.
 
@@ -86,20 +73,24 @@ def gauge_orbit_witness(psi: WaveChartPoint, psi_tilde: WaveChartPoint):
     returns None when the realizations differ or no such unitary exists (for
     stacked points: the stack of unitaries, or None if any element fails).
     Raises NotInvertible when the on-image component cannot be inverted.
+    Realizations psi^dag X psi are read on 2r x 2r cores of equal norms: the
+    difference by ``frame_form``, ||psi^dag X psi|| as ||R X R^dag||, psi^dag = QR.
     """
     sv = np.linalg.svd(psi.on_image, compute_uv=False)
     _refuse(sv[..., -1] <= 1e-12 * sv[..., 0], NotInvertible,
             "on-image component is singular")
-    r1 = realize(psi)
+    x, psi_h = psi.base.restricted, _adjoint(psi.full_matrix())
     u = psi_tilde.on_image @ np.linalg.inv(psi.on_image)
-    off = (r1 - realize(psi_tilde),
+    off = (frame_form(psi_h, x, _adjoint(psi_tilde.full_matrix()), -x),
            psi_tilde.on_complement - u @ psi.on_complement)
     def within(tol, unitary_tol):
         return (all(np.all(_krein._norm_bound(r, tol) <= tol) for r in off)
                 and psi.base.krein.is_unitary(u, unitary_tol))
-    on_orbit = within(ORBIT_TOL, ORBIT_TOL) or within(   # unscaled first
-        ORBIT_TOL * np.maximum(1.0, opnorm(r1)),
-        ORBIT_TOL * np.maximum(1.0, opnorm(u) ** 2))
+    if within(ORBIT_TOL, ORBIT_TOL):   # unscaled first
+        return u
+    r = np.linalg.qr(psi_h, mode="r")
+    on_orbit = within(ORBIT_TOL * np.maximum(1.0, opnorm(r @ x @ _adjoint(r))),
+                      ORBIT_TOL * np.maximum(1.0, opnorm(u) ** 2))
     return u if on_orbit else None
 
 
@@ -137,30 +128,24 @@ def symmetric_wave_chart(y, base: ImageSplit) -> WaveChartPoint:
     ``y`` is the image split of the operator, or a stacked split.  The
     on-image component comes out symmetric with respect to the spin inner
     product, and realizing the result returns y.  Raises OutOfChartDomain
-    when y leaves the shared domain of the two wave-chart constructions
-    (image overlap too small, chart coordinate too large, or square root out
-    of its convergence radius).
+    when y leaves the shared domain of the two wave-chart constructions:
+    the image overlap is too small, or 1 + X^{-1} a lies beyond the square
+    root's convergence radius.
     """
-    return _symmetric_chart(as_split(y, *base.signature), base)[0]
+    return _symmetric_chart(y, base)[0]
 
 
 def _symmetric_chart(split_y: ImageSplit, base: ImageSplit):
-    """``symmetric_wave_chart`` and the chart coordinates it went through."""
+    """``symmetric_wave_chart`` and its chart coordinates.  With O = V^dag V_y,
+    the polar root of T T* = X^{-1} O X_y O^dag = 1 + X^{-1} a is the one
+    chart-domain gate."""
     try:
         coords = chart_inverse(split_y, base)
-    except TooFarFromBase as exc:
-        raise OutOfChartDomain(str(exc)) from exc
-    inv_x = np.linalg.inv(base.restricted)
-    _refuse(_krein._norm_bound(inv_x @ coords.a, CHART_DOMAIN_RADIUS)
-            > CHART_DOMAIN_RADIUS, OutOfChartDomain,
-            "chart coordinate exceeds the shared domain radius")
-    try:
         u, _ = connecting_unitary(base.restricted, kernel(base, split_y),
                                   kernel(split_y, base), base.krein)
-    except OutOfConvergenceRadius as exc:
+    except (TooFarFromBase, OutOfConvergenceRadius) as exc:
         raise OutOfChartDomain(str(exc)) from exc
-    full = u @ _adjoint(split_y.basis)
-    return WaveChartPoint.from_full(full, base), coords
+    return WaveChartPoint.from_full(u @ _adjoint(split_y.basis), base), coords
 
 
 def gaussian_wave_map(coords: ChartCoordinates,

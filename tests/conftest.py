@@ -82,6 +82,13 @@ def render(split):
     return hermitize(split.basis @ split.restricted @ _adjoint(split.basis))
 
 
+def realize(psi):
+    """The dense realization psi^dag X psi of a wave-chart point, f x f: the
+    reference the orbit witness's 2r x 2r cores are checked against."""
+    full = psi.full_matrix()
+    return hermitize(_adjoint(full) @ psi.base.restricted @ full)
+
+
 def dense_correlation_map(cfg, points):
     """The dense box operator F(x) at each point, rendered from its wave values."""
     return [local_correlation(wave_value_matrix(cfg, p), SPINOR_GRAM)

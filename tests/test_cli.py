@@ -506,7 +506,7 @@ class TestRunReports:
     def test_perturb_grid_blocks_keep_the_phase_law(self, monkeypatch):
         config = parse_config({**BASE_CONFIG, "tasks": ["perturb"]})
         diagonal_stacks, gauge_stacks, pair_stacks = [], [], []
-        original = cli.pt.mixed_kernel
+        original = cli.mixed_kernel
         original_gauge = cli.pt.perturbed_symmetric_gauge
 
         def recorded(waves, perturbed_waves):
@@ -521,7 +521,10 @@ class TestRunReports:
                 pair_stacks.append(len(waves))   # the 10 shifted functions
             return original_gauge(waves, perturbed_waves)
 
-        monkeypatch.setattr(cli.pt, "mixed_kernel", recorded)
+        # one recorder on both bindings: the task's own calls and those of
+        # perturbed_symmetric_gauge
+        for module in (cli, cli.pt):
+            monkeypatch.setattr(module, "mixed_kernel", recorded)
         monkeypatch.setattr(cli.pt, "perturbed_symmetric_gauge",
                             recorded_gauge)
         # the default limit splits the 125-point grid; 2^30 holds it whole

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import (dense_correlation_map, dense_split, diagonal_waves,
                       local_correlation, multiset_distance,
-                      random_krein_unitary, render)
+                      random_krein_unitary, realize, render)
 
 from cfsgauge import correlation
 from cfsgauge.correlation import (closed_chain, kernel, spin_space,
@@ -18,7 +18,7 @@ from cfsgauge.errors import NotRegular
 from cfsgauge.krein import _adjoint, opnorm
 from cfsgauge.randoms import random_complex, random_correlation
 from cfsgauge.wave_charts import (WaveChartPoint, build_gauge,
-                                  charts_coincide_check, realize)
+                                  charts_coincide_check)
 
 
 def diag_operator(values, f):

@@ -13,7 +13,9 @@ name.  Unit tests alone do not keep a helper, an option or a field alive: a
 claim they check goes through the code the program runs.  Likewise every
 module-level private function is read by the package outside its own
 definition, so no helper lives on for a test alone.  The package root
-binds no name, so each one is imported from the module that defines it.
+binds no name, so each one is imported from the module that defines it,
+and no caller reads ``module.name`` through a module that only imports it.
+Every name a module of the package imports is read there.
 Every error type is raised or caught somewhere in the package.  Only
 ``krein._adjoint`` spells a conjugate transpose, and ``hermitize`` its
 in-place form; every other module takes adjoints through ``krein``.
@@ -79,11 +81,16 @@ def public_constants():
     return found
 
 
-def caller_trees():
+def caller_paths():
     sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     sources += list((ROOT / "perfbench").glob("*.py"))
     sources.append(ROOT / "tests" / "test_acceptance.py")
-    return [ast.parse(path.read_text(encoding="utf-8")) for path in sources]
+    return sorted(sources)
+
+
+def caller_trees():
+    return [ast.parse(path.read_text(encoding="utf-8"))
+            for path in caller_paths()]
 
 
 def public_fields():
@@ -296,3 +303,64 @@ def test_only_krein_spells_a_conjugate_transpose():
     assert not strays, "take adjoints through krein._adjoint"
     assert {owner for owner, _ in found} == TRANSPOSE_OWNERS, \
         "an owner no longer spells the transpose"
+
+
+def defined_names(tree):
+    """The names a module's own top-level statements define (not import)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names |= {n.id for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)}
+    return names
+
+
+def module_aliases(tree):
+    """Local name -> package module, for each package module imported whole."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level == 1 and node.module is None
+                or node.level == 0 and node.module == "cfsgauge"):
+            aliases |= {a.asname or a.name: a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            aliases |= {a.asname: a.name.split(".", 1)[1] for a in node.names
+                        if a.asname and a.name.startswith("cfsgauge.")}
+    return aliases
+
+
+def test_every_name_is_read_from_its_defining_module():
+    defined = {path.stem: defined_names(ast.parse(
+        path.read_text(encoding="utf-8"))) for path in PACKAGE.glob("*.py")}
+    strays = []
+    for path in caller_paths():
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = module_aliases(tree)
+        strays += [f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.ctx, ast.Load)
+                   and isinstance(node.value, ast.Name)
+                   and node.value.id in aliases
+                   and node.attr not in defined[aliases[node.value.id]]]
+    assert not strays, "import each name from the module that defines it"
+
+
+def test_every_import_is_read():
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unread += [f"{path.stem}.{name}" for name in (
+                    a.asname or a.name.split(".", 1)[0] for a in node.names)
+                           if name not in read]
+    assert not unread, "imported names nothing reads"

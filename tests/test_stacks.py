@@ -208,9 +208,10 @@ class TestWaveChartStack:
         base = unstack(points)[0]
         with pytest.raises(OutOfChartDomain, match=r"stack element \[1\]"):
             symmetric_wave_chart(points, base)
-        # same image, but X^{-1} a = 1.5 lies beyond the chart radius 0.8
+        # same image, but T T* - 1 = X^{-1} a = 1.5 lies beyond the root's 0.8
         with pytest.raises(OutOfChartDomain,
-                           match=r"stack element \[2\]: chart coordinate"):
+                           match=r"stack element \[2\]: \|\|B - 1\|\| = 1.5 "
+                                 r">= allowed radius"):
             charts_coincide_check(base, [
                 split_wave_values(*diagonal_waves([scale, -scale], 6), 1, 1)
                 for scale in (1.0, 1.1, 2.5)])

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import (box_chart_coords, dense_correlation_map, dense_split,
-                      diagonal_waves, random_krein_unitary, render, unstack)
+                      diagonal_waves, random_krein_unitary, realize, render,
+                      unstack)
 
 from cfsgauge import cli, correlation, manifold, wave_charts
 from cfsgauge.correlation import kernel, spin_space, split_wave_values
@@ -24,7 +25,7 @@ from cfsgauge.wave_charts import (WaveChartPoint, build_gauge,
                                   charts_coincide_check,
                                   condition_residual_bound, connecting_unitary,
                                   gauge_orbit_witness, gaussian_wave_map,
-                                  realize, symmetric_wave_chart, symmetrize)
+                                  symmetric_wave_chart, symmetrize)
 
 
 def perturbed_point(rng, base, scale=0.1):
@@ -119,6 +120,53 @@ class TestGaugeOrbitWitness:
                                   base=base)
         with pytest.raises(NotInvertible):
             gauge_orbit_witness(singular, psi)
+
+    @staticmethod
+    def cayley_pair(rng, base):
+        """A point around the base and its Cayley-rotated copy."""
+        psi = WaveChartPoint(
+            on_image=np.eye(4) + 0.05 * random_complex(rng, 4, 4),
+            on_complement=random_complement_map(rng, base, 4, scale=0.05),
+            base=base)
+        m = 0.2 * random_complex(rng, 4, 4)
+        half = 0.25 * (m - base.krein.adjoint(m))
+        u0 = np.linalg.solve(np.eye(4) - half, np.eye(4) + half)
+        return psi, WaveChartPoint(u0 @ psi.on_image, u0 @ psi.on_complement,
+                                   base), u0
+
+    def test_renders_no_dense_operator(self, decompositions):
+        # one f x f complex array at f = 1024 takes 16.8 MB
+        rng = np.random.default_rng(61)
+        psi, rotated, u0 = self.cayley_pair(rng, random_correlation(rng, 1024,
+                                                                    2))
+        decompositions.clear()
+        tracemalloc.start()
+        try:
+            u = gauge_orbit_witness(psi, rotated)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert opnorm(u - u0) <= 1e-12
+        assert decompositions
+        assert max(max(shape) for shape in decompositions) <= 2 * 4
+
+    def test_verdict_agrees_with_dense_realizations(self):
+        rng = np.random.default_rng(62)
+        verdicts = []
+        for _ in range(10):
+            base = random_correlation(rng, 8, 2)
+            psi, rotated, _ = self.cayley_pair(rng, base)
+            other, _, _ = self.cayley_pair(rng, base)
+            for tilde in [other] + [WaveChartPoint(
+                    rotated.on_image, rotated.on_complement
+                    + noise * random_complement_map(rng, base, 4), base)
+                                    for noise in (0.0, 1e-12, 1e-6)]:
+                dense = opnorm(realize(psi) - realize(tilde))
+                verdicts.append(dense <= wave_charts.ORBIT_TOL)
+                assert (gauge_orbit_witness(psi, tilde) is not None) \
+                    == verdicts[-1]
+        assert sum(verdicts) == 20   # the exact and the 1e-12 rotations
 
 
 class TestSymmetrize:
