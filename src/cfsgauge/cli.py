@@ -41,7 +41,7 @@ from .dirac_box import (MIN_MASS, DiracBoxConfig, kernel_braket_sum,
                         kernel_mode_sum, mixed_kernel, mode_count,
                         wave_value_matrix)
 from .errors import CfsGaugeError, ConfigError, TaskError, TooManyModes
-from .krein import KreinSpace, max_opnorm, opnorm
+from .krein import KreinSpace, opnorm
 
 #: cap on the nt * nx^3 points of a grid spec, checked before expanding it
 MAX_GRID_POINTS = 1 << 16
@@ -278,8 +278,8 @@ def task_charts(config: ExperimentConfig):
         split = rnd.random_correlation(rng, f, p)
         coords = rnd.random_chart_coords(rng, split, 50, scale=0.05)
         back = mf.chart_inverse(mf.chart_forward(coords), split)
-        worst = max(worst, max_opnorm(back.a - coords.a),
-                    max_opnorm(back.b - coords.b))
+        worst = max(worst, np.max(opnorm(back.a - coords.a)),
+                    np.max(opnorm(back.b - coords.b)))
     entries.append(_entry("charts", "roundtrip-max-residual",
                           "chart-inverse-roundtrip", worst,
                           tol["chart_roundtrip"]))
@@ -328,7 +328,7 @@ def task_gauge(config: ExperimentConfig):
         residuals = (a - u @ s,
                      kr._adjoint(u) @ space.gram @ u - space.gram,
                      s - space.adjoint(s), s - series)
-        worst = np.maximum(worst, [max_opnorm(r) for r in residuals])
+        worst = np.maximum(worst, [np.max(opnorm(r)) for r in residuals])
     for value, (name, ref, key) in zip(worst.tolist(), (
             ("polar-residual", "unique-polar-decomposition", "polar_residual"),
             ("polar-unitary-residual", "indefinite-unitarity", "polar_unitary"),
@@ -353,7 +353,7 @@ def task_gauge(config: ExperimentConfig):
     if u is None:
         raise TaskError("orbit witness unexpectedly missing")
     entries.append(_entry("gauge", "orbit-recovery",
-                          "gauge-orbit-injectivity", max_opnorm(u - u0),
+                          "gauge-orbit-injectivity", np.max(opnorm(u - u0)),
                           tol["orbit_recovery"]))
 
     worst_coincide = 0.0
@@ -397,9 +397,9 @@ def task_spectral(config: ExperimentConfig):
     lam_plus, lam_minus = (lam[:, None, None]
                            for lam in cc.chain_eigenvalues(vk))
     a = cc.chain_from_vectors(vk)
-    worst_proj = max_opnorm(np.stack([
+    worst_proj = np.max(opnorm(np.stack([
         e_plus + e_minus - np.eye(4), e_plus @ e_plus - e_plus, e_plus @ e_minus,
-        a @ e_plus - lam_plus * e_plus, a @ e_minus - lam_minus * e_minus]))
+        a @ e_plus - lam_plus * e_plus, a @ e_minus - lam_minus * e_minus])))
     result = cc.dual_route_inv_sqrt(vk)
     worst_unit = np.max(result.unitarity_residual)
     worst_dev = np.max(result.deviation)
@@ -467,9 +467,9 @@ def task_perturb(config: ExperimentConfig):
          else box.point(x.t + 0.1, tuple(c + 0.2 for c in x.x_vec)))
 
     pairs = [(x, y), (y, x), (x, box.point(0.0, (0.0, 0.0, 0.0)))]
-    worst_kernel = max_opnorm(np.array([kernel_mode_sum(box, a, b)
-                                        - kernel_braket_sum(box, a, b)
-                                        for a, b in pairs]))
+    worst_kernel = np.max(opnorm(np.array([kernel_mode_sum(box, a, b)
+                                           - kernel_braket_sum(box, a, b)
+                                           for a, b in pairs])))
     entries.append(_entry("perturb", "kernel-sum-consistency",
                           "kernel-mode-sum-vs-braket", worst_kernel,
                           tol["kernel_consistency"]))
@@ -484,7 +484,7 @@ def task_perturb(config: ExperimentConfig):
         values = pt.perturbed_symmetric_gauge(
             waves, pt.apply_local_phase(waves, part, x))
         worst_cancel = np.maximum(worst_cancel,
-                                  max_opnorm(values - reference))
+                                  np.max(opnorm(values - reference)))
     entries.append(_entry("perturb", "phase-cancellation",
                           "local-phase-cancellation", worst_cancel,
                           tol["phase_cancellation"]))
@@ -504,7 +504,7 @@ def task_perturb(config: ExperimentConfig):
         residuals = (p_xy_t - phase * p_xy,
                      p_xy_t @ mixed_kernel(wy_t, wx_t) - chain,
                      pt.perturbed_symmetric_gauge(wx_t, wy_t) - reference_y)
-        worst = np.maximum(worst, [max_opnorm(r) for r in residuals])
+        worst = np.maximum(worst, [np.max(opnorm(r)) for r in residuals])
     for value, (name, ref, key) in zip(worst.tolist(), (
             ("kernel-phase-law", "kernel-phase-transformation",
              "kernel_phase_law"),
@@ -524,8 +524,8 @@ def task_perturb(config: ExperimentConfig):
         w = wave_value_matrix(box, points)
         phases = lam(points)[:, None, None]
         expected = np.exp(-1j * phases) * mixed_kernel(w, w)
-        worst_mixed = np.maximum(worst_mixed, max_opnorm(
-            mixed_kernel(w, np.exp(1j * phases) * w) - expected))
+        worst_mixed = np.maximum(worst_mixed, np.max(opnorm(
+            mixed_kernel(w, np.exp(1j * phases) * w) - expected)))
     entries.append(_entry("perturb", "mixed-kernel-phase-law",
                           "mixed-kernel-phase-law", worst_mixed,
                           tol["mixed_kernel_law"]))

@@ -169,12 +169,13 @@ def spectral_inv_sqrt_kernel(vk: VectorKernel) -> np.ndarray:
     kernel = vk.kernel_matrix()
     degenerate = _degenerate(lam_plus, lam_minus)
     lam = np.asarray(0.5 * (lam_plus + lam_minus))
-    # an infinite limit decides each distinct chain's bound with no SVD
+    # an infinite limit decides each distinct chain's bound undecomposed
     part = chain_from_vectors(vk) - lam[..., None, None] * np.eye(4)
     limit = np.where(degenerate, 1e-10 * (np.abs(lam) + 1.0), np.inf)
-    _refuse(_norm_bound(part, limit) > limit, DegenerateChain,
-            "degenerate closed chain with nilpotent part has no spectral "
-            "inverse square root")
+    bound = _norm_bound(part, limit)
+    _refuse(~np.isfinite(bound), np.linalg.LinAlgError, "chain is not finite")
+    _refuse(bound > limit, DegenerateChain, "degenerate closed chain with "
+            "nilpotent part has no spectral inverse square root")
     # a scalar chain takes its one eigenvalue on both projectors
     inv_plus = _principal_inv_sqrt(np.where(degenerate, lam, lam_plus))
     inv_minus = _principal_inv_sqrt(np.where(degenerate, lam, lam_minus))

@@ -17,8 +17,8 @@ unique polar decomposition A = U S with U unitary and S symmetric close to 1.
 Every routine also takes stacks (..., n, n), empty ones included, a space a
 stack of Grams of one signature; each element gets every check, and errors
 name its stack index.
-Norm checks decide by the bound ||a||_2 <= ||a||_F first and take the SVD of
-``opnorm`` only where it cannot decide, as ``max_opnorm`` does for a maximum.
+Norm checks decide by the bound ||a||_2 <= ||a||_F first and take the exact
+``opnorm``, from the small Gram and never an SVD, only where it cannot decide.
 """
 
 from __future__ import annotations
@@ -44,9 +44,18 @@ SERIES_TERM_TOL = 1e-15
 
 
 def opnorm(a: np.ndarray):
-    """Operator (spectral) norm: a float, or an array of them for a stack."""
-    values = np.linalg.svd(a, compute_uv=False)
-    top = values[..., 0] if values.shape[-1] else np.zeros(values.shape[:-1])
+    """Operator (spectral) norm: a float, or an array of them for a stack.
+
+    Root of the top ``eigvalsh`` eigenvalue of the smaller Gram, a a^dag or
+    a^dag a, formed by ``vecdot`` with no copy: for s x k or k x s elements,
+    s <= k, within (k + s) s eps of ||a||_2 relative, eps = 2^-52, while the
+    squared entries stay normal.  A non-finite element raises LinAlgError.
+    """
+    rows = a if a.shape[-2] <= a.shape[-1] else np.swapaxes(a, -1, -2)
+    gram = np.vecdot(rows[..., :, None, :], rows[..., None, :, :])
+    _refuse(~np.isfinite(gram).all(axis=(-2, -1)), np.linalg.LinAlgError,
+            "matrix is not finite")
+    top = np.sqrt(np.linalg.eigvalsh(gram).max(axis=-1, initial=0.0))
     return float(top) if top.ndim == 0 else top
 
 
@@ -65,23 +74,10 @@ def _frobenius(a: np.ndarray):
 def _norm_bound(a: np.ndarray, limit):
     """||a||_F of each element where below ``limit``, else the exact ||a||."""
     bound = np.array(_frobenius(a))
-    exact = ~(bound < limit)   # a NaN element too, whose SVD raises
+    exact = (bound >= limit) & np.isfinite(bound)  # non-finite: kept
     if exact.any():
         bound[exact] = opnorm(a[exact])
     return bound
-
-
-def max_opnorm(a: np.ndarray) -> float:
-    """``np.max(opnorm(a))``, decomposing only the elements that can hold it.
-
-    Those reach max ||.||_F / sqrt(min(m, n)), a floor of the maximum; a
-    lone, empty, non-finite or all-candidate stack is decomposed uncopied.
-    """
-    frobenius = _frobenius(a) if a.ndim > 2 and a.size else np.nan
-    if np.all(np.isfinite(frobenius)):
-        held = frobenius >= np.max(frobenius) / np.sqrt(min(a.shape[-2:]))
-        a = a if held.all() else a[held]
-    return float(np.max(opnorm(a)))
 
 
 def _refuse(bad, error, message: str, *values) -> None:
@@ -110,6 +106,8 @@ class KreinSpace:
         object.__setattr__(self, "gram", g)
         if g.ndim < 2 or g.shape[-2] != g.shape[-1]:
             raise ValueError("gram must be a square matrix")
+        _refuse(~np.isfinite(g).all(axis=(-2, -1)), ValueError,
+                "gram must be finite")
         eigs = np.linalg.eigvalsh(g)
         # for Hermitian g the singular values are the moduli of the eigenvalues
         scale = np.max(np.abs(eigs), axis=-1)
@@ -187,7 +185,7 @@ def sqrt_near_identity(b: np.ndarray, space: KreinSpace) -> SqrtResult:
     b = np.asarray(b, dtype=complex)
     delta = b - np.eye(b.shape[-1])
     dist = _norm_bound(delta, RADIUS_SERIES)
-    _refuse(dist >= RADIUS_SERIES, OutOfConvergenceRadius,
+    _refuse(~(dist < RADIUS_SERIES), OutOfConvergenceRadius,
             "||B - 1|| = {:.3g} >= allowed radius {:.3g}", dist, RADIUS_SERIES)
     asym = _norm_bound(b - space.adjoint(b), TOL)
     if np.any(asym >= TOL):

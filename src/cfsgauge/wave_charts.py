@@ -184,8 +184,8 @@ def charts_coincide_check(base: ImageSplit, sample_points) -> CoincidenceReport:
     split_y = _as_stacked_split(sample_points, base)
     via_polar, coords = _symmetric_chart(split_y, base)
     via_chart = gaussian_wave_map(coords, base)
-    return CoincidenceReport(max_deviation=_krein.max_opnorm(
-        via_polar.full_matrix() - via_chart.full_matrix()))
+    return CoincidenceReport(max_deviation=np.max(opnorm(
+        via_polar.full_matrix() - via_chart.full_matrix())))
 
 
 def _as_stacked_split(points, base: ImageSplit) -> ImageSplit:

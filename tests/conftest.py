@@ -89,6 +89,13 @@ def realize(psi):
     return hermitize(_adjoint(full) @ psi.base.restricted @ full)
 
 
+def opnorm_bound(shape):
+    """The relative error bound (k + s) s eps of ``opnorm`` on s x k or
+    k x s elements, s <= k, as its docstring states it."""
+    s, k = sorted(shape[-2:])
+    return (k + s) * s * np.finfo(float).eps
+
+
 def dense_correlation_map(cfg, points):
     """The dense box operator F(x) at each point, rendered from its wave values."""
     return [local_correlation(wave_value_matrix(cfg, p), SPINOR_GRAM)

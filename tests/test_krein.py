@@ -4,14 +4,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import random_krein_symmetric, random_krein_unitary
+from conftest import (opnorm_bound, random_krein_symmetric,
+                      random_krein_unitary)
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cfsgauge import krein
 from cfsgauge.errors import NotSymmetric, OutOfConvergenceRadius, SingularGram
 from cfsgauge.krein import (RADIUS_SERIES, SERIES_MAX_TERMS, TOL, KreinSpace,
-                            binomial_sqrt_series, max_opnorm, opnorm, polar,
+                            binomial_sqrt_series, opnorm, polar,
                             polar_decompose, sqrt_near_identity)
 from cfsgauge.randoms import random_complex, random_gram, random_unitary
 
@@ -285,7 +286,37 @@ class TestOpnorm:
             for a in (random_complex(rng, 4, 4), rng.standard_normal((4, 4))):
                 value = opnorm(a)
                 assert type(value) is float
-                assert value == np.linalg.norm(a, 2)
+                assert abs(value - np.linalg.norm(a, 2)) <= (
+                    opnorm_bound(a.shape) * value)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (8, 8), (4, 160), (160, 4),
+                                       (60, 4, 4936)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_agrees_with_numpy_norm_within_the_bound(self, shape, dtype):
+        rng = np.random.default_rng(32)
+        *stack, m, n = shape
+
+        def draw(*dims):
+            z = random_complex(rng, *dims)
+            return z if dtype is complex else z.real.copy()
+
+        for a in (draw(*shape), draw(*stack, m, 1) @ draw(*stack, 1, n)):
+            for scale in (1e-100, 1.0, 1e100):
+                value, want = opnorm(scale * a), np.linalg.norm(scale * a, 2,
+                                                                axis=(-2, -1))
+                assert np.all(np.abs(value - want)
+                              <= opnorm_bound(shape) * want)
+
+    def test_wide_stack_is_decomposed_without_a_copy(self):
+        a = random_complex(np.random.default_rng(8), 50, 4, 4936)
+        tracemalloc.start()
+        try:
+            value = opnorm(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a[0].nbytes
+        assert value.shape == (50,)
 
 
 class TestCertificates:
@@ -307,59 +338,41 @@ class TestCertificates:
     @pytest.mark.parametrize("shape", [(2, 2), (4, 4), (4, 160)])
     @pytest.mark.parametrize("seed", range(5))
     def test_max_equals_the_plain_maximum(self, shape, seed):
+        # a report maximum np.max(opnorm(stack)) is that of the lone norms
         a = self.mixed_ranks(np.random.default_rng(seed), 30, *shape)
-        value = max_opnorm(a)
-        assert type(value) is float
-        assert value == np.max(opnorm(a))
-        assert max_opnorm(a[0]) == opnorm(a[0])
-        assert max_opnorm(a.reshape(5, 6, *shape)) == value
-
-    def test_only_possible_maxima_are_decomposed(self, monkeypatch):
-        a = random_complex(np.random.default_rng(6), 20, 4, 4)
-        a[7] *= 100.0
-        decomposed = []
-
-        def recorded(x, _original=krein.opnorm):
-            decomposed.append(np.shape(x))
-            return _original(x)
-
-        monkeypatch.setattr(krein, "opnorm", recorded)
-        assert max_opnorm(a) == np.max(opnorm(a))
-        assert decomposed == [(1, 4, 4)]
-
-    def test_all_candidates_are_decomposed_without_a_copy(self,
-                                                          monkeypatch):
-        a = random_complex(np.random.default_rng(8), 50, 4, 4936)
-        decomposed = []
-
-        def recorded(x, _original=krein.opnorm):
-            decomposed.append(np.shape(x))
-            return _original(x)
-
-        monkeypatch.setattr(krein, "opnorm", recorded)
-        # near-equal norms make every element a candidate: no gather at all
-        tracemalloc.start()
-        try:
-            value = max_opnorm(a)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert decomposed == [a.shape]
-        assert peak < a[0].nbytes
-        assert value == np.max(opnorm(a))
+        value = np.max(opnorm(a))
+        assert value == max(opnorm(x) for x in a)
+        assert np.max(opnorm(a.reshape(5, 6, *shape))) == value
 
     def test_empty_and_non_finite_stacks_take_the_plain_call(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError):   # no maximum of no norms
             np.max(opnorm(np.zeros((0, 4, 4))))
-        with pytest.raises(ValueError):
-            max_opnorm(np.zeros((0, 4, 4)))
-        assert max_opnorm(np.zeros((3, 4, 0))) == 0.0
+        np.testing.assert_array_equal(opnorm(np.zeros((3, 4, 0))), np.zeros(3))
         a = random_complex(np.random.default_rng(7), 5, 4, 4)
-        a[2, 1, 1] = np.inf     # the SVD gives NaN, and so does the maximum
-        assert np.isnan(np.max(opnorm(a))) and np.isnan(max_opnorm(a))
-        a[2, 1, 1] = np.nan     # the SVD does not converge, as before
-        with pytest.raises(np.linalg.LinAlgError):
-            max_opnorm(a)
+        for value in (np.inf, -np.inf, np.nan):   # no NaN norm: all raise
+            a[2, 1, 1] = value
+            with pytest.raises(np.linalg.LinAlgError,
+                               match=r"stack element \[2\]: .* not finite"):
+                np.max(opnorm(a))
+            with pytest.raises(np.linalg.LinAlgError):
+                opnorm(a[2])
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_element_is_out_of_the_radius(self, value):
+        b = np.eye(4) + 0.1 * random_complex(np.random.default_rng(10),
+                                             3, 4, 4)
+        b[1, 0, 3] = value
+        with pytest.raises(OutOfConvergenceRadius,
+                           match=r"^stack element \[1\]: \|\|B - 1\|\| = "):
+            sqrt_near_identity(b, self.SPINOR)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_gram_is_refused(self, value):
+        gram = np.array([np.diag([1.0, 1.0, -1.0, -1.0])] * 3)
+        gram[1, 2, 2] = value
+        with pytest.raises(ValueError,
+                           match=r"^stack element \[1\]: gram must be finite"):
+            KreinSpace(gram=gram, signature=(2, 2))
 
     def test_radius_is_the_operator_norm(self):
         # ||B - 1||_2 = 0.7 < 0.8 < ||B - 1||_F = 1.4

@@ -18,7 +18,9 @@ and no caller reads ``module.name`` through a module that only imports it.
 Every name a module of the package imports is read there.
 Every error type is raised or caught somewhere in the package.  Only
 ``krein._adjoint`` spells a conjugate transpose, and ``hermitize`` its
-in-place form; every other module takes adjoints through ``krein``.
+in-place form; every other module takes adjoints through ``krein``.  An SVD
+runs only where a small singular value decides, and ``krein.opnorm`` takes
+every norm.
 """
 
 import ast
@@ -303,6 +305,22 @@ def test_only_krein_spells_a_conjugate_transpose():
     assert not strays, "take adjoints through krein._adjoint"
     assert {owner for owner, _ in found} == TRANSPOSE_OWNERS, \
         "an owner no longer spells the transpose"
+
+
+#: the top-level functions that call ``np.linalg.svd``: each reads a
+#: smallest singular value, which the Gram of ``opnorm`` would square
+SVD_OWNERS = {"wave_charts.gauge_orbit_witness", "manifold.chart_inverse",
+              "manifold.chart_jacobian_rank"}
+
+
+def test_only_small_singular_values_take_an_svd():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            found |= {owner for node in ast.walk(top)
+                      if isinstance(node, ast.Attribute) and node.attr == "svd"}
+    assert found == SVD_OWNERS, "take norms through krein.opnorm"
 
 
 def defined_names(tree):
