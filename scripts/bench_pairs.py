@@ -18,9 +18,12 @@ the documents differ from it, with the SHA-256 of that difference (``git diff
 between the parent and the committed change reproduces); the settings; and
 per workload and end-to-end metric each side's values, median and
 quartiles, how many pairs the change won, tied and lost, "better" read
-from BENCHMARK.json, and two verdicts: ``gain`` (at least 9 in 10 pairs
-won and a median gap wider than the parent's IQR) and ``over_bound`` (the
-change's median worse than the metric's relative ``bound``).  Quartiles are
+from BENCHMARK.json, and three verdicts: ``gain`` (at least 9 in 10 pairs
+won and a median gap wider than the parent's IQR), ``over_bound`` (the
+change's median worse than the metric's relative ``bound``) and
+``unresolved`` (the parent's own IQR wider than that bound, so a median
+within it shows no "unchanged", unless every change run beats every parent
+run).  Quartiles are
 ``statistics.quantiles(n=4)``.
 Only the standard library is used.
 """
@@ -79,12 +82,14 @@ def summarize(values: list[float]) -> dict:
 def compare(old: list[float], new: list[float], better: str,
             bound: float) -> dict:
     """One metric's pairs: each side's summary, wins, ties and losses, and
-    the two verdicts.
+    the three verdicts.
 
     ``gain``: the change wins at least 9 in 10 pairs and its median beats
     the parent's by more than the parent's IQR.  ``over_bound``: the
     change's median is worse than the parent's by more than ``bound`` times
     the parent's median, the relative reading of ``median_change_rel``.
+    ``unresolved``: the parent's IQR exceeds ``bound`` times its median, and
+    not every change run beats every parent run.
     """
     sign = 1.0 if better == "lower" else -1.0
     diffs = [sign * (o - n) for o, n in zip(old, new)]
@@ -100,6 +105,10 @@ def compare(old: list[float], new: list[float], better: str,
     entry["gain"] = (10 * entry["change_wins"] >= 9 * len(diffs)
                      and gap > entry["parent"]["iqr"])
     entry["over_bound"] = -gap > bound * abs(base)
+    beats_every_run = (min(sign * o for o in old)
+                       > max(sign * n for n in new))
+    entry["unresolved"] = (entry["parent"]["iqr"] > bound * abs(base)
+                           and not beats_every_run)
     return entry
 
 

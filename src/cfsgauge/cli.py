@@ -345,11 +345,8 @@ def task_gauge(config: ExperimentConfig):
     # Krein unitaries near 1: Cayley transforms of Krein-antisymmetric parts
     half = 0.25 * (m - base.krein.adjoint(m))
     u0 = np.linalg.solve(np.eye(4) - half, np.eye(4) + half)
-    psi = wc.WaveChartPoint(on_image=on_image, on_complement=on_complement,
-                            base=base)
-    rotated = wc.WaveChartPoint(on_image=u0 @ on_image,
-                                on_complement=u0 @ on_complement, base=base)
-    u = wc.gauge_orbit_witness(psi, rotated)
+    psi = on_image @ kr._adjoint(base.basis) + on_complement
+    u = wc.gauge_orbit_witness(psi, u0 @ psi, base)
     if u is None:
         raise TaskError("orbit witness unexpectedly missing")
     entries.append(_entry("gauge", "orbit-recovery",

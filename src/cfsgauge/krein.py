@@ -51,10 +51,11 @@ def opnorm(a: np.ndarray):
     s <= k, within (k + s) s eps of ||a||_2 relative, eps = 2^-52, while the
     squared entries stay normal.  A non-finite element raises LinAlgError.
     """
+    # refused before the contraction, where inf x 0 would warn
+    _refuse(~np.isfinite(_frobenius(a)), np.linalg.LinAlgError,
+            "matrix is not finite")
     rows = a if a.shape[-2] <= a.shape[-1] else np.swapaxes(a, -1, -2)
     gram = np.vecdot(rows[..., :, None, :], rows[..., None, :, :])
-    _refuse(~np.isfinite(gram).all(axis=(-2, -1)), np.linalg.LinAlgError,
-            "matrix is not finite")
     top = np.sqrt(np.linalg.eigvalsh(gram).max(axis=-1, initial=0.0))
     return float(top) if top.ndim == 0 else top
 
@@ -66,7 +67,7 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
 
 def _frobenius(a: np.ndarray):
     """Frobenius norm of each stacked matrix: one BLAS dot each, no copy."""
-    flat = np.ascontiguousarray(a).view(float)
+    flat = np.ascontiguousarray(a, np.result_type(a, float)).view(float)
     flat = flat.reshape(*a.shape[:-2], flat.shape[-2] * flat.shape[-1])
     return np.sqrt((flat[..., None, :] @ flat[..., :, None])[..., 0, 0])
 

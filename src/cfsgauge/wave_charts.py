@@ -2,18 +2,19 @@
 
 Points near a regular correlation operator x can be parametrized by maps
 psi from the ambient Hilbert space into the spin space at x ("wave
-coordinates"), psi = on_image V^dag + on_complement with on_complement
-vanishing on the image V of x, via the realization map psi -> -psi* psi.
-That map is invertible only up to composition with unitaries of the spin
-inner product; the gauge is fixed by demanding that the component of psi on
-the image of x be symmetric with respect to the spin inner product.  Two
+coordinates"), each a 2n x f array (or a stack of them), via the
+realization map psi -> -psi* psi.  Its on-image part psi V, V the image
+basis of x, acts within the spin space; the rest of psi vanishes on the
+image.  The realization map is invertible only up to composition with
+unitaries of the spin inner product; the gauge is fixed by demanding that
+psi V be symmetric with respect to the spin inner product.  Two
 constructions of this distinguished section are provided:
 
 * ``symmetric_wave_chart`` follows the polar-decomposition route through the
   two-point kernels, psi = (X^{-1} A_xy X^{-1})^{-1/2} X^{-1} P(x, y) Psi(y),
   whose ``connecting_unitary`` also serves the spinor frame of the sea;
 * ``gaussian_wave_map`` transports the operator-manifold chart coordinates
-  (a, b), psi = (sqrt(1 + X^{-1} a), (1 + X^{-1} a)^{-1/2} X^{-1} b).
+  (a, b), psi = sqrt(1 + X^{-1} a) V^dag + (1 + X^{-1} a)^{-1/2} X^{-1} b.
 
 They coincide on their common domain, which ``charts_coincide_check``
 quantifies.  ``build_gauge`` evaluates the chart over a whole point set,
@@ -38,76 +39,46 @@ from .manifold import ChartCoordinates, chart_inverse
 ORBIT_TOL = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
-class WaveChartPoint:
-    """Wave coordinates of a point, split along the image of the base.
-
-    ``on_image`` is the 2n x 2n component acting within the spin space of the
-    base point; ``on_complement`` (2n x f) vanishes on the image of the base.
-    For points of a symmetric wave chart, ``on_image`` is symmetric with
-    respect to the spin inner product and invertible.  Both components may
-    carry the same leading stack axes, one point per element.
-    """
-
-    on_image: np.ndarray
-    on_complement: np.ndarray
-    base: ImageSplit
-
-    def full_matrix(self) -> np.ndarray:
-        """The map from the ambient space into the spin space, 2n x f."""
-        return self.on_image @ _adjoint(self.base.basis) + self.on_complement
-
-    @classmethod
-    def from_full(cls, full: np.ndarray, base: ImageSplit) -> "WaveChartPoint":
-        on_image = full @ base.basis
-        return cls(on_image=on_image,
-                   on_complement=full - on_image @ _adjoint(base.basis),
-                   base=base)
-
-
-def gauge_orbit_witness(psi: WaveChartPoint, psi_tilde: WaveChartPoint):
+def gauge_orbit_witness(psi: np.ndarray, psi_tilde: np.ndarray,
+                        base: ImageSplit):
     """Unitary connecting two wave-coordinate points on the same orbit.
 
-    If both points realize the same operator, returns the spin-space unitary
-    U with psi_tilde = U psi (verified on both components to ``ORBIT_TOL``);
-    returns None when the realizations differ or no such unitary exists (for
-    stacked points: the stack of unitaries, or None if any element fails).
-    Raises NotInvertible when the on-image component cannot be inverted.
+    ``psi`` and ``psi_tilde`` are maps into the spin space of ``base``.  If
+    both realize the same operator, returns the spin-space unitary U =
+    (psi_tilde V)(psi V)^{-1} with psi_tilde = U psi (verified to
+    ``ORBIT_TOL`` scaled by the norms involved); returns None when the
+    realizations differ or no such unitary exists (for stacked points: the
+    stack of unitaries, or None if any element fails).  Raises NotInvertible
+    when the on-image part psi V is singular against ||psi||.
     Realizations psi^dag X psi are read on 2r x 2r cores of equal norms: the
     difference by ``frame_form``, ||psi^dag X psi|| as ||R X R^dag||, psi^dag = QR.
     """
-    sv = np.linalg.svd(psi.on_image, compute_uv=False)
-    _refuse(sv[..., -1] <= 1e-12 * sv[..., 0], NotInvertible,
-            "on-image component is singular")
-    x, psi_h = psi.base.restricted, _adjoint(psi.full_matrix())
-    u = psi_tilde.on_image @ np.linalg.inv(psi.on_image)
-    off = (frame_form(psi_h, x, _adjoint(psi_tilde.full_matrix()), -x),
-           psi_tilde.on_complement - u @ psi.on_complement)
-    def within(tol, unitary_tol):
-        return (all(np.all(_krein._norm_bound(r, tol) <= tol) for r in off)
-                and psi.base.krein.is_unitary(u, unitary_tol))
-    if within(ORBIT_TOL, ORBIT_TOL):   # unscaled first
-        return u
+    x, v, psi_h = base.restricted, base.basis, _adjoint(psi)
+    on_image = psi @ v
     r = np.linalg.qr(psi_h, mode="r")
-    on_orbit = within(ORBIT_TOL * np.maximum(1.0, opnorm(r @ x @ _adjoint(r))),
-                      ORBIT_TOL * np.maximum(1.0, opnorm(u) ** 2))
+    sv = np.linalg.svd(on_image, compute_uv=False)
+    _refuse(sv[..., -1] <= 1e-12 * opnorm(r), NotInvertible,
+            "on-image component is singular")
+    u = psi_tilde @ v @ np.linalg.inv(on_image)
+    tol = ORBIT_TOL * np.maximum(1.0, opnorm(r @ x @ _adjoint(r)))
+    off = (frame_form(psi_h, x, _adjoint(psi_tilde), -x), psi_tilde - u @ psi)
+    on_orbit = (all(np.all(_krein._norm_bound(d, tol) <= tol) for d in off)
+                and base.krein.is_unitary(
+                    u, ORBIT_TOL * np.maximum(1.0, opnorm(u) ** 2)))
     return u if on_orbit else None
 
 
-def symmetrize(psi: WaveChartPoint) -> WaveChartPoint:
+def symmetrize(psi: np.ndarray, base: ImageSplit) -> np.ndarray:
     """Move a point along its gauge orbit to the symmetric representative.
 
-    Polar-decomposes the on-image component as U S and applies U^{-1} to both
-    components; the realization is unchanged and the new on-image component is
-    symmetric with respect to the spin inner product.
+    Polar-decomposes the on-image part psi V as U S and returns U^{-1} psi;
+    the realization is unchanged and the new on-image part is S, symmetric
+    with respect to the spin inner product.
     """
-    space = psi.base.krein
+    space, on_image = base.krein, psi @ base.basis
     # U^{-1} = U* is the polar factor of the adjoint of the on-image part
-    u_inv, root = _krein.polar(space.adjoint(psi.on_image), psi.on_image,
-                               space)
-    return WaveChartPoint(on_image=root.sqrt,
-                          on_complement=u_inv @ psi.on_complement,
-                          base=psi.base)
+    u_inv, _ = _krein.polar(space.adjoint(on_image), on_image, space)
+    return u_inv @ psi
 
 
 def connecting_unitary(diagonal, p_xy, p_yx, space: _krein.KreinSpace):
@@ -122,15 +93,15 @@ def connecting_unitary(diagonal, p_xy, p_yx, space: _krein.KreinSpace):
     return _krein.polar(inv_x @ p_xy, p_yx @ inv_x, space)
 
 
-def symmetric_wave_chart(y, base: ImageSplit) -> WaveChartPoint:
+def symmetric_wave_chart(y, base: ImageSplit) -> np.ndarray:
     """Wave coordinates of y in the symmetric wave chart around the base.
 
-    ``y`` is the image split of the operator, or a stacked split.  The
-    on-image component comes out symmetric with respect to the spin inner
-    product, and realizing the result returns y.  Raises OutOfChartDomain
-    when y leaves the shared domain of the two wave-chart constructions:
-    the image overlap is too small, or 1 + X^{-1} a lies beyond the square
-    root's convergence radius.
+    ``y`` is the image split of the operator, or a stacked split.  Returns
+    psi = u V_y^dag, u the connecting unitary; its on-image part psi V comes
+    out symmetric with respect to the spin inner product, and realizing psi
+    returns y.  Raises OutOfChartDomain when y leaves the shared domain of
+    the two wave-chart constructions: the image overlap is too small, or
+    1 + X^{-1} a lies beyond the square root's convergence radius.
     """
     return _symmetric_chart(y, base)[0]
 
@@ -145,25 +116,24 @@ def _symmetric_chart(split_y: ImageSplit, base: ImageSplit):
                                   kernel(split_y, base), base.krein)
     except (TooFarFromBase, OutOfConvergenceRadius) as exc:
         raise OutOfChartDomain(str(exc)) from exc
-    return WaveChartPoint.from_full(u @ _adjoint(split_y.basis), base), coords
+    return u @ _adjoint(split_y.basis), coords
 
 
 def gaussian_wave_map(coords: ChartCoordinates,
-                      base: ImageSplit) -> WaveChartPoint:
+                      base: ImageSplit) -> np.ndarray:
     """Wave coordinates obtained by transporting manifold chart coordinates.
 
-    Returns (sqrt(1 + X^{-1} a), (1 + X^{-1} a)^{-1/2} X^{-1} b); realizing
-    the result reproduces the operator the chart assembles from (a, b), and
-    the on-image component is symmetric with respect to the spin inner
-    product.  Raises OutOfConvergenceRadius if X^{-1} a is too large.
+    Returns sqrt(1 + X^{-1} a) V^dag + (1 + X^{-1} a)^{-1/2} X^{-1} b;
+    realizing it reproduces the operator the chart assembles from (a, b),
+    and its on-image part sqrt(1 + X^{-1} a) is symmetric with respect to
+    the spin inner product.  Raises OutOfConvergenceRadius if X^{-1} a is
+    too large.
     """
     inv_x = np.linalg.inv(base.restricted)
     argument = np.eye(base.rank, dtype=complex) + inv_x @ coords.a
     result = _krein.sqrt_near_identity(argument, base.krein)
-    on_image = result.sqrt
-    on_complement = result.inv_sqrt @ inv_x @ coords.b
-    return WaveChartPoint(on_image=on_image, on_complement=on_complement,
-                          base=base)
+    return (result.sqrt @ _adjoint(base.basis)
+            + result.inv_sqrt @ inv_x @ coords.b)
 
 
 @dataclass(frozen=True)
@@ -183,9 +153,8 @@ def charts_coincide_check(base: ImageSplit, sample_points) -> CoincidenceReport:
     """
     split_y = _as_stacked_split(sample_points, base)
     via_polar, coords = _symmetric_chart(split_y, base)
-    via_chart = gaussian_wave_map(coords, base)
-    return CoincidenceReport(max_deviation=np.max(opnorm(
-        via_polar.full_matrix() - via_chart.full_matrix())))
+    deviation = opnorm(via_polar - gaussian_wave_map(coords, base))
+    return CoincidenceReport(max_deviation=np.max(deviation))
 
 
 def _as_stacked_split(points, base: ImageSplit) -> ImageSplit:
@@ -227,14 +196,14 @@ def build_gauge(base: ImageSplit, points) -> GaugeMap:
     spin-space unitary times this one.
     """
     split_y = _as_stacked_split(points, base)
-    values = symmetric_wave_chart(split_y, base).full_matrix()
+    values = symmetric_wave_chart(split_y, base)
     residuals = condition_residual_bound(split_y, values, base.krein.gram)
     return GaugeMap(values=tuple(values), base=base,
                     condition_residuals=tuple(residuals.tolist()))
 
 
 def condition_residual_bound(split_y: ImageSplit, value: np.ndarray,
-                             gram: np.ndarray) -> float:
+                             gram: np.ndarray) -> float | np.ndarray:
     """Upper bound on ||y + value^dag gram value|| at O(f r^2) cost.
 
     With V the image basis of y, X its compression and E = y - V X V^dag

@@ -82,11 +82,11 @@ def render(split):
     return hermitize(split.basis @ split.restricted @ _adjoint(split.basis))
 
 
-def realize(psi):
-    """The dense realization psi^dag X psi of a wave-chart point, f x f: the
-    reference the orbit witness's 2r x 2r cores are checked against."""
-    full = psi.full_matrix()
-    return hermitize(_adjoint(full) @ psi.base.restricted @ full)
+def realize(psi, base):
+    """The dense realization psi^dag X psi of a wave-chart point psi around
+    ``base``, f x f: the reference the orbit witness's 2r x 2r cores are
+    checked against."""
+    return hermitize(_adjoint(psi) @ base.restricted @ psi)
 
 
 def opnorm_bound(shape):

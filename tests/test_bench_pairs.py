@@ -3,9 +3,9 @@
 ``scripts/bench_pairs.py`` backs every speed claim, so its bookkeeping is
 checked here without a subprocess or a ``git archive``: ``git``, ``extract``
 and ``run_once`` are replaced by scripted stand-ins, and the summary must
-count wins, ties and losses, the median change and the ``gain`` and
-``over_bound`` verdicts by each metric's ``better`` and ``bound`` in
-BENCHMARK.json.
+count wins, ties and losses, the median change and the ``gain``,
+``over_bound`` and ``unresolved`` verdicts by each metric's ``better`` and
+``bound`` in BENCHMARK.json.
 """
 
 import hashlib
@@ -128,6 +128,32 @@ def test_compare_verdicts(bench_pairs, old, new, better, bound, gain,
                           over_bound):
     entry = bench_pairs.compare(old, new, better, bound)
     assert (entry["gain"], entry["over_bound"]) == (gain, over_bound)
+
+
+@pytest.mark.parametrize("old, new, better, bound, unresolved", [
+    # steady parents: the IQR lies within the bound
+    ([2.0] * 10, [1.0] * 8 + [3.0] * 2, "lower", 0.25, False),
+    ([0.96, 0.98, 1.0, 1.02], [1.0] * 4, "lower", 0.25, False),
+    ([0.0] * 4, [0.1] * 4, "lower", 0.25, False),
+    # an IQR of 0.04 on a median of 1.0 lies outside the bound of 0.01
+    ([0.96, 0.98, 1.0, 1.02], [1.0] * 4, "lower", 0.01, True),
+    # the parent's IQR of 5 is 38% of its median 13, past the 25% bound,
+    # for a gain too: its slowest change run is slower than a parent run
+    ([10, 12, 14, 16], [10, 12, 14, 16], "lower", 0.25, True),
+    ([10, 12, 14, 16], [4.5, 6.5, 8.5, 10.5], "lower", 0.25, True),
+    # ... unless every change run beats every parent run, either way round
+    ([10, 12, 14, 16], [9.5, 9.0, 8.0, 7.0], "lower", 0.25, False),
+    ([10, 12, 14, 16], [16.5, 17, 18, 20], "higher", 0.25, False),
+    # a change run level with the best parent run does not beat it
+    ([10, 12, 14, 16], [10, 9.0, 8.0, 7.0], "lower", 0.25, True),
+    ([10, 12, 14, 16], [16, 17, 18, 20], "higher", 0.25, True),
+    # against a parent median of 0, any spread is past the bound
+    ([-0.1, 0.0, 0.0, 0.1], [0.0] * 4, "lower", 0.25, True),
+])
+def test_unresolved_verdict(bench_pairs, old, new, better, bound,
+                            unresolved):
+    assert bench_pairs.compare(old, new, better, bound)["unresolved"] \
+        == unresolved
 
 
 def test_pairs_alternate_order_and_share_seeds(bench_pairs, tmp_path):

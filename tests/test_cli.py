@@ -489,15 +489,15 @@ class TestRunReports:
         calls = []
         original = cli.wc.gauge_orbit_witness
 
-        def recorded(psi, psi_tilde):
-            calls.append((psi, psi_tilde))
-            return original(psi, psi_tilde)
+        def recorded(psi, psi_tilde, base):
+            calls.append((psi, psi_tilde, base))
+            return original(psi, psi_tilde, base)
 
         monkeypatch.setattr(cli.wc, "gauge_orbit_witness", recorded)
         cli.task_gauge(parse_config(BASE_CONFIG))
-        (psi, rotated), = calls
-        u0 = rotated.on_image @ np.linalg.inv(psi.on_image)
-        gram = psi.base.krein.gram
+        (psi, rotated, base), = calls
+        u0 = rotated @ base.basis @ np.linalg.inv(psi @ base.basis)
+        gram = base.krein.gram
         assert u0.shape == (25, 4, 4)
         assert np.max(kr.opnorm(u0.conj().swapaxes(-1, -2) @ gram @ u0
                                 - gram)) <= 1e-13

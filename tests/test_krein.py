@@ -344,6 +344,7 @@ class TestCertificates:
         assert value == max(opnorm(x) for x in a)
         assert np.max(opnorm(a.reshape(5, 6, *shape))) == value
 
+    @pytest.mark.filterwarnings("error")
     def test_empty_and_non_finite_stacks_take_the_plain_call(self):
         with pytest.raises(ValueError):   # no maximum of no norms
             np.max(opnorm(np.zeros((0, 4, 4))))

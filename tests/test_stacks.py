@@ -21,21 +21,21 @@ from cfsgauge import closed_chain as cc
 from cfsgauge import perturbation as pt
 from cfsgauge import wave_charts as wc
 from cfsgauge.cli import load_config, run_experiment, task_perturb
-from cfsgauge.correlation import spin_space, split_wave_values
+from cfsgauge.correlation import frame_form, spin_space, split_wave_values
 from cfsgauge.dirac_box import (SPINOR_GRAM, DiracBoxConfig, mode_count,
                                 wave_value_matrix)
-from cfsgauge.errors import (NotRegular, OutOfChartDomain, SignatureLost,
-                             TooFarFromBase)
-from cfsgauge.krein import KreinSpace, sqrt_near_identity
+from cfsgauge.errors import (NotInvertible, NotRegular, OutOfChartDomain,
+                             SignatureLost, TooFarFromBase)
+from cfsgauge.krein import KreinSpace, _adjoint, opnorm, sqrt_near_identity
 from cfsgauge.manifold import (ChartCoordinates, chart_forward, chart_inverse,
                                chart_jacobian_rank, gaussian_check)
 from cfsgauge.randoms import (random_chart_coords, random_complement_map,
                               random_complex, random_correlation,
                               random_direction_pair, random_gauge_function,
                               random_gram)
-from cfsgauge.wave_charts import (WaveChartPoint, build_gauge,
-                                  charts_coincide_check, gauge_orbit_witness,
-                                  gaussian_wave_map, symmetric_wave_chart)
+from cfsgauge.wave_charts import (build_gauge, charts_coincide_check,
+                                  gauge_orbit_witness, gaussian_wave_map,
+                                  symmetric_wave_chart)
 
 TOL = 1e-13
 EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "example.json"
@@ -167,13 +167,10 @@ class TestWaveChartStack:
         ys = chart_forward(coords)
         stacked = symmetric_wave_chart(ys, base)
         lone = [symmetric_wave_chart(y, base) for y in unstack(ys)]
-        assert_matches_loop(stacked.full_matrix(),
-                            [w.full_matrix() for w in lone])
+        assert_matches_loop(stacked, lone)
         stacked = gaussian_wave_map(coords, base)
         lone = [gaussian_wave_map(c, base) for c in drawn]
-        assert_matches_loop(stacked.on_image, [w.on_image for w in lone])
-        assert_matches_loop(stacked.on_complement,
-                            [w.on_complement for w in lone])
+        assert_matches_loop(stacked, lone)
 
     def test_gauge_and_orbit_match_lone_calls(self):
         rng = np.random.default_rng(31)
@@ -190,18 +187,15 @@ class TestWaveChartStack:
         on_complement = random_complement_map(rng, base, 5, 4, scale=0.05)
         u0 = np.array([random_krein_unitary(rng, base.krein, 0.2)
                        for _ in range(5)])
-        psi = WaveChartPoint(on_image, on_complement, base)
-        rotated = WaveChartPoint(u0 @ on_image, u0 @ on_complement, base)
-        u = gauge_orbit_witness(psi, rotated)
-        lone = [gauge_orbit_witness(WaveChartPoint(a, b, base),
-                                    WaveChartPoint(v @ a, v @ b, base))
-                for a, b, v in zip(on_image, on_complement, u0)]
+        psi = on_image @ _adjoint(base.basis) + on_complement
+        rotated = u0 @ psi
+        u = gauge_orbit_witness(psi, rotated, base)
+        lone = [gauge_orbit_witness(a, v @ a, base) for a, v in zip(psi, u0)]
         assert_matches_loop(u, lone, tol=1e-12)
         # one element off its orbit takes the whole stack off
-        off = WaveChartPoint(rotated.on_image, rotated.on_complement.copy(),
-                             base)
-        off.on_complement[3] += 0.1 * random_complement_map(rng, base, 4)
-        assert gauge_orbit_witness(psi, off) is None
+        off = rotated.copy()
+        off[3] += 0.1 * random_complement_map(rng, base, 4)
+        assert gauge_orbit_witness(psi, off, base) is None
 
     def test_element_outside_the_domain_is_named(self):
         points = diagonal_stack([1.0, -1.0], 6, offsets=(0, 4))
@@ -478,20 +472,19 @@ class TestOrbitCertificate:
                                               scale=0.05 * scale)
         u0 = np.array([random_krein_unitary(rng, base.krein, 0.2)
                        for _ in range(5)])
-        return (WaveChartPoint(on_image, on_complement, base),
-                WaveChartPoint(u0 @ on_image, u0 @ on_complement, base), u0)
+        psi = on_image @ _adjoint(base.basis) + on_complement
+        off = u0 @ (on_image @ _adjoint(base.basis) + 1.5 * on_complement)
+        return psi, u0 @ psi, u0, base, off
 
     def test_off_orbit_pair_has_no_witness(self):
-        psi, rotated, _ = self.case(1.0)
-        other, _, _ = self.case(1.1)
-        assert gauge_orbit_witness(psi, other) is None
-        off = WaveChartPoint(rotated.on_image, 1.5 * rotated.on_complement,
-                             psi.base)
-        assert gauge_orbit_witness(psi, off) is None
+        psi, _, _, base, off = self.case(1.0)
+        other = self.case(1.1)[0]
+        assert gauge_orbit_witness(psi, other, base) is None
+        assert gauge_orbit_witness(psi, off, base) is None
 
     def test_scaled_tolerance_where_the_certificate_fails(self, monkeypatch):
         # ||realization|| ~ 1e9: its rounding exceeds the unscaled ORBIT_TOL
-        psi, rotated, u0 = self.case(3e4)
+        psi, rotated, u0, base, _ = self.case(3e4)
         scaled = []
 
         def recorded(a, _original=wc.opnorm):
@@ -499,7 +492,59 @@ class TestOrbitCertificate:
             return _original(a)
 
         monkeypatch.setattr(wc, "opnorm", recorded)
-        u = gauge_orbit_witness(psi, rotated)
+        u = gauge_orbit_witness(psi, rotated, base)
         assert scaled    # the tolerance was scaled with the realization
         assert u is not None
         assert np.max(np.abs(u - u0)) <= 1e-9
+
+    @staticmethod
+    def two_tier_witness(psi, psi_tilde, base):
+        """The reference verdict on the two parts of psi: psi V refused
+        against its own largest singular value, then ORBIT_TOL unscaled,
+        and scaled by the norms only where that fails."""
+        v, x = base.basis, base.restricted
+        on_image, on_image_tilde = psi @ v, psi_tilde @ v
+        sv = np.linalg.svd(on_image, compute_uv=False)
+        if np.any(sv[..., -1] <= 1e-12 * sv[..., 0]):
+            raise NotInvertible("on-image component is singular")
+        u = on_image_tilde @ np.linalg.inv(on_image)
+        off = (frame_form(_adjoint(psi), x, _adjoint(psi_tilde), -x),
+               psi_tilde - on_image_tilde @ _adjoint(v)
+               - u @ (psi - on_image @ _adjoint(v)))
+
+        def within(tol, unitary_tol):
+            return (all(np.all(opnorm(d) <= tol) for d in off)
+                    and base.krein.is_unitary(u, unitary_tol))
+
+        r = np.linalg.qr(_adjoint(psi), mode="r")
+        tol = wc.ORBIT_TOL
+        on_orbit = within(tol, tol) or within(
+            tol * np.maximum(1.0, opnorm(r @ x @ _adjoint(r))),
+            tol * np.maximum(1.0, opnorm(u) ** 2))
+        return u if on_orbit else None
+
+    def test_verdicts_equal_the_two_tier_ones(self):
+        rng = np.random.default_rng(61)
+        psi, rotated, _, base, off = self.case(1.0)
+        big, big_rotated, _, _, big_off = self.case(3e4)
+        off_element = rotated.copy()
+        off_element[3] += 0.1 * random_complement_map(rng, base, 4)
+        pairs = [(psi, rotated), (psi, off), (psi, off_element),
+                 (psi, self.case(1.1)[0]), (big, big_rotated),
+                 (big, big_off)]
+        verdicts = []
+        for a, b in pairs:
+            u, want = (gauge_orbit_witness(a, b, base),
+                       self.two_tier_witness(a, b, base))
+            verdicts.append(u is not None)
+            assert (want is not None) == verdicts[-1]
+            if want is not None:
+                assert np.max(np.abs(u - want)) <= 1e-12 * np.max(np.abs(want))
+        assert verdicts == [True, False, False, False, True, False]
+        # a rank-deficient on-image part in one element refuses the stack
+        singular = psi.copy()
+        singular[2] -= np.outer(singular[2] @ base.basis[:, 0],
+                                base.basis[:, 0].conj())
+        for witness in (gauge_orbit_witness, self.two_tier_witness):
+            with pytest.raises(NotInvertible):
+                witness(singular, rotated, base)

@@ -16,26 +16,29 @@ from cfsgauge.correlation import kernel, spin_space, split_wave_values
 from cfsgauge.dirac_box import (DiracBoxConfig, build_correlation_map,
                                 wave_value_matrix)
 from cfsgauge.errors import NotInvertible, OutOfChartDomain
-from cfsgauge.krein import opnorm
+from cfsgauge.krein import _adjoint, opnorm
 from cfsgauge.manifold import ChartCoordinates, chart_forward, chart_inverse
 from cfsgauge.perturbation import perturbed_symmetric_gauge
 from cfsgauge.randoms import (random_chart_coords, random_complement_map,
                               random_complex, random_correlation)
-from cfsgauge.wave_charts import (WaveChartPoint, build_gauge,
-                                  charts_coincide_check,
+from cfsgauge.wave_charts import (build_gauge, charts_coincide_check,
                                   condition_residual_bound, connecting_unitary,
                                   gauge_orbit_witness, gaussian_wave_map,
                                   symmetric_wave_chart, symmetrize)
 
 
 def perturbed_point(rng, base, scale=0.1):
-    """A wave-chart point near (1, 0)."""
+    """A wave-chart point near V^dag: on-image part near 1."""
     two_n = base.rank
-    return WaveChartPoint(
-        on_image=np.eye(two_n) + scale * random_complex(rng, two_n, two_n),
-        on_complement=random_complement_map(rng, base, two_n, scale=scale),
-        base=base,
-    )
+    on_image = np.eye(two_n) + scale * random_complex(rng, two_n, two_n)
+    return (on_image @ _adjoint(base.basis)
+            + random_complement_map(rng, base, two_n, scale=scale))
+
+
+def symmetry_defect(psi, base):
+    """||S - S*|| of the on-image part S = psi V."""
+    s = psi @ base.basis
+    return opnorm(s - base.krein.adjoint(s))
 
 
 def nearby_operator(rng, base, scale=0.05):
@@ -46,9 +49,9 @@ class TestRealize:
     def test_identity_point_realizes_base(self):
         rng = np.random.default_rng(0)
         base = spin_space(random_correlation(rng, 8, 2), 2)
-        # the wave coordinates (1, 0) of the base point are its evaluation
-        identity = WaveChartPoint.from_full(base.basis.conj().T, base)
-        np.testing.assert_allclose(realize(identity), render(base), atol=1e-12)
+        # the wave coordinates of the base point are its evaluation V^dag
+        np.testing.assert_allclose(realize(_adjoint(base.basis), base),
+                                   render(base), atol=1e-12)
 
     def test_orbit_invariance(self):
         rng = np.random.default_rng(1)
@@ -56,31 +59,30 @@ class TestRealize:
         for _ in range(200):
             psi = perturbed_point(rng, base)
             u = random_krein_unitary(rng, base.krein, scale=0.3)
-            rotated = WaveChartPoint(on_image=u @ psi.on_image,
-                                     on_complement=u @ psi.on_complement,
-                                     base=base)
-            assert opnorm(realize(rotated) - realize(psi)) <= 1e-9
+            assert opnorm(realize(u @ psi, base)
+                          - realize(psi, base)) <= 1e-9
 
     def test_signature_of_realization(self):
         rng = np.random.default_rng(2)
         base = spin_space(random_correlation(rng, 9, 2), 2)
         for _ in range(20):
-            y = realize(perturbed_point(rng, base, scale=0.05))
+            y = realize(perturbed_point(rng, base, scale=0.05), base)
             vals = np.linalg.eigvalsh(y)
             tol = 1e-8 * opnorm(y)
             assert int(np.sum(vals > tol)) == 2
             assert int(np.sum(vals < -tol)) == 2
 
-    def test_from_full_round_trip(self):
+    def test_parts_round_trip(self):
         rng = np.random.default_rng(25)
         base = spin_space(random_correlation(rng, 9, 2), 2)
-        full = random_complex(rng, 4, 9)
-        point = WaveChartPoint.from_full(full, base)
-        np.testing.assert_allclose(point.full_matrix(), full, rtol=0,
+        on_image = random_complex(rng, 4, 4)
+        rest = random_complement_map(rng, base, 4)
+        psi = on_image @ _adjoint(base.basis) + rest
+        # psi V reads the on-image part, and the rest vanishes on the image
+        np.testing.assert_allclose(psi @ base.basis, on_image, rtol=0,
                                    atol=1e-14)
-        # the rest of the map vanishes on the image of the base
-        np.testing.assert_allclose(point.on_complement @ base.basis,
-                                   np.zeros((4, 4)), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(psi - on_image @ _adjoint(base.basis),
+                                   rest, rtol=0, atol=1e-14)
 
 
 class TestGaugeOrbitWitness:
@@ -88,7 +90,7 @@ class TestGaugeOrbitWitness:
         rng = np.random.default_rng(3)
         base = spin_space(random_correlation(rng, 7, 1), 1)
         psi = perturbed_point(rng, base)
-        u = gauge_orbit_witness(psi, psi)
+        u = gauge_orbit_witness(psi, psi, base)
         np.testing.assert_allclose(u, np.eye(2), atol=1e-10)
 
     def test_recovers_rotation(self):
@@ -97,10 +99,7 @@ class TestGaugeOrbitWitness:
         for _ in range(25):
             psi = perturbed_point(rng, base)
             u0 = random_krein_unitary(rng, base.krein, scale=0.2)
-            rotated = WaveChartPoint(on_image=u0 @ psi.on_image,
-                                     on_complement=u0 @ psi.on_complement,
-                                     base=base)
-            u = gauge_orbit_witness(psi, rotated)
+            u = gauge_orbit_witness(psi, u0 @ psi, base)
             assert u is not None
             assert opnorm(u - u0) <= 1e-9
 
@@ -109,40 +108,47 @@ class TestGaugeOrbitWitness:
         base = spin_space(random_correlation(rng, 8, 2), 2)
         psi = perturbed_point(rng, base)
         other = perturbed_point(rng, base)
-        assert gauge_orbit_witness(psi, other) is None
+        assert gauge_orbit_witness(psi, other, base) is None
 
     def test_singular_on_image_rejected(self):
         rng = np.random.default_rng(6)
         base = spin_space(random_correlation(rng, 6, 1), 1)
         psi = perturbed_point(rng, base)
-        singular = WaveChartPoint(on_image=np.zeros((2, 2)),
-                                  on_complement=psi.on_complement,
-                                  base=base)
+        # psi V of the rest alone is rounding noise near 1e-17, not zero
+        singular = psi - psi @ base.basis @ _adjoint(base.basis)
         with pytest.raises(NotInvertible):
-            gauge_orbit_witness(singular, psi)
+            gauge_orbit_witness(singular, psi, base)
+
+    def test_rank_deficient_on_image_rejected(self):
+        rng = np.random.default_rng(6)
+        base = spin_space(random_correlation(rng, 8, 2), 2)
+        psi = perturbed_point(rng, base)
+        on_image = random_complex(rng, 4, 3) @ random_complex(rng, 3, 4)
+        deficient = (on_image @ _adjoint(base.basis)
+                     + random_complement_map(rng, base, 4))
+        with pytest.raises(NotInvertible):
+            gauge_orbit_witness(deficient, psi, base)
 
     @staticmethod
     def cayley_pair(rng, base):
         """A point around the base and its Cayley-rotated copy."""
-        psi = WaveChartPoint(
-            on_image=np.eye(4) + 0.05 * random_complex(rng, 4, 4),
-            on_complement=random_complement_map(rng, base, 4, scale=0.05),
-            base=base)
+        psi = ((np.eye(4) + 0.05 * random_complex(rng, 4, 4))
+               @ _adjoint(base.basis)
+               + random_complement_map(rng, base, 4, scale=0.05))
         m = 0.2 * random_complex(rng, 4, 4)
         half = 0.25 * (m - base.krein.adjoint(m))
         u0 = np.linalg.solve(np.eye(4) - half, np.eye(4) + half)
-        return psi, WaveChartPoint(u0 @ psi.on_image, u0 @ psi.on_complement,
-                                   base), u0
+        return psi, u0 @ psi, u0
 
     def test_renders_no_dense_operator(self, decompositions):
         # one f x f complex array at f = 1024 takes 16.8 MB
         rng = np.random.default_rng(61)
-        psi, rotated, u0 = self.cayley_pair(rng, random_correlation(rng, 1024,
-                                                                    2))
+        base = random_correlation(rng, 1024, 2)
+        psi, rotated, u0 = self.cayley_pair(rng, base)
         decompositions.clear()
         tracemalloc.start()
         try:
-            u = gauge_orbit_witness(psi, rotated)
+            u = gauge_orbit_witness(psi, rotated, base)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -158,13 +164,12 @@ class TestGaugeOrbitWitness:
             base = random_correlation(rng, 8, 2)
             psi, rotated, _ = self.cayley_pair(rng, base)
             other, _, _ = self.cayley_pair(rng, base)
-            for tilde in [other] + [WaveChartPoint(
-                    rotated.on_image, rotated.on_complement
-                    + noise * random_complement_map(rng, base, 4), base)
-                                    for noise in (0.0, 1e-12, 1e-6)]:
-                dense = opnorm(realize(psi) - realize(tilde))
+            for tilde in [other] + [
+                    rotated + noise * random_complement_map(rng, base, 4)
+                    for noise in (0.0, 1e-12, 1e-6)]:
+                dense = opnorm(realize(psi, base) - realize(tilde, base))
                 verdicts.append(dense <= wave_charts.ORBIT_TOL)
-                assert (gauge_orbit_witness(psi, tilde) is not None) \
+                assert (gauge_orbit_witness(psi, tilde, base) is not None) \
                     == verdicts[-1]
         assert sum(verdicts) == 20   # the exact and the 1e-12 rotations
 
@@ -173,31 +178,27 @@ class TestSymmetrize:
     def test_symmetric_input_unchanged(self):
         rng = np.random.default_rng(7)
         base = spin_space(random_correlation(rng, 7, 1), 1)
-        psi = symmetrize(perturbed_point(rng, base))
-        again = symmetrize(psi)
-        assert opnorm(again.on_image - psi.on_image) <= 1e-9
-        assert opnorm(again.on_complement - psi.on_complement) <= 1e-9
+        psi = symmetrize(perturbed_point(rng, base), base)
+        again = symmetrize(psi, base)
+        assert opnorm(again - psi) <= 1e-9
 
     def test_unitary_on_image_becomes_identity(self):
         rng = np.random.default_rng(8)
         base = spin_space(random_correlation(rng, 7, 1), 1)
         u0 = random_krein_unitary(rng, base.krein, scale=0.1)
-        psi = WaveChartPoint(on_image=u0,
-                             on_complement=random_complement_map(rng, base, 2,
-                                                                 scale=0.1),
-                             base=base)
-        sym = symmetrize(psi)
-        assert opnorm(sym.on_image - np.eye(2)) <= 1e-9
+        psi = u0 @ _adjoint(base.basis) + random_complement_map(rng, base, 2,
+                                                                scale=0.1)
+        sym = symmetrize(psi, base)
+        assert opnorm(sym @ base.basis - np.eye(2)) <= 1e-9
 
     def test_realization_preserved_and_symmetric(self):
         rng = np.random.default_rng(9)
         base = spin_space(random_correlation(rng, 8, 2), 2)
         for _ in range(50):
             psi = perturbed_point(rng, base, scale=0.04)
-            sym = symmetrize(psi)
-            assert opnorm(realize(sym) - realize(psi)) <= 1e-9
-            assert opnorm(sym.on_image
-                          - base.krein.adjoint(sym.on_image)) <= 1e-9
+            sym = symmetrize(psi, base)
+            assert opnorm(realize(sym, base) - realize(psi, base)) <= 1e-9
+            assert symmetry_defect(sym, base) <= 1e-9
 
 
 class TestSymmetricWaveChart:
@@ -205,8 +206,8 @@ class TestSymmetricWaveChart:
         rng = np.random.default_rng(10)
         base = spin_space(random_correlation(rng, 8, 2), 2)
         phi = symmetric_wave_chart(base, base)
-        assert opnorm(phi.on_image - np.eye(4)) <= 1e-9
-        assert opnorm(phi.on_complement) <= 1e-9
+        assert opnorm(phi @ base.basis - np.eye(4)) <= 1e-9
+        assert opnorm(phi - _adjoint(base.basis)) <= 1e-9
 
     def test_realization_and_symmetry(self):
         rng = np.random.default_rng(11)
@@ -214,9 +215,8 @@ class TestSymmetricWaveChart:
         for _ in range(50):
             y = nearby_operator(rng, base)
             phi = symmetric_wave_chart(y, base)
-            assert opnorm(realize(phi) - render(y)) <= 1e-9
-            assert opnorm(phi.on_image
-                          - base.krein.adjoint(phi.on_image)) <= 1e-9
+            assert opnorm(realize(phi, base) - render(y)) <= 1e-9
+            assert symmetry_defect(phi, base) <= 1e-9
 
     def test_connecting_unitary_is_unitary_across_spaces(self):
         rng = np.random.default_rng(12)
@@ -233,12 +233,11 @@ class TestSymmetricWaveChart:
         rng = np.random.default_rng(13)
         base = spin_space(random_correlation(rng, 8, 2), 2)
         for _ in range(20):
-            sym = symmetrize(perturbed_point(rng, base, scale=0.05))
-            # realize(sym) = -W^dag G W with W = sym's full matrix, G = -X
+            sym = symmetrize(perturbed_point(rng, base, scale=0.05), base)
+            # realize(sym) = -W^dag G W with W = sym, G = -X
             phi = symmetric_wave_chart(split_wave_values(
-                sym.full_matrix(), -base.restricted, 2, 2), base)
-            assert opnorm(phi.on_image - sym.on_image) <= 1e-8
-            assert opnorm(phi.on_complement - sym.on_complement) <= 1e-8
+                sym, -base.restricted, 2, 2), base)
+            assert opnorm(phi - sym) <= 1e-8
 
     def test_far_point_rejected(self):
         base = split_wave_values(*diagonal_waves([1.0, -1.0], 6), 1, 1)
@@ -254,8 +253,8 @@ class TestGaussianWaveMap:
         coords = ChartCoordinates(a=np.zeros((4, 4)), b=np.zeros((4, 8)),
                                   split=base)
         point = gaussian_wave_map(coords, base)
-        assert opnorm(point.on_image - np.eye(4)) <= 1e-12
-        assert opnorm(point.on_complement) <= 1e-12
+        assert opnorm(point @ base.basis - np.eye(4)) <= 1e-12
+        assert opnorm(point - _adjoint(base.basis)) <= 1e-12
 
     def test_scalar_direction(self):
         rng = np.random.default_rng(15)
@@ -264,7 +263,8 @@ class TestGaussianWaveMap:
         coords = ChartCoordinates(a=eps * base.restricted,
                                   b=np.zeros((2, 6)), split=base)
         point = gaussian_wave_map(coords, base)
-        np.testing.assert_allclose(point.on_image, 1.1 * np.eye(2), atol=1e-10)
+        np.testing.assert_allclose(point @ base.basis, 1.1 * np.eye(2),
+                                   atol=1e-10)
 
     def test_realizes_chart_forward(self):
         rng = np.random.default_rng(16)
@@ -273,9 +273,8 @@ class TestGaussianWaveMap:
             coords = random_chart_coords(rng, base, scale=0.05)
             point = gaussian_wave_map(coords, base)
             assert opnorm(render(chart_forward(coords))
-                          - realize(point)) <= 1e-9
-            assert opnorm(point.on_image
-                          - base.krein.adjoint(point.on_image)) <= 1e-9
+                          - realize(point, base)) <= 1e-9
+            assert symmetry_defect(point, base) <= 1e-9
 
 
 class TestCoincidence:
@@ -532,7 +531,7 @@ class TestConditionResidualBound:
                 h = random_complex(rng, f, f)
                 y = x + 1e-10 * opnorm(x) * (h + h.conj().T) / opnorm(h)
                 split_y = dense_split(y, 2, 2)
-                for value in (symmetric_wave_chart(split_y, base).full_matrix(),
+                for value in (symmetric_wave_chart(split_y, base),
                               random_complex(rng, 4, f)):
                     dense = opnorm(y + value.conj().T @ base.krein.gram @ value)
                     bound = condition_residual_bound(split_y, value,
@@ -560,7 +559,7 @@ class TestConditionResidualBound:
         rng = np.random.default_rng(31)
         base = spin_space(random_correlation(rng, 10, 2), 2)
         split_y = nearby_operator(rng, base)
-        value = symmetric_wave_chart(split_y, base).full_matrix()
+        value = symmetric_wave_chart(split_y, base)
         # a Hermitian shift on the image below half of min |eig X_y| moves
         # no eigenvalue across zero, so the signature is kept
         h = random_complex(rng, 4, 4)
@@ -577,7 +576,7 @@ class TestConditionResidualBound:
         rng = np.random.default_rng(32)
         base = spin_space(random_correlation(rng, 10, 2), 2)
         split_y = chart_forward(random_chart_coords(rng, base, 3, scale=0.05))
-        values = symmetric_wave_chart(split_y, base).full_matrix()
+        values = symmetric_wave_chart(split_y, base)
         bound = condition_residual_bound(split_y, values, base.krein.gram)
         # the same fields restacked from the lone splits: the same bounds
         restacked = wave_charts._as_stacked_split(unstack(split_y), base)
@@ -613,14 +612,14 @@ class TestSpinorFrameBridge:
         base, ys, waves = sea
         iota = waves[0] @ base.basis
         for y, w_y in zip(ys, waves[1:]):
-            dense = iota @ symmetric_wave_chart(y, base).full_matrix()
+            dense = iota @ symmetric_wave_chart(y, base)
             spinor = perturbed_symmetric_gauge(waves[0], w_y)
             assert opnorm(dense - spinor) <= 1e-12 * opnorm(spinor)
 
     def test_residual_bound_makes_no_dense_array(self, sea):
         base, ys, _ = sea
         split_y = wave_charts._as_stacked_split(ys, base)   # a stack of two
-        values = symmetric_wave_chart(split_y, base).full_matrix()
+        values = symmetric_wave_chart(split_y, base)
         tracemalloc.start()
         try:
             condition_residual_bound(split_y, values, base.krein.gram)
