@@ -57,8 +57,6 @@ MAX_DENSE_BYTES = 1 << 19
 #: krein.RADIUS_SERIES = 0.8 for every draw
 POLAR_SIZE = 0.14
 
-KNOWN_TASKS = ("charts", "gauge", "spectral", "perturb", "dim-count")
-
 DEFAULT_TOLERANCES = {
     "chart_roundtrip": 1e-9,
     "gaussian_c2_rel": 1e-8,
@@ -86,10 +84,10 @@ DEFAULT_TOLERANCES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     box: DiracBoxConfig
-    points: tuple
+    points: np.ndarray   # read-only (n, 4)
     seed: int
     tasks: tuple
 
@@ -151,19 +149,20 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     points_raw = raw.get("points", {"nt": 1, "nx": 2, "t_range": [0.0, 0.0]})
     points = _parse_points(points_raw, box)
-    if not points:
+    if len(points) == 0:
         raise ConfigError("grid is empty", field="points")
+    points.setflags(write=False)
 
     seed = _seed(raw.get("seed", 0))
 
-    tasks = raw.get("tasks", list(KNOWN_TASKS))
+    tasks = raw.get("tasks", list(TASK_RUNNERS))
     if not isinstance(tasks, list) or not tasks:
         raise ConfigError("expected non-empty list", field="tasks")
     for task in tasks:
-        if task not in KNOWN_TASKS:
+        if not isinstance(task, str) or task not in TASK_RUNNERS:
             raise ConfigError(f"unknown task {task!r}", field="tasks")
 
-    return ExperimentConfig(box=box, points=tuple(points), seed=seed,
+    return ExperimentConfig(box=box, points=points, seed=seed,
                             tasks=tuple(tasks))
 
 
@@ -179,9 +178,9 @@ def _phase_bounded(t, box: DiracBoxConfig) -> bool:
     return 2.0 * abs(t) / box.eps <= MAX_PHASE
 
 
-def _parse_points(raw, box: DiracBoxConfig):
+def _parse_points(raw, box: DiracBoxConfig) -> np.ndarray:
+    """The (n, 4) points of a point list or a grid spec."""
     if isinstance(raw, list):
-        points = []
         for i, item in enumerate(raw):
             if (not isinstance(item, list) or len(item) != 4
                     or not all(_finite_number(c) for c in item)):
@@ -190,9 +189,8 @@ def _parse_points(raw, box: DiracBoxConfig):
             if not _phase_bounded(item[0], box):
                 raise ConfigError("2 |t| / eps exceeds MAX_PHASE",
                                   field=f"points[{i}]")
-            points.append(box.point(float(item[0]), tuple(map(float, item[1:]))))
-        return points
-    if isinstance(raw, dict):
+        coords = np.array(raw, dtype=float).reshape(-1, 4)   # [] is (0, 4)
+    elif isinstance(raw, dict):
         _known_keys(raw, ("nt", "nx", "t_range"), "points.")
         nt = _require(raw, "nt", int, "points.nt")
         nx = _require(raw, "nx", int, "points.nx")
@@ -209,9 +207,11 @@ def _parse_points(raw, box: DiracBoxConfig):
             raise ConfigError("more than MAX_GRID_POINTS points", field="points")
         times = np.linspace(float(t_range[0]), float(t_range[1]), nt)
         axis = np.linspace(-box.L, box.L, nx, endpoint=False)
-        return [box.point(float(t), (float(x1), float(x2), float(x3)))
-                for t, x1, x2, x3 in itertools.product(times, axis, axis, axis)]
-    raise ConfigError("expected list of points or grid spec", field="points")
+        coords = np.array(list(itertools.product(times, axis, axis, axis)))
+    else:
+        raise ConfigError("expected list of points or grid spec",
+                          field="points")
+    return box.point(coords[:, 0], coords[:, 1:])
 
 
 def load_config(path) -> ExperimentConfig:
@@ -461,9 +461,9 @@ def task_perturb(config: ExperimentConfig):
 
     x = config.points[0]
     y = (config.points[1] if len(config.points) > 1
-         else box.point(x.t + 0.1, tuple(c + 0.2 for c in x.x_vec)))
+         else box.point(x[0] + 0.1, x[1:] + 0.2))
 
-    pairs = [(x, y), (y, x), (x, box.point(0.0, (0.0, 0.0, 0.0)))]
+    pairs = [(x, y), (y, x), (x, box.point(0.0, np.zeros(3)))]
     worst_kernel = np.max(opnorm(np.array([kernel_mode_sum(box, a, b)
                                            - kernel_braket_sum(box, a, b)
                                            for a, b in pairs])))
@@ -513,8 +513,7 @@ def task_perturb(config: ExperimentConfig):
 
     lam = rnd.random_gauge_function(rng, box.L)
     axis = np.linspace(-box.L, box.L, 5, endpoint=False)
-    grid = [box.point(0.1, (float(a), float(b), float(c)))
-            for a in axis for b in axis for c in axis]
+    grid = box.point(0.1, np.array(list(itertools.product(axis, repeat=3))))
     worst_mixed = 0.0
     for start in range(0, len(grid), block):
         points = grid[start:start + block]
@@ -530,11 +529,11 @@ def task_perturb(config: ExperimentConfig):
 
 
 TASK_RUNNERS = {
-    "dim-count": task_dim_count,
     "charts": task_charts,
     "gauge": task_gauge,
     "spectral": task_spectral,
     "perturb": task_perturb,
+    "dim-count": task_dim_count,
 }
 
 
@@ -582,7 +581,7 @@ def run_experiment(config: ExperimentConfig, out_dir):
         "config": {
             "box": {"L": config.box.L, "eps": config.box.eps,
                     "m": config.box.m},
-            "points": [[p.t, *p.x_vec] for p in config.points],
+            "points": config.points.tolist(),
             "seed": config.seed,
             "tasks": list(config.tasks),
             "tolerances": DEFAULT_TOLERANCES,
@@ -608,7 +607,7 @@ def _kernel_rows(config: ExperimentConfig):
     blocks = []
     for point in config.points:
         k = kernel_mode_sum(config.box, config.points[0], point)
-        blocks.append([[point.t, *point.x_vec, row, col,
+        blocks.append([[*point.tolist(), row, col,
                         float(k[row, col].real), float(k[row, col].imag)]
                        for row in range(4) for col in range(4)])
     return blocks

@@ -10,6 +10,11 @@ representation; the spinor space carries the indefinite inner product
 psi^dag gamma^0 phi of signature (2, 2); momentum modes live on the lattice
 (pi/L) Z^3, with frequency sign fixed to -1 (the Dirac sea), so a mode's
 four-momentum is k = (-omega, k_vec) with omega = sqrt(|k_vec|^2 + m^2).
+
+A spacetime point is a float array (t, x1, x2, x3) and a stack of points a
+(..., 4) array; ``DiracBoxConfig.point`` builds both, with x reduced into
+[-L, L).  Wave values take one (4,) point and read any other input as an
+(n, 4) stack, the empty one included.
 """
 
 from __future__ import annotations
@@ -113,22 +118,13 @@ class DiracBoxConfig:
                              f"MIN_MASS = {MIN_MASS:.4g}")
         _lattice_extent(self)
 
-    def point(self, t: float, x_vec) -> "SpacetimePoint":
-        """A spacetime point with spatial components reduced into [-L, L)."""
-        return SpacetimePoint.in_box(t, x_vec, self.L)
-
-
-@dataclass(frozen=True)
-class SpacetimePoint:
-    """Point (t, x_vec) of the periodically continued box."""
-
-    t: float
-    x_vec: tuple
-
-    @classmethod
-    def in_box(cls, t: float, x_vec, L: float) -> "SpacetimePoint":
-        reduced = tuple(((float(c) + L) % (2.0 * L)) - L for c in x_vec)
-        return cls(t=float(t), x_vec=reduced)
+    def point(self, t, x_vec) -> np.ndarray:
+        """Points (t, x1, x2, x3), (..., 4), of times (...,) and positions
+        (..., 3), the positions reduced into [-L, L)."""
+        t, x = np.broadcast_arrays(np.asarray(t, dtype=float)[..., None],
+                                   np.asarray(x_vec, dtype=float))
+        reduced = (x + self.L) % (2.0 * self.L) - self.L
+        return np.concatenate([t[..., :1], reduced], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -250,11 +246,10 @@ def _sea_spinor_table(k: np.ndarray, omega: np.ndarray, m: float,
     return table.reshape(4, -1)
 
 
-def _coordinates(point) -> np.ndarray:
-    """(t, x1, x2, x3) of a point, or an n x 4 array of them for a stack."""
-    if isinstance(point, SpacetimePoint):
-        return np.array([point.t, *point.x_vec], dtype=float)
-    return np.array([(p.t, *p.x_vec) for p in point], dtype=float).reshape(-1, 4)
+def _coordinates(points) -> np.ndarray:
+    """A (4,) point as it is; any other input as an (n, 4) stack of points."""
+    coords = np.asarray(points, dtype=float)
+    return coords if coords.shape == (4,) else coords.reshape(-1, 4)
 
 
 def _phases(cfg: DiracBoxConfig, coords: np.ndarray) -> np.ndarray:
@@ -300,8 +295,7 @@ def build_correlation_map(cfg: DiracBoxConfig, points) -> list[ImageSplit]:
             for p in points]
 
 
-def kernel_mode_sum(cfg: DiracBoxConfig, x: SpacetimePoint,
-                    y: SpacetimePoint) -> np.ndarray:
+def kernel_mode_sum(cfg: DiracBoxConfig, x, y) -> np.ndarray:
     """Two-point kernel of the sea ensemble as an explicit mode sum.
 
     (2L)^{-3} sum_k (4 pi omega)^{-1} exp(-i k (x - y)) (kslash + m) over the
@@ -316,7 +310,6 @@ def kernel_mode_sum(cfg: DiracBoxConfig, x: SpacetimePoint,
     return total / (2.0 * cfg.L) ** 3
 
 
-def kernel_braket_sum(cfg: DiracBoxConfig, x: SpacetimePoint,
-                      y: SpacetimePoint) -> np.ndarray:
+def kernel_braket_sum(cfg: DiracBoxConfig, x, y) -> np.ndarray:
     """Two-point kernel as -sum over basis waves |psi(x)><psi(y)|."""
     return mixed_kernel(wave_value_matrix(cfg, x), wave_value_matrix(cfg, y))

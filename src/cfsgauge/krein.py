@@ -180,19 +180,20 @@ def sqrt_near_identity(b: np.ndarray, space: KreinSpace) -> SqrtResult:
     Requires ``b`` to be symmetric with respect to the space's inner product
     and within RADIUS_SERIES of the identity in operator norm.  The primary
     route diagonalizes ``b`` and applies the principal scalar square root; an
-    element it does not reproduce to TOL_SQRT (e.g. a defective matrix) takes
-    the binomial series instead.
+    element it does not reproduce to TOL_SQRT s (e.g. a defective matrix)
+    takes the binomial series instead.  The symmetry tolerance is TOL s; both
+    scale with s = max(1, ||B||).
     """
     b = np.asarray(b, dtype=complex)
     delta = b - np.eye(b.shape[-1])
     dist = _norm_bound(delta, RADIUS_SERIES)
     _refuse(~(dist < RADIUS_SERIES), OutOfConvergenceRadius,
             "||B - 1|| = {:.3g} >= allowed radius {:.3g}", dist, RADIUS_SERIES)
-    asym = _norm_bound(b - space.adjoint(b), TOL)
-    if np.any(asym >= TOL):
-        _refuse(asym > TOL * np.maximum(1.0, opnorm(b)), NotSymmetric,
-                "||B - B*|| = {:.3g} exceeds tolerance", asym)
-    sq, inv, ok = _sqrt_by_eig(b)
+    scale = np.maximum(1.0, opnorm(b))
+    asym = _norm_bound(b - space.adjoint(b), TOL * scale)
+    _refuse(asym > TOL * scale, NotSymmetric,
+            "||B - B*|| = {:.3g} exceeds tolerance", asym)
+    sq, inv, ok = _sqrt_by_eig(b, TOL_SQRT * scale)
     method = "eig" if np.asarray(ok).all() else "series"
     if method == "series":   # b[True] is a stack of one, so a lone b works too
         sq[~ok] = binomial_sqrt_series(delta[~ok], 0.5)
@@ -200,8 +201,8 @@ def sqrt_near_identity(b: np.ndarray, space: KreinSpace) -> SqrtResult:
     return SqrtResult(sq, inv, method)
 
 
-def _sqrt_by_eig(b: np.ndarray):
-    """Principal square root via eigendecomposition, and where it is reliable."""
+def _sqrt_by_eig(b: np.ndarray, tol):
+    """Principal root by eigendecomposition, and where its residuals <= tol."""
     try:
         vals, vecs = np.linalg.eig(b)
         vecs_inv = np.linalg.inv(vecs)
@@ -212,12 +213,9 @@ def _sqrt_by_eig(b: np.ndarray):
     roots = np.sqrt(vals)[..., None, :]
     sq = (vecs * roots) @ vecs_inv
     inv = (vecs * (1.0 / roots)) @ vecs_inv
-    worst = np.maximum(_norm_bound(sq @ sq - b, TOL_SQRT),
-                       _norm_bound(sq @ inv - np.eye(b.shape[-1]), TOL_SQRT))
-    ok = worst <= TOL_SQRT
-    if not ok.all():   # the tolerance grows with ||B|| past 1
-        ok = worst <= TOL_SQRT * np.maximum(1.0, opnorm(b))
-    return sq, inv, ok
+    worst = np.maximum(_norm_bound(sq @ sq - b, tol),
+                       _norm_bound(sq @ inv - np.eye(b.shape[-1]), tol))
+    return sq, inv, worst <= tol
 
 
 def polar(t: np.ndarray, t_adj: np.ndarray,

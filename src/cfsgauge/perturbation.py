@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirac_box import (SPINOR_KREIN, DiracBoxConfig, SpacetimePoint,
-                        _coordinates, kernel_mode_sum, mixed_kernel,
-                        wave_value_matrix)
+from .dirac_box import (SPINOR_KREIN, DiracBoxConfig, _coordinates,
+                        kernel_mode_sum, mixed_kernel, wave_value_matrix)
 from .krein import _adjoint, opnorm
 from .wave_charts import connecting_unitary
 
@@ -48,7 +47,7 @@ class GaugeFunction:
         argument = spatial[..., 0] - terms[..., 4] * coords[..., :1] + terms[..., 5]
         return np.sum(terms[..., 0] * np.cos(argument), axis=-1)
 
-    def shifted_to_vanish_at(self, point: SpacetimePoint) -> "GaugeFunction":
+    def shifted_to_vanish_at(self, point: np.ndarray) -> "GaugeFunction":
         """The same gauge functions minus their values at ``point``.
 
         Each generates the identical pure-gauge potential; the constant
@@ -61,7 +60,7 @@ class GaugeFunction:
 
 
 def apply_local_phase(waves: np.ndarray, gauge_fn: GaugeFunction,
-                      point: SpacetimePoint) -> np.ndarray:
+                      point: np.ndarray) -> np.ndarray:
     """Wave values after the local phase transformation of each function."""
     phase = np.exp(1j * gauge_fn(point))[..., None, None]
     return phase * np.asarray(waves, dtype=complex)
@@ -104,20 +103,20 @@ class BasisWaves:
     """
 
     cfg: DiracBoxConfig
-    point: SpacetimePoint
+    point: np.ndarray
     coeffs: np.ndarray
     chi: np.ndarray
 
-    def evaluate(self, point: SpacetimePoint) -> np.ndarray:
+    def evaluate(self, point: np.ndarray) -> np.ndarray:
         """Wave values u_a(point), one column per basis vector."""
         return wave_value_matrix(self.cfg, point) @ self.coeffs
 
-    def kernel_transport(self, point: SpacetimePoint) -> np.ndarray:
+    def kernel_transport(self, point: np.ndarray) -> np.ndarray:
         """P(point, x) chi_a, which reproduces u_a(point)."""
         return kernel_mode_sum(self.cfg, point, self.point) @ self.chi
 
 
-def basis_waves(cfg: DiracBoxConfig, point: SpacetimePoint,
+def basis_waves(cfg: DiracBoxConfig, point: np.ndarray,
                 check_points=(), tol: float = 1e-9) -> BasisWaves:
     """Build the distinguished basis waves of the spin subspace at a point.
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .correlation import ImageSplit, hermitize, split_wave_values
-from .dirac_box import SpacetimePoint
+from .dirac_box import DiracBoxConfig
 from .krein import _adjoint, _frobenius
 from .manifold import ChartCoordinates
 from .perturbation import GaugeFunction
@@ -110,8 +110,7 @@ def random_gauge_function(rng: np.random.Generator, L: float,
     return GaugeFunction(terms=np.concatenate(columns, axis=-1), L=L)
 
 
-def random_box_point(rng: np.random.Generator, L: float):
+def random_box_point(rng: np.random.Generator, box: DiracBoxConfig):
     """Random spacetime point inside the box, with |t| <= 1."""
-    t = float(rng.uniform(-1.0, 1.0))
-    x = tuple(float(c) for c in rng.uniform(-L, L, size=3))
-    return SpacetimePoint.in_box(t, x, L)
+    t = rng.uniform(-1.0, 1.0)
+    return box.point(t, rng.uniform(-box.L, box.L, size=3))

@@ -19,9 +19,9 @@ import cfsgauge.randoms as rnd
 import cfsgauge.wave_charts as wc
 from cfsgauge.correlation import spin_space
 from cfsgauge.dirac_box import (GAMMA, SPINOR_GRAM, DiracBoxConfig,
-                                SpacetimePoint, kernel_braket_sum,
-                                kernel_mode_sum, momentum_modes,
-                                momentum_points, wave_value_matrix)
+                                kernel_braket_sum, kernel_mode_sum,
+                                momentum_modes, momentum_points,
+                                wave_value_matrix)
 from cfsgauge.krein import KreinSpace, opnorm
 
 
@@ -161,7 +161,7 @@ def test_criterion_06_dirac_box_construction():
     asympt_ok = ratios[0] <= 0.25 and ratios[1] < ratios[0]
 
     rng = np.random.default_rng(106)
-    points = [rnd.random_box_point(rng, cfg.L) for _ in range(6)]
+    points = [rnd.random_box_point(rng, cfg) for _ in range(6)]
     rank_ok = True
     for box in (cfg, DiracBoxConfig(L=math.pi, eps=1.0 / 1.5, m=1.0),
                 DiracBoxConfig(L=math.pi, eps=1.0 / 2.5, m=0.0)):
@@ -184,12 +184,12 @@ def test_criterion_07_kernel_identity():
     for box in (DiracBoxConfig(L=math.pi, eps=1.0 / 2.5, m=1.0),
                 DiracBoxConfig(L=math.pi, eps=1.0 / 2.5, m=0.0)):
         for _ in range(5):
-            x = rnd.random_box_point(rng, box.L)
-            y = rnd.random_box_point(rng, box.L)
+            x = rnd.random_box_point(rng, box)
+            y = rnd.random_box_point(rng, box)
             worst = max(worst, opnorm(kernel_mode_sum(box, x, y)
                                       - kernel_braket_sum(box, x, y)))
     box0 = DiracBoxConfig(L=math.pi, eps=1.0 / 2.5, m=0.0)
-    x = rnd.random_box_point(rng, box0.L)
+    x = rnd.random_box_point(rng, box0)
     n_points = len(momentum_points(box0))
     expected = -n_points / (32.0 * math.pi * box0.L ** 3) * GAMMA[0]
     diag_dev = opnorm(kernel_mode_sum(box0, x, x) - expected)
@@ -260,8 +260,8 @@ def test_criterion_10_gauge_phase_cancellation():
     started = time.perf_counter()
     box = DiracBoxConfig(L=math.pi, eps=1.0 / 2.5, m=0.0)
     rng = np.random.default_rng(110)
-    x = SpacetimePoint(t=0.2, x_vec=(0.4, -0.8, 1.1))
-    y = SpacetimePoint(t=0.25, x_vec=(0.55, -0.7, 1.2))
+    x = np.array([0.2, 0.4, -0.8, 1.1])
+    y = np.array([0.25, 0.55, -0.7, 1.2])
     waves_x = wave_value_matrix(box, x)
     waves_y = wave_value_matrix(box, y)
 

@@ -1,11 +1,12 @@
-"""The paired benchmark script, on scripted runs.
+"""The paired benchmark and report comparison scripts, without their runs.
 
 ``scripts/bench_pairs.py`` backs every speed claim, so its bookkeeping is
 checked here without a subprocess or a ``git archive``: ``git``, ``extract``
 and ``run_once`` are replaced by scripted stand-ins, and the summary must
 count wins, ties and losses, the median change and the ``gain``,
 ``over_bound`` and ``unresolved`` verdicts by each metric's ``better`` and
-``bound`` in BENCHMARK.json.
+``bound`` in BENCHMARK.json.  The comparison of ``scripts/report_diff.py``
+runs on reports built in memory.
 """
 
 import hashlib
@@ -186,3 +187,63 @@ def test_dirty_tree_records_its_diff(bench_pairs, tmp_path):
 def test_one_pair_is_refused(bench_pairs, tmp_path):
     with pytest.raises(SystemExit):
         run(bench_pairs, tmp_path, pairs=1)
+
+
+@pytest.fixture
+def report_diff(monkeypatch):
+    """``scripts/report_diff.py`` as a module, beside ``bench_pairs``."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    spec = importlib.util.spec_from_file_location(
+        "report_diff", ROOT / "scripts" / "report_diff.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def report(*entries, task_errors=None):
+    """A report of (task, name, value, passed) entries."""
+    rows = [{"task": t, "name": n, "paper_ref": "ref", "value": v,
+             "threshold": 1e-9, "passed": p} for t, n, v, p in entries]
+    return {"entries": rows, "task_errors": task_errors or {},
+            "all_passed": all(p for *_, p in entries) and not task_errors}
+
+
+BASE_ENTRIES = (("gauge", "orbit-recovery", 5e-16, True),
+                ("perturb", "phase-cancellation", 2e-15, True))
+
+
+def test_identical_reports_move_nothing(report_diff):
+    assert report_diff.compare_reports(report(*BASE_ENTRIES),
+                                       report(*BASE_ENTRIES)) == {
+        "entries_match": True, "verdicts_match": True, "moved": []}
+
+
+def test_moved_values_are_listed_with_their_delta(report_diff):
+    moved = (("gauge", "orbit-recovery", 7e-16, True),
+             ("perturb", "phase-cancellation", None, True))
+    result = report_diff.compare_reports(report(*BASE_ENTRIES), report(*moved))
+    assert result["entries_match"] and result["verdicts_match"]
+    assert result["moved"] == [
+        {"task": "gauge", "name": "orbit-recovery", "parent": 5e-16,
+         "change": 7e-16, "abs_delta": pytest.approx(2e-16, rel=1e-12)},
+        {"task": "perturb", "name": "phase-cancellation", "parent": 2e-15,
+         "change": None, "abs_delta": None}]
+
+
+@pytest.mark.parametrize("change, entries_match, verdicts_match", [
+    # a verdict flips
+    (report(BASE_ENTRIES[0], ("perturb", "phase-cancellation", 2e-15, False)),
+     True, False),
+    # a task error appears, the entries unchanged
+    (report(*BASE_ENTRIES, task_errors={"kernels": "TaskError: x"}),
+     True, False),
+    # an entry is missing, or the order changes
+    (report(BASE_ENTRIES[0]), False, False),
+    (report(*BASE_ENTRIES[::-1]), False, True),
+], ids=["verdict", "task-error", "missing", "order"])
+def test_entry_list_and_verdicts_are_compared(report_diff, change,
+                                              entries_match, verdicts_match):
+    result = report_diff.compare_reports(report(*BASE_ENTRIES), change)
+    assert result["entries_match"] == entries_match
+    assert result["verdicts_match"] == verdicts_match
+    assert result["moved"] == []

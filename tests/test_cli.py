@@ -21,8 +21,7 @@ from hypothesis import strategies as st
 from cfsgauge import cli
 from cfsgauge import krein as kr
 from cfsgauge import randoms as rnd
-from cfsgauge.cli import (KNOWN_TASKS, load_config, main, parse_config,
-                          run_experiment)
+from cfsgauge.cli import load_config, main, parse_config, run_experiment
 from cfsgauge.dirac_box import MIN_MASS, mode_count
 from cfsgauge.errors import ConfigError
 
@@ -62,6 +61,14 @@ class TestConfigParsing:
         config = parse_config(raw)
         assert len(config.points) == 2 * 8
 
+    def test_points_are_a_read_only_array(self):
+        config = parse_config(BASE_CONFIG)
+        assert config.points.shape == (2, 4) and config.points.dtype == float
+        np.testing.assert_allclose(config.points, BASE_CONFIG["points"],
+                                   rtol=1e-15)
+        with pytest.raises(ValueError):
+            config.points[0, 1] = 0.0
+
     def test_negative_eps_rejected(self):
         raw = json.loads(json.dumps(BASE_CONFIG))
         raw["box"]["eps"] = -0.1
@@ -73,6 +80,11 @@ class TestConfigParsing:
         raw["tasks"] = ["charts", "nonsense"]
         with pytest.raises(ConfigError):
             parse_config(raw)
+
+    def test_unhashable_task_rejected(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config(dict(BASE_CONFIG, tasks=[["charts"]]))
+        assert info.value.field == "tasks"
 
     def test_unknown_tolerance_rejected(self):
         # the thresholds are DEFAULT_TOLERANCES alone; a config cannot loosen
@@ -218,8 +230,8 @@ BOXED_CONFIGS = st.fixed_dictionaries(
             st.lists(st.integers() | st.floats(), min_size=4, max_size=4),
             max_size=3),
         "seed": st.integers() | JSON_VALUES,
-        "tasks": JSON_VALUES | st.lists(
-            st.sampled_from(KNOWN_TASKS + ("nonsense",)), max_size=3),
+        "tasks": JSON_VALUES | st.lists(st.sampled_from(
+            tuple(cli.TASK_RUNNERS) + ("nonsense",)), max_size=3),
     })
 
 
@@ -604,6 +616,13 @@ class TestExitCodes:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "box.L" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_empty_point_list_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"points": []})
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: points: ")
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
 
     def test_negative_seed_exits_2_on_both_routes(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -11,8 +11,8 @@ from cfsgauge.closed_chain import (VectorKernel, chain_eigenvalues,
                                    spectral_inv_sqrt_kernel,
                                    spectral_projectors, unitary_expansion,
                                    vector_kernel_from_matrix)
-from cfsgauge.dirac_box import (DiracBoxConfig, SpacetimePoint,
-                                kernel_mode_sum, minkowski_dot, slash)
+from cfsgauge.dirac_box import (DiracBoxConfig, kernel_mode_sum,
+                                minkowski_dot, slash)
 from cfsgauge.errors import BranchCut, DegenerateChain
 from cfsgauge.krein import opnorm
 
@@ -244,10 +244,9 @@ class TestVectorDecomposition:
         # massless box kernels are of vector form; the closed-form
         # eigenvalues reproduce the numeric spectrum of their closed chain
         cfg = DiracBoxConfig(L=math.pi, eps=1.0 / 2.5, m=0.0)
-        x = SpacetimePoint(t=0.0, x_vec=(0.1, -0.3, 0.2))
+        x = np.array([0.0, 0.1, -0.3, 0.2])
         for dy in ((0.05, 0.0, 0.02), (0.3, -0.2, 0.1)):
-            y = SpacetimePoint(t=0.04, x_vec=tuple(
-                c + d for c, d in zip(x.x_vec, dy)))
+            y = np.array([0.04, *(x[1:] + dy)])
             p_xy = kernel_mode_sum(cfg, x, y)
             vk = vector_kernel_from_matrix(p_xy)
             lam_plus, lam_minus = chain_eigenvalues(vk)

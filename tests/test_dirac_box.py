@@ -14,8 +14,8 @@ from cfsgauge.cli import DEFAULT_TOLERANCES
 from cfsgauge.correlation import kernel, spin_space
 from cfsgauge.dirac_box import (GAMMA, MAX_L, MAX_MODES,
                                 MIN_LENGTH, MIN_MASS, SPINOR_GRAM,
-                                DiracBoxConfig, SpacetimePoint,
-                                _coordinates, _lattice, _phases,
+                                DiracBoxConfig, _coordinates, _lattice,
+                                _phases,
                                 _sea_spinor_table, _sea_table,
                                 build_correlation_map, kernel_braket_sum,
                                 kernel_mode_sum, mixed_kernel, mode_count,
@@ -81,14 +81,44 @@ class TestGammaMatrices:
         assert int(np.sum(vals > 0)) == 2 and int(np.sum(vals < 0)) == 2
 
 
-class TestSpacetimePoint:
+class TestBoxPoint:
     def test_reduction_into_box(self):
-        p = SpacetimePoint.in_box(0.5, (CFG.L + 0.25, -CFG.L - 0.25, 0.1),
-                                  CFG.L)
-        assert -CFG.L <= min(p.x_vec) and max(p.x_vec) < CFG.L
-        np.testing.assert_allclose(p.x_vec,
+        p = CFG.point(0.5, (CFG.L + 0.25, -CFG.L - 0.25, 0.1))
+        assert p.shape == (4,) and p[0] == 0.5
+        assert -CFG.L <= min(p[1:]) and max(p[1:]) < CFG.L
+        np.testing.assert_allclose(p[1:],
                                    (-CFG.L + 0.25, CFG.L - 0.25, 0.1),
                                    atol=1e-12)
+
+    def test_stack_matches_rows_bit_for_bit(self):
+        # the box edges, their images and a negative zero, on every axis
+        L = CFG.L
+        x = np.array(list(itertools.product(
+            (L, -L, 3 * L, -3 * L, -0.0, 0.25), repeat=3)))
+        t = np.linspace(-1.0, 1.0, len(x))
+        t[0] = -0.0
+        stacked = CFG.point(t, x)
+        rows = np.array([CFG.point(float(ti), tuple(map(float, xi)))
+                         for ti, xi in zip(t, x)])
+        # the reduction written with Python floats, one coordinate at a time
+        scalar = np.array([[ti, *(((c + L) % (2.0 * L)) - L for c in xi)]
+                           for ti, xi in zip(t.tolist(), x.tolist())])
+        assert stacked.shape == (216, 4)
+        for other in (rows, scalar,
+                      CFG.point(t.reshape(6, 36), x.reshape(6, 36, 3))
+                      .reshape(-1, 4)):
+            np.testing.assert_array_equal(stacked.view(np.uint64),
+                                          other.view(np.uint64))
+        assert np.all((-L <= stacked[:, 1:]) & (stacked[:, 1:] < L))
+
+    def test_wave_values_of_an_array_match_a_list_of_rows(self):
+        points = CFG.point([0.0, 0.4, -1.0],
+                           [(0.0, 0.0, 0.0), (0.5, -0.3, 0.2), (2.0, 1.0, -2.5)])
+        stacked = wave_value_matrix(CFG, points)
+        assert stacked.shape == (3, 4, mode_count(CFG))
+        np.testing.assert_array_equal(stacked, wave_value_matrix(CFG, list(points)))
+        for point, waves in zip(points, stacked):
+            np.testing.assert_array_equal(waves, wave_value_matrix(CFG, point))
 
 
 class TestMomentumModes:
@@ -176,8 +206,8 @@ class TestSeaSpinors:
 class TestTinyMass:
     # m = 1e-16: the spin norm -m / omega of the sea spinors rounds to zero
     CFG_TINY = DiracBoxConfig(L=3.14159, eps=0.4, m=1e-16)
-    X = SpacetimePoint(t=0.1, x_vec=(0.2, -0.3, 0.4))
-    Y = SpacetimePoint(t=-0.3, x_vec=(1.0, 0.5, -2.0))
+    X = np.array([0.1, 0.2, -0.3, 0.4])
+    Y = np.array([-0.3, 1.0, 0.5, -2.0])
 
     def test_wave_values_finite(self):
         waves = wave_value_matrix(self.CFG_TINY, self.X)
@@ -194,8 +224,8 @@ class TestTinyMass:
 
 class TestPlaneWaves:
     def test_spatial_periodicity(self):
-        p1 = SpacetimePoint(t=0.3, x_vec=(0.2, -0.4, 1.0))
-        p2 = SpacetimePoint(t=0.3, x_vec=(0.2 + 2 * CFG.L, -0.4, 1.0))
+        p1 = np.array([0.3, 0.2, -0.4, 1.0])
+        p2 = np.array([0.3, 0.2 + 2 * CFG.L, -0.4, 1.0])
         np.testing.assert_allclose(wave_value_matrix(CFG, p1)[:, 7],
                                    wave_value_matrix(CFG, p2)[:, 7],
                                    atol=1e-12)
@@ -204,8 +234,8 @@ class TestPlaneWaves:
         mode = momentum_modes(CFG)[5]
         x = (0.1, 0.2, 0.3)
         t = 0.7
-        at_zero = wave_value_matrix(CFG, SpacetimePoint(t=0.0, x_vec=x))[:, 5]
-        at_t = wave_value_matrix(CFG, SpacetimePoint(t=t, x_vec=x))[:, 5]
+        at_zero = wave_value_matrix(CFG, np.array([0.0, *x]))[:, 5]
+        at_t = wave_value_matrix(CFG, np.array([t, *x]))[:, 5]
         np.testing.assert_allclose(at_t, np.exp(1j * mode.omega * t) * at_zero,
                                    atol=1e-12)
 
@@ -249,9 +279,9 @@ class TestPlaneWaves:
 
 class TestCorrelationMap:
     def test_regular_rank_four(self):
-        points = [SpacetimePoint(t=0.0, x_vec=(0.0, 0.0, 0.0)),
-                  SpacetimePoint(t=0.4, x_vec=(0.5, -0.3, 0.2)),
-                  SpacetimePoint(t=-1.0, x_vec=(2.0, 1.0, -2.5))]
+        points = [np.array([0.0, 0.0, 0.0, 0.0]),
+                  np.array([0.4, 0.5, -0.3, 0.2]),
+                  np.array([-1.0, 2.0, 1.0, -2.5])]
         for ops in (build_correlation_map(CFG_SMALL, points),
                     build_correlation_map(CFG_MASSLESS, points)):
             for x in ops:
@@ -259,8 +289,8 @@ class TestCorrelationMap:
                 assert sp.basis.shape[1] == 4
 
     def test_translation_invariant_spectra(self):
-        points = [SpacetimePoint(t=0.0, x_vec=(0.0, 0.0, 0.0)),
-                  SpacetimePoint(t=1.3, x_vec=(-0.7, 0.1, 0.9))]
+        points = [np.array([0.0, 0.0, 0.0, 0.0]),
+                  np.array([1.3, -0.7, 0.1, 0.9])]
         ops = dense_correlation_map(CFG_SMALL, points)
         spectra = [np.sort(np.linalg.eigvalsh(x))[[0, 1, -2, -1]] for x in ops]
         np.testing.assert_allclose(spectra[0], spectra[1], atol=1e-12)
@@ -301,10 +331,10 @@ class TestCorrelationMap:
         cfg = DiracBoxConfig(L=math.pi, eps=1.0 / 1.05, m=1.0)
         assert len(momentum_modes(cfg)) == 2
         with pytest.raises(TooFewModes):
-            build_correlation_map(cfg, [SpacetimePoint(t=0.0, x_vec=(0, 0, 0))])
+            build_correlation_map(cfg, [np.zeros(4)])
 
     def test_matches_local_correlation_of_wave_values(self):
-        point = SpacetimePoint(t=0.2, x_vec=(0.3, 0.1, -0.2))
+        point = np.array([0.2, 0.3, 0.1, -0.2])
         x = build_correlation_map(CFG_SMALL, [point])[0]
         w = wave_value_matrix(CFG_SMALL, point)
         np.testing.assert_allclose(x.basis @ x.restricted @ x.basis.conj().T,
@@ -315,33 +345,33 @@ class TestKernelModeSum:
     def test_two_routes_agree_massive(self):
         rng = np.random.default_rng(0)
         for _ in range(5):
-            x = SpacetimePoint(t=rng.uniform(-1, 1),
-                               x_vec=tuple(rng.uniform(-math.pi, math.pi, 3)))
-            y = SpacetimePoint(t=rng.uniform(-1, 1),
-                               x_vec=tuple(rng.uniform(-math.pi, math.pi, 3)))
+            x = np.array([rng.uniform(-1, 1),
+                          *rng.uniform(-math.pi, math.pi, 3)])
+            y = np.array([rng.uniform(-1, 1),
+                          *rng.uniform(-math.pi, math.pi, 3)])
             assert opnorm(kernel_mode_sum(CFG, x, y)
                           - kernel_braket_sum(CFG, x, y)) <= 1e-10
 
     def test_two_routes_agree_massless(self):
         rng = np.random.default_rng(1)
         for _ in range(5):
-            x = SpacetimePoint(t=rng.uniform(-1, 1),
-                               x_vec=tuple(rng.uniform(-math.pi, math.pi, 3)))
-            y = SpacetimePoint(t=rng.uniform(-1, 1),
-                               x_vec=tuple(rng.uniform(-math.pi, math.pi, 3)))
+            x = np.array([rng.uniform(-1, 1),
+                          *rng.uniform(-math.pi, math.pi, 3)])
+            y = np.array([rng.uniform(-1, 1),
+                          *rng.uniform(-math.pi, math.pi, 3)])
             assert opnorm(kernel_mode_sum(CFG_MASSLESS, x, y)
                           - kernel_braket_sum(CFG_MASSLESS, x, y)) <= 1e-10
 
     def test_massless_diagonal_value(self):
-        x = SpacetimePoint(t=0.8, x_vec=(0.1, -2.0, 0.5))
+        x = np.array([0.8, 0.1, -2.0, 0.5])
         n_points = len(momentum_points(CFG_MASSLESS))
         expected = -n_points / (32.0 * math.pi * CFG_MASSLESS.L ** 3) * GAMMA[0]
         np.testing.assert_allclose(kernel_mode_sum(CFG_MASSLESS, x, x),
                                    expected, atol=1e-10)
 
     def test_reverse_kernel_is_spinor_adjoint(self):
-        x = SpacetimePoint(t=0.1, x_vec=(0.4, 0.2, -0.3))
-        y = SpacetimePoint(t=-0.2, x_vec=(0.9, -0.1, 0.0))
+        x = np.array([0.1, 0.4, 0.2, -0.3])
+        y = np.array([-0.2, 0.9, -0.1, 0.0])
         p_xy = kernel_mode_sum(CFG, x, y)
         p_yx = kernel_mode_sum(CFG, y, x)
         np.testing.assert_allclose(p_yx,
@@ -349,9 +379,9 @@ class TestKernelModeSum:
                                    atol=1e-12)
 
     def test_spatial_periodicity(self):
-        x = SpacetimePoint(t=0.1, x_vec=(0.4, 0.2, -0.3))
-        y1 = SpacetimePoint(t=-0.2, x_vec=(0.9, -0.1, 0.0))
-        y2 = SpacetimePoint(t=-0.2, x_vec=(0.9 - 2 * CFG.L, -0.1, 2 * CFG.L))
+        x = np.array([0.1, 0.4, 0.2, -0.3])
+        y1 = np.array([-0.2, 0.9, -0.1, 0.0])
+        y2 = np.array([-0.2, 0.9 - 2 * CFG.L, -0.1, 2 * CFG.L])
         np.testing.assert_allclose(kernel_mode_sum(CFG, x, y1),
                                    kernel_mode_sum(CFG, x, y2), atol=1e-12)
 
@@ -365,7 +395,7 @@ class TestMixedKernel:
     def pair():
         """Wave values on the perturb task's 125-point grid, and a phased copy."""
         axis = np.linspace(-math.pi, math.pi, 5, endpoint=False)
-        grid = [SpacetimePoint(t=0.1, x_vec=(a, b, c))
+        grid = [np.array([0.1, a, b, c])
                 for a, b, c in itertools.product(axis, repeat=3)]
         w = wave_value_matrix(CFG_MASSLESS, grid)
         phases = np.random.default_rng(5).uniform(-math.pi, math.pi, 125)
@@ -395,8 +425,8 @@ class TestSpinSpinorIdentification:
         # the evaluation map aligns the abstract two-point kernel with the
         # explicit mode sum: P_spinor(x, y) = E_x P_abstract(x, y) E_y^{-1}
         cfg = CFG_SMALL
-        x = SpacetimePoint(t=0.0, x_vec=(0.2, -0.1, 0.4))
-        y = SpacetimePoint(t=0.3, x_vec=(-0.5, 0.3, 0.1))
+        x = np.array([0.0, 0.2, -0.1, 0.4])
+        y = np.array([0.3, -0.5, 0.3, 0.1])
         ops = build_correlation_map(cfg, [x, y])
         sp_x = spin_space(ops[0], 2)
         sp_y = spin_space(ops[1], 2)
@@ -413,9 +443,9 @@ class TestSpinSpinorIdentification:
 # f = 160 and f = 162 (the zero mode joins once m > 0)
 PARITY_CONFIGS = (DiracBoxConfig(L=math.pi, eps=0.4, m=0.0),
                   DiracBoxConfig(L=math.pi, eps=0.4, m=0.3))
-PARITY_POINTS = (SpacetimePoint(t=0.0, x_vec=(0.0, 0.0, 0.0)),
-                 SpacetimePoint(t=0.37, x_vec=(0.5, -1.2, 2.9)),
-                 SpacetimePoint(t=-1.4, x_vec=(-3.0, 0.25, -0.6)))
+PARITY_POINTS = (np.array([0.0, 0.0, 0.0, 0.0]),
+                 np.array([0.37, 0.5, -1.2, 2.9]),
+                 np.array([-1.4, -3.0, 0.25, -0.6]))
 
 
 def reference_modes(cfg):
@@ -452,7 +482,7 @@ def reference_waves(cfg, point):
     """Wave values mode by mode, one spinor solve and phase per mode."""
     columns = []
     for n, k, omega, a in reference_modes(cfg):
-        kx = -omega * point.t - sum(kc * xc for kc, xc in zip(k, point.x_vec))
+        kx = -omega * point[0] - sum(kc * xc for kc, xc in zip(k, point[1:]))
         spinor = reference_spinors(k, omega, cfg.m)[:, a - 1]
         columns.append(np.exp(-1j * kx) * reference_scale(cfg) * spinor)
     return np.column_stack(columns)
@@ -462,8 +492,8 @@ def reference_kernel(cfg, x, y):
     """The mode sum as one 4 x 4 term per momentum."""
     total = np.zeros((4, 4), dtype=complex)
     for n, k, omega, a in reference_modes(cfg)[::2]:
-        kx = (-omega * (x.t - y.t)
-              - sum(kc * (xc - yc) for kc, xc, yc in zip(k, x.x_vec, y.x_vec)))
+        kx = (-omega * (x[0] - y[0])
+              - sum(kc * (xc - yc) for kc, xc, yc in zip(k, x[1:], y[1:])))
         total += (np.exp(-1j * kx) / (4.0 * math.pi * omega)
                   * (slash((-omega,) + k) + cfg.m * np.eye(4)))
     return total / (2.0 * cfg.L) ** 3
@@ -517,8 +547,8 @@ def extended_phases(cfg, coords):
 def extended_kernel(cfg, x, y):
     """The mode sum in extended precision, x - y not reduced into the box."""
     _, k, omega = _lattice(cfg)[:3]
-    diff = (np.array([x.t, *x.x_vec], dtype=np.longdouble)
-            - np.array([y.t, *y.x_vec], dtype=np.longdouble))
+    diff = (np.asarray(x, dtype=np.longdouble)
+            - np.asarray(y, dtype=np.longdouble))
     c = extended_phases(cfg, diff) / (4 * np.pi * omega.astype(np.longdouble))
     v = np.concatenate([[-(c @ omega.astype(np.longdouble))],
                         c @ k.astype(np.longdouble)])
@@ -538,9 +568,7 @@ class TestPhaseAccuracy:
 
     def points(self, cfg):
         rng = np.random.default_rng(5)
-        coords = rng.uniform(-cfg.L, cfg.L, size=(20, 4))
-        return [SpacetimePoint(t=float(c[0]), x_vec=tuple(map(float, c[1:])))
-                for c in coords]
+        return rng.uniform(-cfg.L, cfg.L, size=(20, 4))
 
     def test_phases(self, eps, m):
         cfg = DiracBoxConfig(L=math.pi, eps=eps, m=m)
@@ -553,8 +581,8 @@ class TestPhaseAccuracy:
         points = self.points(cfg)
         # the spatial difference of the last pair lies outside [-L, L)^3
         pairs = [*zip(points[::2], points[1::2]),
-                 (SpacetimePoint(t=0.1, x_vec=(3.0, -3.0, 2.9)),
-                  SpacetimePoint(t=-0.2, x_vec=(-3.0, 3.1, -3.0)))]
+                 (np.array([0.1, 3.0, -3.0, 2.9]),
+                  np.array([-0.2, -3.0, 3.1, -3.0]))]
         for x, y in pairs:
             reference = extended_kernel(cfg, x, y)
             error = np.max(np.abs(kernel_mode_sum(cfg, x, y) - reference))
@@ -565,8 +593,8 @@ class TestPhaseTables:
     """Exponentials per point: one per omega shell and per axis coordinate."""
 
     CFG = DiracBoxConfig(L=math.pi, eps=0.08, m=0.0)
-    X = SpacetimePoint(t=0.7, x_vec=(0.3, -2.2, 1.9))
-    Y = SpacetimePoint(t=-0.4, x_vec=(-2.9, 1.0, 0.6))
+    X = np.array([0.7, 0.3, -2.2, 1.9])
+    Y = np.array([-0.4, -2.9, 1.0, 0.6])
 
     def test_exponentials_per_point(self, monkeypatch):
         n = np.array([mode.n_vec for mode in momentum_points(self.CFG)])
@@ -593,7 +621,7 @@ class TestPhaseTables:
     def test_empty_stack_and_nan_time(self, m):
         cfg = DiracBoxConfig(L=math.pi, eps=0.4, m=m)
         assert wave_value_matrix(cfg, []).shape == (0, 4, mode_count(cfg))
-        nan_time = SpacetimePoint(t=math.nan, x_vec=(0.1, 0.2, 0.3))
+        nan_time = np.array([math.nan, 0.1, 0.2, 0.3])
         assert np.all(np.isnan(wave_value_matrix(cfg, nan_time)))
         stacked = wave_value_matrix(cfg, [self.X, nan_time])
         assert np.all(np.isnan(stacked[1])) and np.all(np.isfinite(stacked[0]))

@@ -8,8 +8,7 @@ from conftest import local_correlation
 
 from cfsgauge.correlation import split_wave_values
 from cfsgauge.dirac_box import (SPINOR_GRAM, SPINOR_KREIN, DiracBoxConfig,
-                                SpacetimePoint, kernel_mode_sum,
-                                wave_value_matrix)
+                                kernel_mode_sum, wave_value_matrix)
 from cfsgauge.krein import opnorm, polar, polar_decompose
 from cfsgauge.perturbation import (GaugeFunction, apply_local_phase,
                                    basis_waves, gauged_basis, mixed_kernel,
@@ -18,7 +17,7 @@ from cfsgauge.randoms import random_box_point, random_gauge_function
 
 CFG = DiracBoxConfig(L=math.pi, eps=1.0 / 2.5, m=0.0)
 MASSIVE = DiracBoxConfig(L=math.pi, eps=1.0 / 2.5, m=0.3)
-POINT = SpacetimePoint(t=0.2, x_vec=(0.4, -0.8, 1.1))
+POINT = np.array([0.2, 0.4, -0.8, 1.1])
 #: the gauge function with no terms, Lambda = 0
 ZERO = GaugeFunction(terms=np.zeros((0, 6)), L=CFG.L)
 
@@ -43,8 +42,8 @@ class TestGaugeFunction:
     def test_periodicity(self):
         rng = np.random.default_rng(0)
         lam = random_gauge_function(rng, CFG.L)
-        p1 = SpacetimePoint(t=0.3, x_vec=(0.2, -0.5, 0.7))
-        p2 = SpacetimePoint(t=0.3, x_vec=(0.2 + 2 * CFG.L, -0.5 - 2 * CFG.L, 0.7))
+        p1 = np.array([0.3, 0.2, -0.5, 0.7])
+        p2 = np.array([0.3, 0.2 + 2 * CFG.L, -0.5 - 2 * CFG.L, 0.7])
         assert abs(lam(p1) - lam(p2)) <= 1e-12
 
     def test_real_valued(self):
@@ -52,12 +51,22 @@ class TestGaugeFunction:
         lam = random_gauge_function(rng, CFG.L)
         assert isinstance(lam(POINT), float)
 
+    def test_array_of_points_matches_a_list_of_rows(self):
+        lam = random_gauge_function(np.random.default_rng(3), CFG.L, 2)
+        points = CFG.point([0.3, -0.4, 0.1],
+                           [(0.2, -0.5, 0.7), (1.0, 0.3, -0.2), (4.0, 0.0, -3.5)])
+        values = lam(points)
+        assert values.shape == (2, 3)
+        np.testing.assert_array_equal(values, lam(list(points)))
+        for i, point in enumerate(points):
+            np.testing.assert_array_equal(values[:, i], lam(point))
+
     def test_shift_vanishes_at_point(self):
         rng = np.random.default_rng(2)
         lam = random_gauge_function(rng, CFG.L)
         shifted = lam.shifted_to_vanish_at(POINT)
         assert abs(shifted(POINT)) <= 1e-12
-        other = SpacetimePoint(t=-0.4, x_vec=(1.0, 0.3, -0.2))
+        other = np.array([-0.4, 1.0, 0.3, -0.2])
         assert abs((shifted(other) - lam(other)) + lam(POINT)) <= 1e-12
 
 
@@ -143,7 +152,7 @@ class TestMixedKernel:
         for x1 in axis:
             for x2 in axis:
                 for x3 in axis:
-                    point = SpacetimePoint(t=0.1, x_vec=(x1, x2, x3))
+                    point = np.array([0.1, x1, x2, x3])
                     w = wave_value_matrix(CFG, point)
                     wt = apply_local_phase(w, lam, point)
                     expected = np.exp(-1j * lam(point)) * mixed_kernel(w, w)
@@ -194,8 +203,7 @@ class TestSymmetricGaugeValue:
     def test_gauge_factor_is_the_polar_decomposition_of_b(self):
         # V^x and S of B = P(y, x) P(x, x)^{-1} = V S, by krein.polar_decompose
         w = wave_value_matrix(MASSIVE, POINT)
-        w_y = wave_value_matrix(MASSIVE, SpacetimePoint(t=0.3,
-                                                        x_vec=(0.5, -0.7, 1.1)))
+        w_y = wave_value_matrix(MASSIVE, np.array([0.3, 0.5, -0.7, 1.1]))
         b = mixed_kernel(w_y, w) @ np.linalg.inv(mixed_kernel(w, w))
         v, s = polar_decompose(b, SPINOR_KREIN)
         assert opnorm(s - np.eye(4)) > 1e-2
@@ -237,7 +245,7 @@ class TestTransformationLedger:
         # the gauge value at y is unchanged once Lambda(x) = 0
         rng = np.random.default_rng(9)
         x = POINT
-        y = SpacetimePoint(t=0.25, x_vec=(0.55, -0.7, 1.2))
+        y = np.array([0.25, 0.55, -0.7, 1.2])
         wx = wave_value_matrix(CFG, x)
         wy = wave_value_matrix(CFG, y)
         p_xy = -(wx @ wy.conj().T @ SPINOR_GRAM)
@@ -278,17 +286,17 @@ class TestBasisWaves:
         bw = basis_waves(CFG, POINT)
         rng = np.random.default_rng(10)
         for _ in range(5):
-            y = random_box_point(rng, CFG.L)
+            y = random_box_point(rng, CFG)
             assert opnorm(bw.kernel_transport(y) - bw.evaluate(y)) <= 1e-9
 
     def test_check_points_verified_at_build_time(self):
         rng = np.random.default_rng(13)
-        samples = [random_box_point(rng, CFG.L) for _ in range(3)]
+        samples = [random_box_point(rng, CFG) for _ in range(3)]
         basis_waves(CFG, POINT, check_points=samples)   # must not raise
 
     def test_kernel_transport_in_a_massive_sea(self):
         rng = np.random.default_rng(15)
-        samples = [random_box_point(rng, MASSIVE.L) for _ in range(3)]
+        samples = [random_box_point(rng, MASSIVE) for _ in range(3)]
         bw = basis_waves(MASSIVE, POINT, check_points=samples, tol=1e-12)
         np.testing.assert_allclose(bw.coeffs.conj().T @ bw.coeffs, np.eye(4),
                                    atol=1e-12)

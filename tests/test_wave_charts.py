@@ -601,7 +601,7 @@ class TestSpinorFrameBridge:
         cfg = DiracBoxConfig(L=math.pi, eps=eps, m=m)
         config = Path(__file__).resolve().parents[1] / "configs/example.json"
         # the example's points[0] (the base) and points[1], and one more
-        points = [cfg.point(p.t, p.x_vec)
+        points = [cfg.point(p[0], p[1:])
                   for p in cli.load_config(config).points[:2]]
         points.append(cfg.point(0.25, (0.45, -0.75, 1.15)))
         splits = build_correlation_map(cfg, points)
