@@ -74,8 +74,9 @@ def main(argv=None) -> int:
         trees = {"parent": extract(parent, tmp / "parent"), "change": ROOT}
         for m in MASSES:
             config = tmp / f"example-m{m}.json"
-            config.write_text(json.dumps(
-                dict(example, box=dict(example["box"], m=m))), encoding="utf-8")
+            box = dict(example["box"], m=m)
+            config.write_text(json.dumps(dict(example, box=box)),
+                              encoding="utf-8")
             for seed in SEEDS:
                 out = {side: run_tree(tree, config, seed,
                                       tmp / f"{side}-m{m}-{seed}")

@@ -112,11 +112,13 @@ class TestBoxPoint:
         assert np.all((-L <= stacked[:, 1:]) & (stacked[:, 1:] < L))
 
     def test_wave_values_of_an_array_match_a_list_of_rows(self):
-        points = CFG.point([0.0, 0.4, -1.0],
-                           [(0.0, 0.0, 0.0), (0.5, -0.3, 0.2), (2.0, 1.0, -2.5)])
+        points = CFG.point([0.0, 0.4, -1.0], [(0.0, 0.0, 0.0),
+                                              (0.5, -0.3, 0.2),
+                                              (2.0, 1.0, -2.5)])
         stacked = wave_value_matrix(CFG, points)
         assert stacked.shape == (3, 4, mode_count(CFG))
-        np.testing.assert_array_equal(stacked, wave_value_matrix(CFG, list(points)))
+        np.testing.assert_array_equal(stacked,
+                                      wave_value_matrix(CFG, list(points)))
         for point, waves in zip(points, stacked):
             np.testing.assert_array_equal(waves, wave_value_matrix(CFG, point))
 

@@ -53,8 +53,9 @@ class TestGaugeFunction:
 
     def test_array_of_points_matches_a_list_of_rows(self):
         lam = random_gauge_function(np.random.default_rng(3), CFG.L, 2)
-        points = CFG.point([0.3, -0.4, 0.1],
-                           [(0.2, -0.5, 0.7), (1.0, 0.3, -0.2), (4.0, 0.0, -3.5)])
+        points = CFG.point([0.3, -0.4, 0.1], [(0.2, -0.5, 0.7),
+                                              (1.0, 0.3, -0.2),
+                                              (4.0, 0.0, -3.5)])
         values = lam(points)
         assert values.shape == (2, 3)
         np.testing.assert_array_equal(values, lam(list(points)))
